@@ -32,7 +32,7 @@ from .measure import IntervalSet, mu_density_constant, mu_measure
 from .paley_wiener import (
     EntireEvenSeries,
     PWFunction,
-    apply_Dk,
+    apply_Dk_all,
     extremal_family,
     extremal_norm_sq,
     synthesize,
@@ -367,53 +367,57 @@ def ls_bound(params: LSParams) -> float:
 # good/bad windows in the squared variable
 
 
-def _window_integrals(pw: PWFunction, x: float, k_max: int, n_nodes: int = 96):
+def _window_integrals(pw: PWFunction, x, k_max: int, n_nodes: int = 96):
     """Integrals of |d^k g|^2 s^(alpha+k) over I_x = [(x-1)^2, (x+1)^2] for
-    k = 0..k_max, where g(s) = f(sqrt(s))."""
-    lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
-    rule = build_rule(lo, hi, n_nodes)
-    s = rule.nodes
-    roots = np.sqrt(s)
+    k = 0..k_max, where g(s) = f(sqrt(s)), along the last axis; x is one
+    window center or an array of them."""
+    centers = np.asarray(x, dtype=float)
+    rules = [
+        build_rule((c - 1.0) ** 2, (c + 1.0) ** 2, n_nodes) for c in centers.ravel()
+    ]
+    s = np.array([rule.nodes for rule in rules]).ravel()
+    dk = apply_Dk_all(pw, k_max, np.sqrt(s)).reshape(k_max + 1, len(rules), n_nodes)
     alpha = pw.order.alpha
-    out = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        dk = apply_Dk(pw, k, roots)
-        out[k] = float(np.dot(rule.weights, dk**2 * s ** (alpha + k)))
-    return out
+    out = np.empty((len(rules), k_max + 1))
+    for i, rule in enumerate(rules):
+        for k in range(k_max + 1):
+            out[i, k] = float(
+                np.dot(rule.weights, dk[k, i] ** 2 * rule.nodes ** (alpha + k))
+            )
+    return out.reshape(centers.shape + (k_max + 1,))
 
 
 def good_bad_partition(
     pw: PWFunction, ab: float, x_list, k_max: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Label each window center x >= 1 as bad when some derivative order
     k in [1, k_max] has >= (2 pi ab)^(2k) times the window's own mass:
     integral over I_x of |d^k g|^2 s^(alpha+k) >= (2 pi ab)^(2k) *
-    integral over I_x of |g|^2 s^alpha.  Returns a boolean bad-mask."""
+    integral over I_x of |g|^2 s^alpha.  Returns the boolean bad-mask and
+    the window masses (the k = 0 integrals), which witness_point takes."""
     if ab <= 0:
         raise DomainError("bandlimit product ab must be positive")
     xs = np.atleast_1d(np.asarray(x_list, dtype=float))
     if np.any(xs < 1.0):
         raise DomainError("window centers must be >= 1")
+    ints = _window_integrals(pw, xs, k_max)
+    mass = ints[:, 0]
     bad = np.zeros(len(xs), dtype=bool)
     base = (2.0 * math.pi * ab) ** 2
-    for i, x in enumerate(xs):
-        ints = _window_integrals(pw, float(x), k_max)
-        thresh = ints[0]
-        factor = 1.0
-        for k in range(1, k_max + 1):
-            factor *= base
-            if ints[k] >= factor * thresh:
-                bad[i] = True
-                break
-    return bad
+    factor = 1.0
+    for k in range(1, k_max + 1):
+        factor *= base
+        bad |= ints[:, k] >= factor * mass
+    return bad, mass
 
 
-def bad_mass_fraction(pw: PWFunction, ab: float, x_list, k_max: int) -> float:
-    """Fraction of the squared-variable energy carried by the union of bad
-    windows, against the closed-form total (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2."""
-    xs = np.atleast_1d(np.asarray(x_list, dtype=float))
-    bad = good_bad_partition(pw, ab, xs, k_max)
-    windows = [((x - 1.0) ** 2, (x + 1.0) ** 2) for x in xs[bad]]
+def bad_mass_fraction(pw: PWFunction, x_list, bad) -> float:
+    """Fraction of the squared-variable energy carried by the union of the
+    windows that the mask `bad` (from good_bad_partition) marks among the
+    centers x_list, against the closed-form total
+    (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2."""
+    xs = np.atleast_1d(np.asarray(x_list, dtype=float))[np.asarray(bad, dtype=bool)]
+    windows = [((x - 1.0) ** 2, (x + 1.0) ** 2) for x in xs]
     if not windows:
         return 0.0
     union = IntervalSet.of(windows)
@@ -435,30 +439,30 @@ def bad_mass_fraction(pw: PWFunction, ab: float, x_list, k_max: int) -> float:
     return mass / total
 
 
-def witness_point(pw: PWFunction, ab: float, x: float, k_max: int = 8) -> float:
+def witness_point(
+    pw: PWFunction, ab: float, x: float, k_max: int = 8, mass: float | None = None
+) -> float:
     """A point t in I_x where every derivative order obeys the pointwise
     growth bound t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k * window mass,
-    searched on a 1000-point grid with two tenfold refinements."""
+    searched on a 1000-point grid with two tenfold refinements.  `mass` is
+    the window's integral of |g|^2 s^alpha, as good_bad_partition returns
+    it; it is computed here when not given."""
     lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
-    ints = _window_integrals(pw, x, 0)
-    mass = ints[0]
+    if mass is None:
+        mass = _window_integrals(pw, x, 0)[0]
     alpha = pw.order.alpha
     base = 12.0 * math.pi**2 * ab * ab
     n = 1000
     for _ in range(3):
         ts = np.linspace(lo, hi, n)
+        dk = apply_Dk_all(pw, k_max, np.sqrt(ts))
         ok = np.ones(n, dtype=bool)
         factor = 1.0
-        for k in range(0, k_max + 1):
-            dk = apply_Dk(pw, k, np.sqrt(ts[ok]))
-            good = ts[ok] ** (alpha + k) * dk**2 <= factor * mass * (1 + 1e-12)
-            idx = np.flatnonzero(ok)
-            ok[idx[~good]] = False
-            if not np.any(ok):
-                break
+        for k in range(k_max + 1):
+            ok &= ts ** (alpha + k) * dk[k] ** 2 <= factor * mass * (1 + 1e-12)
             factor *= base
         if np.any(ok):
-            return float(ts[np.flatnonzero(ok)[0]])
+            return float(ts[np.argmax(ok)])
         n *= 10
     raise InternalError(
         f"no witness point found in [{lo:.6f}, {hi:.6f}]: the pointwise "

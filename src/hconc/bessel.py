@@ -5,6 +5,19 @@ normalized so j_alpha(0) = 1.  It is even, entire, and bounded by 1 in absolute
 value.  This module evaluates j_alpha and its derivative, certifies the decay
 envelope |j_alpha(t)| <= c_alpha (1+t)^(-alpha-1/2), and tabulates the zeros
 s'_n of j_alpha' (equivalently, the zeros of j_{alpha+1}).
+
+`eval_j` takes one of four routes, chosen by the order and the argument:
+
+* closed form for alpha = -1/2 and 1/2: cos x and sin x / x, at every x;
+* power series for |x| < 0.5 (the J_alpha / x^alpha quotient loses accuracy
+  there);
+* scipy's j0 / j1 for alpha = 0 and 1;
+* scipy's jv for every other order, some 25 times the cost of j0 per element.
+
+`eval_j_ladder` gives every order alpha + k, k = 0..k_max, from the two
+`eval_j` calls at orders alpha and alpha + 1 and the three-term recurrence in
+the order: upward where |x| >= T = alpha + k_max + 2, downward (Miller's
+algorithm) below T.
 """
 
 from __future__ import annotations
@@ -102,6 +115,80 @@ def eval_j(order: Order, x) -> np.ndarray | float:
             out[big] = scale * special.jv(a, xb) / xb**a
     np.clip(out, -1.0, 1.0, out=out)
     return float(out[0]) if scalar else out
+
+
+def eval_j_ladder(order: Order, k_max: int, x) -> np.ndarray:
+    """j_{alpha+k}(x) for k = 0..k_max, stacked along a new first axis.
+
+    Rows 0 and 1 are `eval_j` at orders alpha and alpha + 1; the others follow
+    from the recurrence in the order (DLMF 10.6.1 for the normalized kernel).
+    Where |x| >= T = alpha + k_max + 2 every order of the ladder lies below
+    the argument, and the recurrence runs upward from rows 0 and 1:
+
+        j_{nu+1}(x) = 4 nu (nu+1) / x^2 * (j_nu(x) - j_{nu-1}(x)).
+
+    Below T the upward direction amplifies rounding, so Miller's algorithm
+    (DLMF 3.6(iii)) runs
+
+        j_{nu-1}(x) = j_nu(x) - x^2 / (4 nu (nu+1)) * j_{nu+1}(x)
+
+    downward from the values 1 and 0 at an order past the turning point of
+    the largest argument; each column is then scaled to rows 0 and 1 by
+    least squares (j_alpha and j_{alpha+1} never vanish together).
+    """
+    if k_max < 0:
+        raise DomainError(f"ladder height k_max must be >= 0, got {k_max}")
+    x = np.asarray(x, dtype=float)
+    if k_max == 0:
+        return np.reshape(eval_j(order, x), (1,) + x.shape)
+    xr = x.ravel()
+    out = np.empty((k_max + 1, xr.size))
+    out[0] = eval_j(order, xr)
+    out[1] = eval_j(order.shifted(1), xr)
+    up = np.abs(xr) >= order.alpha + k_max + 2.0
+    if np.any(up):
+        _ladder_upward(out, up, xr[up] ** 2, order.alpha)
+    down = ~up
+    if np.any(down):
+        _ladder_downward(out, down, xr[down] ** 2, order.alpha)
+    np.clip(out, -1.0, 1.0, out=out)
+    return out.reshape((k_max + 1,) + x.shape)
+
+
+# The two helpers fill rows 2..k_max of `out` at the columns `cols`, whose
+# squared arguments are x2, from rows 0 and 1.
+
+
+def _ladder_upward(out: np.ndarray, cols, x2: np.ndarray, alpha: float) -> None:
+    prev, cur = out[0, cols], out[1, cols]
+    for k in range(1, len(out) - 1):
+        nu = alpha + k
+        prev, cur = cur, 4.0 * nu * (nu + 1.0) * (cur - prev) / x2
+        out[k + 1, cols] = cur
+
+
+def _ladder_downward(out: np.ndarray, cols, x2: np.ndarray, alpha: float) -> None:
+    k_max = len(out) - 1
+    x_top = math.sqrt(float(np.max(x2)))
+    # start far enough past the turning point nu = x that the unwanted
+    # solution has decayed below double precision by order alpha + k_max
+    turn = x_top - alpha + 8.0 * (x_top / 2.0) ** (1 / 3)
+    start = max(k_max + 2, math.ceil(turn) + 4)
+    nxt = np.zeros_like(x2)
+    cur = np.ones_like(x2)
+    for m in range(start, 0, -1):
+        # (cur, nxt) = (p_m, p_{m+1})  ->  (p_{m-1}, p_m)
+        nxt *= x2
+        nxt *= 0.25 / ((alpha + m) * (alpha + m + 1.0))
+        np.subtract(cur, nxt, out=nxt)
+        cur, nxt = nxt, cur
+        if 2 <= m - 1 <= k_max:
+            out[m - 1, cols] = cur
+    # least-squares fit of (p_0, p_1) = (cur, nxt) to rows 0 and 1
+    j0, j1 = out[0, cols], out[1, cols]
+    scale = (j0 * j0 + j1 * j1) / (cur * j0 + nxt * j1)
+    for k in range(2, k_max + 1):
+        out[k, cols] *= scale
 
 
 def eval_j_derivative(order: Order, x) -> np.ndarray | float:

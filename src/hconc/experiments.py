@@ -565,13 +565,13 @@ def _recipe_good_bad(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         rng = _trial_rng(config, t)
         ab = _GOOD_BAD_PRODUCTS[t % len(_GOOD_BAD_PRODUCTS)]
         pw = random_pw(order, ab, 32, rng, kind="smooth")
-        bad = good_bad_partition(pw, ab, xs, 8)
-        frac = bad_mass_fraction(pw, ab, xs, 8)
+        bad, mass = good_bad_partition(pw, ab, xs, 8)
+        frac = bad_mass_fraction(pw, xs, bad)
         goods = xs[~bad]
         found = 0
-        for x in goods:
+        for x, m in zip(goods, mass[~bad]):
             try:
-                witness_point(pw, ab, float(x), k_max=8)
+                witness_point(pw, ab, float(x), k_max=8, mass=m)
                 found += 1
             except InternalError:
                 pass

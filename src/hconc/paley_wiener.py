@@ -18,10 +18,9 @@ from .bessel import Order, cached_zero_table, eval_j
 from .errors import DomainError
 from .measure import mu_density_constant
 from .quadrature import QuadratureRule, SampledFunction, build_rule, panel_rule
-from .transform import mu_weights, norm_l2
+from .transform import kernel_apply, mu_weights, norm_l2
 
 _MAX_DK = 30
-_CHUNK = 2_000_000
 
 
 def theta_constant(order: Order) -> float:
@@ -66,21 +65,11 @@ def plancherel_norm(pw: PWFunction) -> float:
     return float(np.sqrt(np.dot(pw.mu_hat_weights(), pw.coeffs**2)))
 
 
-def _synth_kernel(order: Order, xs: np.ndarray, xi: np.ndarray, coeffs: np.ndarray):
-    out = np.empty(len(xs))
-    rows = max(1, _CHUNK // max(1, len(xi)))
-    for start in range(0, len(xs), rows):
-        block = xs[start : start + rows]
-        kern = eval_j(order, 2.0 * np.pi * np.outer(block, xi))
-        out[start : start + rows] = kern @ coeffs
-    return out
-
-
 def synthesize(pw: PWFunction, x) -> np.ndarray | float:
     """f(x) = integral of the spectrum against j_alpha(2 pi x xi) d mu_alpha."""
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = _synth_kernel(
+    vals = kernel_apply(
         pw.order, xs, pw.spectral_rule.nodes, pw.mu_hat_weights() * pw.coeffs
     )
     return float(vals[0]) if scalar else vals
@@ -89,16 +78,32 @@ def synthesize(pw: PWFunction, x) -> np.ndarray | float:
 def apply_Dk(pw: PWFunction, k: int, x) -> np.ndarray | float:
     """k-th iterate of D = (1/2x) d/dx applied to the synthesis:
     D^k f(x) = (-pi)^k * integral of spectrum * j_{alpha+k}(2 pi x xi)
-    against d mu_{alpha+k}."""
+    against d mu_{alpha+k}.  It evaluates order alpha+k directly, so it is
+    also the reference that apply_Dk_all is tested against."""
     if not (0 <= k <= _MAX_DK):
         raise DomainError(f"derivative order k must be in [0, {_MAX_DK}]")
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     coeffs = pw.mu_hat_weights(shift=k) * pw.coeffs
-    vals = (-math.pi) ** k * _synth_kernel(
+    vals = (-math.pi) ** k * kernel_apply(
         pw.order.shifted(k), xs, pw.spectral_rule.nodes, coeffs
     )
     return float(vals[0]) if scalar else vals
+
+
+def apply_Dk_all(pw: PWFunction, k_max: int, x) -> np.ndarray:
+    """D^k f at x for every k = 0..k_max, as the rows of a (k_max+1, len(x))
+    array; row k is apply_Dk(pw, k, x), but all rows share one order ladder
+    (two Bessel evaluations) per kernel block."""
+    if not (0 <= k_max <= _MAX_DK):
+        raise DomainError(f"derivative order k_max must be in [0, {_MAX_DK}]")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    coeffs = np.stack(
+        [pw.mu_hat_weights(shift=k) * pw.coeffs for k in range(k_max + 1)]
+    )
+    vals = kernel_apply(pw.order, xs, pw.spectral_rule.nodes, coeffs)
+    vals *= np.array([(-math.pi) ** k for k in range(k_max + 1)])[:, None]
+    return vals
 
 
 def dk_norm(pw: PWFunction, k: int) -> float:

@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bessel import Order, eval_j
+from .bessel import Order, eval_j_ladder
 from .errors import DomainError
 from .measure import mu_density_constant
 from .quadrature import QuadratureRule, SampledFunction
 
-# Kernel-matrix evaluation is chunked to bound peak memory.
+# Kernel sums run in row blocks to bound peak memory.  A single-order block
+# holds at most _CHUNK kernel entries.  An order-ladder block counts its
+# entries across all k_max + 2 planes (the argument and k_max + 1 orders)
+# against the smaller _LADDER_CHUNK, which keeps the recurrence's work
+# arrays in cache and the ladder's peak memory near a single-order block's.
 _CHUNK = 2_000_000
+_LADDER_CHUNK = 131_072
 
 
 def mu_weights(order: Order, rule: QuadratureRule) -> np.ndarray:
@@ -25,22 +30,30 @@ def mu_weights(order: Order, rule: QuadratureRule) -> np.ndarray:
     )
 
 
-def _kernel_apply(order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
-    out_nodes = np.asarray(out_nodes, dtype=float)
-    y = np.atleast_1d(out_nodes)
-    result = np.empty(len(y))
-    rows_per_chunk = max(1, _CHUNK // max(1, len(nodes)))
-    for start in range(0, len(y), rows_per_chunk):
-        block = y[start : start + rows_per_chunk]
-        kern = eval_j(order, 2.0 * np.pi * np.outer(block, nodes))
-        result[start : start + rows_per_chunk] = kern @ coeffs
-    return result
+def kernel_apply(order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
+    """Kernel sums sum_i coeffs[k, i] j_{alpha+k}(2 pi y nodes_i) at each
+    output node y, one row per order k = 0..len(coeffs)-1, all orders of a
+    block from one `eval_j_ladder` call.  A 1-D `coeffs` is the single order
+    alpha and gives a 1-D result."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    per_order = np.atleast_2d(coeffs)
+    k_max = len(per_order) - 1
+    y = np.atleast_1d(np.asarray(out_nodes, dtype=float))
+    out = np.empty((k_max + 1, len(y)))
+    budget = _CHUNK if k_max == 0 else _LADDER_CHUNK // (k_max + 2)
+    rows = max(1, budget // max(1, len(nodes)))
+    for start in range(0, len(y), rows):
+        block = slice(start, start + rows)
+        kern = eval_j_ladder(order, k_max, 2.0 * np.pi * np.outer(y[block], nodes))
+        for k in range(k_max + 1):
+            out[k, block] = kern[k] @ per_order[k]
+    return out if coeffs.ndim == 2 else out[0]
 
 
 def forward(order: Order, f: SampledFunction, out_nodes) -> np.ndarray:
     """Transform values at out_nodes by mu_alpha-weighted quadrature."""
     coeffs = mu_weights(order, f.rule) * f.values
-    return _kernel_apply(order, out_nodes, f.rule.nodes, coeffs)
+    return kernel_apply(order, out_nodes, f.rule.nodes, coeffs)
 
 
 def inverse(order: Order, F: SampledFunction, out_nodes) -> np.ndarray:

@@ -9,6 +9,7 @@ from hconc.annihilation import (
     LSParams,
     ProjectionPair,
     _pair_factor,
+    _window_integrals,
     annihilation_constant,
     bad_mass_fraction,
     concentration_matrix,
@@ -312,9 +313,10 @@ def test_good_bad_partition_threshold_scaling():
     pw = random_pw(Order(0.0), 1.0, 96, np.random.default_rng(3), kind="smooth")
     xs = np.arange(1.0, 9.0)
     # huge threshold: nothing can be bad; tiny threshold: something is
-    assert not np.any(good_bad_partition(pw, 10.0, xs, k_max=6))
-    assert np.any(good_bad_partition(pw, 1e-3, xs, k_max=6))
-    assert bad_mass_fraction(pw, 10.0, xs, k_max=6) == 0.0
+    bad, _ = good_bad_partition(pw, 10.0, xs, k_max=6)
+    assert not np.any(bad)
+    assert np.any(good_bad_partition(pw, 1e-3, xs, k_max=6)[0])
+    assert bad_mass_fraction(pw, xs, bad) == 0.0
 
 
 def test_bad_mass_fraction_bounds():
@@ -322,9 +324,23 @@ def test_bad_mass_fraction_bounds():
     # the captured fraction must still be a fraction
     pw = random_pw(Order(0.5), 1.0, 96, np.random.default_rng(4), kind="smooth")
     xs = np.arange(1.0, 12.0)
-    frac = bad_mass_fraction(pw, 0.05, xs, k_max=6)
+    bad, _ = good_bad_partition(pw, 0.05, xs, k_max=6)
+    frac = bad_mass_fraction(pw, xs, bad)
     assert 0.0 <= frac <= 1.0 + 1e-9
     assert frac > 0.9  # windows cover nearly the whole support
+
+
+def test_partition_masses_feed_witness_search():
+    # the partition's k = 0 integrals are the window masses witness_point
+    # would compute itself, so handing them over changes no witness
+    ab = 0.1
+    pw = random_pw(Order(0.3), ab, 32, np.random.default_rng(9), kind="smooth")
+    xs = np.arange(1.0, 16.0)
+    bad, mass = good_bad_partition(pw, ab, xs, k_max=8)
+    assert not np.all(bad)
+    for x, m in zip(xs[~bad], mass[~bad]):
+        assert m == pytest.approx(_window_integrals(pw, x, 0)[0], rel=1e-14)
+        assert witness_point(pw, ab, x, mass=m) == witness_point(pw, ab, x)
 
 
 def test_good_bad_validation():

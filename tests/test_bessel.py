@@ -11,6 +11,7 @@ from hconc.bessel import (
     envelope_amplitude,
     eval_j,
     eval_j_derivative,
+    eval_j_ladder,
     zeros_of_j_prime,
 )
 from hconc.errors import DomainError, InternalError
@@ -94,6 +95,64 @@ def test_series_and_ratio_routes_agree_near_cutoff():
         series = _series_j(alpha, xs)
         ratio = 2.0**alpha * math.gamma(alpha + 1.0) * special.jv(alpha, xs) / xs**alpha
         assert np.max(np.abs(series - ratio)) < 1e-13
+
+
+# mpmath oracle grid: orders alpha + k, k <= 8, on [0, 40] with x = 0, the
+# series cutoff 0.5, and both sides of the ladder's switch point alpha + 10
+_MP_ALPHAS = (-0.5, 0.0, 0.3, 1.0, 2.3, 8.3)
+_MP_KMAX = 8
+
+
+def _mp_grid(alpha):
+    switch = alpha + _MP_KMAX + 2.0
+    extra = [0.0, 0.4999, 0.5, switch - 1e-9, switch, switch + 1e-9]
+    return np.unique(np.concatenate([np.linspace(0.0, 40.0, 81), extra]))
+
+
+def _mp_j(nu, xs):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array(
+            [float(mpmath.hyp0f1(nu + 1, -mpmath.mpf(x) ** 2 / 4)) for x in xs]
+        )
+
+
+def _assert_matches_mpmath(got, want):
+    err = np.abs(got - want)
+    assert np.max(err) <= 5e-14
+    big = np.abs(want) >= 1e-3
+    assert np.max(err[big] / np.abs(want[big])) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", _MP_ALPHAS)
+def test_eval_j_matches_mpmath(alpha):
+    xs = _mp_grid(alpha)
+    for k in range(_MP_KMAX + 1):
+        _assert_matches_mpmath(eval_j(Order(alpha + k), xs), _mp_j(alpha + k, xs))
+
+
+@pytest.mark.parametrize("alpha", _MP_ALPHAS)
+def test_ladder_matches_mpmath(alpha):
+    xs = _mp_grid(alpha)
+    ladder = eval_j_ladder(Order(alpha), _MP_KMAX, xs)
+    assert ladder.shape == (_MP_KMAX + 1, len(xs))
+    for k in range(_MP_KMAX + 1):
+        _assert_matches_mpmath(ladder[k], _mp_j(alpha + k, xs))
+
+
+def test_ladder_shapes_and_validation():
+    order = Order(0.3)
+    xs = np.array([[0.0, 2.5], [-7.0, 30.0]])
+    ladder = eval_j_ladder(order, 3, xs)
+    assert ladder.shape == (4, 2, 2)
+    for k in range(4):
+        assert np.allclose(ladder[k], eval_j(order.shifted(k), xs), rtol=0, atol=5e-14)
+    assert eval_j_ladder(order, 2, 1.5).shape == (3,)
+    assert np.array_equal(eval_j_ladder(order, 0, xs)[0], eval_j(order, xs))
+    with pytest.raises(DomainError):
+        eval_j_ladder(order, -1, xs)
+    with pytest.raises(DomainError):
+        eval_j_ladder(order, 4, np.array([1.0, float("nan")]))
 
 
 def test_eval_j_rejects_nonfinite():

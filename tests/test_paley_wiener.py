@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hconc.paley_wiener import (
     EntireEvenSeries,
     PWFunction,
     apply_Dk,
+    apply_Dk_all,
     bernstein_sides,
     dk_norm,
     extremal_family,
@@ -100,6 +102,37 @@ def test_dk_norm_matches_physical_quadrature():
     vals = apply_Dk(pw, 1, rule.nodes)
     phys = float(np.sqrt(np.dot(mu_weights(order.shifted(1), rule), vals**2)))
     assert dk_norm(pw, 1) == pytest.approx(phys, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_apply_dk_all_rows_match_single_order(alpha):
+    # arguments 2 pi x xi reach ~30, across the ladder's switch point
+    pw = random_pw(Order(alpha), 0.3, 32, np.random.default_rng(7), kind="smooth")
+    xs = np.sqrt(np.linspace(0.0, 256.0, 2001))
+    rows = apply_Dk_all(pw, 8, xs)
+    assert rows.shape == (9, len(xs))
+    for k in range(9):
+        want = apply_Dk(pw, k, xs)
+        assert np.max(np.abs(rows[k] - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(DomainError):
+        apply_Dk_all(pw, 31, xs)
+
+
+def test_apply_dk_all_memory_is_chunked():
+    # the finest witness grid: 1e5 points in the window around x = 15; an
+    # unchunked ladder would hold 9 x 1e5 x 32 doubles, about 230 MB.  With
+    # ab = 0.05 every argument lies below the ladder's switch point, where
+    # the downward recurrence holds the most work arrays.
+    pw = random_pw(Order(0.0), 0.05, 32, np.random.default_rng(8), kind="smooth")
+    roots = np.sqrt(np.linspace(14.0**2, 16.0**2, 100_000))
+    tracemalloc.start()
+    try:
+        rows = apply_Dk_all(pw, 8, roots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (9, 100_000)
+    assert peak <= 40e6
 
 
 def test_dk_order_bounds():
