@@ -9,10 +9,16 @@ s'_n of j_alpha' (equivalently, the zeros of j_{alpha+1}).
 `eval_j` takes one of four routes, chosen by the order and the argument:
 
 * closed form for alpha = -1/2 and 1/2: cos x and sin x / x, at every x;
-* power series for |x| < 0.5 (the J_alpha / x^alpha quotient loses accuracy
-  there);
+* power series for |x| below a cutoff: 0.5 (the J_alpha / x^alpha quotient
+  loses accuracy there), widened at orders above ~120 to where J_alpha would
+  come within reach of underflow;
 * scipy's j0 / j1 for alpha = 0 and 1;
-* scipy's jv for every other order, some 25 times the cost of j0 per element.
+* scipy's jv for every other order, some 25 times the cost of j0 per element;
+  its normaliser 2^alpha Gamma(alpha+1) / x^alpha is formed in log space where
+  the direct product would overflow.
+
+Orders above 300 are refused (DomainError): there the series band needs more
+terms than `_SERIES_TERMS` and loses digits to cancellation.
 
 `eval_j_ladder` gives every order alpha + k, k = 0..k_max, from the two
 `eval_j` calls at orders alpha and alpha + 1 and the three-term recurrence in
@@ -35,6 +41,11 @@ from .errors import DomainError, InternalError
 # there (0^alpha underflow/overflow for alpha near -1/2), the series gains it.
 _SERIES_CUTOFF = 0.5
 _SERIES_TERMS = 26
+# Log of the largest normaliser 2^alpha Gamma(alpha+1) / x^alpha, and of either
+# factor, that eval_j forms.  Its reciprocal, the leading term of J_alpha, then
+# stays well above e^-665, below which scipy's jv returns 0.
+_LOG_HUGE = 600.0
+_MAX_ORDER = 300.0
 
 
 @dataclass(frozen=True)
@@ -84,12 +95,49 @@ def _series_j(alpha: float, x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _series_cutoff(alpha: float) -> float:
+    """|x| below which eval_j sums the power series: 0.5, or, where larger,
+    the x at which the leading term (x/2)^alpha / Gamma(alpha+1) of J_alpha
+    reaches e^-600, so that jv never works near underflow."""
+    if alpha <= 0:
+        return _SERIES_CUTOFF
+    return max(
+        _SERIES_CUTOFF, 2.0 * math.exp((math.lgamma(alpha + 1.0) - _LOG_HUGE) / alpha)
+    )
+
+
+def _normalized_jv(a: float, x: np.ndarray) -> np.ndarray:
+    """2^a Gamma(a+1) J_a(x) / x^a at x >= _series_cutoff(a) > 0.  The
+    normaliser is formed directly while 2^a Gamma(a+1) and x^a stay below
+    e^600, and in log space elsewhere; past the cutoff it never exceeds
+    e^600."""
+    log_front = a * math.log(2.0) + math.lgamma(a + 1.0)
+    if log_front < _LOG_HUGE and a * math.log(np.max(x)) < _LOG_HUGE:
+        # every normaliser fits: one expression over the whole array, with
+        # no masks or named temporaries on the large kernel blocks
+        return 2.0**a * math.gamma(a + 1.0) * special.jv(a, x) / x**a
+    jv = special.jv(a, x)
+    far = (a * np.log(x) >= _LOG_HUGE) | (log_front >= _LOG_HUGE)
+    out = np.empty_like(x)
+    near = ~far
+    if np.any(near):
+        out[near] = 2.0**a * math.gamma(a + 1.0) * jv[near] / x[near] ** a
+    out[far] = np.exp(log_front - a * np.log(x[far])) * jv[far]
+    return out
+
+
 def eval_j(order: Order, x) -> np.ndarray | float:
-    """Evaluate j_alpha at x (scalar or array). Even in x; |result| <= 1."""
+    """Evaluate j_alpha at x (scalar or array). Even in x; |result| <= 1.
+
+    Orders up to alpha = 300 are supported; larger ones raise DomainError."""
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise DomainError("eval_j requires finite arguments")
+    if order.alpha > _MAX_ORDER:
+        raise DomainError(
+            f"eval_j supports orders alpha <= {_MAX_ORDER:g}, got {order.alpha}"
+        )
     # half-integer shortcuts: elementary closed forms, no clipping needed
     if order.alpha == -0.5:
         out = np.cos(x)
@@ -99,7 +147,7 @@ def eval_j(order: Order, x) -> np.ndarray | float:
         return float(out[0]) if scalar else out
     ax = np.abs(x)
     out = np.empty_like(ax)
-    small = ax < _SERIES_CUTOFF
+    small = ax < _series_cutoff(order.alpha)
     if np.any(small):
         out[small] = _series_j(order.alpha, ax[small])
     big = ~small
@@ -111,8 +159,7 @@ def eval_j(order: Order, x) -> np.ndarray | float:
         elif a == 1.0:
             out[big] = 2.0 * special.j1(xb) / xb
         else:
-            scale = 2.0**a * math.gamma(a + 1.0)
-            out[big] = scale * special.jv(a, xb) / xb**a
+            out[big] = _normalized_jv(a, xb)
     np.clip(out, -1.0, 1.0, out=out)
     return float(out[0]) if scalar else out
 

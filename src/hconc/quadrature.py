@@ -26,6 +26,13 @@ def _gl_nodes(n: int):
     return x, w
 
 
+@lru_cache(maxsize=64)
+def _gj_nodes(n: int, beta: float):
+    # Gauss-Jacobi rule of the weight (1 + t)^beta on [-1, 1]
+    x, w = special.roots_jacobi(n, 0.0, beta)
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and positive weights on (lo, hi)."""
@@ -96,6 +103,24 @@ def set_rule(subset: IntervalSet, nodes_per_unit: float, order_per_panel: int = 
     ]
     nodes = np.concatenate([p.nodes for p in parts])
     weights = np.concatenate([p.weights for p in parts])
+    return nodes, weights
+
+
+def weighted_set_rule(subset: IntervalSet, nodes_per_unit: float, beta: float):
+    """set_rule for the weight x^beta, beta > -1: nodes and weights w with
+    sum w f(x) ~ the integral of f(x) x^beta over the subset.  A panel that
+    starts at 0 takes the Gauss-Jacobi rule of the weight, so the rule keeps
+    the Gauss-Legendre rate for smooth f even where x^beta is not smooth;
+    every other panel folds x^beta into its Gauss-Legendre weights."""
+    order = 16  # nodes per panel
+    nodes, weights = set_rule(subset, nodes_per_unit, order)
+    weights = weights * nodes**beta
+    if subset.intervals and subset.inf() == 0.0:
+        # the first panel is [0, 2 half]; its Gauss-Legendre nodes are symmetric
+        half = 0.5 * (nodes[0] + nodes[order - 1])
+        t, w = _gj_nodes(order, float(beta))
+        nodes[:order] = half * (t + 1.0)
+        weights[:order] = w * half ** (beta + 1.0)
     return nodes, weights
 
 

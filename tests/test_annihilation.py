@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg
 
-from hconc._eigs import lambda_min_psd, sigma_max_factor
+from hconc import annihilation
 from hconc.annihilation import (
     ConcentrationMatrix,
     LSParams,
     ProjectionPair,
     _pair_factor,
+    _pair_gram,
+    _sigma_max,
     _window_integrals,
     annihilation_constant,
     bad_mass_fraction,
@@ -37,22 +42,28 @@ _FROZEN_UNIT_NORM = 0.9997619967469777
 def test_sigma_max_matches_dense_svd():
     rng = np.random.default_rng(123)
     A = rng.normal(size=(15, 8))
-    assert sigma_max_factor(A) == pytest.approx(
-        float(np.linalg.svd(A, compute_uv=False)[0]), rel=1e-8
-    )
-    assert sigma_max_factor(np.zeros((4, 3))) == 0.0
+    top = float(np.linalg.svd(A, compute_uv=False)[0])
+    assert _sigma_max(A.T @ A) == pytest.approx(top, rel=1e-8)
+    assert _sigma_max(A @ A.T) == pytest.approx(top, rel=1e-8)
+    assert _sigma_max(np.zeros((3, 3))) == 0.0
 
 
 def test_lambda_min_matches_dense_eigh():
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
-    lam = np.sort(rng.uniform(0.1, 2.0, 12))
+    lam = np.sort(rng.uniform(0.05, 0.95, 12))
     G = (q * lam) @ q.T
     G = 0.5 * (G + G.T)
-    assert lambda_min_psd(G) == pytest.approx(
-        float(np.linalg.eigvalsh(G)[0]), rel=1e-8
+    conc = ConcentrationMatrix(
+        matrix=G,
+        omega=IntervalSet.of([(0.0, 1.0)]),
+        bandlimit=1.0,
+        alpha=0.0,
+        x_max=1.0,
+        n_modes=12,
     )
-    assert lambda_min_psd(np.zeros((3, 3))) == 0.0
+    assert conc.eigs[0] == pytest.approx(float(np.linalg.eigvalsh(G)[0]), rel=1e-8)
+    assert conc.eigs == pytest.approx(lam, rel=1e-8)
 
 
 def _unit_pair(alpha=0.0):
@@ -110,6 +121,75 @@ def test_pair_norm_monotone_in_spatial_set():
         order=Order(0.0), S=IntervalSet.of([(0.0, 1.0)]), Sigma=sigma, x_max=1.0
     )
     assert pair_norm(small) <= pair_norm(large) + 5e-6
+
+
+def _pair(alpha, sup_s, sup_sigma):
+    return ProjectionPair(
+        order=Order(alpha),
+        S=IntervalSet.of([(0.0, sup_s)]),
+        Sigma=IntervalSet.of([(0.0, sup_sigma)]),
+        x_max=sup_s,
+    )
+
+
+@pytest.mark.parametrize("sup_s, sup_sigma", [(1.0, 1.3), (3.0, 0.5)])
+def test_pair_gram_is_the_short_side_gram_of_factor(monkeypatch, sup_s, sup_sigma):
+    pair = _pair(0.3, sup_s, sup_sigma)
+    A = _pair_factor(pair, 64)
+    dense = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    # small blocks: the Gram is summed over many of them
+    monkeypatch.setattr(annihilation, "_GRAM_BLOCK", 1000)
+    gram = _pair_gram(pair, 64)
+    assert gram.shape == (min(A.shape),) * 2
+    assert np.max(np.abs(gram - dense)) <= 1e-13
+
+
+def _dense_pair_norm(pair):
+    """pair_norm's node-doubling loop on dense svdvals of the whole factor."""
+    budget = pair.nodes_per_interval
+    prev = float(linalg.svdvals(_pair_factor(pair, budget))[0])
+    for _ in range(4):
+        budget *= 2
+        cur = float(linalg.svdvals(_pair_factor(pair, budget))[0])
+        if abs(cur - prev) <= 1e-6:
+            return min(cur, 1.0)
+        prev = cur
+    raise AssertionError("dense reference did not stabilize")
+
+
+# inputs on which power iteration stalled: the top singular values cluster at 1
+STALL_CASES = [(0.0, 4.0, 2.0), (0.3, 2.0, 2.0), (1.0, 3.0, 1.0)]
+
+
+@pytest.mark.parametrize("alpha, sup_s, sup_sigma", STALL_CASES)
+def test_pair_norm_clustered_top_spectrum(alpha, sup_s, sup_sigma):
+    pair = _pair(alpha, sup_s, sup_sigma)
+    norm = pair_norm(pair)
+    assert 0.999999 < norm <= 1.0
+    assert norm == pytest.approx(_dense_pair_norm(pair), abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [-0.49, -0.4, -0.3])
+def test_pair_norm_converges_for_orders_near_minus_half(alpha):
+    # x^(2 alpha + 1) is not smooth at 0 here; on a Gauss-Legendre rule the
+    # norm moved by ~1e-5 per doubling and never met the 1e-6 stability test
+    pair = _pair(alpha, 1.0, 3.0)
+    norm = pair_norm(pair)
+    assert 0.99 < norm <= 1.0
+    assert norm == pytest.approx(_dense_pair_norm(pair), abs=1e-6)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-0.5, 2.0),
+    sup_s=st.floats(0.2, 3.0),
+    sup_sigma=st.floats(0.2, 3.0),
+)
+def test_pair_norm_property_matches_dense_svd(alpha, sup_s, sup_sigma):
+    pair = _pair(alpha, sup_s, sup_sigma)
+    norm = pair_norm(pair)
+    assert 0.0 <= norm <= 1.0
+    assert norm == pytest.approx(_dense_pair_norm(pair), abs=1e-6)
 
 
 def test_projection_pair_validation():

@@ -14,6 +14,7 @@ from hconc.bessel import (
     eval_j_ladder,
     zeros_of_j_prime,
 )
+from hconc.bessel import _series_cutoff
 from hconc.errors import DomainError, InternalError
 
 # 50-digit hypergeometric evaluations 0F1(alpha+1; -x^2/4), frozen
@@ -138,6 +139,21 @@ def test_ladder_matches_mpmath(alpha):
     assert ladder.shape == (_MP_KMAX + 1, len(xs))
     for k in range(_MP_KMAX + 1):
         _assert_matches_mpmath(ladder[k], _mp_j(alpha + k, xs))
+
+
+@pytest.mark.parametrize("alpha", [100.0, 150.0, 200.0])
+def test_eval_j_large_orders_match_mpmath(alpha):
+    # 1, 10, 120, both sides of the widened series cutoff, and an x whose
+    # x^alpha leaves the range of a double
+    cut = _series_cutoff(alpha)
+    xs = np.array([1.0, 10.0, 120.0, cut * (1 - 1e-9), cut, 500.0])
+    assert eval_j(Order(alpha), xs) == pytest.approx(_mp_j(alpha, xs), rel=1e-11)
+
+
+def test_eval_j_refuses_orders_above_its_range():
+    assert eval_j(Order(300.0), 1.0) == pytest.approx(_mp_j(300.0, [1.0])[0], rel=1e-12)
+    with pytest.raises(DomainError, match="alpha <= 300"):
+        eval_j(Order(300.5), 1.0)
 
 
 def test_ladder_shapes_and_validation():

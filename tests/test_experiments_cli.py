@@ -218,6 +218,16 @@ def test_cli_bessel_eval_prints_values(capsys):
     assert float(lines[1]) == pytest.approx(math.sin(2.0) / 2.0, rel=1e-12)
 
 
+def test_cli_bessel_eval_large_order(capsys):
+    rc = cli.main(["bessel", "eval", "--alpha", "200", "--x", "1.0,120"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    # reference values from mpmath's hyp0f1(201, -x^2/4) at 40 digits
+    assert float(lines[0]) == pytest.approx(0.9987569882561332, rel=1e-12)
+    assert float(lines[1]) == pytest.approx(6.726892846986747e-09, rel=1e-11)
+    assert cli.main(["bessel", "eval", "--alpha", "301", "--x", "1"]) == 2
+
+
 def test_cli_bessel_zeros(capsys):
     rc = cli.main(["bessel", "zeros", "--alpha", "0", "--count", "5"])
     assert rc == 0
@@ -252,6 +262,19 @@ def test_cli_measure_density(tmp_path, capsys):
     gamma_min, argmin = (float(s) for s in lines[k + 1].split(","))
     assert gamma_min == pytest.approx(0.25, rel=1e-12)
     assert argmin == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, step", [("0", None), ("-1", None), ("1", "0"), ("1", "-0.5")]
+)
+def test_cli_measure_density_rejects_bad_grid(tmp_path, capsys, a, step):
+    path = _write(tmp_path / "evens.set", EVENS)
+    argv = ["measure", "density", "--alpha", "0", "--set", path]
+    argv += ["--a", a, "--xmax", "9"]
+    if step is not None:
+        argv += ["--step", step]
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_transform_roundtrip_through_csvs(tmp_path):
@@ -398,6 +421,21 @@ def test_cli_pair_norm_matches_frozen_value(tmp_path, capsys):
     assert rc == 0
     norm = float(capsys.readouterr().out.strip())
     assert norm == pytest.approx(0.9997619967469777, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "alpha, sup_s, sup_sigma", [("0", 4.0, 2.0), ("0.3", 2.0, 2.0), ("1", 3.0, 1.0)]
+)
+def test_cli_pair_norm_clustered_top_spectrum(
+    tmp_path, capsys, alpha, sup_s, sup_sigma
+):
+    s_path = _write(tmp_path / "s.set", f"0 {sup_s}\n")
+    sigma_path = _write(tmp_path / "sigma.set", f"0 {sup_sigma}\n")
+    argv = ["pair", "norm", "--alpha", alpha, "--s", s_path, "--sigma", sigma_path]
+    rc = cli.main(argv + ["--xmax", str(sup_s)])
+    assert rc == 0
+    norm = float(capsys.readouterr().out.strip())
+    assert 0.999999 < norm <= 1.0
 
 
 def test_cli_ls_bound_prints_value_and_log10(capsys):

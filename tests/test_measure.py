@@ -133,6 +133,9 @@ def test_density_profile_against_bruteforce_scan():
     k = int(np.argmin(ratios))
     assert gmin == pytest.approx(ratios[k], rel=1e-12)
     assert argmin == pytest.approx(xs[k], abs=1e-9)
+    row_xs, row_ratios = density_profile_rows(order, subset, a, 18.0, step=0.01)
+    assert row_xs == pytest.approx(xs, abs=1e-9)
+    assert row_ratios == pytest.approx(ratios, rel=1e-12, abs=1e-15)
 
 
 def test_density_profile_domain_errors():
@@ -141,6 +144,12 @@ def test_density_profile_domain_errors():
         density_profile(Order(0.0), s, 2.0, 1.0)
     with pytest.raises(DomainError):
         density_profile(Order(0.0), s, -1.0, 5.0)
+    bad = [(0.0, None), (-1.0, None), (1.0, 0.0), (1.0, -0.5), (math.nan, None)]
+    for a, step in bad:
+        with pytest.raises(DomainError):
+            density_profile_rows(Order(0.0), s, a, 5.0, step)
+    with pytest.raises(DomainError):
+        density_profile_rows(Order(0.0), s, 1.0, math.nan)
 
 
 def test_density_profile_rows_shapes():

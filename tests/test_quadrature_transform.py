@@ -14,6 +14,7 @@ from hconc.quadrature import (
     default_transform_nodes,
     panel_rule,
     set_rule,
+    weighted_set_rule,
 )
 from hconc.transform import dilate, forward, inverse, mu_weights, norm_l2, norm_lp
 
@@ -34,6 +35,25 @@ def test_build_rule_validation():
         build_rule(0.0, 1.0, 10**5 + 1)
     with pytest.raises(DomainError):
         build_rule(0.0, float("nan"), 8)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.02, 0.6, 1.0, 1.6])
+def test_weighted_set_rule_integrates_power_weight(beta):
+    subset = IntervalSet.of([(0.0, 1.3), (2.0, 2.5)])
+    x, w = weighted_set_rule(subset, 20.0, beta)
+    assert len(x) == len(set_rule(subset, 20.0)[0])
+    for k in (0, 3, 7):
+        p = k + beta + 1.0
+        exact = sum(hi**p - lo**p for lo, hi in subset.intervals) / p
+        assert float(np.dot(w, x**k)) == pytest.approx(exact, rel=1e-13)
+    # cos(x) x^beta is not smooth at 0 for non-integer beta; the Jacobi panel
+    # takes x^beta as its weight, so the rule keeps full accuracy
+    got = float(np.dot(w, np.cos(x)))
+    want = (
+        quad(np.cos, 0.0, 1.3, weight="alg", wvar=(beta, 0.0))[0]
+        + quad(lambda t: math.cos(t) * t**beta, 2.0, 2.5)[0]
+    )
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_panel_rule_oscillatory_vs_quad():
