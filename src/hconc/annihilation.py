@@ -42,7 +42,8 @@ from .paley_wiener import (
     tail_mass,
     theta_constant,
 )
-from .quadrature import build_rule, panel_rule, set_rule, weighted_set_rule
+from .quadrature import build_rule, panel_rule, set_rule
+from .transform import mu_rule
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
@@ -80,16 +81,13 @@ def _pair_nodes(pair: ProjectionPair, budget: int):
     square root of its mu_alpha quadrature weight.  The density x^(2 alpha+1)
     is integrated exactly by the rule (Gauss-Jacobi next to 0), so doubling
     converges fast also where it is not smooth at 0, for alpha in (-1/2, 0)."""
-    order = pair.order
-    dens = mu_density_constant(order)
-    beta = 2.0 * order.alpha + 1.0
     # spectral side must resolve oscillation in xi at rate ~ sup(S)
     per_unit_xi = max(budget, math.ceil(4.0 * pair.S.sup()) + 32)
-    xi, u = weighted_set_rule(pair.Sigma, per_unit_xi, beta)
+    xi, u = mu_rule(pair.order, pair.Sigma, per_unit_xi)
     # spatial side must resolve oscillation in x at rate ~ sup(Sigma)
     per_unit_x = max(budget, math.ceil(4.0 * pair.Sigma.sup()) + 32)
-    x, v = weighted_set_rule(pair.S, per_unit_x, beta)
-    return xi, np.sqrt(dens * u), x, np.sqrt(dens * v)
+    x, v = mu_rule(pair.order, pair.S, per_unit_x)
+    return xi, np.sqrt(u), x, np.sqrt(v)
 
 
 def _pair_block(order: Order, rows, s_rows, cols, s_cols) -> np.ndarray:
@@ -293,18 +291,14 @@ def _mode_table(order: Order, b: float, x_max: float, cap: int):
         count *= 2
         table = cached_zero_table(a, count)
     sp = np.concatenate([[0.0], table.zeros[table.zeros <= limit]])
-    if cap and len(sp) > cap:
+    if len(sp) > cap:
         sp = sp[:cap]
     norms = np.empty(len(sp))
     norms[0] = mu_measure(order, IntervalSet.of([(0.0, x_max)]))
     if len(sp) > 1:
         jvals = eval_j(order, sp[1:])
-        norms[1:] = (
-            math.pi ** (a + 1.0)
-            / math.gamma(a + 1.0)
-            * x_max ** (2.0 * a + 2.0)
-            * jvals**2
-        )
+        half_dens = 0.5 * mu_density_constant(order)  # pi^(a+1) / Gamma(a+1)
+        norms[1:] = half_dens * x_max ** (2.0 * a + 2.0) * jvals**2
     return sp, norms
 
 
@@ -320,6 +314,8 @@ def concentration_matrix(
         raise DomainError("bandlimit and x_max must be positive")
     if omega.sup() > x_max * (1 + 1e-12):
         raise DomainError("Omega must be contained in [0, x_max]")
+    if n_modes < 1:
+        raise DomainError(f"the mode cap n_modes must be >= 1, got {n_modes}")
     sp, norms = _mode_table(order, b, x_max, n_modes)
     clipped = omega.intersect_window(0.0, x_max)
     if clipped.is_empty():

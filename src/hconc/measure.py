@@ -11,6 +11,7 @@ closed-form, not quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,6 +19,8 @@ import numpy as np
 
 from .bessel import Order
 from .errors import DomainError, UsageError
+
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -134,26 +137,52 @@ class ThinnessParams:
             raise DomainError(f"eps must be in (0, 1), got {self.eps}")
 
 
+def _pi_power_over_gamma(order: Order, z: float) -> float:
+    """pi^(alpha+1) / Gamma(z), through lgamma where Gamma(z) overflows a
+    double (z > 171).  DomainError where the quotient underflows (alpha above
+    ~215), since every measure built on it would read 0."""
+    a = order.alpha
+    if z < 171.0:
+        return math.pi ** (a + 1.0) / math.gamma(z)
+    value = math.exp((a + 1.0) * math.log(math.pi) - math.lgamma(z))
+    if value < sys.float_info.min:
+        raise DomainError(
+            f"the mu_alpha constant pi^(alpha+1) / Gamma({z:g}) underflows a "
+            f"double at alpha = {a}"
+        )
+    return value
+
+
+def _check_power_range(order: Order, top: float, p: float) -> None:
+    """DomainError where top^p, the largest power a closed-form measure
+    takes, leaves the range of a double (alpha in the hundreds)."""
+    if top > 1.0 and p * math.log(top) >= _LOG_DOUBLE_MAX:
+        raise DomainError(
+            f"closed-form measure overflows a double at alpha = {order.alpha}: "
+            f"{top:g}^{p:g} leaves its range"
+        )
+
+
 def mu_density_constant(order: Order) -> float:
     """Constant in d mu_alpha = C x^(2 alpha + 1) dx."""
-    return 2.0 * math.pi ** (order.alpha + 1.0) / math.gamma(order.alpha + 1.0)
+    return 2.0 * _pi_power_over_gamma(order, order.alpha + 1.0)
 
 
 def mu_measure(order: Order, subset: IntervalSet) -> float:
     """mu_alpha of an interval union, closed form:
     sum of pi^(alpha+1) (hi^(2a+2) - lo^(2a+2)) / Gamma(alpha+2)."""
-    a = order.alpha
-    scale = math.pi ** (a + 1.0) / math.gamma(a + 2.0)
-    p = 2.0 * a + 2.0
+    scale = _pi_power_over_gamma(order, order.alpha + 2.0)
+    p = 2.0 * order.alpha + 2.0
+    _check_power_range(order, subset.sup(), p)
     return scale * sum(hi**p - lo**p for lo, hi in subset.intervals)
 
 
 def nu_measure(order: Order, subset: IntervalSet) -> float:
     """nu_alpha of an interval union, closed form:
     sum of pi^(alpha+1) (hi^(a+1) - lo^(a+1)) / Gamma(alpha+2)."""
-    a = order.alpha
-    scale = math.pi ** (a + 1.0) / math.gamma(a + 2.0)
-    p = a + 1.0
+    scale = _pi_power_over_gamma(order, order.alpha + 2.0)
+    p = order.alpha + 1.0
+    _check_power_range(order, subset.sup(), p)
     return scale * sum(hi**p - lo**p for lo, hi in subset.intervals)
 
 
@@ -163,7 +192,8 @@ def _window_masses(order: Order, subset: IntervalSet, lo: np.ndarray, hi: np.nda
     one broadcast, and the closed-form antiderivative is summed over the
     intervals in order, as mu_measure sums them."""
     p = 2.0 * order.alpha + 2.0
-    scale = math.pi ** (order.alpha + 1.0) / math.gamma(order.alpha + 2.0)
+    scale = _pi_power_over_gamma(order, order.alpha + 2.0)
+    _check_power_range(order, float(np.max(hi, initial=0.0)), p)
     part = np.zeros_like(lo)
     for a_j, b_j in subset.intervals:
         part += np.clip(b_j, lo, hi) ** p - np.clip(a_j, lo, hi) ** p

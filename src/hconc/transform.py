@@ -11,8 +11,8 @@ import numpy as np
 
 from .bessel import Order, eval_j_ladder
 from .errors import DomainError
-from .measure import mu_density_constant
-from .quadrature import QuadratureRule, SampledFunction
+from .measure import IntervalSet, mu_density_constant
+from .quadrature import QuadratureRule, SampledFunction, weighted_set_rule
 
 # Kernel sums run in row blocks to bound peak memory.  A single-order block
 # holds at most _CHUNK kernel entries.  An order-ladder block counts its
@@ -30,6 +30,26 @@ def mu_weights(order: Order, rule: QuadratureRule) -> np.ndarray:
     )
 
 
+def mu_rule(order: Order, subset: IntervalSet, nodes_per_unit: float):
+    """Nodes on the subset and their mu_alpha quadrature weights: the density
+    x^(2 alpha + 1) integrated by `weighted_set_rule` (Gauss-Jacobi on a panel
+    that starts at 0, where it is not smooth), times its constant."""
+    beta = 2.0 * order.alpha + 1.0
+    nodes, weights = weighted_set_rule(subset, nodes_per_unit, beta)
+    return nodes, mu_density_constant(order) * weights
+
+
+def _kernel_blocks(order: Order, k_max: int, out_nodes: np.ndarray, nodes):
+    """Row blocks (block, kern) of the kernel ladder j_{alpha+k}(2 pi y x),
+    y = out_nodes[block], x in nodes, kern of shape (k_max+1, rows, len(nodes))."""
+    budget = _CHUNK if k_max == 0 else _LADDER_CHUNK // (k_max + 2)
+    rows = max(1, budget // max(1, len(nodes)))
+    for start in range(0, len(out_nodes), rows):
+        block = slice(start, start + rows)
+        args = 2.0 * np.pi * np.outer(out_nodes[block], nodes)
+        yield block, eval_j_ladder(order, k_max, args)
+
+
 def kernel_apply(order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
     """Kernel sums sum_i coeffs[k, i] j_{alpha+k}(2 pi y nodes_i) at each
     output node y, one row per order k = 0..len(coeffs)-1, all orders of a
@@ -40,14 +60,24 @@ def kernel_apply(order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
     k_max = len(per_order) - 1
     y = np.atleast_1d(np.asarray(out_nodes, dtype=float))
     out = np.empty((k_max + 1, len(y)))
-    budget = _CHUNK if k_max == 0 else _LADDER_CHUNK // (k_max + 2)
-    rows = max(1, budget // max(1, len(nodes)))
-    for start in range(0, len(y), rows):
-        block = slice(start, start + rows)
-        kern = eval_j_ladder(order, k_max, 2.0 * np.pi * np.outer(y[block], nodes))
+    for block, kern in _kernel_blocks(order, k_max, y, nodes):
         for k in range(k_max + 1):
             out[k, block] = kern[k] @ per_order[k]
     return out if coeffs.ndim == 2 else out[0]
+
+
+def round_trip(order: Order, nodes, coeffs, out_nodes, out_weights):
+    """(F, back): the kernel sums F(y) = sum_i coeffs_i j_alpha(2 pi y x_i)
+    at y in out_nodes, as `kernel_apply`, and the sums back(x_i) =
+    sum_m out_weights_m F(y_m) j_alpha(2 pi y_m x_i) of the inverse
+    transform at the nodes, each kernel block evaluated once."""
+    y = np.asarray(out_nodes, dtype=float)
+    F = np.empty(len(y))
+    back = np.zeros(len(nodes))
+    for block, kern in _kernel_blocks(order, 0, y, nodes):
+        F[block] = kern[0] @ coeffs
+        back += (out_weights[block] * F[block]) @ kern[0]
+    return F, back
 
 
 def forward(order: Order, f: SampledFunction, out_nodes) -> np.ndarray:

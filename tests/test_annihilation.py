@@ -310,6 +310,11 @@ def test_concentration_matrix_validation():
         concentration_matrix(Order(0.0), 0.0, IntervalSet.of([(0.0, 1.0)]), 10.0)
     with pytest.raises(DomainError):
         concentration_matrix(Order(0.0), 1.0, IntervalSet.of([(0.0, 20.0)]), 10.0)
+    for cap in (0, -5):
+        with pytest.raises(DomainError, match="n_modes"):
+            concentration_matrix(
+                Order(0.0), 1.0, IntervalSet.of([(0.0, 1.0)]), 10.0, n_modes=cap
+            )
 
 
 def test_concentration_gram_self_checks():

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hconc.bessel import (
     Order,
@@ -14,7 +18,7 @@ from hconc.bessel import (
     eval_j_ladder,
     zeros_of_j_prime,
 )
-from hconc.bessel import _series_cutoff
+from hconc.bessel import _direct_j, _kernel_table, _series_cutoff
 from hconc.errors import DomainError, InternalError
 
 # 50-digit hypergeometric evaluations 0F1(alpha+1; -x^2/4), frozen
@@ -98,19 +102,32 @@ def test_series_and_ratio_routes_agree_near_cutoff():
         assert np.max(np.abs(series - ratio)) < 1e-13
 
 
-# mpmath oracle grid: orders alpha + k, k <= 8, on [0, 40] with x = 0, the
-# series cutoff 0.5, and both sides of the ladder's switch point alpha + 10
+# mpmath oracle grid: orders alpha + k, k <= 8, on [0, 600] with x = 0, the
+# series cutoff 0.5, both sides of the ladder's switch point alpha + 10, and
+# both sides of every panel edge n <= x_tail of the fast route of each order
 _MP_ALPHAS = (-0.5, 0.0, 0.3, 1.0, 2.3, 8.3)
 _MP_KMAX = 8
+
+
+def _x_tail(nu):
+    table = _kernel_table(nu)
+    return 0 if table is None else table.x_tail
+
+
+def _edges(top):
+    return (np.arange(1, top + 1)[:, None] + np.array([-1e-9, 1e-9])).ravel()
 
 
 def _mp_grid(alpha):
     switch = alpha + _MP_KMAX + 2.0
     extra = [0.0, 0.4999, 0.5, switch - 1e-9, switch, switch + 1e-9]
-    return np.unique(np.concatenate([np.linspace(0.0, 40.0, 81), extra]))
+    top = max(_x_tail(alpha + k) for k in range(_MP_KMAX + 2))
+    grid = [np.linspace(0.0, 40.0, 81), np.linspace(40.0, 600.0, 29)]
+    return np.unique(np.concatenate(grid + [extra, _edges(top)]))
 
 
-def _mp_j(nu, xs):
+@lru_cache(maxsize=None)
+def _mp_j_cached(nu, xs):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         return np.array(
@@ -118,11 +135,15 @@ def _mp_j(nu, xs):
         )
 
 
+def _mp_j(nu, xs):
+    return _mp_j_cached(float(nu), tuple(float(x) for x in xs))
+
+
 def _assert_matches_mpmath(got, want):
     err = np.abs(got - want)
     assert np.max(err) <= 5e-14
     big = np.abs(want) >= 1e-3
-    assert np.max(err[big] / np.abs(want[big])) <= 1e-12
+    assert np.max(err[big] / np.abs(want[big]), initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", _MP_ALPHAS)
@@ -139,6 +160,45 @@ def test_ladder_matches_mpmath(alpha):
     assert ladder.shape == (_MP_KMAX + 1, len(xs))
     for k in range(_MP_KMAX + 1):
         _assert_matches_mpmath(ladder[k], _mp_j(alpha + k, xs))
+
+
+@pytest.mark.parametrize(
+    "nu, fast",
+    [(28.5, True), (28.95, True), (29.0, False), (29.5, True), (30.5, False)],
+)
+def test_eval_j_matches_mpmath_where_jv_takes_over(nu, fast):
+    # past x_tail = 64 the order keeps scipy's jv; 28.95 is the last order
+    # below 29 with a table, and half-integer orders terminate the expansion
+    assert (_kernel_table(nu) is not None) == fast
+    top = _x_tail(nu) or 64
+    xs = np.unique(np.concatenate([np.linspace(0.0, 600.0, 121), _edges(top)]))
+    _assert_matches_mpmath(eval_j(Order(nu), xs), _mp_j(nu, xs))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-0.5, 30.0, exclude_min=True),
+    x=st.floats(0.0, 1000.0),
+)
+def test_eval_j_property_matches_mpmath(alpha, x):
+    _assert_matches_mpmath(eval_j(Order(alpha), np.array([x])), _mp_j(alpha, [x]))
+
+
+def test_eval_j_fast_route_peak_memory_below_jv_route():
+    # 2M arguments spread over the series band, the panels and the tail
+    xs = np.linspace(0.0, 500.0, 2_000_000)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fast = peak(lambda: eval_j(Order(0.3), xs))
+    jv_route = peak(lambda: np.clip(_direct_j(0.3, np.abs(xs)), -1.0, 1.0))
+    assert fast <= jv_route
 
 
 @pytest.mark.parametrize("alpha", [100.0, 150.0, 200.0])

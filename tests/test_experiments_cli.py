@@ -196,6 +196,18 @@ def test_pair_norm_recipe_emits_constant_and_trials(tmp_path):
     assert all(r.passed for r in rows)
 
 
+@pytest.mark.parametrize("alpha", [0.3, -0.3, 1.7])
+def test_plancherel_recipe_passes_at_non_polynomial_weights(tmp_path, alpha):
+    # x^(2 alpha + 1) is not a polynomial: the rules integrate it exactly on
+    # the panel at 0 (Gauss-Jacobi), so isometry and round trip hold
+    cfg = ExperimentConfig(
+        name="pl", recipe="plancherel", alpha=alpha, trials=3, output_dir=str(tmp_path)
+    )
+    rows = run(cfg)
+    assert len(rows) == 6
+    assert all(r.passed for r in rows), [(r.params, r.value) for r in rows]
+
+
 def test_run_guards_unknown_recipe():
     with pytest.raises(UsageError, match="unknown recipe"):
         ExperimentConfig(name="det", recipe="frobnicate")
@@ -275,6 +287,21 @@ def test_cli_measure_density_rejects_bad_grid(tmp_path, capsys, a, step):
         argv += ["--step", step]
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_measure_density_large_order(tmp_path, capsys):
+    path = _write(tmp_path / "unit2.set", "0 2\n")
+    argv = ["measure", "density", "--alpha", "200", "--set", path, "--a", "1"]
+    assert cli.main(argv + ["--xmax", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # window [1, 3] holds mu([1, 2]) / mu([1, 3]) = (2^402 - 1) / (3^402 - 1)
+    k = lines.index("gamma_min,argmin")
+    gamma_min, argmin = (float(s) for s in lines[k + 1].split(","))
+    assert gamma_min == pytest.approx((2.0 / 3.0) ** 402, rel=1e-10)
+    assert argmin == 2.0
+    # 6^402 leaves the range of a double: refused, not a traceback
+    assert cli.main(argv + ["--xmax", "5"]) == 2
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_cli_transform_roundtrip_through_csvs(tmp_path):
@@ -476,6 +503,14 @@ def test_cli_ls_empirical_matches_library(tmp_path, capsys):
     )
     assert 0.0 < got <= 1.0
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("cap", ["-5", "-100", "0"])
+def test_cli_ls_empirical_rejects_mode_cap_below_one(tmp_path, capsys, cap):
+    path = _write(tmp_path / "evens.set", EVENS)
+    argv = ["ls", "empirical", "--alpha", "0", "--b", "1", "--omega", path]
+    assert cli.main(argv + ["--xmax", "10", "--nodes", cap]) == 2
+    assert "n_modes must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_ls_verify_reports_ordering(tmp_path, capsys):

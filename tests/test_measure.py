@@ -98,6 +98,27 @@ def test_nu_measure_matches_quadrature(alpha):
     assert nu_measure(order, subset) == pytest.approx(ref, rel=1e-12)
 
 
+def test_measure_constants_at_large_orders():
+    mpmath = pytest.importorskip("mpmath")
+    order = Order(200.0)
+    with mpmath.workdps(30):
+        dens = 2 * mpmath.pi**201 / mpmath.gamma(201)
+        mass = mpmath.pi**201 / mpmath.gamma(202) * mpmath.mpf(1.5) ** 402
+    assert mu_density_constant(order) == pytest.approx(float(dens), rel=1e-12)
+    assert mu_measure(order, IntervalSet.of([(0.0, 1.5)])) == pytest.approx(
+        float(mass), rel=1e-12
+    )
+    # below Gamma's overflow the constant is the plain quotient, bit for bit
+    assert mu_density_constant(Order(0.3)) == 2.0 * math.pi**1.3 / math.gamma(1.3)
+    # pi^(alpha+1) / Gamma(alpha+1) underflows; 6^402 overflows
+    with pytest.raises(DomainError, match="underflows"):
+        mu_density_constant(Order(250.0))
+    with pytest.raises(DomainError, match="overflows"):
+        mu_measure(order, IntervalSet.of([(0.0, 6.0)]))
+    with pytest.raises(DomainError, match="overflows"):
+        density_profile(order, IntervalSet.of([(0.0, 2.0)]), 1.0, 5.0)
+
+
 def test_mu_measure_at_half_order_is_twice_length():
     # at alpha = -1/2 the density is the constant 2 (even-extension doubling)
     order = Order(-0.5)

@@ -16,7 +16,17 @@ from hconc.quadrature import (
     set_rule,
     weighted_set_rule,
 )
-from hconc.transform import dilate, forward, inverse, mu_weights, norm_l2, norm_lp
+from hconc import transform
+from hconc.transform import (
+    dilate,
+    forward,
+    inverse,
+    mu_rule,
+    mu_weights,
+    norm_l2,
+    norm_lp,
+    round_trip,
+)
 
 
 def test_build_rule_polynomial_exactness():
@@ -145,6 +155,34 @@ def test_transform_roundtrip_on_gaussian(alpha):
     F = SampledFunction(rule=rule, values=forward(order, f, rule.nodes))
     back = inverse(order, F, rule.nodes)
     assert np.max(np.abs(back - f_vals)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [-0.3, 0.3, 1.7])
+def test_mu_rule_weights_sum_to_mu_measure(alpha):
+    order = Order(alpha)
+    subset = IntervalSet.of([(0.0, 1.5), (2.0, 3.0)])
+    nodes, weights = mu_rule(order, subset, 10.0)
+    assert np.all((nodes > 0) & (nodes < 3.0))
+    assert np.sum(weights) == pytest.approx(mu_measure(order, subset), rel=1e-13)
+
+
+@pytest.mark.parametrize("chunk", [2_000_000, 1000])
+def test_round_trip_matches_forward_and_inverse(monkeypatch, chunk):
+    # one kernel pass gives the forward transform and the inverse of its
+    # weighted values; a small _CHUNK forces many row blocks
+    monkeypatch.setattr(transform, "_CHUNK", chunk)
+    order = Order(0.3)
+    x, wx = mu_rule(order, IntervalSet.of([(0.0, 6.0)]), 40.0)
+    xi, wxi = mu_rule(order, IntervalSet.of([(0.0, 3.0)]), 40.0)
+    f = np.exp(-np.pi * x**2)
+    hat, back = round_trip(order, x, wx * f, xi, wxi)
+    ref_hat = transform.kernel_apply(order, xi, x, wx * f)
+    ref_back = transform.kernel_apply(order, x, xi, wxi * ref_hat)
+    assert np.allclose(hat, ref_hat, rtol=0, atol=1e-13)
+    assert np.allclose(back, ref_back, rtol=0, atol=1e-13)
+    # the Gaussian is self-reciprocal and the round trip returns it
+    assert np.max(np.abs(hat - np.exp(-np.pi * xi**2))) < 1e-10
+    assert np.max(np.abs(back - f)) < 1e-10
 
 
 def test_plancherel_for_gaussian():
