@@ -1,8 +1,10 @@
 """Fourier-Bessel (Hankel) transform of order alpha on the half-line.
 
 F(y) = integral of f(x) j_alpha(2 pi x y) d mu_alpha(x).  The kernel is
-self-reciprocal, so `inverse` and `forward` share one implementation.  All
-functions here act on SampledFunction carriers whose rule covers the support.
+self-reciprocal, so `inverse` and `forward` share one implementation; they
+and the norms act on SampledFunction carriers whose rule covers the support.
+`mu_rule` and `round_trip` work on bare nodes and mu_alpha weights, and
+`round_trip` gives a transform and its inverse from one pass over the kernel.
 """
 
 from __future__ import annotations
