@@ -14,8 +14,8 @@ Three numerical engines live here:
   orthogonal mode basis j_alpha(s'_m x / X) on [0, X] (frequencies at scaled
   derivative zeros), whose Gram over the full window is exactly the identity;
   the minimum eigenvalue of the sub-window Gram is then a true concentration
-  ratio with spectrum guaranteed inside [0, 1].  The one dense `eigvalsh`
-  that checks that guarantee also supplies the minimum.
+  ratio with spectrum guaranteed inside [0, 1].  It is the squared smallest
+  singular value of the Gram's factor, which keeps ratios far below 1e-16.
 
 * good/bad window diagnostics and the analytic-growth inequality checker for
   the squared-variable reformulation.
@@ -30,7 +30,7 @@ import numpy as np
 from scipy import linalg
 
 from .bessel import Order, cached_zero_table, certify_bound, eval_j
-from .errors import ConvergenceError, DomainError, InternalError, UsageError
+from .errors import ConvergenceError, DomainError, InternalError
 from .measure import IntervalSet, mu_density_constant, mu_measure
 from .paley_wiener import (
     EntireEvenSeries,
@@ -42,8 +42,7 @@ from .paley_wiener import (
     tail_mass,
     theta_constant,
 )
-from .quadrature import build_rule, panel_rule, set_rule
-from .transform import mu_rule
+from .quadrature import build_rule, mu_rule
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
@@ -205,27 +204,16 @@ def strong_pair_trials(
     Returns an array of rows (lhs, rhs); the inequality asks lhs <= rhs.
     """
     big = band_factor * Sigma.sup()
-    inside_parts = list(Sigma.intersect_window(0.0, big).intervals)
-    outside_parts = list(Sigma.complement_within(0.0, big).intervals)
-    dens = mu_density_constant(order)
     sup_s = S.sup()
-    xi_list, wxi_list, in_sigma = [], [], []
-    for part, inside in ((inside_parts, True), (outside_parts, False)):
-        for lo, hi in part:
-            n = int(math.ceil(4.0 * sup_s * (hi - lo))) + 16
-            rule = build_rule(lo, hi, n)
-            xi_list.append(rule.nodes)
-            wxi_list.append(rule.weights)
-            in_sigma.append(np.full(len(rule), inside))
-    xi = np.concatenate(xi_list)
-    wxi = np.concatenate(wxi_list)
-    sigma_mask = np.concatenate(in_sigma)
-    u = wxi * dens * xi ** (2.0 * order.alpha + 1.0)
-
-    x, wx = set_rule(S, max(32, math.ceil(12.0 * big)))
-    v = wx * dens * x ** (2.0 * order.alpha + 1.0)
-    kern = eval_j(order, 2.0 * math.pi * np.outer(xi, x))
-    factor = np.sqrt(u)[:, None] * kern * np.sqrt(v)[None, :]
+    # spectral nodes resolve the oscillation in xi at rate ~ sup(S)
+    per_unit_xi = math.ceil(4.0 * sup_s) + 16
+    xi_in, u_in = mu_rule(order, Sigma.intersect_window(0.0, big), per_unit_xi)
+    xi_out, u_out = mu_rule(order, Sigma.complement_within(0.0, big), per_unit_xi)
+    xi = np.concatenate([xi_in, xi_out])
+    u = np.concatenate([u_in, u_out])
+    sigma_mask = np.arange(len(xi)) < len(xi_in)
+    x, v = mu_rule(order, S, max(32, math.ceil(12.0 * big)))
+    factor = _pair_block(order, xi, np.sqrt(u), x, np.sqrt(v))
 
     norm = pair_norm(
         ProjectionPair(order=order, S=S, Sigma=Sigma, x_max=max(sup_s, 1.0))
@@ -302,14 +290,12 @@ def _mode_table(order: Order, b: float, x_max: float, cap: int):
     return sp, norms
 
 
-def concentration_matrix(
-    order: Order,
-    b: float,
-    omega: IntervalSet,
-    x_max: float,
-    n_modes: int = 128,
-) -> ConcentrationMatrix:
-    """Assemble the Omega-window Gram on the orthonormal mode basis."""
+def _concentration_factor(
+    order: Order, b: float, omega: IntervalSet, x_max: float, n_modes: int
+) -> np.ndarray:
+    """Factor B, one row per mode and one column per mu_alpha quadrature node
+    on Omega, whose Gram B B^T is the Omega-window energy form on the
+    orthonormal mode basis."""
     if b <= 0 or x_max <= 0:
         raise DomainError("bandlimit and x_max must be positive")
     if omega.sup() > x_max * (1 + 1e-12):
@@ -317,30 +303,29 @@ def concentration_matrix(
     if n_modes < 1:
         raise DomainError(f"the mode cap n_modes must be >= 1, got {n_modes}")
     sp, norms = _mode_table(order, b, x_max, n_modes)
-    clipped = omega.intersect_window(0.0, x_max)
-    if clipped.is_empty():
-        g = np.zeros((len(sp), len(sp)))
-        return ConcentrationMatrix(
-            matrix=g,
-            omega=omega,
-            bandlimit=b,
-            alpha=order.alpha,
-            x_max=x_max,
-            n_modes=len(sp),
-        )
-    x, wx = set_rule(clipped, max(12.0, 12.0 * b), order_per_panel=12)
-    v = wx * mu_density_constant(order) * x ** (2.0 * order.alpha + 1.0)
+    x, v = mu_rule(order, omega.intersect_window(0.0, x_max), max(12.0, 12.0 * b))
     kern = eval_j(order, np.outer(sp / x_max, x))
-    B = kern * np.sqrt(v)[None, :] / np.sqrt(norms)[:, None]
+    return kern * np.sqrt(v)[None, :] / np.sqrt(norms)[:, None]
+
+
+def concentration_matrix(
+    order: Order,
+    b: float,
+    omega: IntervalSet,
+    x_max: float,
+    n_modes: int = 128,
+) -> ConcentrationMatrix:
+    """Assemble the Omega-window Gram on the orthonormal mode basis: the
+    dense reference for ls_empirical_min_ratio."""
+    B = _concentration_factor(order, b, omega, x_max, n_modes)
     g = B @ B.T
-    g = 0.5 * (g + g.T)
     return ConcentrationMatrix(
-        matrix=g,
+        matrix=0.5 * (g + g.T),
         omega=omega,
         bandlimit=b,
         alpha=order.alpha,
         x_max=x_max,
-        n_modes=len(sp),
+        n_modes=len(B),
     )
 
 
@@ -353,9 +338,17 @@ def ls_empirical_min_ratio(
 ) -> float:
     """Minimum concentration ratio min ||f||^2_Omega / ||f||^2 over the
     discretized bandlimited space: the smallest eigenvalue of the
-    concentration Gram, guaranteed inside [0, 1]."""
-    lam = float(concentration_matrix(order, b, omega, x_max, n_modes).eigs[0])
-    return min(max(lam, 0.0), 1.0)
+    concentration Gram B B^T, guaranteed inside [0, 1], taken as the squared
+    smallest singular value of the factor B.  An eigensolver on the Gram
+    itself has absolute error ~1e-16, the size of the ratio where Omega
+    leaves a gap in [0, x_max]; the singular values of B resolve it."""
+    B = _concentration_factor(order, b, omega, x_max, n_modes)
+    s = linalg.svdvals(B, check_finite=False) if B.size else np.zeros(1)
+    if s[0] ** 2 > 1.0 + 1e-9:
+        raise InternalError(f"concentration spectrum escaped [0, 1]: top {s[0]**2:.9f}")
+    if B.shape[1] < len(B):
+        return 0.0  # fewer nodes than modes leave the Gram singular
+    return min(float(s[-1]) ** 2, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -460,25 +453,17 @@ def bad_mass_fraction(pw: PWFunction, x_list, bad) -> float:
     centers x_list, against the closed-form total
     (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2."""
     xs = np.atleast_1d(np.asarray(x_list, dtype=float))[np.asarray(bad, dtype=bool)]
-    windows = [((x - 1.0) ** 2, (x + 1.0) ** 2) for x in xs]
-    if not windows:
+    if not len(xs):
         return 0.0
-    union = IntervalSet.of(windows)
-    alpha = pw.order.alpha
     total = float(np.dot(pw.mu_hat_weights(), pw.coeffs**2))
-    dens = mu_density_constant(pw.order)
-    # integrate back in the root variable x = sqrt(s): the s^alpha ds mass of
-    # a window equals (Gamma(a+1)/pi^(a+1)) times its mu_alpha mass, and the
-    # shared constant cancels against the total; merged windows can be long,
-    # so panels keep the oscillation of f resolved
-    mass = 0.0
-    for lo, hi in union.intervals:
-        rule = panel_rule(
-            math.sqrt(lo), math.sqrt(hi), max(16.0, 12.0 * pw.bandlimit)
-        )
-        f = synthesize(pw, rule.nodes)
-        w = rule.weights * dens * rule.nodes ** (2.0 * alpha + 1.0)
-        mass += float(np.dot(w, f**2))
+    # integrate back in the root variable x = sqrt(s), where the window I_x
+    # is [x - 1, x + 1]: the s^alpha ds mass of a window equals
+    # (Gamma(a+1)/pi^(a+1)) times its mu_alpha mass, and the shared constant
+    # cancels against the total; merged windows can be long, so panels keep
+    # the oscillation of f resolved
+    union = IntervalSet.of([(c - 1.0, c + 1.0) for c in xs])
+    x, w = mu_rule(pw.order, union, max(16.0, 12.0 * pw.bandlimit))
+    mass = float(np.dot(w, synthesize(pw, x) ** 2))
     return mass / total
 
 
@@ -624,10 +609,7 @@ def density_necessity_demo(
     sup = omega.sup()
     table = cached_zero_table(alpha, max(8, int(sup / math.pi) + 4))
     rows: list[NecessityRow] = []
-    omega_nodes, omega_w = set_rule(omega, 12.0)
-    omega_fold = omega_w * mu_density_constant(order) * omega_nodes ** (
-        2 * alpha + 1
-    )
+    omega_nodes, omega_w = mu_rule(order, omega, 12.0)
     for n in range(1, len(table) + 1):
         s = table.s_prime(n)
         if s > sup:
@@ -636,7 +618,7 @@ def density_necessity_demo(
             continue
         norm_sq = extremal_norm_sq(order, n)
         vals = extremal_family(order, n, omega_nodes)
-        conc = float(np.dot(omega_fold, vals**2)) / norm_sq
+        conc = float(np.dot(omega_w, vals**2)) / norm_sq
         tail = tail_mass(order, n, a)
         win_mass = mu_measure(order, omega.intersect_window(s - a, s + a))
         bound = (

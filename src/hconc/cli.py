@@ -17,16 +17,12 @@ from .annihilation import LSParams, ProjectionPair, ls_bound, ls_bound_log10
 from .annihilation import ls_empirical_min_ratio, pair_norm
 from .bessel import Order, eval_j, zeros_of_j_prime
 from .errors import ConvergenceError, DomainError, InternalError, UsageError
-from .experiments import ls_verify_rows, parse_config, run, selftest
-from .measure import density_profile_rows, load_interval_set
+from .experiments import _fmt, ls_verify_rows, parse_config, run, selftest
+from .measure import IntervalSet, density_profile_rows, load_interval_set
 from .paley_wiener import bernstein_sides, extremal_family, random_pw
-from .quadrature import SampledFunction, build_rule
-from .transform import forward, inverse
+from .quadrature import mu_rule
+from .transform import kernel_apply
 from .translation import make_plan, translate_batch
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 def _read_xy(path: str):
@@ -56,17 +52,22 @@ def _read_xy(path: str):
 
 
 def _parse_triple(text: str, what: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"{what} must be lo,hi,n")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = text.split(",")
+        lo, hi, n = float(lo), float(hi), int(n)
+        if n >= 1:
+            return lo, hi, n
+    except ValueError:
+        pass
+    raise UsageError(f"{what} must be lo,hi,n with n >= 1, got {text!r}")
 
 
 def _parse_pair(text: str, what: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{what} must be lo,hi")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = (float(p) for p in text.split(","))
+    except ValueError:
+        raise UsageError(f"{what} must be lo,hi, got {text!r}") from None
+    return lo, hi
 
 
 # --------------------------------------------------------------------------
@@ -75,7 +76,10 @@ def _parse_pair(text: str, what: str):
 
 def _cmd_bessel_eval(args) -> int:
     order = Order(args.alpha)
-    xs = [float(p) for p in args.x.split(",")]
+    try:
+        xs = [float(p) for p in args.x.split(",")]
+    except ValueError:
+        raise UsageError(f"--x must be numbers, got {args.x!r}") from None
     for x in xs:
         print(_fmt(eval_j(order, x)))
     return 0
@@ -105,25 +109,26 @@ def _cmd_measure_density(args) -> int:
 def _cmd_transform(args) -> int:
     order = Order(args.alpha)
     lo, hi = _parse_pair(args.support, "--support")
+    support = IntervalSet.of([(lo, hi)])
+    if not (2 <= args.nodes <= 10**5):
+        raise DomainError(f"node count must be in [2, 1e5], got {args.nodes}")
     xs, vs = _read_xy(args.infile)
-    rule = build_rule(lo, hi, args.nodes)
-    sampled = SampledFunction(
-        rule=rule, values=np.interp(rule.nodes, xs, vs, left=0.0, right=0.0)
-    )
-    op = forward if args.direction == "forward" else inverse
-    out_vals = op(order, sampled, rule.nodes)
+    # the transform is its own inverse, so both directions are one kernel sum
+    nodes, weights = mu_rule(order, support, args.nodes / (hi - lo))
+    values = np.interp(nodes, xs, vs, left=0.0, right=0.0)
+    out_vals = kernel_apply(order, nodes, nodes, weights * values)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,value\n")
-        for x, v in zip(rule.nodes, out_vals):
+        for x, v in zip(nodes, out_vals):
             fh.write(f"{_fmt(x)},{_fmt(v)}\n")
     return 0
 
 
 def _cmd_translate(args) -> int:
     order = Order(args.alpha)
+    lo, hi, n = _parse_triple(args.y_grid, "--y-grid")
     xs, vs = _read_xy(args.f)
     f = lambda t: np.interp(t, xs, vs, left=0.0, right=0.0)
-    lo, hi, n = _parse_triple(args.y_grid, "--y-grid")
     ys = np.linspace(lo, hi, n)
     # sampled input is interpolated, so refinement cannot converge past the
     # sampling error; a fixed generous rule is the honest evaluation
@@ -221,7 +226,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return selftest(inject_fault=args.inject_fault, jobs=args.jobs)
+    return selftest(inject_fault=args.inject_fault)
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--in", dest="infile", required=True, help="CSV x,value")
     p.add_argument("--support", required=True, help="lo,hi")
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument(
+        "--nodes",
+        type=int,
+        default=256,
+        help="quadrature nodes on the support, 2 to 1e5, rounded up to whole "
+        "16-node panels",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_transform)
 
@@ -329,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="desk-scale invariant suite")
     p.add_argument("--inject-fault", choices=("zerotable",), default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

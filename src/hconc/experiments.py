@@ -42,16 +42,14 @@ from .measure import (
     mu_measure,
 )
 from .paley_wiener import (
-    PWFunction,
     bernstein_sides,
     extremal_family,
     extremal_peak,
-    plancherel_norm,
     random_pw,
     synthesize,
 )
-from .quadrature import SampledFunction, build_rule, panel_rule
-from .transform import forward, mu_rule, mu_weights, norm_lp, round_trip
+from .quadrature import mu_rule
+from .transform import kernel_apply, round_trip
 from .translation import make_plan, translate, translate_batch
 
 DEFAULT_SEED = 0xC0FFEE
@@ -309,14 +307,12 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     )
 
     # 32 nodes/unit: the bump's endpoint boundary layers defeat coarser panels
-    big = panel_rule(0.0, width + x + 0.5, 32.0)
-    shifted = translate_batch(plan, x, f, big.nodes)
-    w_mu = mu_weights(order, big)
-    base_rule = panel_rule(0.0, width, 32.0)
-    base_vals = f(base_rule.nodes)
-    base = SampledFunction(rule=base_rule, values=base_vals)
-    mass = float(np.dot(w_mu, shifted))
-    mass_ref = float(np.dot(mu_weights(order, base_rule), base_vals))
+    big_x, big_w = mu_rule(order, IntervalSet.of([(0.0, width + x + 0.5)]), 32.0)
+    shifted = translate_batch(plan, x, f, big_x)
+    base_x, base_w = mu_rule(order, IntervalSet.of([(0.0, width)]), 32.0)
+    base = f(base_x)
+    mass = float(np.dot(big_w, shifted))
+    mass_ref = float(np.dot(base_w, base))
     rows.append(
         ReportRow(
             config.name,
@@ -327,9 +323,8 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
         )
     )
 
-    shifted_f = SampledFunction(rule=big, values=shifted)
-    lhs2 = norm_lp(order, shifted_f, 2.0)
-    rhs2 = norm_lp(order, base, 2.0)
+    lhs2 = math.sqrt(np.dot(big_w, shifted**2))
+    rhs2 = math.sqrt(np.dot(base_w, base**2))
     rows.append(
         ReportRow(
             config.name,
@@ -343,10 +338,8 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     f_pos = lambda s: _compact_bump(s, width, np.polymul(poly, poly)) + _compact_bump(
         s, width, np.array([0.1])
     )
-    shifted_pos = translate_batch(plan, x, f_pos, big.nodes)
-    base_pos = f_pos(base_rule.nodes)
-    lhs1 = float(np.dot(w_mu, np.abs(shifted_pos)))
-    rhs1 = float(np.dot(mu_weights(order, base_rule), np.abs(base_pos)))
+    lhs1 = float(np.dot(big_w, np.abs(translate_batch(plan, x, f_pos, big_x))))
+    rhs1 = float(np.dot(base_w, np.abs(f_pos(base_x))))
     rows.append(
         ReportRow(
             config.name,
@@ -358,8 +351,10 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     )
 
     ys = np.linspace(0.05, 2.0, 24)
-    lhs_hat = forward(order, shifted_f, ys)
-    rhs_hat = eval_j(order, 2.0 * math.pi * x * ys) * forward(order, base, ys)
+    lhs_hat = kernel_apply(order, ys, big_x, big_w * shifted)
+    rhs_hat = eval_j(order, 2.0 * math.pi * x * ys) * kernel_apply(
+        order, ys, base_x, base_w * base
+    )
     scale = float(np.max(np.abs(rhs_hat)))
     defect = float(np.max(np.abs(lhs_hat - rhs_hat))) / scale
     rows.append(
@@ -667,30 +662,6 @@ def _check_plancherel():
             )
 
 
-def _check_translation():
-    cfg = ExperimentConfig(name="selftest-translation", recipe="translation", trials=5)
-    rows = _recipe_translation(cfg, jobs=1)
-    bad = [r for r in rows if not r.passed]
-    if bad:
-        raise InternalError(f"{len(bad)} translation checks failed: {bad[0].params}")
-
-
-def _check_bernstein():
-    cfg = ExperimentConfig(name="selftest-bernstein", recipe="bernstein", trials=20)
-    rows = _recipe_bernstein(cfg, jobs=1)
-    bad = [r for r in rows if not r.passed]
-    if bad:
-        raise InternalError(f"{len(bad)} Bernstein checks failed: {bad[0].params}")
-
-
-def _check_extremal():
-    cfg = ExperimentConfig(name="selftest-extremal", recipe="extremal", trials=6)
-    rows = _recipe_extremal(cfg, jobs=1)
-    bad = [r for r in rows if not r.passed]
-    if bad:
-        raise InternalError(f"extremal check failed: {bad[0].params}")
-
-
 _FROZEN_PAIR_NORM_UNIT = 0.9997619967469777
 
 
@@ -736,20 +707,18 @@ def _check_ls_monotone():
         raise InternalError(f"empty-window concentration {r_none!r} > 1e-10")
 
 
-def _check_good_bad():
-    cfg = ExperimentConfig(name="selftest-good-bad", recipe="good-bad", trials=2)
-    rows = _recipe_good_bad(cfg, jobs=1)
-    bad = [r for r in rows if not r.passed]
-    if bad:
-        raise InternalError(f"good/bad check failed: {bad[0].params}")
+def _recipe_check(recipe: str, trials: int, what: str):
+    """A check that runs `trials` trials of a recipe, writing no report, and
+    fails as "<what> failed: <params of the first failed row>"; `what` may
+    hold {n}, the number of failed rows."""
 
+    def check():
+        cfg = ExperimentConfig(f"selftest-{recipe}", recipe=recipe, trials=trials)
+        bad = [r for r in _RECIPE_TABLE[recipe](cfg, 1) if not r.passed]
+        if bad:
+            raise InternalError(f"{what.format(n=len(bad))} failed: {bad[0].params}")
 
-def _check_kovrijkine():
-    cfg = ExperimentConfig(name="selftest-kov", recipe="kovrijkine", trials=6)
-    rows = _recipe_kovrijkine(cfg, jobs=1)
-    bad = [r for r in rows if not r.passed]
-    if bad:
-        raise InternalError(f"doubling inequality failed: {bad[0].params}")
+    return check
 
 
 def _check_determinism():
@@ -771,7 +740,7 @@ def _check_determinism():
         raise InternalError("report not byte-identical across reruns")
 
 
-def selftest(inject_fault: str | None = None, jobs: int = 1, echo=print) -> int:
+def selftest(inject_fault: str | None = None, echo=print) -> int:
     """Run the desk-scale invariant suite; exit code 0 iff everything passes.
 
     inject_fault="zerotable" deliberately corrupts a zero table to prove the
@@ -784,14 +753,14 @@ def selftest(inject_fault: str | None = None, jobs: int = 1, echo=print) -> int:
         ("zero-table", lambda: _check_zero_table(inject_fault)),
         ("measure-closed-forms", _check_measure),
         ("plancherel-roundtrip", _check_plancherel),
-        ("translation-suite", _check_translation),
-        ("bernstein-suite", _check_bernstein),
-        ("extremal-family", _check_extremal),
+        ("translation-suite", _recipe_check("translation", 5, "{n} translation checks")),
+        ("bernstein-suite", _recipe_check("bernstein", 20, "{n} Bernstein checks")),
+        ("extremal-family", _recipe_check("extremal", 6, "extremal check")),
         ("pair-norm-frozen", _check_pair_norm),
         ("ls-bound-pins", _check_ls_pins),
         ("ls-concentration-monotone", _check_ls_monotone),
-        ("good-bad-windows", _check_good_bad),
-        ("kovrijkine-doubling", _check_kovrijkine),
+        ("good-bad-windows", _recipe_check("good-bad", 2, "good/bad check")),
+        ("kovrijkine-doubling", _recipe_check("kovrijkine", 6, "doubling inequality")),
         ("report-determinism", _check_determinism),
     ]
     failures = 0

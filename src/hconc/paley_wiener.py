@@ -16,9 +16,9 @@ import numpy as np
 
 from .bessel import Order, cached_zero_table, eval_j
 from .errors import DomainError
-from .measure import mu_density_constant
-from .quadrature import QuadratureRule, SampledFunction, build_rule, panel_rule
-from .transform import kernel_apply, mu_weights, norm_l2
+from .measure import IntervalSet
+from .quadrature import QuadratureRule, build_rule, mu_fold, mu_rule
+from .transform import kernel_apply
 
 _MAX_DK = 30
 
@@ -51,13 +51,8 @@ class PWFunction:
 
     def mu_hat_weights(self, shift: float = 0.0) -> np.ndarray:
         """Spectral weights with the order-(alpha+shift) measure folded in."""
-        xi = self.spectral_rule.nodes
-        shifted = self.order.shifted(shift)
-        return (
-            self.spectral_rule.weights
-            * mu_density_constant(shifted)
-            * xi ** (2.0 * (shifted.alpha) + 1.0)
-        )
+        rule = self.spectral_rule
+        return mu_fold(self.order.shifted(shift), rule.nodes, rule.weights)
 
 
 def plancherel_norm(pw: PWFunction) -> float:
@@ -130,9 +125,9 @@ def bernstein_sides(pw: PWFunction, k: int) -> tuple[float, float]:
 def physical_norm(pw: PWFunction, x_max: float, nodes_per_unit: float = 8.0) -> float:
     """Independent L2 norm by quadrature of the synthesized function on
     [0, x_max]; approaches the spectral norm as x_max grows."""
-    rule = panel_rule(0.0, x_max, nodes_per_unit * max(1.0, pw.bandlimit))
-    vals = synthesize(pw, rule.nodes)
-    return norm_l2(pw.order, SampledFunction(rule=rule, values=vals))
+    per_unit = nodes_per_unit * max(1.0, pw.bandlimit)
+    x, w = mu_rule(pw.order, IntervalSet.of([(0.0, x_max)]), per_unit)
+    return float(np.sqrt(np.dot(w, synthesize(pw, x) ** 2)))
 
 
 def sqrt_substitute(x_nodes, f_values) -> tuple[np.ndarray, np.ndarray]:
@@ -306,10 +301,7 @@ def tail_mass(order: Order, n: int, a: float) -> float:
     lo, hi = max(0.0, s - a), s + a
     if hi <= lo:
         return 1.0
-    rule = panel_rule(lo, hi, nodes_per_unit=12.0)
-    vals = extremal_family(order, n, rule.nodes)
-    window = float(
-        np.dot(mu_weights(order, rule), vals**2)
-    )
+    x, w = mu_rule(order, IntervalSet.of([(lo, hi)]), 12.0)
+    window = float(np.dot(w, extremal_family(order, n, x) ** 2))
     total = extremal_norm_sq(order, n)
     return max(0.0, 1.0 - window / total)

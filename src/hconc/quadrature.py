@@ -1,10 +1,15 @@
-"""Gauss-Legendre quadrature rules and sampled-function carriers.
+"""Gauss-Legendre quadrature rules and the mu_alpha measure weights.
 
 `build_rule` produces a single mapped Gauss-Legendre rule (exact for
 polynomials up to degree 2n-1 on its interval).  For long oscillatory
-integrands the composite `panel_rule` is preferred: fixed-order panels keep
+integrands the composite `panel_rule` is preferred: fixed 16-node panels keep
 node counts proportional to the number of oscillation periods without the
 cost of huge single rules.
+
+This is the one module that forms mu_alpha quadrature weights: `mu_fold`
+folds the density C x^(2 alpha + 1) into given weights, and `mu_rule` gives
+nodes and mu_alpha weights on a set, integrating the density exactly on a
+panel that starts at 0.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
+from .bessel import Order
 from .errors import DomainError
-from .measure import IntervalSet
+from .measure import IntervalSet, mu_density_constant
+
+_PANEL = 16  # nodes per panel of the composite rules
 
 
 @lru_cache(maxsize=256)
@@ -52,18 +60,6 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Function known at the nodes of a rule; values[i] = f(nodes[i])."""
-
-    rule: QuadratureRule
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.values) != len(self.rule):
-            raise DomainError("values must match rule length")
-
-
 def build_rule(lo: float, hi: float, n: int) -> QuadratureRule:
     """Gauss-Legendre rule mapped affinely to (lo, hi); 2 <= n <= 1e5."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
@@ -76,15 +72,13 @@ def build_rule(lo: float, hi: float, n: int) -> QuadratureRule:
     return QuadratureRule((float(lo), float(hi)), mid + half * x, half * w)
 
 
-def panel_rule(
-    lo: float, hi: float, nodes_per_unit: float, order_per_panel: int = 16
-) -> QuadratureRule:
+def panel_rule(lo: float, hi: float, nodes_per_unit: float) -> QuadratureRule:
     """Composite Gauss-Legendre rule with roughly nodes_per_unit density."""
     if hi <= lo:
         raise DomainError(f"degenerate interval ({lo}, {hi})")
-    total = max(order_per_panel, int(math.ceil((hi - lo) * nodes_per_unit)))
-    npan = max(1, int(math.ceil(total / order_per_panel)))
-    x, w = _gl_nodes(order_per_panel)
+    total = max(_PANEL, int(math.ceil((hi - lo) * nodes_per_unit)))
+    npan = max(1, int(math.ceil(total / _PANEL)))
+    x, w = _gl_nodes(_PANEL)
     edges = np.linspace(lo, hi, npan + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * (edges[1:] - edges[:-1])
@@ -93,34 +87,38 @@ def panel_rule(
     return QuadratureRule((float(lo), float(hi)), nodes, weights)
 
 
-def set_rule(subset: IntervalSet, nodes_per_unit: float, order_per_panel: int = 16):
+def set_rule(subset: IntervalSet, nodes_per_unit: float):
     """Composite rule covering every interval of a set; returns a single
     node/weight pair spanning the union (intervals are disjoint)."""
     if subset.is_empty():
         return np.empty(0), np.empty(0)
-    parts = [
-        panel_rule(a, b, nodes_per_unit, order_per_panel) for a, b in subset.intervals
-    ]
+    parts = [panel_rule(a, b, nodes_per_unit) for a, b in subset.intervals]
     nodes = np.concatenate([p.nodes for p in parts])
     weights = np.concatenate([p.weights for p in parts])
     return nodes, weights
 
 
-def weighted_set_rule(subset: IntervalSet, nodes_per_unit: float, beta: float):
-    """set_rule for the weight x^beta, beta > -1: nodes and weights w with
-    sum w f(x) ~ the integral of f(x) x^beta over the subset.  A panel that
-    starts at 0 takes the Gauss-Jacobi rule of the weight, so the rule keeps
-    the Gauss-Legendre rate for smooth f even where x^beta is not smooth;
-    every other panel folds x^beta into its Gauss-Legendre weights."""
-    order = 16  # nodes per panel
-    nodes, weights = set_rule(subset, nodes_per_unit, order)
-    weights = weights * nodes**beta
+def mu_fold(order: Order, nodes, weights) -> np.ndarray:
+    """Quadrature weights with the mu_alpha density C x^(2 alpha + 1)
+    folded in."""
+    return weights * mu_density_constant(order) * nodes ** (2.0 * order.alpha + 1.0)
+
+
+def mu_rule(order: Order, subset: IntervalSet, nodes_per_unit: float):
+    """Nodes on the subset and their mu_alpha quadrature weights: `set_rule`
+    with the density folded in by `mu_fold`.  A panel that starts at 0 takes
+    the Gauss-Jacobi rule of the weight x^(2 alpha + 1) instead, so the rule
+    keeps the Gauss-Legendre rate for smooth integrands also where the
+    density is not smooth at 0 (2 alpha + 1 not an integer)."""
+    nodes, weights = set_rule(subset, nodes_per_unit)
+    weights = mu_fold(order, nodes, weights)
     if subset.intervals and subset.inf() == 0.0:
         # the first panel is [0, 2 half]; its Gauss-Legendre nodes are symmetric
-        half = 0.5 * (nodes[0] + nodes[order - 1])
-        t, w = _gj_nodes(order, float(beta))
-        nodes[:order] = half * (t + 1.0)
-        weights[:order] = w * half ** (beta + 1.0)
+        beta = 2.0 * order.alpha + 1.0
+        half = 0.5 * (nodes[0] + nodes[_PANEL - 1])
+        t, w = _gj_nodes(_PANEL, beta)
+        nodes[:_PANEL] = half * (t + 1.0)
+        weights[:_PANEL] = mu_density_constant(order) * (w * half ** (beta + 1.0))
     return nodes, weights
 
 

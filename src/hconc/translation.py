@@ -24,8 +24,7 @@ from scipy import special
 from .bessel import Order
 from .errors import ConvergenceError, DomainError
 from .measure import mu_density_constant
-from .quadrature import QuadratureRule, SampledFunction
-from .transform import mu_weights
+from .quadrature import QuadratureRule
 
 _AGREE_TOL = 1e-10
 _MAX_THETA_NODES = 4096
@@ -109,6 +108,15 @@ def translate(plan: TranslationPlan, x: float, f, y: float) -> float:
     return float(translate_batch(plan, x, f, np.array([y]))[0])
 
 
+def _kernel_W_constant(a: float) -> float:
+    """Normalising constant of the translation kernel density at order a."""
+    return (
+        2.0 ** (-2.0 * a)
+        * math.gamma(a + 1.0) ** 2
+        / (math.pi ** (a + 1.5) * math.gamma(a + 0.5))
+    )
+
+
 def kernel_W(order: Order, x: float, y: float, t) -> np.ndarray | float:
     """Density of the translation measure at t: supported on
     |x-y| < t < x+y, proportional to Delta(x,y,t)^(2a-1) / (xyt)^(2a) where
@@ -128,11 +136,7 @@ def kernel_W(order: Order, x: float, y: float, t) -> np.ndarray | float:
     if np.any(inside):
         ti = t[inside]
         delta = np.sqrt((hi * hi - ti * ti) * (ti * ti - lo * lo))
-        const = (
-            2.0 ** (-2.0 * a)
-            * math.gamma(a + 1.0) ** 2
-            / (math.pi ** (a + 1.5) * math.gamma(a + 0.5))
-        )
+        const = _kernel_W_constant(a)
         out[inside] = const * delta ** (2.0 * a - 1.0) / (x * y * ti) ** (2.0 * a)
     return float(out[0]) if scalar else out
 
@@ -149,11 +153,7 @@ def translate_via_kernel(order: Order, x: float, f, y: float, n: int = 256) -> f
     u, w = special.roots_jacobi(n, a - 0.5, a - 0.5)
     t = np.sqrt(x * x + y * y + 2.0 * x * y * u)
     # W with the (1-u^2)^(a-1/2) factor stripped (absorbed by the rule):
-    const = (
-        2.0 ** (-2.0 * a)
-        * math.gamma(a + 1.0) ** 2
-        / (math.pi ** (a + 1.5) * math.gamma(a + 0.5))
-    )
+    const = _kernel_W_constant(a)
     w_smooth = const * (2.0 * x * y) ** (2.0 * a - 1.0) / (x * y * t) ** (2.0 * a)
     dens = mu_density_constant(order) * t ** (2.0 * a + 1.0)
     jac = x * y / t  # dt = (x y / t) du
@@ -161,13 +161,14 @@ def translate_via_kernel(order: Order, x: float, f, y: float, n: int = 256) -> f
     return float(np.dot(w, vals * w_smooth * dens * jac))
 
 
-def convolve(order: Order, f: SampledFunction, g, out_nodes) -> np.ndarray:
-    """(f * g)(x) = integral of f(t) T_x g(t) d mu_alpha(t), nested quadrature."""
+def convolve(order: Order, nodes, weights, values, g, out_nodes) -> np.ndarray:
+    """(f * g)(x) = integral of f(t) T_x g(t) d mu_alpha(t), nested quadrature;
+    f is known by its values at the nodes of a rule with mu_alpha weights."""
     out_nodes = np.atleast_1d(np.asarray(out_nodes, dtype=float))
     plan = make_plan(order)
-    mw = mu_weights(order, f.rule) * f.values
+    mw = weights * values
     result = np.empty(len(out_nodes))
     for i, x in enumerate(out_nodes):
-        tg = translate_batch(plan, float(x), g, f.rule.nodes)
+        tg = translate_batch(plan, float(x), g, nodes)
         result[i] = float(np.dot(mw, tg))
     return result

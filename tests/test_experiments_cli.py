@@ -374,6 +374,49 @@ def test_cli_transform_rejects_malformed_input(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "support,nodes",
+    [("-1,1", "256"), ("0,1", "1"), ("0,1", "0"), ("0,1", "100001"), ("1,1", "256")],
+)
+def test_cli_transform_rejects_bad_support_and_nodes(tmp_path, capsys, support, nodes):
+    gauss = _write(tmp_path / "g.csv", "x,value\n0,1\n1,0.5\n")
+    out = tmp_path / "out.csv"
+    argv = ["transform", "forward", "--alpha", "0.3", "--in", gauss]
+    argv += [f"--support={support}", "--nodes", nodes, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,text",
+    [
+        ("translate", "--y-grid", "0,1,-3"),
+        ("translate", "--y-grid", "0,1,0"),
+        ("translate", "--y-grid", "a,1,3"),
+        ("translate", "--y-grid", "0,1,2.5"),
+        ("extremal", "--x-grid", "0,1,-3"),
+        ("extremal", "--x-grid", "0,1"),
+        ("transform", "--support", "a,1"),
+        ("transform", "--support", "0,1,2"),
+        ("bessel", "--x", "1,a"),
+    ],
+)
+def test_cli_number_lists_are_usage_errors(tmp_path, capsys, command, flag, text):
+    csv = _write(tmp_path / "f.csv", "x,value\n0,1\n1,0\n")
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "translate": ["translate", "--alpha", "0", "--x", "1", "--f", csv],
+        "extremal": ["pw", "extremal", "--alpha", "0", "--n", "1"],
+        "transform": ["transform", "forward", "--alpha", "0", "--in", csv]
+        + ["--out", out],
+        "bessel": ["bessel", "eval", "--alpha", "0"],
+    }[command]
+    assert cli.main(argv + [flag, text]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} must be" in err
+
+
 def test_cli_translate_matches_two_point_form(tmp_path, capsys):
     xs = np.linspace(0.0, 10.0, 2001)
     csv = tmp_path / "cos.csv"

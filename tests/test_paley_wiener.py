@@ -26,8 +26,7 @@ from hconc.paley_wiener import (
     tail_mass,
     theta_constant,
 )
-from hconc.quadrature import SampledFunction, build_rule, panel_rule
-from hconc.transform import mu_weights
+from hconc.quadrature import build_rule, mu_rule
 
 
 def test_theta_constant_closed_forms():
@@ -98,9 +97,8 @@ def test_apply_dk_matches_finite_difference():
 def test_dk_norm_matches_physical_quadrature():
     order = Order(0.0)
     pw = random_pw(order, 1.0, 128, np.random.default_rng(4), kind="smooth")
-    rule = panel_rule(0.0, 40.0, 10.0)
-    vals = apply_Dk(pw, 1, rule.nodes)
-    phys = float(np.sqrt(np.dot(mu_weights(order.shifted(1), rule), vals**2)))
+    x, w = mu_rule(order.shifted(1), IntervalSet.of([(0.0, 40.0)]), 10.0)
+    phys = float(np.sqrt(np.dot(w, apply_Dk(pw, 1, x) ** 2)))
     assert dk_norm(pw, 1) == pytest.approx(phys, rel=1e-6)
 
 

@@ -9,24 +9,15 @@ from hconc.errors import DomainError
 from hconc.measure import IntervalSet, mu_density_constant, mu_measure
 from hconc.quadrature import (
     QuadratureRule,
-    SampledFunction,
     build_rule,
     default_transform_nodes,
+    mu_fold,
+    mu_rule,
     panel_rule,
     set_rule,
-    weighted_set_rule,
 )
 from hconc import transform
-from hconc.transform import (
-    dilate,
-    forward,
-    inverse,
-    mu_rule,
-    mu_weights,
-    norm_l2,
-    norm_lp,
-    round_trip,
-)
+from hconc.transform import kernel_apply, round_trip
 
 
 def test_build_rule_polynomial_exactness():
@@ -49,8 +40,11 @@ def test_build_rule_validation():
 
 @pytest.mark.parametrize("beta", [0.0, 0.02, 0.6, 1.0, 1.6])
 def test_weighted_set_rule_integrates_power_weight(beta):
+    # mu_rule at order alpha = (beta - 1) / 2 integrates against C x^beta
+    order = Order(0.5 * (beta - 1.0))
     subset = IntervalSet.of([(0.0, 1.3), (2.0, 2.5)])
-    x, w = weighted_set_rule(subset, 20.0, beta)
+    x, w = mu_rule(order, subset, 20.0)
+    w = w / mu_density_constant(order)
     assert len(x) == len(set_rule(subset, 20.0)[0])
     for k in (0, 3, 7):
         p = k + beta + 1.0
@@ -96,43 +90,39 @@ def test_default_transform_nodes_heuristic():
     assert default_transform_nodes(10.0, 5.0) > default_transform_nodes(5.0, 5.0)
 
 
-def test_sampled_function_validation():
-    rule = build_rule(0.0, 1.0, 8)
-    with pytest.raises(DomainError):
-        SampledFunction(rule=rule, values=np.zeros(7))
+def test_quadrature_rule_validation():
     with pytest.raises(DomainError):
         QuadratureRule((0.0, 1.0), np.zeros(4), np.zeros(5))
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.8, 2.0])
 def test_mu_weights_total_mass(alpha):
+    # mu_fold of a Gauss-Legendre rule away from 0
     order = Order(alpha)
     rule = build_rule(0.3, 2.1, 48)
-    total = float(np.sum(mu_weights(order, rule)))
+    total = float(np.sum(mu_fold(order, rule.nodes, rule.weights)))
     assert total == pytest.approx(
         mu_measure(order, IntervalSet.of([(0.3, 2.1)])), rel=1e-13
     )
 
 
-@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.3])
+@pytest.mark.parametrize("alpha", [-0.5, -0.3, 0.0, 0.3, 0.5, 1.3])
 def test_gaussian_is_self_reciprocal(alpha):
-    # exp(-pi x^2) is a fixed point of the transform at every order; fractional
-    # alpha needs denser panels since x^(2 alpha + 1) is not polynomial at 0
+    # exp(-pi x^2) is a fixed point of the transform at every order; the
+    # Gauss-Jacobi panel at 0 integrates x^(2 alpha + 1) where it is not smooth
     order = Order(alpha)
-    rule = panel_rule(0.0, 8.0, 48.0)
-    f = SampledFunction(rule=rule, values=np.exp(-np.pi * rule.nodes**2))
+    x, w = mu_rule(order, IntervalSet.of([(0.0, 8.0)]), 48.0)
     ys = np.linspace(0.0, 3.0, 31)
-    got = forward(order, f, ys)
+    got = kernel_apply(order, ys, x, w * np.exp(-np.pi * x**2))
     assert np.max(np.abs(got - np.exp(-np.pi * ys**2))) < 5e-12
 
 
 def test_forward_matches_direct_quadrature_oracle():
     order = Order(0.7)
-    rule = panel_rule(0.0, 7.0, 96.0)
-    f = SampledFunction(rule=rule, values=np.exp(-rule.nodes**2))
+    x, w = mu_rule(order, IntervalSet.of([(0.0, 7.0)]), 96.0)
     dens = mu_density_constant(order)
     for y in (0.3, 1.1):
-        got = forward(order, f, np.array([y]))[0]
+        got = kernel_apply(order, np.array([y]), x, w * np.exp(-(x**2)))[0]
         ref = quad(
             lambda x: math.exp(-x * x)
             * float(eval_j(order, np.array([2.0 * np.pi * x * y]))[0])
@@ -146,15 +136,13 @@ def test_forward_matches_direct_quadrature_oracle():
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-10)
 
 
-@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+@pytest.mark.parametrize("alpha", [-0.5, -0.3, 0.0, 0.3, 1.0])
 def test_transform_roundtrip_on_gaussian(alpha):
     order = Order(alpha)
-    rule = panel_rule(0.0, 6.0, 34.0)
-    f_vals = np.exp(-np.pi * rule.nodes**2)
-    f = SampledFunction(rule=rule, values=f_vals)
-    F = SampledFunction(rule=rule, values=forward(order, f, rule.nodes))
-    back = inverse(order, F, rule.nodes)
-    assert np.max(np.abs(back - f_vals)) < 1e-10
+    x, w = mu_rule(order, IntervalSet.of([(0.0, 6.0)]), 34.0)
+    f = np.exp(-np.pi * x**2)
+    _, back = round_trip(order, x, w * f, x, w)
+    assert np.max(np.abs(back - f)) < 1e-10
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 0.3, 1.7])
@@ -176,8 +164,8 @@ def test_round_trip_matches_forward_and_inverse(monkeypatch, chunk):
     xi, wxi = mu_rule(order, IntervalSet.of([(0.0, 3.0)]), 40.0)
     f = np.exp(-np.pi * x**2)
     hat, back = round_trip(order, x, wx * f, xi, wxi)
-    ref_hat = transform.kernel_apply(order, xi, x, wx * f)
-    ref_back = transform.kernel_apply(order, x, xi, wxi * ref_hat)
+    ref_hat = kernel_apply(order, xi, x, wx * f)
+    ref_back = kernel_apply(order, x, xi, wxi * ref_hat)
     assert np.allclose(hat, ref_hat, rtol=0, atol=1e-13)
     assert np.allclose(back, ref_back, rtol=0, atol=1e-13)
     # the Gaussian is self-reciprocal and the round trip returns it
@@ -188,39 +176,28 @@ def test_round_trip_matches_forward_and_inverse(monkeypatch, chunk):
 def test_plancherel_for_gaussian():
     # norm preservation, checked against the closed form of the x-side norm
     order = Order(0.5)
-    rule = panel_rule(0.0, 8.0, 30.0)
-    f = SampledFunction(rule=rule, values=np.exp(-np.pi * rule.nodes**2))
-    F = SampledFunction(rule=rule, values=forward(order, f, rule.nodes))
-    assert norm_l2(order, F) == pytest.approx(norm_l2(order, f), rel=1e-12)
+    x, w = mu_rule(order, IntervalSet.of([(0.0, 8.0)]), 30.0)
+    f = np.exp(-np.pi * x**2)
+    F = kernel_apply(order, x, x, w * f)
+    assert np.dot(w, F**2) == pytest.approx(np.dot(w, f**2), rel=1e-12)
+    # ||f||^2 = mu_alpha-integral of exp(-2 pi x^2) = 2^-(alpha+1)
+    assert np.dot(w, f**2) == pytest.approx(2.0 ** -(order.alpha + 1.0), rel=1e-13)
 
 
 def test_dilate_is_isometric_and_covariant():
+    # the dilation f -> lam^-(alpha+1) f(x / lam) goes with the mu_alpha rule
+    # on [0, lam X] of nodes lam x and weights lam^(2 alpha + 2) w
     order = Order(0.3)
-    rule = panel_rule(0.0, 5.0, 30.0)
-    f = SampledFunction(rule=rule, values=np.exp(-rule.nodes**2) * rule.nodes)
     lam = 1.7
-    g = dilate(order, lam, f)
-    assert norm_l2(order, g) == pytest.approx(norm_l2(order, f), rel=1e-13)
+    x, w = mu_rule(order, IntervalSet.of([(0.0, 5.0)]), 30.0)
+    f = np.exp(-(x**2)) * x
+    lam_x, lam_w = mu_rule(order, IntervalSet.of([(0.0, 5.0 * lam)]), 30.0 / lam)
+    assert np.allclose(lam_x, lam * x, rtol=1e-14, atol=0)
+    assert np.allclose(lam_w, lam ** (2.0 * order.alpha + 2.0) * w, rtol=1e-13, atol=0)
+    g = lam ** -(order.alpha + 1.0) * f
+    assert np.dot(lam_w, g**2) == pytest.approx(np.dot(w, f**2), rel=1e-13)
     # transform swaps dilation by lam for dilation by 1/lam
     ys = np.linspace(0.1, 2.0, 7)
-    lhs = forward(order, g, ys)
-    rhs = lam ** (order.alpha + 1.0) * forward(order, f, lam * ys)
+    lhs = kernel_apply(order, ys, lam_x, lam_w * g)
+    rhs = lam ** (order.alpha + 1.0) * kernel_apply(order, lam * ys, x, w * f)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-    with pytest.raises(DomainError):
-        dilate(order, 0.0, f)
-    with pytest.raises(DomainError):
-        dilate(order, float("inf"), f)
-
-
-def test_norm_lp_consistency():
-    order = Order(0.0)
-    rule = build_rule(0.1, 2.0, 64)
-    f = SampledFunction(rule=rule, values=np.sin(rule.nodes))
-    assert norm_lp(order, f, 2.0) == pytest.approx(norm_l2(order, f), rel=1e-13)
-    # p = 1 of a nonnegative function is its mu-integral
-    g = SampledFunction(rule=rule, values=np.ones(len(rule)))
-    assert norm_lp(order, g, 1.0) == pytest.approx(
-        mu_measure(order, IntervalSet.of([(0.1, 2.0)])), rel=1e-13
-    )
-    with pytest.raises(DomainError):
-        norm_lp(order, f, 0.5)
