@@ -470,28 +470,36 @@ def bad_mass_fraction(pw: PWFunction, x_list, bad) -> float:
 def witness_point(
     pw: PWFunction, ab: float, x: float, k_max: int = 8, mass: float | None = None
 ) -> float:
-    """A point t in I_x where every derivative order obeys the pointwise
-    growth bound t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k * window mass,
-    searched on a 1000-point grid with two tenfold refinements.  `mass` is
-    the window's integral of |g|^2 s^alpha, as good_bad_partition returns
-    it; it is computed here when not given."""
+    """The first point t of a grid on I_x where every derivative order obeys
+    the pointwise growth bound t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k
+    * window mass.  The grids are 1000 equispaced points on I_x and two
+    tenfold refinements; each is scanned in order, in leading chunks of 16
+    points that grow fourfold, and the scan stops at the first chunk that
+    holds a witness, so the result is the first witness of the whole grid.
+    `mass` is the window's integral of |g|^2 s^alpha, as good_bad_partition
+    returns it; it is computed here when not given."""
     lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
     if mass is None:
         mass = _window_integrals(pw, x, 0)[0]
     alpha = pw.order.alpha
     base = 12.0 * math.pi**2 * ab * ab
-    n = 1000
-    for _ in range(3):
+    for n in (1000, 10_000, 100_000):
         ts = np.linspace(lo, hi, n)
-        dk = apply_Dk_all(pw, k_max, np.sqrt(ts))
-        ok = np.ones(n, dtype=bool)
-        factor = 1.0
-        for k in range(k_max + 1):
-            ok &= ts ** (alpha + k) * dk[k] ** 2 <= factor * mass * (1 + 1e-12)
-            factor *= base
-        if np.any(ok):
-            return float(ts[np.argmax(ok)])
-        n *= 10
+        start, size = 0, 16
+        while start < n:
+            t = ts[start : start + size]
+            dk = apply_Dk_all(pw, k_max, np.sqrt(t))
+            ok = np.ones(len(t), dtype=bool)
+            factor = 1.0
+            # t = 0 (the window at x = 1) fails the k = 0 bound for alpha < 0
+            with np.errstate(divide="ignore"):
+                for k in range(k_max + 1):
+                    ok &= t ** (alpha + k) * dk[k] ** 2 <= factor * mass * (1 + 1e-12)
+                    factor *= base
+            if np.any(ok):
+                return float(t[np.argmax(ok)])
+            start += size
+            size *= 4
     raise InternalError(
         f"no witness point found in [{lo:.6f}, {hi:.6f}]: the pointwise "
         "growth bound has no solution here, which happens when the window "

@@ -121,8 +121,3 @@ def mu_rule(order: Order, subset: IntervalSet, nodes_per_unit: float):
         weights[:_PANEL] = mu_density_constant(order) * (w * half ** (beta + 1.0))
     return nodes, weights
 
-
-def default_transform_nodes(x_max: float, y_max: float) -> int:
-    """Node-count heuristic for the oscillatory transform kernel: the phase
-    2 pi x y completes ~x_max*y_max cycles, so 4 per cycle plus headroom."""
-    return int(math.ceil(4.0 * x_max * y_max)) + 32

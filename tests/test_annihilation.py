@@ -32,7 +32,7 @@ from hconc.annihilation import (
 from hconc.bessel import Order
 from hconc.errors import DomainError, InternalError
 from hconc.measure import IntervalSet
-from hconc.paley_wiener import apply_Dk, random_pw
+from hconc.paley_wiener import apply_Dk, apply_Dk_all, random_pw
 
 # value pinned from a converged dense-SVD run of the unit S = Sigma = [0, 1]
 # compression at order 0; the doubling loop must land on the same number
@@ -454,6 +454,99 @@ def test_witness_point_satisfies_growth_bounds():
         dk = float(apply_Dk(pw, k, np.sqrt(np.array([t])))[0])
         assert t ** (alpha + k) * dk**2 <= factor * mass * (1 + 1e-9)
         factor *= base
+
+
+def _witness_need(pw, ab, x, n, k_max=8):
+    """Test oracle: the grid of n points on I_x and, at each point, the
+    smallest window mass for which every growth bound of the witness search
+    holds there, from one evaluation of the whole grid."""
+    ts = np.linspace((x - 1.0) ** 2, (x + 1.0) ** 2, n)
+    dk = apply_Dk_all(pw, k_max, np.sqrt(ts))
+    base = 12.0 * math.pi**2 * ab * ab
+    with np.errstate(divide="ignore"):
+        need = [
+            ts ** (pw.order.alpha + k) * dk[k] ** 2 / base**k
+            for k in range(k_max + 1)
+        ]
+    return ts, np.max(need, axis=0)
+
+
+def _first_witness_full_grid(pw, ab, x, mass, k_max=8):
+    """Test oracle: the witness search as a scan of every point of each grid,
+    the first witness of the first grid that holds one, or None."""
+    lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
+    alpha = pw.order.alpha
+    base = 12.0 * math.pi**2 * ab * ab
+    for n in (1000, 10_000, 100_000):
+        ts = np.linspace(lo, hi, n)
+        dk = apply_Dk_all(pw, k_max, np.sqrt(ts))
+        ok = np.ones(n, dtype=bool)
+        factor = 1.0
+        with np.errstate(divide="ignore"):
+            for k in range(k_max + 1):
+                ok &= ts ** (alpha + k) * dk[k] ** 2 <= factor * mass * (1 + 1e-12)
+                factor *= base
+        if np.any(ok):
+            return float(ts[np.argmax(ok)])
+    return None
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.3])
+def test_witness_point_matches_full_grid_scan(alpha):
+    # the good windows of three recipe trials (seed 7, one per ab product)
+    xs = np.arange(1.0, 16.0)
+    first_at_origin = []
+    for trial, ab in enumerate((0.05, 0.1, 0.3)):
+        rng = np.random.default_rng((7, trial))
+        pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
+        bad, mass = good_bad_partition(pw, ab, xs, k_max=8)
+        assert not np.all(bad)
+        for x, m in zip(xs[~bad], mass[~bad]):
+            want = _first_witness_full_grid(pw, ab, x, m)
+            assert want is not None
+            assert witness_point(pw, ab, x, mass=m) == want
+            if x == 1.0:
+                first_at_origin.append(want)
+    # at alpha < 0 the window at x = 1 has no witness at its left end t = 0
+    assert first_at_origin
+    if alpha < 0:
+        assert all(t > 0.0 for t in first_at_origin)
+
+
+def test_witness_point_scans_every_point_in_order():
+    # on the window at x = 1 at alpha = -0.3 the smallest mass that admits a
+    # witness falls strictly along the 1000-point grid, so the mass that
+    # admits grid point i makes i the first witness; i runs over both sides
+    # of the chunk edges 16, 80 and 336, and the last point
+    ab = 0.05
+    pw = random_pw(Order(-0.3), ab, 32, np.random.default_rng((7, 0)), kind="smooth")
+    ts, need = _witness_need(pw, ab, 1.0, 1000)
+    assert np.all(np.diff(need) < 0)
+    for i in (1, 15, 16, 17, 79, 80, 335, 336, 999):
+        assert witness_point(pw, ab, 1.0, mass=need[i]) == ts[i]
+
+
+def test_witness_point_refines_the_grid():
+    # a mass between the smallest need on the 1000-point grid and on the
+    # 10^4-point grid has no witness on the first grid and one on the second
+    ab, x = 0.3, 10.0
+    pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
+    coarse, need_coarse = _witness_need(pw, ab, x, 1000)
+    fine, need_fine = _witness_need(pw, ab, x, 10_000)
+    assert need_fine.min() < need_coarse.min() * (1 - 1e-6)
+    mass = math.sqrt(need_fine.min() * need_coarse.min())
+    t = witness_point(pw, ab, x, mass=mass)
+    assert t == _first_witness_full_grid(pw, ab, x, mass)
+    assert t in fine
+    assert t not in coarse
+
+
+def test_witness_point_raises_without_witness():
+    ab, x = 0.3, 10.0
+    pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
+    mass = 1e-30 * _window_integrals(pw, x, 0)[0]
+    with pytest.raises(InternalError, match="no witness point"):
+        witness_point(pw, ab, x, mass=mass)
 
 
 # --------------------------------------------------------------------------

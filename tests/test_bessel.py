@@ -103,9 +103,10 @@ def test_series_and_ratio_routes_agree_near_cutoff():
 
 
 # mpmath oracle grid: orders alpha + k, k <= 8, on [0, 600] with x = 0, the
-# series cutoff 0.5, both sides of the ladder's switch point alpha + 10, and
-# both sides of every panel edge n <= x_tail of the fast route of each order
-_MP_ALPHAS = (-0.5, 0.0, 0.3, 1.0, 2.3, 8.3)
+# series cutoff 0.5, both sides of alpha + 10, and both sides of every panel
+# edge n <= x_tail of the fast route of each order.  At alpha = 25.3 the top
+# orders, which seed the ladder, pass the table bound (~29) and take jv.
+_MP_ALPHAS = (-0.5, 0.0, 0.3, 1.0, 2.3, 8.3, 25.3)
 _MP_KMAX = 8
 
 
@@ -225,10 +226,23 @@ def test_ladder_shapes_and_validation():
         assert np.allclose(ladder[k], eval_j(order.shifted(k), xs), rtol=0, atol=5e-14)
     assert eval_j_ladder(order, 2, 1.5).shape == (3,)
     assert np.array_equal(eval_j_ladder(order, 0, xs)[0], eval_j(order, xs))
+    # k_max = 1: both rows are the seeds, straight from eval_j
+    pair = eval_j_ladder(order, 1, xs)
+    assert pair.shape == (2, 2, 2)
+    assert np.array_equal(pair[0], eval_j(order, xs))
+    assert np.array_equal(pair[1], eval_j(order.shifted(1), xs))
     with pytest.raises(DomainError):
         eval_j_ladder(order, -1, xs)
     with pytest.raises(DomainError):
         eval_j_ladder(order, 4, np.array([1.0, float("nan")]))
+
+
+def test_ladder_refuses_top_orders_above_300():
+    # the ladder is seeded at its top order, so it has eval_j's range
+    top = eval_j_ladder(Order(292.0), 8, np.array([1.0, 40.0]))
+    assert top[8] == pytest.approx(_mp_j(300.0, [1.0, 40.0]), rel=1e-12)
+    with pytest.raises(DomainError, match="alpha <= 300"):
+        eval_j_ladder(Order(292.5), 8, np.array([1.0, 40.0]))
 
 
 def test_eval_j_rejects_nonfinite():

@@ -208,6 +208,32 @@ def test_plancherel_recipe_passes_at_non_polynomial_weights(tmp_path, alpha):
     assert all(r.passed for r in rows), [(r.params, r.value) for r in rows]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_good_bad_recipe_at_negative_order_is_warning_free(tmp_path):
+    # the window at x = 1 starts at t = 0, where t^alpha is infinite for
+    # alpha < 0; that point fails the growth bound without a warning.  The
+    # rows are pinned: the in-order witness scan changes no value.
+    cfg = ExperimentConfig(
+        name="gb",
+        recipe="good-bad",
+        alpha=-0.3,
+        seed=7,
+        trials=3,
+        output_dir=str(tmp_path),
+    )
+    rows = run(cfg)
+    assert all(r.passed for r in rows)
+    body = (tmp_path / "gb.csv").read_text(encoding="utf-8").splitlines()[2:]
+    assert body == [
+        "gb,quantity=bad-mass trial=0 ab=0.05,0.0048038082253847592,0.34333333333333332,true",
+        "gb,quantity=witnesses trial=0 ab=0.05,13,13,true",
+        "gb,quantity=bad-mass trial=1 ab=0.1,0.016968708009294002,0.34333333333333332,true",
+        "gb,quantity=witnesses trial=1 ab=0.1,13,13,true",
+        "gb,quantity=bad-mass trial=2 ab=0.3,0,0.34333333333333332,true",
+        "gb,quantity=witnesses trial=2 ab=0.3,15,15,true",
+    ]
+
+
 def test_run_guards_unknown_recipe():
     with pytest.raises(UsageError, match="unknown recipe"):
         ExperimentConfig(name="det", recipe="frobnicate")

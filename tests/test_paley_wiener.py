@@ -104,7 +104,8 @@ def test_dk_norm_matches_physical_quadrature():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 def test_apply_dk_all_rows_match_single_order(alpha):
-    # arguments 2 pi x xi reach ~30, across the ladder's switch point
+    # arguments 2 pi x xi reach ~30, on both sides of the turning point
+    # x = alpha + k of every order of the ladder
     pw = random_pw(Order(alpha), 0.3, 32, np.random.default_rng(7), kind="smooth")
     xs = np.sqrt(np.linspace(0.0, 256.0, 2001))
     rows = apply_Dk_all(pw, 8, xs)
@@ -118,9 +119,7 @@ def test_apply_dk_all_rows_match_single_order(alpha):
 
 def test_apply_dk_all_memory_is_chunked():
     # the finest witness grid: 1e5 points in the window around x = 15; an
-    # unchunked ladder would hold 9 x 1e5 x 32 doubles, about 230 MB.  With
-    # ab = 0.05 every argument lies below the ladder's switch point, where
-    # the downward recurrence holds the most work arrays.
+    # unchunked ladder would hold 9 x 1e5 x 32 doubles, about 230 MB.
     pw = random_pw(Order(0.0), 0.05, 32, np.random.default_rng(8), kind="smooth")
     roots = np.sqrt(np.linspace(14.0**2, 16.0**2, 100_000))
     tracemalloc.start()

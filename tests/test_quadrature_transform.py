@@ -10,7 +10,6 @@ from hconc.measure import IntervalSet, mu_density_constant, mu_measure
 from hconc.quadrature import (
     QuadratureRule,
     build_rule,
-    default_transform_nodes,
     mu_fold,
     mu_rule,
     panel_rule,
@@ -83,11 +82,6 @@ def test_set_rule_matches_per_interval_quadrature():
     assert val == pytest.approx(ref, rel=1e-13)
     empty_nodes, empty_weights = set_rule(IntervalSet.empty(), 20.0)
     assert len(empty_nodes) == 0 and len(empty_weights) == 0
-
-
-def test_default_transform_nodes_heuristic():
-    assert default_transform_nodes(1.0, 1.0) == 36
-    assert default_transform_nodes(10.0, 5.0) > default_transform_nodes(5.0, 5.0)
 
 
 def test_quadrature_rule_validation():
