@@ -1,7 +1,8 @@
 """Numerical toolkit for the Hankel-transform concentration machinery:
-normalized Bessel kernels, weighted measures on the half-line, the
-Fourier-Bessel transform, generalized translation, bandlimited (Paley-Wiener)
-models with Bernstein bounds, and energy-concentration experiments.
+normalized Bessel kernels, the weighted measure mu_alpha on the half-line and
+windowed density profiles, the Fourier-Bessel transform, generalized
+translation, bandlimited (Paley-Wiener) models with Bernstein bounds,
+projection-pair norms, and energy-concentration experiments.
 """
 
 __version__ = "0.1.0"
@@ -23,13 +24,9 @@ from .errors import (
     UsageError,
 )
 from .measure import (
-    DensityParams,
     IntervalSet,
-    ThinnessParams,
     density_profile,
-    is_thin,
     mu_measure,
-    nu_measure,
 )
 
 __all__ = [
@@ -42,12 +39,8 @@ __all__ = [
     "zeros_of_j_prime",
     "certify_bound",
     "IntervalSet",
-    "DensityParams",
-    "ThinnessParams",
     "mu_measure",
-    "nu_measure",
     "density_profile",
-    "is_thin",
     "HconcError",
     "DomainError",
     "UsageError",

@@ -24,7 +24,7 @@ Three numerical engines live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -33,9 +33,9 @@ from .bessel import Order, cached_zero_table, certify_bound, eval_j
 from .errors import ConvergenceError, DomainError, InternalError
 from .measure import IntervalSet, mu_density_constant, mu_measure
 from .paley_wiener import (
-    EntireEvenSeries,
     PWFunction,
     apply_Dk_all,
+    dk_coefficients,
     extremal_family,
     extremal_norm_sq,
     synthesize,
@@ -98,15 +98,6 @@ def _pair_block(order: Order, rows, s_rows, cols, s_cols) -> np.ndarray:
     return blk
 
 
-def _pair_factor(pair: ProjectionPair, budget: int) -> np.ndarray:
-    """Factor A with A^T A = the compression of the Sigma-bandpass to S.
-
-    A[k, p] = sqrt(u_k) j_alpha(2 pi x_p xi_k) sqrt(v_p) over mu_alpha
-    quadrature weights u (spectral, on Sigma) and v (spatial, on S).  The
-    dense reference for _pair_gram."""
-    return _pair_block(pair.order, *_pair_nodes(pair, budget))
-
-
 def _pair_gram(pair: ProjectionPair, budget: int) -> np.ndarray:
     """Gram of the pair factor on its shorter side (A A^T when Sigma has
     fewer nodes, else A^T A), summed over row blocks along the longer side
@@ -163,32 +154,6 @@ def annihilation_constant(norm: float) -> float:
     return (1.0 - norm) ** -2
 
 
-def split_norm_bound(
-    S0: IntervalSet,
-    Sinf: IntervalSet,
-    Sigma0: IntervalSet,
-    Sigmainf: IntervalSet,
-    order: Order,
-    nodes_per_interval: int = 64,
-) -> float:
-    """Triangle-inequality bound: sum of the four cross pair norms of the
-    decomposition (S0 + Sinf) x (Sigma0 + Sigmainf)."""
-    total = 0.0
-    for s_part in (S0, Sinf):
-        for sig_part in (Sigma0, Sigmainf):
-            if s_part.is_empty() or sig_part.is_empty():
-                continue
-            pair = ProjectionPair(
-                order=order,
-                S=s_part,
-                Sigma=sig_part,
-                x_max=s_part.sup(),
-                nodes_per_interval=nodes_per_interval,
-            )
-            total += pair_norm(pair)
-    return total
-
-
 def strong_pair_trials(
     order: Order,
     S: IntervalSet,
@@ -237,36 +202,6 @@ def strong_pair_trials(
 # concentration eigenproblem
 
 
-@dataclass(frozen=True)
-class ConcentrationMatrix:
-    """Symmetric PSD Gram of the window-restricted energy form on an
-    orthonormal bandlimited mode basis; eigenvalues are concentration ratios.
-    `eigs` holds them in ascending order."""
-
-    matrix: np.ndarray = field(repr=False)
-    omega: IntervalSet
-    bandlimit: float
-    alpha: float
-    x_max: float
-    n_modes: int
-    eigs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        g = self.matrix
-        eigs = np.empty(0)
-        if g.size:
-            skew = float(np.max(np.abs(g - g.T)))
-            if skew > 1e-12:
-                raise InternalError(f"Gram not symmetric: skew {skew:.3e}")
-            eigs = np.linalg.eigvalsh(g)
-            if eigs[0] < -1e-9 or eigs[-1] > 1.0 + 1e-9:
-                raise InternalError(
-                    "concentration spectrum escaped [0, 1]: "
-                    f"[{eigs[0]:.3e}, {eigs[-1]:.9f}]"
-                )
-        object.__setattr__(self, "eigs", eigs)
-
-
 def _mode_table(order: Order, b: float, x_max: float, cap: int):
     """Frequencies s'_m / (2 pi x_max) <= b and the closed-form mode norms
     on [0, x_max] in mu_alpha.  Mode 0 is the constant; modes are mutually
@@ -306,27 +241,6 @@ def _concentration_factor(
     x, v = mu_rule(order, omega.intersect_window(0.0, x_max), max(12.0, 12.0 * b))
     kern = eval_j(order, np.outer(sp / x_max, x))
     return kern * np.sqrt(v)[None, :] / np.sqrt(norms)[:, None]
-
-
-def concentration_matrix(
-    order: Order,
-    b: float,
-    omega: IntervalSet,
-    x_max: float,
-    n_modes: int = 128,
-) -> ConcentrationMatrix:
-    """Assemble the Omega-window Gram on the orthonormal mode basis: the
-    dense reference for ls_empirical_min_ratio."""
-    B = _concentration_factor(order, b, omega, x_max, n_modes)
-    g = B @ B.T
-    return ConcentrationMatrix(
-        matrix=0.5 * (g + g.T),
-        omega=omega,
-        bandlimit=b,
-        alpha=order.alpha,
-        x_max=x_max,
-        n_modes=len(B),
-    )
 
 
 def ls_empirical_min_ratio(
@@ -412,7 +326,8 @@ def _window_integrals(pw: PWFunction, x, k_max: int, n_nodes: int = 96):
         build_rule((c - 1.0) ** 2, (c + 1.0) ** 2, n_nodes) for c in centers.ravel()
     ]
     s = np.array([rule.nodes for rule in rules]).ravel()
-    dk = apply_Dk_all(pw, k_max, np.sqrt(s)).reshape(k_max + 1, len(rules), n_nodes)
+    dk = apply_Dk_all(pw, dk_coefficients(pw, k_max), np.sqrt(s))
+    dk = dk.reshape(k_max + 1, len(rules), n_nodes)
     alpha = pw.order.alpha
     out = np.empty((len(rules), k_max + 1))
     for i, rule in enumerate(rules):
@@ -483,12 +398,13 @@ def witness_point(
         mass = _window_integrals(pw, x, 0)[0]
     alpha = pw.order.alpha
     base = 12.0 * math.pi**2 * ab * ab
+    coeffs = dk_coefficients(pw, k_max)
     for n in (1000, 10_000, 100_000):
         ts = np.linspace(lo, hi, n)
         start, size = 0, 16
         while start < n:
             t = ts[start : start + size]
-            dk = apply_Dk_all(pw, k_max, np.sqrt(t))
+            dk = apply_Dk_all(pw, coeffs, np.sqrt(t))
             ok = np.ones(len(t), dtype=bool)
             factor = 1.0
             # t = 0 (the window at x = 1) fails the k = 0 bound for alpha < 0
@@ -512,8 +428,6 @@ def witness_point(
 
 
 def _eval_phi(phi, z):
-    if isinstance(phi, EntireEvenSeries):
-        return phi.evaluate(z)
     coeffs = np.asarray(phi, dtype=float)
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     acc = np.zeros_like(zz)
@@ -526,7 +440,7 @@ def kovrijkine_check(phi, interval, J: IntervalSet) -> tuple[float, float]:
     """Both sides of the analytic doubling inequality
     integral_I |phi|^2 <= (300 |I| / |J|)^(2 ln(M/m)/ln 2 + 1) integral_J |phi|^2
     with M the sup of |phi| on the stadium dist(z, I) < 4|I| and m its sup
-    on I.  phi is a power-series coefficient sequence or an EntireEvenSeries.
+    on I.  phi is a power-series coefficient sequence.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:

@@ -376,12 +376,6 @@ def eval_j_derivative(order: Order, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def envelope_amplitude(order: Order) -> float:
-    """Leading oscillation amplitude: j_alpha(t) ~ A t^(-alpha-1/2) cos(...)."""
-    a = order.alpha
-    return 2.0 ** (a + 0.5) * math.gamma(a + 1.0) / math.sqrt(math.pi)
-
-
 @dataclass(frozen=True)
 class ZeroTable:
     """Increasing positive zeros s'_1 < s'_2 < ... of j_alpha' (= zeros of
@@ -410,8 +404,8 @@ def validate_interlacing(table: ZeroTable) -> None:
     """Check the ordering/spacing structure of a zero table.
 
     Raises InternalError naming the interlacing invariant if the entries are
-    not strictly increasing, or if for large index the spacing drifts from
-    the asymptotic value pi.
+    not strictly increasing, or if for large index the last entry drifts
+    from McMahon's expansion of its zero.
     """
     z = np.asarray(table.zeros, dtype=float)
     if len(z) == 0:
@@ -421,15 +415,15 @@ def validate_interlacing(table: ZeroTable) -> None:
             "interlacing invariant violated: zero table entries must be "
             "strictly increasing and positive"
         )
-    alpha = table.order.alpha
     n = len(z)
     if n >= 50:
-        # s'_n = pi (n + (2 alpha + 1)/4 + O(1/n)); allow a generous O(1/n).
-        drift = abs(z[-1] / math.pi - n - (2 * alpha + 1) / 4.0)
+        # s'_n is the n-th zero of J_{alpha+1}: McMahon's expansion plus
+        # O(1/n^5); allow a generous O(1/n), in units of pi.
+        drift = abs(z[-1] - _mcmahon_guess(table.order.alpha + 1.0, n)) / math.pi
         if drift > 10.0 / n + 1e-6:
             raise InternalError(
-                "interlacing invariant violated: asymptotic spacing of the "
-                f"zero table is off by {drift:.3e} at index {n}"
+                "interlacing invariant violated: the last zero of the table "
+                f"is {drift:.3e} pi off McMahon's expansion at index {n}"
             )
 
 
@@ -459,12 +453,9 @@ def zeros_of_j_prime(order: Order, count: int) -> ZeroTable:
     ks = np.arange(1, count + 1, dtype=float)
     guess = _mcmahon_guess(nu, ks)
     z = guess.copy()
-    # Newton on j_{alpha+1}; its derivative is -x j_{alpha+2}(x) / (2(alpha+2)).
-    higher2 = high.shifted(1)
+    # Newton on j_{alpha+1}
     for _ in range(12):
-        f = eval_j(high, z)
-        fp = -z / (2.0 * (nu + 1.0)) * eval_j(higher2, z)
-        step = f / fp
+        step = eval_j(high, z) / eval_j_derivative(high, z)
         z = z - step
         if np.max(np.abs(step)) < 1e-14 * max(1.0, z[-1]):
             break

@@ -1,11 +1,11 @@
 """Interval-union subsets of the half-line and their weighted measures.
 
-Two measures appear throughout: mu_alpha with density
+The measure is mu_alpha with density
 (2 pi^(alpha+1) / Gamma(alpha+1)) x^(2 alpha + 1) dx, used for the transform
-and all x-variable energies, and nu_alpha with density
-(pi^(alpha+1) / Gamma(alpha+1)) s^alpha ds, its image under s = x^2.
-Both have exact closed-form antiderivatives, so all set measures here are
-closed-form, not quadrature.
+and all x-variable energies.  Its image under s = x^2, nu_alpha, has density
+(pi^(alpha+1) / Gamma(alpha+1)) s^alpha ds, so a nu_alpha mass is the
+mu_alpha mass of the root set.  The density has an exact closed-form
+antiderivative, so all set measures here are closed-form, not quadrature.
 """
 
 from __future__ import annotations
@@ -82,15 +82,6 @@ class IntervalSet:
                 out.append((c, d))
         return IntervalSet(tuple(out))
 
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for a, b in other.intervals:
-            out.extend(self.intersect_window(a, b).intervals)
-        return IntervalSet.of(out) if out else IntervalSet.empty()
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.of(list(self.intervals) + list(other.intervals))
-
     def complement_within(self, lo: float, hi: float) -> "IntervalSet":
         """Closure of [lo,hi] minus this set, as an interval union."""
         if hi <= lo:
@@ -104,38 +95,6 @@ class IntervalSet:
         if cursor < hi:
             gaps.append((cursor, hi))
         return IntervalSet.of(gaps) if gaps else IntervalSet.empty()
-
-    def scaled(self, lam: float) -> "IntervalSet":
-        if lam <= 0:
-            raise DomainError("scale factor must be positive")
-        return IntervalSet(tuple((lam * a, lam * b) for a, b in self.intervals))
-
-
-@dataclass(frozen=True)
-class DensityParams:
-    """Relative-density parameters: every window [x-a, x+a] must hold at
-    least a gamma fraction of the window's mu_alpha mass."""
-
-    gamma: float
-    a: float
-
-    def __post_init__(self):
-        if not (0 < self.gamma <= 1):
-            raise DomainError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not (self.a > 0):
-            raise DomainError(f"a must be positive, got {self.a}")
-
-
-@dataclass(frozen=True)
-class ThinnessParams:
-    """Thinness level: window mass fraction must stay below eps."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not (0 < self.eps < 1):
-            raise DomainError(f"eps must be in (0, 1), got {self.eps}")
-
 
 def _pi_power_over_gamma(order: Order, z: float) -> float:
     """pi^(alpha+1) / Gamma(z), through lgamma where Gamma(z) overflows a
@@ -173,15 +132,6 @@ def mu_measure(order: Order, subset: IntervalSet) -> float:
     sum of pi^(alpha+1) (hi^(2a+2) - lo^(2a+2)) / Gamma(alpha+2)."""
     scale = _pi_power_over_gamma(order, order.alpha + 2.0)
     p = 2.0 * order.alpha + 2.0
-    _check_power_range(order, subset.sup(), p)
-    return scale * sum(hi**p - lo**p for lo, hi in subset.intervals)
-
-
-def nu_measure(order: Order, subset: IntervalSet) -> float:
-    """nu_alpha of an interval union, closed form:
-    sum of pi^(alpha+1) (hi^(a+1) - lo^(a+1)) / Gamma(alpha+2)."""
-    scale = _pi_power_over_gamma(order, order.alpha + 2.0)
-    p = order.alpha + 1.0
     _check_power_range(order, subset.sup(), p)
     return scale * sum(hi**p - lo**p for lo, hi in subset.intervals)
 
@@ -234,47 +184,6 @@ def density_profile(
     xs, ratios = density_profile_rows(order, subset, a, x_max, step)
     k = int(np.argmin(ratios))
     return float(ratios[k]), float(xs[k])
-
-
-def _thin_window_samples(endpoints: list[float], base: np.ndarray, lo: float, hi: float):
-    pts = [p for p in endpoints if lo <= p <= hi]
-    return np.unique(np.concatenate([base, np.array(pts, dtype=float)]))
-
-
-def is_thin(
-    order: Order, subset: IntervalSet, params: ThinnessParams, x_max: float
-) -> bool:
-    """Sliding-window sparsity test at level eps.
-
-    True iff mu(S & [x, x+1]) <= eps * mu([x, x+1]) for sampled x in [0, 1]
-    and mu(S & [x, x+1/x]) <= eps * mu([x, x+1/x]) for sampled x in [1, x_max].
-    Sample grids are augmented with window positions that align a window edge
-    with a set endpoint, where the ratio is locally extremal.
-    """
-    if x_max < 1:
-        raise DomainError("x_max must be >= 1")
-    if subset.sup() > x_max + 1:
-        raise UsageError("subset must be bounded by x_max (+1 window slack)")
-    eps = params.eps
-    ends = [e for pair in subset.intervals for e in pair]
-
-    xs = np.linspace(0.0, 1.0, 513)
-    cand = [e - 1.0 for e in ends] + ends
-    xs = _thin_window_samples(cand, xs, 0.0, 1.0)
-    part, full = _window_masses(order, subset, xs, xs + 1.0)
-    if np.any(part > eps * full * (1 + 1e-12)):
-        return False
-
-    xs = np.linspace(1.0, x_max, max(513, int(64 * x_max)))
-    cand = list(ends)
-    for e in ends:
-        # x + 1/x = e  =>  x = (e +/- sqrt(e^2 - 4)) / 2
-        if e >= 2.0:
-            r = math.sqrt(e * e - 4.0)
-            cand.extend([(e - r) / 2.0, (e + r) / 2.0])
-    xs = _thin_window_samples(cand, xs, 1.0, x_max)
-    part, full = _window_masses(order, subset, xs, xs + 1.0 / xs)
-    return not np.any(part > eps * full * (1 + 1e-12))
 
 
 def load_interval_set(path: str) -> IntervalSet:

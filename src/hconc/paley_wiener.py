@@ -70,34 +70,26 @@ def synthesize(pw: PWFunction, x) -> np.ndarray | float:
     return float(vals[0]) if scalar else vals
 
 
-def apply_Dk(pw: PWFunction, k: int, x) -> np.ndarray | float:
-    """k-th iterate of D = (1/2x) d/dx applied to the synthesis:
-    D^k f(x) = (-pi)^k * integral of spectrum * j_{alpha+k}(2 pi x xi)
-    against d mu_{alpha+k}.  It evaluates order alpha+k directly, so it is
-    also the reference that apply_Dk_all is tested against."""
-    if not (0 <= k <= _MAX_DK):
-        raise DomainError(f"derivative order k must be in [0, {_MAX_DK}]")
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    coeffs = pw.mu_hat_weights(shift=k) * pw.coeffs
-    vals = (-math.pi) ** k * kernel_apply(
-        pw.order.shifted(k), xs, pw.spectral_rule.nodes, coeffs
-    )
-    return float(vals[0]) if scalar else vals
-
-
-def apply_Dk_all(pw: PWFunction, k_max: int, x) -> np.ndarray:
-    """D^k f at x for every k = 0..k_max, as the rows of a (k_max+1, len(x))
-    array; row k is apply_Dk(pw, k, x), but all rows share one order ladder
-    (two Bessel evaluations) per kernel block."""
+def dk_coefficients(pw: PWFunction, k_max: int) -> np.ndarray:
+    """Spectral coefficient rows of D^k f for k = 0..k_max: row k is the
+    spectrum with the order-(alpha+k) measure folded in.  A caller that
+    evaluates D^k f at many point sets forms them once."""
     if not (0 <= k_max <= _MAX_DK):
         raise DomainError(f"derivative order k_max must be in [0, {_MAX_DK}]")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    coeffs = np.stack(
+    return np.stack(
         [pw.mu_hat_weights(shift=k) * pw.coeffs for k in range(k_max + 1)]
     )
+
+
+def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
+    """D^k f at x for every k = 0..k_max, as the rows of a (k_max+1, len(x))
+    array, from the rows `coeffs` = dk_coefficients(pw, k_max):
+    D^k f(x) = (-pi)^k * integral of spectrum * j_{alpha+k}(2 pi x xi)
+    against d mu_{alpha+k}.  All rows share one order ladder (two Bessel
+    evaluations) per kernel block."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     vals = kernel_apply(pw.order, xs, pw.spectral_rule.nodes, coeffs)
-    vals *= np.array([(-math.pi) ** k for k in range(k_max + 1)])[:, None]
+    vals *= np.array([(-math.pi) ** k for k in range(len(coeffs))])[:, None]
     return vals
 
 
@@ -117,28 +109,13 @@ def bernstein_sides(pw: PWFunction, k: int) -> tuple[float, float]:
     lhs = ||D^k f||_{alpha+k}, rhs = sqrt(G(a+1)/G(a+k+1)) (pi^(3/2) b)^k ||f||."""
     a = pw.order.alpha
     lhs = dk_norm(pw, k)
-    factor = math.sqrt(math.gamma(a + 1.0) / math.gamma(a + k + 1.0))
+    if a + k + 1.0 < 171.0:
+        factor = math.sqrt(math.gamma(a + 1.0) / math.gamma(a + k + 1.0))
+    else:
+        # Gamma overflows a double past 171; the quotient does not
+        factor = math.exp(0.5 * (math.lgamma(a + 1.0) - math.lgamma(a + k + 1.0)))
     rhs = factor * (math.pi**1.5 * pw.bandlimit) ** k * plancherel_norm(pw)
     return lhs, rhs
-
-
-def physical_norm(pw: PWFunction, x_max: float, nodes_per_unit: float = 8.0) -> float:
-    """Independent L2 norm by quadrature of the synthesized function on
-    [0, x_max]; approaches the spectral norm as x_max grows."""
-    per_unit = nodes_per_unit * max(1.0, pw.bandlimit)
-    x, w = mu_rule(pw.order, IntervalSet.of([(0.0, x_max)]), per_unit)
-    return float(np.sqrt(np.dot(w, synthesize(pw, x) ** 2)))
-
-
-def sqrt_substitute(x_nodes, f_values) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-variable resampling: g(s) = f(sqrt(s)) on s = x^2.
-
-    Carries the norm identity
-    integral |g|^2 s^alpha ds = (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2."""
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    if np.any(x_nodes < 0):
-        raise DomainError("squared-variable substitution needs x >= 0")
-    return x_nodes**2, np.asarray(f_values, dtype=float).copy()
 
 
 def random_pw(
@@ -174,63 +151,6 @@ def random_pw(
     if nrm == 0.0:
         raise DomainError("degenerate random draw")
     return PWFunction(order=order, bandlimit=b, spectral_rule=rule, coeffs=c / nrm)
-
-
-def indicator_pw(order: Order, n_spec: int = 64) -> PWFunction:
-    """The normalized indicator spectrum on (0, 1/(2 pi)): its synthesis is
-    the order-(alpha+1) kernel itself (the n=0 member of the peaked family)."""
-    b = 1.0 / (2.0 * math.pi)
-    rule = build_rule(0.0, b, n_spec)
-    coeffs = np.full(len(rule), theta_constant(order))
-    return PWFunction(order=order, bandlimit=b, spectral_rule=rule, coeffs=coeffs)
-
-
-@dataclass(frozen=True)
-class EntireEvenSeries:
-    """Truncated even power series f(z) = sum a_n z^(2n), evaluatable for
-    complex z.  Built from a PWFunction by expanding the synthesis kernel; the
-    coefficient decay is factorial so 'terms' in the tens suffices on any
-    bounded disc."""
-
-    coefficients: np.ndarray = field(repr=False)
-
-    def evaluate(self, z) -> np.ndarray | complex:
-        scalar = np.isscalar(z)
-        zz = np.atleast_1d(np.asarray(z, dtype=complex)) ** 2
-        # Horner in z^2
-        acc = np.zeros_like(zz)
-        for a_n in self.coefficients[::-1]:
-            acc = acc * zz + a_n
-        return complex(acc[0]) if scalar else acc
-
-    def in_s_variable(self) -> np.ndarray:
-        """Power-series coefficients of g(s) = f(sqrt(s)) = sum a_n s^n."""
-        return self.coefficients.copy()
-
-    @staticmethod
-    def from_pw(pw: PWFunction, extent: float = 8.0, terms: int = 0) -> "EntireEvenSeries":
-        """Expand the synthesis of a PWFunction: the kernel series in the
-        phase 2 pi x xi gives a_m = G(a+1) (-1)^m / (m! G(m+a+1)) *
-        sum_i w_hat_i c_i (pi xi_i)^(2m).  `extent` is the radius |z| on
-        which the truncation must hold to double precision."""
-        a = pw.order.alpha
-        xi = pw.spectral_rule.nodes
-        wc = pw.mu_hat_weights() * pw.coeffs
-        if terms <= 0:
-            # factorial-squared decay kicks in past m ~ e pi b extent
-            terms = int(math.e * math.pi * pw.bandlimit * extent) + 40
-        coeff = np.empty(terms)
-        powers = np.ones_like(xi)
-        base = (math.pi * xi) ** 2
-        for m in range(terms):
-            log_scale = (
-                math.lgamma(a + 1.0)
-                - math.lgamma(m + 1.0)
-                - math.lgamma(m + a + 1.0)
-            )
-            coeff[m] = (-1.0) ** m * math.exp(log_scale) * float(np.dot(powers, wc))
-            powers = powers * base
-        return EntireEvenSeries(coefficients=coeff)
 
 
 # --- peaked interpolation family -------------------------------------------

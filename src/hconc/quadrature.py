@@ -56,9 +56,6 @@ class QuadratureRule:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
 
 def build_rule(lo: float, hi: float, n: int) -> QuadratureRule:
     """Gauss-Legendre rule mapped affinely to (lo, hi); 2 <= n <= 1e5."""

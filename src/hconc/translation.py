@@ -1,4 +1,4 @@
-"""Generalized translation on the half-line and the associated convolution.
+"""Generalized translation on the half-line.
 
 The translation of f from x to y averages f over the triangle-side distance
 sqrt(x^2 + y^2 - 2 x y cos(theta)) against the weight sin(theta)^(2 alpha):
@@ -23,7 +23,6 @@ from scipy import special
 
 from .bessel import Order
 from .errors import ConvergenceError, DomainError
-from .measure import mu_density_constant
 from .quadrature import QuadratureRule
 
 _AGREE_TOL = 1e-10
@@ -106,69 +105,3 @@ def translate_batch(
 def translate(plan: TranslationPlan, x: float, f, y: float) -> float:
     """T_x f(y) for a single evaluation point."""
     return float(translate_batch(plan, x, f, np.array([y]))[0])
-
-
-def _kernel_W_constant(a: float) -> float:
-    """Normalising constant of the translation kernel density at order a."""
-    return (
-        2.0 ** (-2.0 * a)
-        * math.gamma(a + 1.0) ** 2
-        / (math.pi ** (a + 1.5) * math.gamma(a + 0.5))
-    )
-
-
-def kernel_W(order: Order, x: float, y: float, t) -> np.ndarray | float:
-    """Density of the translation measure at t: supported on
-    |x-y| < t < x+y, proportional to Delta(x,y,t)^(2a-1) / (xyt)^(2a) where
-    Delta is the area factor sqrt((x+y)^2-t^2) * sqrt(t^2-(x-y)^2)."""
-    a = order.alpha
-    if a == -0.5:
-        raise DomainError(
-            "kernel density is degenerate at order -1/2 (two endpoint atoms)"
-        )
-    if x <= 0 or y <= 0:
-        raise DomainError("kernel_W requires x, y > 0")
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t)
-    lo, hi = abs(x - y), x + y
-    inside = (t > lo) & (t < hi)
-    if np.any(inside):
-        ti = t[inside]
-        delta = np.sqrt((hi * hi - ti * ti) * (ti * ti - lo * lo))
-        const = _kernel_W_constant(a)
-        out[inside] = const * delta ** (2.0 * a - 1.0) / (x * y * ti) ** (2.0 * a)
-    return float(out[0]) if scalar else out
-
-
-def translate_via_kernel(order: Order, x: float, f, y: float, n: int = 256) -> float:
-    """Independent route to T_x f(y): integrate f against the kernel density
-    over (|x-y|, x+y) in mu_alpha.  The substitution t^2 = x^2 + y^2 + 2xy u
-    turns the endpoint singularities into the Gauss-Jacobi weight."""
-    a = order.alpha
-    if a == -0.5:
-        raise DomainError("no kernel density at order -1/2")
-    if x == 0.0 or y == 0.0:
-        return float(np.asarray(f(np.array([max(x, y)])))[0])
-    u, w = special.roots_jacobi(n, a - 0.5, a - 0.5)
-    t = np.sqrt(x * x + y * y + 2.0 * x * y * u)
-    # W with the (1-u^2)^(a-1/2) factor stripped (absorbed by the rule):
-    const = _kernel_W_constant(a)
-    w_smooth = const * (2.0 * x * y) ** (2.0 * a - 1.0) / (x * y * t) ** (2.0 * a)
-    dens = mu_density_constant(order) * t ** (2.0 * a + 1.0)
-    jac = x * y / t  # dt = (x y / t) du
-    vals = np.asarray(f(t), dtype=float)
-    return float(np.dot(w, vals * w_smooth * dens * jac))
-
-
-def convolve(order: Order, nodes, weights, values, g, out_nodes) -> np.ndarray:
-    """(f * g)(x) = integral of f(t) T_x g(t) d mu_alpha(t), nested quadrature;
-    f is known by its values at the nodes of a rule with mu_alpha weights."""
-    out_nodes = np.atleast_1d(np.asarray(out_nodes, dtype=float))
-    plan = make_plan(order)
-    mw = weights * values
-    result = np.empty(len(out_nodes))
-    for i, x in enumerate(out_nodes):
-        tg = translate_batch(plan, float(x), g, nodes)
-        result[i] = float(np.dot(mw, tg))
-    return result

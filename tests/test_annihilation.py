@@ -8,16 +8,13 @@ from scipy import linalg
 
 from hconc import annihilation
 from hconc.annihilation import (
-    ConcentrationMatrix,
     LSParams,
     ProjectionPair,
-    _pair_factor,
     _pair_gram,
     _sigma_max,
     _window_integrals,
     annihilation_constant,
     bad_mass_fraction,
-    concentration_matrix,
     density_necessity_demo,
     good_bad_partition,
     kovrijkine_check,
@@ -25,14 +22,14 @@ from hconc.annihilation import (
     ls_bound_log10,
     ls_empirical_min_ratio,
     pair_norm,
-    split_norm_bound,
     strong_pair_trials,
     witness_point,
 )
 from hconc.bessel import Order
 from hconc.errors import DomainError, InternalError
 from hconc.measure import IntervalSet
-from hconc.paley_wiener import apply_Dk, apply_Dk_all, random_pw
+from hconc.paley_wiener import apply_Dk_all, dk_coefficients, random_pw
+from oracles import ConcentrationMatrix, _pair_factor, apply_Dk, concentration_matrix
 
 # value pinned from a converged dense-SVD run of the unit S = Sigma = [0, 1]
 # compression at order 0; the doubling loop must land on the same number
@@ -227,24 +224,27 @@ def test_split_bound_dominates_union_norm():
         ((0.5, 1.5), (2.5, 3.0), (0.0, 0.5), (0.8, 1.2)),
     ]
     for s0, sinf, g0, ginf in cases:
-        S0, Sinf = IntervalSet.of([s0]), IntervalSet.of([sinf])
-        Sig0, Siginf = IntervalSet.of([g0]), IntervalSet.of([ginf])
-        bound = split_norm_bound(S0, Sinf, Sig0, Siginf, order)
+        # triangle inequality: the union pair's norm is at most the sum of
+        # the four cross pair norms
+        bound = sum(
+            pair_norm(
+                ProjectionPair(
+                    order=order,
+                    S=IntervalSet.of([s]),
+                    Sigma=IntervalSet.of([g]),
+                    x_max=s[1],
+                )
+            )
+            for s in (s0, sinf)
+            for g in (g0, ginf)
+        )
         union = ProjectionPair(
             order=order,
-            S=S0.union(Sinf),
-            Sigma=Sig0.union(Siginf),
-            x_max=Sinf.sup(),
+            S=IntervalSet.of([s0, sinf]),
+            Sigma=IntervalSet.of([g0, ginf]),
+            x_max=sinf[1],
         )
         assert pair_norm(union) <= bound + 1e-5
-
-
-def test_split_bound_skips_empty_parts():
-    order = Order(0.0)
-    s = IntervalSet.of([(0.0, 1.0)])
-    g = IntervalSet.of([(0.0, 1.0)])
-    only = split_norm_bound(s, IntervalSet.empty(), g, IntervalSet.empty(), order)
-    assert only == pytest.approx(pair_norm(_unit_pair()), abs=1e-6)
 
 
 def test_strong_pair_rows_hold_and_are_deterministic():
@@ -307,12 +307,12 @@ def test_empty_window_gives_zero_ratio():
 
 def test_concentration_matrix_validation():
     with pytest.raises(DomainError):
-        concentration_matrix(Order(0.0), 0.0, IntervalSet.of([(0.0, 1.0)]), 10.0)
+        ls_empirical_min_ratio(Order(0.0), 0.0, IntervalSet.of([(0.0, 1.0)]), 10.0)
     with pytest.raises(DomainError):
-        concentration_matrix(Order(0.0), 1.0, IntervalSet.of([(0.0, 20.0)]), 10.0)
+        ls_empirical_min_ratio(Order(0.0), 1.0, IntervalSet.of([(0.0, 20.0)]), 10.0)
     for cap in (0, -5):
         with pytest.raises(DomainError, match="n_modes"):
-            concentration_matrix(
+            ls_empirical_min_ratio(
                 Order(0.0), 1.0, IntervalSet.of([(0.0, 1.0)]), 10.0, n_modes=cap
             )
 
@@ -461,7 +461,7 @@ def _witness_need(pw, ab, x, n, k_max=8):
     smallest window mass for which every growth bound of the witness search
     holds there, from one evaluation of the whole grid."""
     ts = np.linspace((x - 1.0) ** 2, (x + 1.0) ** 2, n)
-    dk = apply_Dk_all(pw, k_max, np.sqrt(ts))
+    dk = apply_Dk_all(pw, dk_coefficients(pw, k_max), np.sqrt(ts))
     base = 12.0 * math.pi**2 * ab * ab
     with np.errstate(divide="ignore"):
         need = [
@@ -479,7 +479,7 @@ def _first_witness_full_grid(pw, ab, x, mass, k_max=8):
     base = 12.0 * math.pi**2 * ab * ab
     for n in (1000, 10_000, 100_000):
         ts = np.linspace(lo, hi, n)
-        dk = apply_Dk_all(pw, k_max, np.sqrt(ts))
+        dk = apply_Dk_all(pw, dk_coefficients(pw, k_max), np.sqrt(ts))
         ok = np.ones(n, dtype=bool)
         factor = 1.0
         with np.errstate(divide="ignore"):

@@ -12,7 +12,6 @@ from hconc.bessel import (
     ZeroTable,
     cached_zero_table,
     certify_bound,
-    envelope_amplitude,
     eval_j,
     eval_j_derivative,
     eval_j_ladder,
@@ -302,6 +301,19 @@ def test_zero_table_validation_catches_corruption():
         ZeroTable(order=order, zeros=zs)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 15.0, 20.0, 25.0])
+def test_zero_table_check_is_centred_on_mcmahon(alpha):
+    # the last zero of a correct table sits (4 nu^2 - 1) / (8 beta) below
+    # pi (n + (2 alpha + 1)/4): 0.18 pi at alpha = 15 and 0.30 pi at 20 for
+    # n = 64, beyond the 10/n slack, so the check must include that term
+    mpmath = pytest.importorskip("mpmath")
+    order = Order(alpha)
+    zs = np.array([float(mpmath.besseljzero(alpha + 1.0, k)) for k in range(1, 66)])
+    assert len(ZeroTable(order=order, zeros=zs[:64])) == 64
+    with pytest.raises(InternalError, match="interlacing"):
+        ZeroTable(order=order, zeros=zs[1:])
+
+
 def test_s_prime_indexing():
     table = zeros_of_j_prime(Order(0.0), 10)
     assert table.s_prime(0) == 0.0
@@ -331,11 +343,12 @@ def test_certified_bound_dominates_dense_grid():
 
 
 def test_envelope_amplitude_matches_tail():
-    # |j_alpha(t)| * t^(alpha+1/2) oscillates up to the leading amplitude,
-    # overshooting it only by the O(1/t) asymptotic correction
+    # |j_alpha(t)| * t^(alpha+1/2) oscillates up to the leading amplitude
+    # 2^(alpha+1/2) Gamma(alpha+1) / sqrt(pi), overshooting it only by the
+    # O(1/t) asymptotic correction
     for alpha in (0.0, 1.0):
         order = Order(alpha)
-        amp = envelope_amplitude(order)
+        amp = 2.0 ** (alpha + 0.5) * math.gamma(alpha + 1.0) / math.sqrt(math.pi)
         ts = np.linspace(300.0, 400.0, 40001)
         scaled = np.abs(eval_j(order, ts)) * ts ** (alpha + 0.5)
         assert np.max(scaled) == pytest.approx(amp, rel=1e-3)

@@ -266,6 +266,16 @@ def test_cli_bessel_eval_large_order(capsys):
     assert cli.main(["bessel", "eval", "--alpha", "301", "--x", "1"]) == 2
 
 
+def test_cli_bessel_zeros_large_order(capsys):
+    mpmath = pytest.importorskip("mpmath")
+    rc = cli.main(["bessel", "zeros", "--alpha", "20", "--count", "64"])
+    assert rc == 0
+    zs = [float(s) for s in capsys.readouterr().out.splitlines()]
+    assert len(zs) == 64
+    for k in (1, 32, 64):
+        assert zs[k - 1] == pytest.approx(float(mpmath.besseljzero(21, k)), abs=1e-12)
+
+
 def test_cli_bessel_zeros(capsys):
     rc = cli.main(["bessel", "zeros", "--alpha", "0", "--count", "5"])
     assert rc == 0
@@ -499,6 +509,20 @@ def test_cli_pw_bernstein_table_and_determinism(capsys):
         assert ratio <= 1.0 + 1e-6
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_pw_bernstein_large_order(capsys):
+    # Gamma(alpha + k + 1) overflows a double here; the quotient
+    # Gamma(201) / Gamma(202) = 1/201 does not
+    argv = ["pw", "bernstein", "--alpha", "200", "--b", "1", "--k", "1", "--trials", "1"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "trial,lhs,rhs,ratio"
+    _, lhs, rhs, ratio = (float(v) for v in lines[1].split(","))
+    # the trial function has unit norm, so rhs = pi^(3/2) b / sqrt(201)
+    assert rhs == pytest.approx(math.pi**1.5 / math.sqrt(201.0), rel=1e-12)
+    assert 0.0 < lhs <= rhs
+    assert ratio == pytest.approx(lhs / rhs, rel=1e-15)
 
 
 def test_cli_pw_extremal_peak_normalization(capsys):

@@ -7,16 +7,12 @@ from scipy.integrate import quad
 from hconc.bessel import Order
 from hconc.errors import DomainError, UsageError
 from hconc.measure import (
-    DensityParams,
     IntervalSet,
-    ThinnessParams,
     density_profile,
     density_profile_rows,
-    is_thin,
     load_interval_set,
     mu_density_constant,
     mu_measure,
-    nu_measure,
 )
 
 
@@ -54,8 +50,10 @@ def test_set_algebra_against_membership_oracle():
         b = IntervalSet.of(
             [(lo, lo + w) for lo, w in zip(rng.uniform(0, 10, 3), rng.uniform(0.2, 2, 3))]
         )
-        inter = a.intersect(b)
-        union = a.union(b)
+        inter = IntervalSet.of(
+            [p for lo, hi in b.intervals for p in a.intersect_window(lo, hi).intervals]
+        )
+        union = IntervalSet.of(a.intervals + b.intervals)
         comp = a.complement_within(0.0, 12.0)
         ma, mb = _member_grid(a, xs), _member_grid(b, xs)
         # open/closed endpoint mismatches affect finitely many grid points
@@ -68,9 +66,6 @@ def test_window_and_scale_operations():
     s = IntervalSet.of([(0.0, 2.0), (3.0, 5.0)])
     w = s.intersect_window(1.0, 3.5)
     assert w.intervals == ((1.0, 2.0), (3.0, 3.5))
-    assert s.scaled(2.0).intervals == ((0.0, 4.0), (6.0, 10.0))
-    with pytest.raises(DomainError):
-        s.scaled(0.0)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, -0.2, 0.0, 0.5, 1.0, 3.0])
@@ -87,15 +82,17 @@ def test_mu_measure_matches_quadrature(alpha):
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
 def test_nu_measure_matches_quadrature(alpha):
+    # nu_alpha, the image of mu_alpha under s = x^2, is the mu_alpha mass of
+    # the root set; bad_mass_fraction integrates s-windows that way
     order = Order(alpha)
     subset = IntervalSet.of([(0.2, 1.3), (2.0, 2.8)])
-    dens = 2.0 * math.pi ** (alpha + 1.0) / math.gamma(alpha + 1.0)
-    # same density with the power halved: x^alpha instead of x^(2 alpha + 1)
+    roots = IntervalSet.of([(math.sqrt(a), math.sqrt(b)) for a, b in subset.intervals])
+    dens = math.pi ** (alpha + 1.0) / math.gamma(alpha + 1.0)
     ref = sum(
-        quad(lambda x: 0.5 * dens * x**alpha, lo, hi, epsabs=1e-14)[0]
+        quad(lambda s: dens * s**alpha, lo, hi, epsabs=1e-14)[0]
         for lo, hi in subset.intervals
     )
-    assert nu_measure(order, subset) == pytest.approx(ref, rel=1e-12)
+    assert mu_measure(order, roots) == pytest.approx(ref, rel=1e-12)
 
 
 def test_measure_constants_at_large_orders():
@@ -149,7 +146,7 @@ def test_density_profile_against_bruteforce_scan():
     ratios = []
     for x in xs:
         win = IntervalSet.of([(max(x - a, 0.0), x + a)])
-        num = mu_measure(order, subset.intersect(win))
+        num = mu_measure(order, subset.intersect_window(max(x - a, 0.0), x + a))
         ratios.append(num / mu_measure(order, win))
     k = int(np.argmin(ratios))
     assert gmin == pytest.approx(ratios[k], rel=1e-12)
@@ -178,40 +175,6 @@ def test_density_profile_rows_shapes():
     xs, ratios = density_profile_rows(Order(0.0), s, 1.0, 3.0, step=0.5)
     assert len(xs) == len(ratios) == 5
     assert np.all((0.0 <= ratios) & (ratios <= 1.0))
-
-
-def test_density_params_validation():
-    with pytest.raises(DomainError):
-        DensityParams(gamma=0.0, a=1.0)
-    with pytest.raises(DomainError):
-        DensityParams(gamma=1.1, a=1.0)
-    with pytest.raises(DomainError):
-        DensityParams(gamma=0.5, a=0.0)
-    with pytest.raises(DomainError):
-        ThinnessParams(eps=1.0)
-
-
-def test_is_thin_separates_sparse_from_fat():
-    order = Order(0.0)
-    thin = IntervalSet.of([(k + 0.0, k + 0.001) for k in range(1, 30)])
-    fat = IntervalSet.of([(k + 0.0, k + 0.9) for k in range(1, 30)])
-    assert is_thin(order, thin, ThinnessParams(eps=0.05), 30.0)
-    assert not is_thin(order, fat, ThinnessParams(eps=0.05), 30.0)
-
-
-def test_is_thin_bruteforce_windows():
-    order = Order(0.5)
-    subset = IntervalSet.of([(2.0, 2.2), (5.0, 5.1), (9.0, 9.05)])
-    eps = 0.2
-    verdict = is_thin(order, subset, ThinnessParams(eps=eps), 12.0)
-    worst = 0.0
-    for x in np.linspace(0.0, 1.0, 2001):
-        win = IntervalSet.of([(x, x + 1.0)])
-        worst = max(worst, mu_measure(order, subset.intersect(win)) / mu_measure(order, win))
-    for x in np.linspace(1.0, 12.0, 8001):
-        win = IntervalSet.of([(x, x + 1.0 / x)])
-        worst = max(worst, mu_measure(order, subset.intersect(win)) / mu_measure(order, win))
-    assert verdict == (worst <= eps * (1 + 1e-9))
 
 
 def test_load_interval_set(tmp_path):

@@ -3,30 +3,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from hconc.bessel import Order, cached_zero_table, eval_j
 from hconc.errors import DomainError
 from hconc.measure import IntervalSet, mu_measure
 from hconc.paley_wiener import (
-    EntireEvenSeries,
     PWFunction,
-    apply_Dk,
     apply_Dk_all,
     bernstein_sides,
+    dk_coefficients,
     dk_norm,
     extremal_family,
     extremal_norm_sq,
     extremal_peak,
-    indicator_pw,
-    physical_norm,
     plancherel_norm,
     random_pw,
-    sqrt_substitute,
+    synthesize,
     tail_mass,
     theta_constant,
 )
 from hconc.quadrature import build_rule, mu_rule
+from oracles import apply_Dk
 
 
 def test_theta_constant_closed_forms():
@@ -61,7 +58,9 @@ def test_plancherel_vs_physical_norm(alpha):
     rng = np.random.default_rng(11)
     pw = random_pw(Order(alpha), 1.0, 128, rng, kind="smooth")
     assert plancherel_norm(pw) == pytest.approx(1.0, rel=1e-13)
-    assert physical_norm(pw, 40.0, nodes_per_unit=10.0) == pytest.approx(1.0, rel=1e-7)
+    x, w = mu_rule(pw.order, IntervalSet.of([(0.0, 40.0)]), 10.0)
+    physical = math.sqrt(np.dot(w, synthesize(pw, x) ** 2))
+    assert physical == pytest.approx(1.0, rel=1e-7)
 
 
 def test_dk_norm_at_zero_is_plancherel():
@@ -72,13 +71,7 @@ def test_dk_norm_at_zero_is_plancherel():
 def test_apply_dk_at_zero_is_synthesis():
     pw = random_pw(Order(0.7), 1.0, 64, np.random.default_rng(2))
     xs = np.linspace(0.0, 5.0, 11)
-    assert np.max(np.abs(apply_Dk(pw, 0, xs) - synthesize_vals(pw, xs))) < 1e-13
-
-
-def synthesize_vals(pw, xs):
-    from hconc.paley_wiener import synthesize
-
-    return synthesize(pw, xs)
+    assert np.max(np.abs(apply_Dk(pw, 0, xs) - synthesize(pw, xs))) < 1e-13
 
 
 def test_apply_dk_matches_finite_difference():
@@ -86,7 +79,7 @@ def test_apply_dk_matches_finite_difference():
     pw = random_pw(Order(0.5), 1.0, 96, np.random.default_rng(3))
     h = 1e-5
     for x in (0.5, 1.1, 2.3):
-        fd = (synthesize_vals(pw, np.array([x + h]))[0] - synthesize_vals(pw, np.array([x - h]))[0]) / (
+        fd = (synthesize(pw, np.array([x + h]))[0] - synthesize(pw, np.array([x - h]))[0]) / (
             2.0 * h
         )
         want = fd / (2.0 * x)
@@ -108,13 +101,13 @@ def test_apply_dk_all_rows_match_single_order(alpha):
     # x = alpha + k of every order of the ladder
     pw = random_pw(Order(alpha), 0.3, 32, np.random.default_rng(7), kind="smooth")
     xs = np.sqrt(np.linspace(0.0, 256.0, 2001))
-    rows = apply_Dk_all(pw, 8, xs)
+    rows = apply_Dk_all(pw, dk_coefficients(pw, 8), xs)
     assert rows.shape == (9, len(xs))
     for k in range(9):
         want = apply_Dk(pw, k, xs)
         assert np.max(np.abs(rows[k] - want)) <= 1e-12 * np.max(np.abs(want))
     with pytest.raises(DomainError):
-        apply_Dk_all(pw, 31, xs)
+        dk_coefficients(pw, 31)
 
 
 def test_apply_dk_all_memory_is_chunked():
@@ -124,7 +117,7 @@ def test_apply_dk_all_memory_is_chunked():
     roots = np.sqrt(np.linspace(14.0**2, 16.0**2, 100_000))
     tracemalloc.start()
     try:
-        rows = apply_Dk_all(pw, 8, roots)
+        rows = apply_Dk_all(pw, dk_coefficients(pw, 8), roots)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -159,65 +152,17 @@ def test_random_pw_determinism_and_kinds():
         random_pw(Order(0.0), 1.0, 32, np.random.default_rng(0), kind="spiky")
 
 
-def test_sqrt_substitute_identity_and_validation():
-    # norm carryover: integral of g(s)^2 s^alpha ds = G(a+1)/pi^(a+1) ||f||^2,
-    # checked for the Gaussian where both sides close in quad
-    alpha = 0.7
-    order = Order(alpha)
-    xs = np.linspace(0.0, 6.0, 7)
-    s, g = sqrt_substitute(xs, np.exp(-np.pi * xs**2))
-    assert np.array_equal(s, xs**2)
-    assert np.array_equal(g, np.exp(-np.pi * xs**2))
-    lhs = quad(lambda t: math.exp(-2.0 * math.pi * t) * t**alpha, 0, 40, epsabs=1e-13)[0]
-    norm_sq = quad(
-        lambda x: math.exp(-2.0 * math.pi * x * x)
-        * 2.0
-        * math.pi ** (alpha + 1)
-        / math.gamma(alpha + 1)
-        * x ** (2 * alpha + 1),
-        0,
-        7,
-        epsabs=1e-13,
-    )[0]
-    assert lhs == pytest.approx(
-        math.gamma(alpha + 1.0) / math.pi ** (alpha + 1.0) * norm_sq, rel=1e-9
-    )
-    with pytest.raises(DomainError):
-        sqrt_substitute(np.array([-1.0, 2.0]), np.array([0.0, 0.0]))
-
-
-def test_entire_series_matches_synthesis_on_disc():
-    # radius kept moderate: the alternating sum's round-off scales with its
-    # largest intermediate term, ~exp(2 pi b r) at radius r
-    pw = random_pw(Order(0.5), 1.0, 64, np.random.default_rng(7))
-    series = EntireEvenSeries.from_pw(pw, extent=3.0)
-    xs = np.linspace(0.0, 3.0, 25)
-    direct = synthesize_vals(pw, xs)
-    via_series = np.real(series.evaluate(xs.astype(complex)))
-    assert np.max(np.abs(direct - via_series)) < 2e-9
-    # evenness and growth off the real axis
-    z = 1.3 + 0.7j
-    assert series.evaluate(-z) == pytest.approx(series.evaluate(z), rel=1e-13)
-    assert abs(series.evaluate(3.0j)) > abs(series.evaluate(3.0))
-
-
-def test_entire_series_s_variable_coefficients():
-    pw = random_pw(Order(0.0), 1.0, 48, np.random.default_rng(8))
-    series = EntireEvenSeries.from_pw(pw, extent=4.0)
-    coeffs = series.in_s_variable()
-    x = 1.7
-    horner = 0.0
-    for c in coeffs[::-1]:
-        horner = horner * x**2 + c
-    assert series.evaluate(x) == pytest.approx(horner, rel=1e-13)
-
-
 def test_indicator_pw_synthesizes_order_shifted_kernel():
+    # the normalized indicator spectrum on (0, 1/(2 pi)) synthesizes the
+    # order-(alpha+1) kernel: the n = 0 member of the peaked family
+    b = 1.0 / (2.0 * math.pi)
+    rule = build_rule(0.0, b, 64)
     for alpha in (0.0, 1.0):
         order = Order(alpha)
-        pw = indicator_pw(order)
+        coeffs = np.full(len(rule), theta_constant(order))
+        pw = PWFunction(order=order, bandlimit=b, spectral_rule=rule, coeffs=coeffs)
         xs = np.linspace(0.0, 12.0, 49)
-        got = synthesize_vals(pw, xs)
+        got = synthesize(pw, xs)
         want = eval_j(order.shifted(1), xs)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -238,7 +183,7 @@ def test_extremal_family_matches_spectral_route(alpha, n):
     pw = _spectral_route_family(order, n)
     xs = np.linspace(0.0, 30.0, 121)
     got = extremal_family(order, n, xs)
-    want = synthesize_vals(pw, xs)
+    want = synthesize(pw, xs)
     assert np.max(np.abs(got - want)) < 1e-10
 
 

@@ -23,7 +23,7 @@ def test_build_rule_polynomial_exactness():
     rule = build_rule(0.5, 3.0, 8)
     for k in range(16):  # degree 2n-1 = 15
         exact = (3.0 ** (k + 1) - 0.5 ** (k + 1)) / (k + 1)
-        assert rule.integrate(rule.nodes**k) == pytest.approx(exact, rel=1e-13)
+        assert np.dot(rule.weights, rule.nodes**k) == pytest.approx(exact, rel=1e-13)
 
 
 def test_build_rule_validation():
@@ -61,7 +61,7 @@ def test_weighted_set_rule_integrates_power_weight(beta):
 
 def test_panel_rule_oscillatory_vs_quad():
     rule = panel_rule(0.0, 30.0, 12.0)
-    val = rule.integrate(np.cos(7.0 * rule.nodes) * np.exp(-0.1 * rule.nodes))
+    val = np.dot(rule.weights, np.cos(7.0 * rule.nodes) * np.exp(-0.1 * rule.nodes))
     ref = quad(lambda x: math.cos(7.0 * x) * math.exp(-0.1 * x), 0, 30, limit=400)[0]
     assert val == pytest.approx(ref, abs=1e-12)
 

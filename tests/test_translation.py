@@ -9,14 +9,8 @@ from hconc.errors import ConvergenceError, DomainError
 from hconc.measure import IntervalSet, mu_density_constant
 from hconc.quadrature import mu_rule
 from hconc.transform import kernel_apply
-from hconc.translation import (
-    convolve,
-    kernel_W,
-    make_plan,
-    translate,
-    translate_batch,
-    translate_via_kernel,
-)
+from hconc.translation import make_plan, translate, translate_batch
+from oracles import convolve, kernel_W, translate_via_kernel
 
 
 def _gauss(t):
