@@ -317,16 +317,29 @@ def ls_bound(params: LSParams) -> float:
 # good/bad windows in the squared variable
 
 
-def _window_integrals(pw: PWFunction, x, k_max: int, n_nodes: int = 96):
+def _dk_rows(pw: PWFunction, k_max: int, coeffs: np.ndarray | None) -> np.ndarray:
+    """Rows 0..k_max of the D^k coefficients: the leading rows of `coeffs`
+    (dk_coefficients(pw, K) for some K >= k_max) when given, else formed."""
+    if coeffs is None:
+        return dk_coefficients(pw, k_max)
+    if len(coeffs) <= k_max:
+        raise DomainError(f"coeffs hold {len(coeffs)} D^k rows, need {k_max + 1}")
+    return coeffs[: k_max + 1]
+
+
+def _window_integrals(
+    pw: PWFunction, x, k_max: int, coeffs: np.ndarray | None = None, n_nodes: int = 96
+):
     """Integrals of |d^k g|^2 s^(alpha+k) over I_x = [(x-1)^2, (x+1)^2] for
     k = 0..k_max, where g(s) = f(sqrt(s)), along the last axis; x is one
-    window center or an array of them."""
+    window center or an array of them.  `coeffs` are D^k rows as `_dk_rows`
+    takes them."""
     centers = np.asarray(x, dtype=float)
     rules = [
         build_rule((c - 1.0) ** 2, (c + 1.0) ** 2, n_nodes) for c in centers.ravel()
     ]
     s = np.array([rule.nodes for rule in rules]).ravel()
-    dk = apply_Dk_all(pw, dk_coefficients(pw, k_max), np.sqrt(s))
+    dk = apply_Dk_all(pw, _dk_rows(pw, k_max, coeffs), np.sqrt(s))
     dk = dk.reshape(k_max + 1, len(rules), n_nodes)
     alpha = pw.order.alpha
     out = np.empty((len(rules), k_max + 1))
@@ -339,19 +352,21 @@ def _window_integrals(pw: PWFunction, x, k_max: int, n_nodes: int = 96):
 
 
 def good_bad_partition(
-    pw: PWFunction, ab: float, x_list, k_max: int
+    pw: PWFunction, ab: float, x_list, k_max: int, coeffs: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Label each window center x >= 1 as bad when some derivative order
     k in [1, k_max] has >= (2 pi ab)^(2k) times the window's own mass:
     integral over I_x of |d^k g|^2 s^(alpha+k) >= (2 pi ab)^(2k) *
     integral over I_x of |g|^2 s^alpha.  Returns the boolean bad-mask and
-    the window masses (the k = 0 integrals), which witness_point takes."""
+    the window masses (the k = 0 integrals), which witness_point takes.
+    `coeffs` = dk_coefficients(pw, K), K >= k_max, are formed when not
+    given; a caller that also runs witness_point forms them once."""
     if ab <= 0:
         raise DomainError("bandlimit product ab must be positive")
     xs = np.atleast_1d(np.asarray(x_list, dtype=float))
     if np.any(xs < 1.0):
         raise DomainError("window centers must be >= 1")
-    ints = _window_integrals(pw, xs, k_max)
+    ints = _window_integrals(pw, xs, k_max, coeffs)
     mass = ints[:, 0]
     bad = np.zeros(len(xs), dtype=bool)
     base = (2.0 * math.pi * ab) ** 2
@@ -383,7 +398,12 @@ def bad_mass_fraction(pw: PWFunction, x_list, bad) -> float:
 
 
 def witness_point(
-    pw: PWFunction, ab: float, x: float, k_max: int = 8, mass: float | None = None
+    pw: PWFunction,
+    ab: float,
+    x: float,
+    k_max: int = 8,
+    mass: float | None = None,
+    coeffs: np.ndarray | None = None,
 ) -> float:
     """The first point t of a grid on I_x where every derivative order obeys
     the pointwise growth bound t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k
@@ -392,13 +412,14 @@ def witness_point(
     points that grow fourfold, and the scan stops at the first chunk that
     holds a witness, so the result is the first witness of the whole grid.
     `mass` is the window's integral of |g|^2 s^alpha, as good_bad_partition
-    returns it; it is computed here when not given."""
+    returns it; it is computed here when not given, as are the D^k rows
+    `coeffs` (see good_bad_partition)."""
     lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
     if mass is None:
-        mass = _window_integrals(pw, x, 0)[0]
+        mass = _window_integrals(pw, x, 0, coeffs)[0]
     alpha = pw.order.alpha
     base = 12.0 * math.pi**2 * ab * ab
-    coeffs = dk_coefficients(pw, k_max)
+    coeffs = _dk_rows(pw, k_max, coeffs)
     for n in (1000, 10_000, 100_000):
         ts = np.linspace(lo, hi, n)
         start, size = 0, 16

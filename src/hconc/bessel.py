@@ -436,12 +436,52 @@ def _mcmahon_guess(nu: float, ks: np.ndarray) -> np.ndarray:
     return guess
 
 
+def _zeros_by_sign_change(high: Order, count: int, tol: np.ndarray) -> np.ndarray:
+    """First `count` positive zeros of j_nu, nu = high.alpha, without guesses:
+    sign changes on the grid nu + k pi/2, bisected to the last bit.  No zero
+    lies below nu and consecutive zeros are more than pi apart, so each grid
+    step holds at most one zero and the n-th sign change is the n-th zero."""
+    nu = high.alpha
+    step = 0.5 * math.pi
+    # McMahon's guess overshoots the low zeros of large orders; the grid is
+    # extended until it holds `count` sign changes
+    end = float(_mcmahon_guess(nu, np.array([float(count)]))[0]) + math.pi
+    while True:
+        grid = nu + step * np.arange(int((end - nu) / step) + 2)
+        f = eval_j(high, grid)
+        change = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))[:count]
+        if len(change) == count:
+            break
+        end += step * (count - len(change) + 1)
+    lo, flo = grid[change], f[change]
+    hi = lo + step
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        fmid = eval_j(high, mid)
+        left = np.signbit(fmid) == np.signbit(flo)
+        lo = np.where(left, mid, lo)
+        flo = np.where(left, fmid, flo)
+        hi = np.where(left, hi, mid)
+    z = 0.5 * (lo + hi)
+    stalled = np.flatnonzero(np.abs(eval_j(high, z)) > tol)
+    if len(stalled):
+        i = stalled[0]
+        raise InternalError(
+            f"zero #{i + 1} refinement stalled: residual "
+            f"{abs(eval_j(high, z[i])):.3e} exceeds {tol[i]:.3e}"
+        )
+    return z
+
+
 def zeros_of_j_prime(order: Order, count: int) -> ZeroTable:
     """First `count` positive zeros of j_alpha' as a validated ZeroTable.
 
     Each zero is a root of j_{alpha+1}: the initial guess comes from the
     large-index expansion, refined by Newton; roots that fail to converge are
-    re-bracketed within guess +/- pi/2 and bisected.  Residual requirement:
+    re-bracketed within guess +/- pi/2 and bisected.  Where a guess is too
+    far off for that (alpha above ~22, where the expansion overshoots the
+    low zeros) or Newton leaves the reals, every zero is found from the sign
+    changes of j_{alpha+1} instead.  Residual requirement:
     |j_{alpha+1}(s'_n)| <= 1e-12 * max(1, n).
     """
     if count < 1:
@@ -451,26 +491,27 @@ def zeros_of_j_prime(order: Order, count: int) -> ZeroTable:
     nu = order.alpha + 1.0
     high = Order(order.alpha).shifted(1)
     ks = np.arange(1, count + 1, dtype=float)
+    tol = 1e-12 * np.maximum(1.0, ks)
     guess = _mcmahon_guess(nu, ks)
     z = guess.copy()
     # Newton on j_{alpha+1}
     for _ in range(12):
-        step = eval_j(high, z) / eval_j_derivative(high, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = eval_j(high, z) / eval_j_derivative(high, z)
         z = z - step
+        if not np.all(np.isfinite(z)):
+            # a step from a flat point of j_{alpha+1}: the guesses are off
+            return ZeroTable(order=order, zeros=_zeros_by_sign_change(high, count, tol))
         if np.max(np.abs(step)) < 1e-14 * max(1.0, z[-1]):
             break
-    tol = 1e-12 * np.maximum(1.0, ks)
     bad = (np.abs(eval_j(high, z)) > tol) | (np.abs(z - guess) > math.pi / 2)
     for i in np.flatnonzero(bad):
         lo = guess[i] - math.pi / 2 + 1e-9
         hi = guess[i] + math.pi / 2 - 1e-9
-        flo = eval_j(high, lo)
-        fhi = eval_j(high, hi)
-        if flo * fhi > 0:
-            raise InternalError(
-                f"failed to bracket zero #{i + 1} of j_{nu:g} within "
-                f"[{lo:.6f}, {hi:.6f}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
-            )
+        if eval_j(high, lo) * eval_j(high, hi) > 0:
+            # the guess is more than pi/2 off, so Newton may have taken the
+            # neighbouring zero for other indices too
+            return ZeroTable(order=order, zeros=_zeros_by_sign_change(high, count, tol))
         z[i] = optimize.brentq(lambda t: eval_j(high, t), lo, hi, xtol=1e-14)
         if abs(eval_j(high, z[i])) > tol[i]:
             raise InternalError(

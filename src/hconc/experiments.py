@@ -3,7 +3,11 @@
 Config files are flat `key = value` text; recipes compose the numerical
 modules into reproducible checks and write one CSV per run.  Reports are
 deterministic given the seed: per-trial generators are spawned from
-(seed, trial index), so --jobs parallelism cannot change any value.
+(seed, trial index), so --jobs parallelism cannot change any value.  The
+Plancherel recipe runs its trials in contiguous batches that share every
+kernel block; each trial keeps its own matrix-vector products, so its values
+do not depend on the batch, and --jobs, which splits the trials into more
+batches, still cannot change them.
 """
 
 from __future__ import annotations
@@ -43,13 +47,14 @@ from .measure import (
 )
 from .paley_wiener import (
     bernstein_sides,
+    dk_coefficients,
     extremal_family,
     extremal_peak,
     random_pw,
     synthesize,
 )
 from .quadrature import mu_rule
-from .transform import kernel_apply, round_trip
+from .transform import kernel_apply, max_sets, round_trip
 from .translation import make_plan, translate, translate_batch
 
 DEFAULT_SEED = 0xC0FFEE
@@ -210,49 +215,81 @@ def _recipe_bernstein(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
     return _map_trials(one, config.trials, jobs)
 
 
-def _plancherel_case(order: Order, b: float, rng) -> tuple[float, float]:
-    """(isometry defect, roundtrip error) for one random band-limited f."""
+def _plancherel_grids(order: Order, b: float):
+    """(x, wx, xi, wxi): the mu_alpha rules of the physical and spectral
+    windows the Plancherel checks run on; they depend on (alpha, b) only."""
     # window and node counts sized so the discrete spectral sum still tracks
     # the decaying continuous profile across the whole window
-    pw = random_pw(order, b, 128, rng, kind="smooth")
     x_max = 40.0 * max(1.0, 1.0 / b)
     # mu_alpha-weighted rules: Gauss-Jacobi next to 0, where the density
     # x^(2 alpha + 1) is not smooth; the inverse kernel oscillates ~x_max
     # cycles per unit of xi
     x, wx = mu_rule(order, IntervalSet.of([(0.0, x_max)]), 10.0)
     xi, wxi = mu_rule(order, IntervalSet.of([(0.0, 2.0 * b)]), max(32.0, 8.0 * x_max))
-    f = synthesize(pw, x)
+    return x, wx, xi, wxi
+
+
+def _plancherel_batch(
+    order: Order, b: float, rngs, grids
+) -> list[tuple[float, float]]:
+    """(isometry defect, roundtrip error) for one random band-limited f per
+    generator, all synthesized in one kernel pass and sent through one
+    `round_trip` pass on `grids` = _plancherel_grids(order, b)."""
+    x, wx, xi, wxi = grids
+    pws = [random_pw(order, b, 128, rng, kind="smooth") for rng in rngs]
+    f = synthesize(pws, x)
     hat, back = round_trip(order, x, wx * f, xi, wxi)
-    defect = abs(math.sqrt(np.dot(wxi, hat**2) / np.dot(wx, f**2)) - 1.0)
-    scale = float(np.max(np.abs(f)))
-    roundtrip = float(np.max(np.abs(back - f))) / scale
-    return defect, roundtrip
+    cases = []
+    for f_j, hat_j, back_j in zip(f, hat, back):
+        defect = abs(math.sqrt(np.dot(wxi, hat_j**2) / np.dot(wx, f_j**2)) - 1.0)
+        scale = float(np.max(np.abs(f_j)))
+        cases.append((defect, float(np.max(np.abs(back_j - f_j))) / scale))
+    return cases
+
+
+def _plancherel_case(order: Order, b: float, rng) -> tuple[float, float]:
+    """(isometry defect, roundtrip error) for one random band-limited f."""
+    return _plancherel_batch(order, b, [rng], _plancherel_grids(order, b))[0]
 
 
 def _recipe_plancherel(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
     order = Order(config.alpha)
+    grids = _plancherel_grids(order, config.b)
+    x, _, xi, _ = grids
+    # contiguous batches, one per job at least, whose set arrays stay
+    # within one kernel block's entries
+    per_job = -(-config.trials // max(1, jobs))
+    size = max(1, min(max_sets(max(len(x), len(xi))), per_job))
+    batches = [
+        range(start, min(start + size, config.trials))
+        for start in range(0, config.trials, size)
+    ]
 
-    def one(t: int) -> list[ReportRow]:
-        rng = _trial_rng(config, t)
-        defect, roundtrip = _plancherel_case(order, config.b, rng)
-        return [
-            ReportRow(
-                config.name,
-                f"quantity=isometry-defect trial={t}",
-                defect,
-                1e-7,
-                defect <= 1e-7,
-            ),
-            ReportRow(
-                config.name,
-                f"quantity=roundtrip-error trial={t}",
-                roundtrip,
-                1e-8,
-                roundtrip <= 1e-8,
-            ),
-        ]
+    def one(i: int) -> list[ReportRow]:
+        trials = batches[i]
+        rngs = [_trial_rng(config, t) for t in trials]
+        cases = _plancherel_batch(order, config.b, rngs, grids)
+        rows = []
+        for t, (defect, roundtrip) in zip(trials, cases):
+            rows += [
+                ReportRow(
+                    config.name,
+                    f"quantity=isometry-defect trial={t}",
+                    defect,
+                    1e-7,
+                    defect <= 1e-7,
+                ),
+                ReportRow(
+                    config.name,
+                    f"quantity=roundtrip-error trial={t}",
+                    roundtrip,
+                    1e-8,
+                    roundtrip <= 1e-8,
+                ),
+            ]
+        return rows
 
-    return _map_trials(one, config.trials, jobs)
+    return _map_trials(one, len(batches), jobs)
 
 
 _TRANSLATION_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 1.7)
@@ -561,13 +598,14 @@ def _recipe_good_bad(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         rng = _trial_rng(config, t)
         ab = _GOOD_BAD_PRODUCTS[t % len(_GOOD_BAD_PRODUCTS)]
         pw = random_pw(order, ab, 32, rng, kind="smooth")
-        bad, mass = good_bad_partition(pw, ab, xs, 8)
+        coeffs = dk_coefficients(pw, 8)
+        bad, mass = good_bad_partition(pw, ab, xs, 8, coeffs)
         frac = bad_mass_fraction(pw, xs, bad)
         goods = xs[~bad]
         found = 0
         for x, m in zip(goods, mass[~bad]):
             try:
-                witness_point(pw, ab, float(x), k_max=8, mass=m)
+                witness_point(pw, ab, float(x), k_max=8, mass=m, coeffs=coeffs)
                 found += 1
             except InternalError:
                 pass

@@ -10,6 +10,7 @@ gives the norm of D^k f as an exact spectral sum (no physical truncation).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,14 +61,28 @@ def plancherel_norm(pw: PWFunction) -> float:
     return float(np.sqrt(np.dot(pw.mu_hat_weights(), pw.coeffs**2)))
 
 
-def synthesize(pw: PWFunction, x) -> np.ndarray | float:
-    """f(x) = integral of the spectrum against j_alpha(2 pi x xi) d mu_alpha."""
+def synthesize(pw: PWFunction | Sequence[PWFunction], x) -> np.ndarray | float:
+    """f(x) = integral of the spectrum against j_alpha(2 pi x xi) d mu_alpha.
+
+    A sequence of members that share one order and spectral rule gives one
+    row per member, all from one pass over the kernel."""
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = kernel_apply(
-        pw.order, xs, pw.spectral_rule.nodes, pw.mu_hat_weights() * pw.coeffs
-    )
-    return float(vals[0]) if scalar else vals
+    if isinstance(pw, PWFunction):
+        vals = kernel_apply(
+            pw.order, xs, pw.spectral_rule.nodes, pw.mu_hat_weights() * pw.coeffs
+        )
+        return float(vals[0]) if scalar else vals
+    first = pw[0]
+    rule = first.spectral_rule
+    for other in pw[1:]:
+        if other.order != first.order or not (
+            np.array_equal(other.spectral_rule.nodes, rule.nodes)
+            and np.array_equal(other.spectral_rule.weights, rule.weights)
+        ):
+            raise DomainError("synthesized members must share order and spectral rule")
+    coeffs = first.mu_hat_weights() * np.stack([p.coeffs for p in pw])
+    return kernel_apply(first.order, xs, rule.nodes, coeffs[None])[0]
 
 
 def dk_coefficients(pw: PWFunction, k_max: int) -> np.ndarray:

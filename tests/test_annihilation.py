@@ -428,6 +428,25 @@ def test_partition_masses_feed_witness_search():
         assert witness_point(pw, ab, x, mass=m) == witness_point(pw, ab, x)
 
 
+def test_good_bad_takes_coefficient_rows_once():
+    # rows formed once per trial give the partition and the witnesses that
+    # each call would form for itself
+    ab = 0.1
+    pw = random_pw(Order(-0.3), ab, 32, np.random.default_rng(10), kind="smooth")
+    xs = np.arange(1.0, 16.0)
+    coeffs = dk_coefficients(pw, 8)
+    bad, mass = good_bad_partition(pw, ab, xs, 8, coeffs=coeffs)
+    ref_bad, ref_mass = good_bad_partition(pw, ab, xs, 8)
+    assert np.array_equal(bad, ref_bad) and np.array_equal(mass, ref_mass)
+    for x, m in zip(xs[~bad][:4], mass[~bad][:4]):
+        got = witness_point(pw, ab, x, k_max=8, mass=m, coeffs=coeffs)
+        assert got == witness_point(pw, ab, x, k_max=8, mass=m)
+        # the window mass comes from the leading row
+        assert witness_point(pw, ab, x, k_max=8, coeffs=coeffs) == got
+    with pytest.raises(DomainError):
+        good_bad_partition(pw, ab, xs, 8, coeffs=coeffs[:8])
+
+
 def test_good_bad_validation():
     pw = random_pw(Order(0.0), 1.0, 32, np.random.default_rng(5))
     with pytest.raises(DomainError):

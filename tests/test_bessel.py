@@ -314,6 +314,21 @@ def test_zero_table_check_is_centred_on_mcmahon(alpha):
         ZeroTable(order=order, zeros=zs[1:])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "alpha,count", [(22.25, 64), (25.0, 64), (29.9, 64), (50.0, 64), (173.5, 40)]
+)
+def test_zeros_match_mpmath_past_the_guess_range(alpha, count):
+    # McMahon's guesses lie more than pi/2 above the low zeros here (at
+    # alpha = 50 Newton even lands on the neighbouring zeros of #1 and #2,
+    # and at 173.5 it leaves the reals); every zero must still be found
+    mpmath = pytest.importorskip("mpmath")
+    zs = zeros_of_j_prime(Order(alpha), count).zeros
+    ks = range(1, count + 1)
+    ref = np.array([float(mpmath.besseljzero(alpha + 1.0, k)) for k in ks])
+    assert np.max(np.abs(zs - ref) / ref) < 1e-12
+
+
 def test_s_prime_indexing():
     table = zeros_of_j_prime(Order(0.0), 10)
     assert table.s_prime(0) == 0.0

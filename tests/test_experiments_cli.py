@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hconc import __version__, cli
+from hconc import __version__, cli, transform
 from hconc.annihilation import ls_empirical_min_ratio
 from hconc.bessel import Order
 from hconc.errors import ConvergenceError, InternalError, UsageError
@@ -153,9 +153,12 @@ def test_zero_trials_yields_header_only_report(tmp_path):
     assert len(lines) == 2
 
 
-def test_reports_deterministic_across_reruns_and_jobs(tmp_path):
+@pytest.mark.parametrize("recipe", ["kovrijkine", "plancherel", "good-bad"])
+def test_reports_deterministic_across_reruns_and_jobs(tmp_path, recipe):
+    # plancherel runs its trials in batches that share kernel blocks; --jobs
+    # splits them into other batches and must change no value
     cfg = ExperimentConfig(
-        name="det", recipe="kovrijkine", trials=4, output_dir=str(tmp_path)
+        name="det", recipe=recipe, trials=4, output_dir=str(tmp_path)
     )
     run(cfg, jobs=1)
     first = (tmp_path / "det.csv").read_bytes()
@@ -206,6 +209,26 @@ def test_plancherel_recipe_passes_at_non_polynomial_weights(tmp_path, alpha):
     rows = run(cfg)
     assert len(rows) == 6
     assert all(r.passed for r in rows), [(r.params, r.value) for r in rows]
+
+
+@pytest.mark.parametrize("chunk", [2_000_000, 1000])
+def test_plancherel_trial_rows_do_not_depend_on_the_batch(
+    tmp_path, monkeypatch, chunk
+):
+    # all trials of a run share the kernel blocks; a trial's rows are the
+    # same bytes whichever trials run beside it, also over many row blocks
+    monkeypatch.setattr(transform, "_CHUNK", chunk)
+    lines = {}
+    for trials in (3, 7):
+        out = tmp_path / str(trials)
+        run(
+            ExperimentConfig(
+                "pl", recipe="plancherel", alpha=0.3, trials=trials, output_dir=str(out)
+            )
+        )
+        lines[trials] = (out / "pl.csv").read_bytes().splitlines()[1:]
+    assert len(lines[7]) == 1 + 2 * 7
+    assert lines[3] == lines[7][: 1 + 2 * 3]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -274,6 +297,17 @@ def test_cli_bessel_zeros_large_order(capsys):
     assert len(zs) == 64
     for k in (1, 32, 64):
         assert zs[k - 1] == pytest.approx(float(mpmath.besseljzero(21, k)), abs=1e-12)
+
+
+def test_cli_bessel_zeros_past_the_guess_range(capsys):
+    # at alpha = 25 McMahon's guess of the first zero is 0.6 pi too high
+    mpmath = pytest.importorskip("mpmath")
+    rc = cli.main(["bessel", "zeros", "--alpha", "25", "--count", "64"])
+    assert rc == 0
+    zs = [float(s) for s in capsys.readouterr().out.splitlines()]
+    assert len(zs) == 64
+    for k in (1, 2, 32, 64):
+        assert zs[k - 1] == pytest.approx(float(mpmath.besseljzero(26, k)), rel=1e-12)
 
 
 def test_cli_bessel_zeros(capsys):

@@ -63,6 +63,22 @@ def test_plancherel_vs_physical_norm(alpha):
     assert physical == pytest.approx(1.0, rel=1e-7)
 
 
+def test_synthesize_sequence_matches_members():
+    order = Order(0.3)
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    pws = [random_pw(order, 1.0, 48, rng, kind="smooth") for rng in rngs]
+    xs = np.linspace(0.0, 20.0, 101)
+    rows = synthesize(pws, xs)
+    assert rows.shape == (3, len(xs))
+    for row, pw in zip(rows, pws):
+        assert np.array_equal(row, synthesize(pw, xs))
+    other = random_pw(order, 0.5, 48, np.random.default_rng(3))
+    with pytest.raises(DomainError):
+        synthesize(pws + [other], xs)
+    with pytest.raises(DomainError):
+        synthesize(pws + [random_pw(Order(0.0), 1.0, 48, np.random.default_rng(4))], xs)
+
+
 def test_dk_norm_at_zero_is_plancherel():
     pw = random_pw(Order(0.3), 1.5, 64, np.random.default_rng(1))
     assert dk_norm(pw, 0) == pytest.approx(plancherel_norm(pw), rel=1e-14)

@@ -167,6 +167,34 @@ def test_round_trip_matches_forward_and_inverse(monkeypatch, chunk):
     assert np.max(np.abs(back - f)) < 1e-10
 
 
+def test_coefficient_sets_match_single_set_calls(monkeypatch):
+    # m coefficient sets share each kernel block, yet every set keeps its
+    # own matrix-vector product: the values are those of m separate calls,
+    # here over many row blocks
+    monkeypatch.setattr(transform, "_CHUNK", 1000)
+    monkeypatch.setattr(transform, "_LADDER_CHUNK", 1000)
+    order = Order(0.3)
+    rng = np.random.default_rng(11)
+    x, wx = mu_rule(order, IntervalSet.of([(0.0, 6.0)]), 20.0)
+    xi, wxi = mu_rule(order, IntervalSet.of([(0.0, 3.0)]), 20.0)
+    sets = rng.standard_normal((5, len(x)))
+    hat, back = round_trip(order, x, sets, xi, wxi)
+    assert hat.shape == (5, len(xi)) and back.shape == (5, len(x))
+    for j, c in enumerate(sets):
+        one_hat, one_back = round_trip(order, x, c, xi, wxi)
+        assert np.array_equal(hat[j], one_hat)
+        assert np.array_equal(back[j], one_back)
+    ladder = rng.standard_normal((4, 5, len(x)))
+    got = kernel_apply(order, xi, x, ladder)
+    assert got.shape == (4, 5, len(xi))
+    for j in range(5):
+        assert np.array_equal(got[:, j], kernel_apply(order, xi, x, ladder[:, j]))
+    # one order: (1, m, n) against m calls on (n,)
+    single = kernel_apply(order, xi, x, ladder[:1])
+    for j in range(5):
+        assert np.array_equal(single[0, j], kernel_apply(order, xi, x, ladder[0, j]))
+
+
 def test_plancherel_for_gaussian():
     # norm preservation, checked against the closed form of the x-side norm
     order = Order(0.5)
