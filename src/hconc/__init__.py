@@ -13,7 +13,6 @@ from .bessel import (
     ZeroTable,
     certify_bound,
     eval_j,
-    eval_j_derivative,
     zeros_of_j_prime,
 )
 from .errors import (
@@ -35,7 +34,6 @@ __all__ = [
     "BesselBound",
     "ZeroTable",
     "eval_j",
-    "eval_j_derivative",
     "zeros_of_j_prime",
     "certify_bound",
     "IntervalSet",

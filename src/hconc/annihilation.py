@@ -4,9 +4,12 @@ energy-concentration bound with its empirical verification.
 Three numerical engines live here:
 
 * pair_norm: the operator norm of (bandpass to Sigma) composed with
-  (restrict to S), discretized as a factor on measure-weighted quadrature
-  coordinates.  Its Gram on the factor's shorter side is assembled in row
-  blocks along the longer side, and LAPACK's `eigvalsh` returns its top
+  (restrict to S).  One side of the pair, the one whose quadrature rule has
+  fewer nodes, is discretized on measure-weighted quadrature coordinates;
+  the integral over the other set is exact, by Lommel's closed form for
+  the integral of a product of two kernels, so the Gram on the quadrature
+  side comes from two kernel evaluations per node and set endpoint and one
+  matrix product, with no row blocks.  LAPACK's `eigvalsh` returns its top
   eigenvalue alone; node doubling repeats this until the norm is stable.
 
 * ls_empirical_min_ratio: the minimum of ||f||^2_Omega / ||f||^2 over a
@@ -46,8 +49,6 @@ from .quadrature import build_rule, mu_rule
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
-# kernel entries per row block of the pair Gram
-_GRAM_BLOCK = 1 << 14
 
 
 # --------------------------------------------------------------------------
@@ -98,21 +99,50 @@ def _pair_block(order: Order, rows, s_rows, cols, s_cols) -> np.ndarray:
     return blk
 
 
+def _lommel_gram(order: Order, far: IntervalSet, t: np.ndarray) -> np.ndarray:
+    """K[k, l] = integral over `far` of j_alpha(a_k y) j_alpha(a_l y) d mu_alpha(y),
+    a = 2 pi t, in closed form (Lommel's integral).  With p = j_{alpha+1}(. R),
+    q = j_alpha(. R) and c(R) = C R^(2 alpha + 2) / (2 (alpha + 1)), C the
+    mu_alpha density constant,
+
+        K_[0,R](a, b) = c(R) (a^2 p(aR) q(bR) - b^2 q(aR) p(bR)) / (a^2 - b^2),
+        K_[0,R](a, a) = c(R) ((alpha + 1) q(aR)^2 - alpha p(aR) q(aR)
+                              + (aR)^2 p(aR)^2 / (4 (alpha + 1))),
+
+    and each interval [lo, hi) of `far` adds K_[0,hi] - K_[0,lo].  Over all
+    endpoints the numerator is M - M^T with M = diag(a^2) P^T diag(+-c) Q,
+    P and Q holding p and q with one row per endpoint."""
+    alpha = order.alpha
+    ends = np.array(far.intervals, dtype=float).ravel()
+    signs = np.tile([-1.0, 1.0], len(far.intervals))
+    c = signs * mu_density_constant(order) * ends ** (2.0 * alpha + 2.0)
+    c /= 2.0 * alpha + 2.0
+    a = 2.0 * math.pi * t
+    z = np.outer(ends, a)
+    q = eval_j(order, z)
+    p = eval_j(order.shifted(1), z)
+    a2 = a * a
+    m = a2[:, None] * ((c[:, None] * p).T @ q)
+    den = np.subtract.outer(a2, a2)
+    np.fill_diagonal(den, 1.0)
+    gram = (m - m.T) / den
+    diag = (alpha + 1.0) * q * q - alpha * p * q + z * z * p * p / (4.0 * alpha + 4.0)
+    np.fill_diagonal(gram, c @ diag)
+    return gram
+
+
 def _pair_gram(pair: ProjectionPair, budget: int) -> np.ndarray:
     """Gram of the pair factor on its shorter side (A A^T when Sigma has
-    fewer nodes, else A^T A), summed over row blocks along the longer side
-    so that the whole factor is never held at once."""
+    fewer nodes, else A^T A), with the sum along the longer side replaced by
+    the exact integral over its set, so that the factor is never formed."""
     xi, su, x, sv = _pair_nodes(pair, budget)
     if len(xi) <= len(x):
-        short, s_short, long, s_long = xi, su, x, sv
+        t, s, far = xi, su, pair.S
     else:
-        short, s_short, long, s_long = x, sv, xi, su
-    gram = np.zeros((len(short), len(short)))
-    rows = max(1, _GRAM_BLOCK // len(short))
-    for lo in range(0, len(long), rows):
-        part = slice(lo, lo + rows)
-        blk = _pair_block(pair.order, long[part], s_long[part], short, s_short)
-        gram += blk.T @ blk
+        t, s, far = x, sv, pair.Sigma
+    gram = _lommel_gram(pair.order, far, t)
+    gram *= s[:, None]
+    gram *= s[None, :]
     return gram
 
 

@@ -2,9 +2,9 @@
 
 The central object is j_alpha(x) = 2^alpha * Gamma(alpha+1) * J_alpha(x) / x^alpha,
 normalized so j_alpha(0) = 1.  It is even, entire, and bounded by 1 in absolute
-value.  This module evaluates j_alpha and its derivative, certifies the decay
-envelope |j_alpha(t)| <= c_alpha (1+t)^(-alpha-1/2), and tabulates the zeros
-s'_n of j_alpha' (equivalently, the zeros of j_{alpha+1}).
+value.  This module evaluates j_alpha, certifies the decay envelope
+|j_alpha(t)| <= c_alpha (1+t)^(-alpha-1/2), and tabulates the zeros s'_n of
+j_alpha' (equivalently, the zeros of j_{alpha+1}).
 
 `eval_j` takes one of five routes, chosen by the order and the argument:
 
@@ -64,6 +64,10 @@ _HANKEL_TERMS = 30
 _HANKEL_TOL = 1e-17
 _TAIL_MAX = 64
 _SUB_BLOCK = 16384
+# Zero tables: the first two zeros of Airy's Ai, and the roundoff allowed in
+# the checks of `validate_interlacing`, relative to the largest zero.
+_AIRY_ZEROS = np.array([-2.338107410459767, -4.087949444130970])
+_ZERO_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -365,17 +369,6 @@ def eval_j_ladder(order: Order, k_max: int, x) -> np.ndarray:
     return out.reshape((k_max + 1,) + x.shape)
 
 
-def eval_j_derivative(order: Order, x) -> np.ndarray | float:
-    """Derivative j_alpha'(x) = -x/(2(alpha+1)) * j_{alpha+1}(x)."""
-    scalar = np.isscalar(x)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(xv)):
-        raise DomainError("eval_j_derivative requires finite arguments")
-    higher = eval_j(order.shifted(1), xv)
-    out = -xv / (2.0 * (order.alpha + 1.0)) * higher
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class ZeroTable:
     """Increasing positive zeros s'_1 < s'_2 < ... of j_alpha' (= zeros of
@@ -403,9 +396,21 @@ class ZeroTable:
 def validate_interlacing(table: ZeroTable) -> None:
     """Check the ordering/spacing structure of a zero table.
 
-    Raises InternalError naming the interlacing invariant if the entries are
-    not strictly increasing, or if for large index the last entry drifts
-    from McMahon's expansion of its zero.
+    The entries must be the zeros j_{nu,1} < j_{nu,2} < ... of J_nu,
+    nu = alpha + 1 >= 1/2, so they obey invariants that hold uniformly in nu:
+
+    * j_{nu,k}, k = 1, 2, lies between the bounds of Qu and Wong (Trans.
+      AMS 351, 1999), L_k < j_{nu,k} < L_k + (3/20) a_k^2 (2/nu)^(1/3),
+      L_k = nu - a_k (nu/2)^(1/3), a_k the k-th zero of Airy's Ai (checked
+      against mpmath for nu in [1/2, 301]), so a table that starts late or
+      lacks its second zero is caught;
+    * the gaps j_{nu,k+1} - j_{nu,k} are at least pi and non-increasing, by
+      Sturm comparison for sqrt(x) J_nu(x), which solves
+      u'' + (1 - (nu^2 - 1/4) / x^2) u = 0.
+
+    Raises InternalError naming the interlacing invariant where one of these
+    fails beyond roundoff, or where the entries are not positive and
+    strictly increasing.
     """
     z = np.asarray(table.zeros, dtype=float)
     if len(z) == 0:
@@ -415,16 +420,23 @@ def validate_interlacing(table: ZeroTable) -> None:
             "interlacing invariant violated: zero table entries must be "
             "strictly increasing and positive"
         )
-    n = len(z)
-    if n >= 50:
-        # s'_n is the n-th zero of J_{alpha+1}: McMahon's expansion plus
-        # O(1/n^5); allow a generous O(1/n), in units of pi.
-        drift = abs(z[-1] - _mcmahon_guess(table.order.alpha + 1.0, n)) / math.pi
-        if drift > 10.0 / n + 1e-6:
-            raise InternalError(
-                "interlacing invariant violated: the last zero of the table "
-                f"is {drift:.3e} pi off McMahon's expansion at index {n}"
-            )
+    nu = table.order.alpha + 1.0
+    tol = _ZERO_SLACK * z[-1]
+    a = _AIRY_ZEROS[: len(z)]
+    lo = nu - a * (0.5 * nu) ** (1.0 / 3.0)
+    hi = lo + 0.15 * a**2 * (2.0 / nu) ** (1.0 / 3.0)
+    first = z[: len(a)]
+    if np.any(first <= lo - tol) or np.any(first >= hi + tol):
+        raise InternalError(
+            f"interlacing invariant violated: the first zeros {first} do not "
+            f"lie in the intervals ({lo}, {hi}) of j_nu,1 and j_nu,2, nu = {nu:g}"
+        )
+    gaps = np.diff(z)
+    if np.any(gaps < math.pi - tol) or np.any(np.diff(gaps) > tol):
+        raise InternalError(
+            "interlacing invariant violated: gaps between zeros must be at "
+            "least pi and non-increasing"
+        )
 
 
 def _mcmahon_guess(nu: float, ks: np.ndarray) -> np.ndarray:
@@ -494,10 +506,12 @@ def zeros_of_j_prime(order: Order, count: int) -> ZeroTable:
     tol = 1e-12 * np.maximum(1.0, ks)
     guess = _mcmahon_guess(nu, ks)
     z = guess.copy()
-    # Newton on j_{alpha+1}
+    # Newton on j_{alpha+1}, whose derivative 2 nu (j_alpha - j_{alpha+1}) / z
+    # takes no order above alpha + 1
     for _ in range(12):
+        low, f = eval_j_ladder(order, 1, z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = eval_j(high, z) / eval_j_derivative(high, z)
+            step = f * z / (2.0 * nu * (low - f))
         z = z - step
         if not np.all(np.isfinite(z)):
             # a step from a flat point of j_{alpha+1}: the guesses are off

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 failed check, 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -233,7 +234,11 @@ def _cmd_selftest(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every `main`
+    call.  Each subcommand stores its handler, which looks up the functions it
+    calls among this module's globals when it runs."""
     parser = argparse.ArgumentParser(
         prog="hconc",
         description="Hankel-transform concentration toolkit",
@@ -346,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, DomainError) as exc:

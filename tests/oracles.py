@@ -17,12 +17,30 @@ from hconc.annihilation import (
     _pair_block,
     _pair_nodes,
 )
-from hconc.bessel import Order
+from hconc.bessel import Order, eval_j
 from hconc.errors import DomainError, InternalError
 from hconc.measure import IntervalSet, mu_density_constant
 from hconc.paley_wiener import _MAX_DK, PWFunction
 from hconc.transform import kernel_apply
 from hconc.translation import make_plan, translate_batch
+
+# --------------------------------------------------------------------------
+# kernel derivative (hconc.bessel)
+
+
+def eval_j_derivative(order: Order, x) -> np.ndarray | float:
+    """Derivative j_alpha'(x) = -x/(2(alpha+1)) * j_{alpha+1}(x), formed from
+    `eval_j` at order alpha + 1.  The derivative form of the kernel identity
+    suite checks `eval_j` through it against finite differences at order
+    alpha, and zero tables through its residual at their entries."""
+    scalar = np.isscalar(x)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(xv)):
+        raise DomainError("eval_j_derivative requires finite arguments")
+    higher = eval_j(order.shifted(1), xv)
+    out = -xv / (2.0 * (order.alpha + 1.0)) * higher
+    return float(out[0]) if scalar else out
+
 
 # --------------------------------------------------------------------------
 # pair norms and the concentration eigenproblem (hconc.annihilation)
@@ -33,9 +51,22 @@ def _pair_factor(pair: ProjectionPair, budget: int) -> np.ndarray:
 
     A[k, p] = sqrt(u_k) j_alpha(2 pi x_p xi_k) sqrt(v_p) over mu_alpha
     quadrature weights u (spectral, on Sigma) and v (spatial, on S), held
-    whole.  The dense reference for `annihilation._pair_gram`, which sums
-    the Gram of this factor over row blocks, and for `pair_norm`."""
+    whole.  The dense reference for `pair_norm`."""
     return _pair_block(pair.order, *_pair_nodes(pair, budget))
+
+
+def _short_side_gram(pair: ProjectionPair, budget: int, far_budget: int) -> np.ndarray:
+    """Gram of the pair factor on its shorter side at `budget` (the side
+    `annihilation._pair_gram` keeps), with the sum along the other side taken
+    on that side's quadrature rule at `far_budget`.  The dense reference for
+    `_pair_gram`, which integrates the other side in closed form."""
+    xi, su, x, sv = _pair_nodes(pair, budget)
+    fine_xi, fine_su, fine_x, fine_sv = _pair_nodes(pair, far_budget)
+    if len(xi) <= len(x):
+        A = _pair_block(pair.order, fine_x, fine_sv, xi, su)
+    else:
+        A = _pair_block(pair.order, fine_xi, fine_su, x, sv)
+    return A.T @ A
 
 
 @dataclass(frozen=True)

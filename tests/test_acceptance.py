@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from hconc.annihilation import LSParams, ProjectionPair, ls_bound, pair_norm
 from hconc.annihilation import strong_pair_trials
-from hconc.bessel import Order, cached_zero_table, eval_j, eval_j_derivative
+from hconc.bessel import Order, cached_zero_table, eval_j
 from hconc.experiments import ExperimentConfig, parse_config, run
 from hconc.measure import IntervalSet
 from hconc.paley_wiener import (
@@ -27,6 +27,7 @@ from hconc.paley_wiener import (
     theta_constant,
 )
 from hconc.quadrature import build_rule
+from oracles import eval_j_derivative
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -11,6 +11,7 @@ from hconc.annihilation import (
     LSParams,
     ProjectionPair,
     _pair_gram,
+    _pair_nodes,
     _sigma_max,
     _window_integrals,
     annihilation_constant,
@@ -29,7 +30,13 @@ from hconc.bessel import Order
 from hconc.errors import DomainError, InternalError
 from hconc.measure import IntervalSet
 from hconc.paley_wiener import apply_Dk_all, dk_coefficients, random_pw
-from oracles import ConcentrationMatrix, _pair_factor, apply_Dk, concentration_matrix
+from oracles import (
+    ConcentrationMatrix,
+    _pair_factor,
+    _short_side_gram,
+    apply_Dk,
+    concentration_matrix,
+)
 
 # value pinned from a converged dense-SVD run of the unit S = Sigma = [0, 1]
 # compression at order 0; the doubling loop must land on the same number
@@ -130,15 +137,70 @@ def _pair(alpha, sup_s, sup_sigma):
 
 
 @pytest.mark.parametrize("sup_s, sup_sigma", [(1.0, 1.3), (3.0, 0.5)])
-def test_pair_gram_is_the_short_side_gram_of_factor(monkeypatch, sup_s, sup_sigma):
+def test_pair_gram_is_the_short_side_gram_of_factor(sup_s, sup_sigma):
     pair = _pair(0.3, sup_s, sup_sigma)
     A = _pair_factor(pair, 64)
     dense = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    # small blocks: the Gram is summed over many of them
-    monkeypatch.setattr(annihilation, "_GRAM_BLOCK", 1000)
     gram = _pair_gram(pair, 64)
     assert gram.shape == (min(A.shape),) * 2
     assert np.max(np.abs(gram - dense)) <= 1e-13
+
+
+# (alpha, S, Sigma), each with the set _pair_gram integrates in closed form
+CLOSED_FORM_CASES = [
+    (0.3, [(0.2, 0.4)], [(10.0, 10.5)]),  # Sigma, away from 0
+    (25.3, [(0.2, 0.3)], [(30.0, 30.2), (31.0, 31.1)]),  # Sigma, away from 0
+    (-0.49, [(0.2, 1.0)], [(0.0, 1.3)]),  # Sigma, from 0
+    (25.3, [(0.0, 1.0), (1.5, 2.0)], [(30.0, 30.2), (31.0, 31.1)]),  # S, a union
+    (-0.49, [(0.0, 1.0), (1.5, 2.0)], [(30.0, 30.2), (31.0, 31.1)]),  # S, a union
+    (0.3, [(0.2, 1.0)], [(10.0, 10.5)]),  # S = [0.2, 1]
+    (0.3, [(0.0, 0.3), (0.6, 1.0)], [(10.0, 10.5)]),  # S, a union
+]
+# the cases whose kernel product oscillates slowly enough for mpmath.quad
+MPMATH_CASES = [CLOSED_FORM_CASES[0], CLOSED_FORM_CASES[2]]
+
+
+def _closed_form_pair(alpha, S, Sigma):
+    S, Sigma = IntervalSet.of(S), IntervalSet.of(Sigma)
+    return ProjectionPair(order=Order(alpha), S=S, Sigma=Sigma, x_max=S.sup())
+
+
+@pytest.mark.parametrize("alpha, S, Sigma", CLOSED_FORM_CASES)
+def test_pair_gram_closed_form_matches_fine_factor(alpha, S, Sigma):
+    # the other side's sum at budget 256 is converged to ~1e-13 here, while
+    # its rule at budget 64 is off by up to 1e-7 in the fourth case
+    pair = _closed_form_pair(alpha, S, Sigma)
+    gram = _pair_gram(pair, 64)
+    fine = _short_side_gram(pair, 64, 256)
+    assert gram.shape == fine.shape
+    assert np.max(np.abs(gram - fine)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha, S, Sigma", MPMATH_CASES)
+def test_pair_gram_closed_form_entries_match_mpmath_quad(alpha, S, Sigma):
+    mpmath = pytest.importorskip("mpmath")
+    pair = _closed_form_pair(alpha, S, Sigma)
+    gram = _pair_gram(pair, 64)
+    xi, su, x, sv = _pair_nodes(pair, 64)
+    t, s, far = (xi, su, pair.S) if len(xi) <= len(x) else (x, sv, pair.Sigma)
+    n = len(t)
+    with mpmath.workdps(20):
+        a = mpmath.mpf(alpha)
+        dens = 2 * mpmath.pi ** (a + 1) / mpmath.gamma(a + 1)
+        for k, l in [(0, 0), (n // 2, n // 2 + 1), (1, n - 1)]:
+            ak, al = 2 * mpmath.pi * t[k], 2 * mpmath.pi * t[l]
+
+            def f(y):
+                jk = mpmath.hyp0f1(a + 1, -((ak * y) ** 2) / 4)
+                jl = mpmath.hyp0f1(a + 1, -((al * y) ** 2) / 4)
+                return jk * jl * dens * y ** (2 * a + 1)
+
+            ref = 0
+            for lo, hi in far.intervals:
+                # pieces shorter than a period of the product
+                pieces = 1 + math.ceil((hi - lo) * (t[k] + t[l]))
+                ref += mpmath.quad(f, mpmath.linspace(lo, hi, pieces + 1))
+            assert gram[k, l] == pytest.approx(float(ref * s[k] * s[l]), abs=1e-14)
 
 
 def _dense_pair_norm(pair):

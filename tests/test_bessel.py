@@ -13,12 +13,12 @@ from hconc.bessel import (
     cached_zero_table,
     certify_bound,
     eval_j,
-    eval_j_derivative,
     eval_j_ladder,
     zeros_of_j_prime,
 )
 from hconc.bessel import _direct_j, _kernel_table, _series_cutoff
 from hconc.errors import DomainError, InternalError
+from oracles import eval_j_derivative
 
 # 50-digit hypergeometric evaluations 0F1(alpha+1; -x^2/4), frozen
 _J_ORACLE = [
@@ -304,14 +304,43 @@ def test_zero_table_validation_catches_corruption():
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 15.0, 20.0, 25.0])
 def test_zero_table_check_is_centred_on_mcmahon(alpha):
     # the last zero of a correct table sits (4 nu^2 - 1) / (8 beta) below
-    # pi (n + (2 alpha + 1)/4): 0.18 pi at alpha = 15 and 0.30 pi at 20 for
-    # n = 64, beyond the 10/n slack, so the check must include that term
+    # pi (n + (2 alpha + 1)/4), 0.18 pi at alpha = 15 and 0.30 pi at 20 for
+    # n = 64, so no fixed slack around pi (n + (2 alpha + 1)/4) accepts it;
+    # a table that starts at the second zero must still be rejected
     mpmath = pytest.importorskip("mpmath")
     order = Order(alpha)
     zs = np.array([float(mpmath.besseljzero(alpha + 1.0, k)) for k in range(1, 66)])
     assert len(ZeroTable(order=order, zeros=zs[:64])) == 64
     with pytest.raises(InternalError, match="interlacing"):
         ZeroTable(order=order, zeros=zs[1:])
+
+
+# mpmath.besseljzero(alpha + 1, k) at 30 digits, frozen: its first call at
+# an order near 300 takes seconds
+_LARGE_ORDER_ZEROS = {
+    173.5: (64, {1: 185.05502382969246, 2: 193.1957771542195, 32: 325.9075292842698,
+                 63: 435.8134043099135, 64: 439.2392617672405}),
+    201.0: (64, {1: 213.06463712212553, 2: 221.57535308059283, 32: 358.45648593926376,
+                 63: 470.35334430956505, 64: 473.8291953171688}),
+    298.0: (128, {1: 311.5637146339061, 2: 321.16827582217417, 64: 592.802933383213,
+                  127: 812.1788905169457, 128: 815.5566913938081}),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("alpha", sorted(_LARGE_ORDER_ZEROS))
+def test_zero_table_check_holds_at_large_orders(alpha):
+    # McMahon's expansion is not uniform in the order: the correct 64th zero
+    # of j_174.5 lies 0.16 pi from it.  The invariants in nu must accept the
+    # true table, and reject it shifted by one zero or with one left out.
+    count, ref = _LARGE_ORDER_ZEROS[alpha]
+    order = Order(alpha)
+    zs = zeros_of_j_prime(order, count).zeros
+    for k, z in ref.items():
+        assert zs[k - 1] == pytest.approx(z, rel=1e-12)
+    assert len(ZeroTable(order=order, zeros=zs)) == count
+    for bad in (zs[1:], np.delete(zs, 1), np.delete(zs, count // 2)):
+        with pytest.raises(InternalError, match="interlacing"):
+            ZeroTable(order=order, zeros=bad)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

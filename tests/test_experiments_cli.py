@@ -310,6 +310,31 @@ def test_cli_bessel_zeros_past_the_guess_range(capsys):
         assert zs[k - 1] == pytest.approx(float(mpmath.besseljzero(26, k)), rel=1e-12)
 
 
+def test_cli_bessel_zeros_at_the_top_order(capsys):
+    # these are zeros of j_300, the highest order eval_j takes; the Newton step
+    # must not ask for j_301
+    rc = cli.main(["bessel", "zeros", "--alpha", "299", "--count", "8"])
+    assert rc == 0
+    zs = [float(s) for s in capsys.readouterr().out.splitlines()]
+    # mpmath.besseljzero(300, k), k = 1..8, at 30 digits, frozen: its first
+    # call at this order takes seconds
+    ref = [312.5773616068493, 322.19191244675585, 330.1917822912456,
+           337.3581757209017, 343.98795770238104, 350.2333678599056,
+           356.18530201756823, 361.90337684382797]  # fmt: skip
+    assert zs == pytest.approx(ref, rel=1e-12)
+
+
+def test_cli_bessel_zeros_large_order_table_is_accepted(capsys):
+    # the 64th zero of j_174.5 lies 0.16 pi from McMahon's expansion
+    rc = cli.main(["bessel", "zeros", "--alpha", "173.5", "--count", "64"])
+    assert rc == 0
+    zs = [float(s) for s in capsys.readouterr().out.splitlines()]
+    assert len(zs) == 64
+    # mpmath.besseljzero(174.5, k) for k = 1 and 64, frozen
+    assert zs[0] == pytest.approx(185.05502382969246, rel=1e-12)
+    assert zs[63] == pytest.approx(439.2392617672405, rel=1e-12)
+
+
 def test_cli_bessel_zeros(capsys):
     rc = cli.main(["bessel", "zeros", "--alpha", "0", "--count", "5"])
     assert rc == 0
@@ -690,6 +715,35 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert cli.main(["bessel", "eval", "--alpha", "-1.5", "--x", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _main_result(capsys, argv):
+    """Exit code, stdout and stderr of one `cli.main` call; argparse's own
+    usage errors exit through SystemExit."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_cli_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    path = _write(tmp_path / "unit.set", UNIT)
+    calls = [
+        ["pair", "norm", "--alpha", "0"],  # usage error: required flags missing
+        ["bessel", "eval", "--alpha", "0", "--x", "1,a"],  # usage error in the handler
+        ["pair", "norm", "--alpha", "0", "--s", path, "--sigma", path, "--xmax", "1"],
+        ["ls", "bound", "--alpha", "0", "--a", "1", "--b", "1", "--gamma", "0.25"],
+    ]
+    reused = [_main_result(capsys, argv) for argv in calls]
+    # a parser built afresh for every call
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_main_result(capsys, argv) for argv in calls]
+    assert [rc for rc, _, _ in reused] == [2, 2, 0, 0]
+    assert [(rc, out) for rc, out, _ in reused] == [(rc, out) for rc, out, _ in fresh]
+    assert "required" in reused[0][2]
 
 
 def test_cli_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
