@@ -38,7 +38,6 @@ from .measure import IntervalSet, mu_density_constant, mu_measure
 from .paley_wiener import (
     PWFunction,
     apply_Dk_all,
-    dk_coefficients,
     extremal_family,
     extremal_norm_sq,
     synthesize,
@@ -49,6 +48,10 @@ from .quadrature import build_rule, mu_rule
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
+# Gauss-Legendre nodes of the rule on each good/bad window I_x
+_WINDOW_NODES = 96
+# strong-pair trials draw spectra on [0, _TRIAL_BAND * sup Sigma]
+_TRIAL_BAND = 2.0
 
 
 # --------------------------------------------------------------------------
@@ -188,20 +191,20 @@ def strong_pair_trials(
     order: Order,
     S: IntervalSet,
     Sigma: IntervalSet,
+    norm: float,
     trials: int,
     seed: int,
-    band_factor: float = 2.0,
 ) -> np.ndarray:
     """Monte-Carlo margins for the split-energy inequality
     ||f||^2 <= (1-norm)^-2 (||f||^2 on S-complement + spectral mass outside
-    Sigma), over random functions in a wide-band discretization.
+    Sigma), over random functions in a wide-band discretization; `norm` is
+    pair_norm of the pair (S, Sigma).
 
     Returns an array of rows (lhs, rhs); the inequality asks lhs <= rhs.
     """
-    big = band_factor * Sigma.sup()
-    sup_s = S.sup()
+    big = _TRIAL_BAND * Sigma.sup()
     # spectral nodes resolve the oscillation in xi at rate ~ sup(S)
-    per_unit_xi = math.ceil(4.0 * sup_s) + 16
+    per_unit_xi = math.ceil(4.0 * S.sup()) + 16
     xi_in, u_in = mu_rule(order, Sigma.intersect_window(0.0, big), per_unit_xi)
     xi_out, u_out = mu_rule(order, Sigma.complement_within(0.0, big), per_unit_xi)
     xi = np.concatenate([xi_in, xi_out])
@@ -209,10 +212,6 @@ def strong_pair_trials(
     sigma_mask = np.arange(len(xi)) < len(xi_in)
     x, v = mu_rule(order, S, max(32, math.ceil(12.0 * big)))
     factor = _pair_block(order, xi, np.sqrt(u), x, np.sqrt(v))
-
-    norm = pair_norm(
-        ProjectionPair(order=order, S=S, Sigma=Sigma, x_max=max(sup_s, 1.0))
-    )
     const = annihilation_constant(norm)
 
     rng = np.random.default_rng(seed)
@@ -347,30 +346,20 @@ def ls_bound(params: LSParams) -> float:
 # good/bad windows in the squared variable
 
 
-def _dk_rows(pw: PWFunction, k_max: int, coeffs: np.ndarray | None) -> np.ndarray:
-    """Rows 0..k_max of the D^k coefficients: the leading rows of `coeffs`
-    (dk_coefficients(pw, K) for some K >= k_max) when given, else formed."""
-    if coeffs is None:
-        return dk_coefficients(pw, k_max)
-    if len(coeffs) <= k_max:
-        raise DomainError(f"coeffs hold {len(coeffs)} D^k rows, need {k_max + 1}")
-    return coeffs[: k_max + 1]
-
-
-def _window_integrals(
-    pw: PWFunction, x, k_max: int, coeffs: np.ndarray | None = None, n_nodes: int = 96
-):
+def _window_integrals(pw: PWFunction, x, coeffs: np.ndarray):
     """Integrals of |d^k g|^2 s^(alpha+k) over I_x = [(x-1)^2, (x+1)^2] for
     k = 0..k_max, where g(s) = f(sqrt(s)), along the last axis; x is one
-    window center or an array of them.  `coeffs` are D^k rows as `_dk_rows`
-    takes them."""
+    window center or an array of them.  `coeffs` = dk_coefficients(pw, k_max)
+    are the D^k rows, and k_max = len(coeffs) - 1."""
+    k_max = len(coeffs) - 1
     centers = np.asarray(x, dtype=float)
     rules = [
-        build_rule((c - 1.0) ** 2, (c + 1.0) ** 2, n_nodes) for c in centers.ravel()
+        build_rule((c - 1.0) ** 2, (c + 1.0) ** 2, _WINDOW_NODES)
+        for c in centers.ravel()
     ]
     s = np.array([rule.nodes for rule in rules]).ravel()
-    dk = apply_Dk_all(pw, _dk_rows(pw, k_max, coeffs), np.sqrt(s))
-    dk = dk.reshape(k_max + 1, len(rules), n_nodes)
+    dk = apply_Dk_all(pw, coeffs, np.sqrt(s))
+    dk = dk.reshape(k_max + 1, len(rules), _WINDOW_NODES)
     alpha = pw.order.alpha
     out = np.empty((len(rules), k_max + 1))
     for i, rule in enumerate(rules):
@@ -382,26 +371,26 @@ def _window_integrals(
 
 
 def good_bad_partition(
-    pw: PWFunction, ab: float, x_list, k_max: int, coeffs: np.ndarray | None = None
+    pw: PWFunction, ab: float, xs, coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Label each window center x >= 1 as bad when some derivative order
-    k in [1, k_max] has >= (2 pi ab)^(2k) times the window's own mass:
+    """Label each window center x >= 1 of `xs` as bad when some derivative
+    order k in [1, k_max] has >= (2 pi ab)^(2k) times the window's own mass:
     integral over I_x of |d^k g|^2 s^(alpha+k) >= (2 pi ab)^(2k) *
-    integral over I_x of |g|^2 s^alpha.  Returns the boolean bad-mask and
-    the window masses (the k = 0 integrals), which witness_point takes.
-    `coeffs` = dk_coefficients(pw, K), K >= k_max, are formed when not
-    given; a caller that also runs witness_point forms them once."""
+    integral over I_x of |g|^2 s^alpha.  `coeffs` = dk_coefficients(pw,
+    k_max) are the D^k rows, and k_max = len(coeffs) - 1.  Returns the
+    boolean bad-mask and the window masses (the k = 0 integrals);
+    witness_point takes the masses and the same rows."""
     if ab <= 0:
         raise DomainError("bandlimit product ab must be positive")
-    xs = np.atleast_1d(np.asarray(x_list, dtype=float))
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 1.0):
         raise DomainError("window centers must be >= 1")
-    ints = _window_integrals(pw, xs, k_max, coeffs)
+    ints = _window_integrals(pw, xs, coeffs)
     mass = ints[:, 0]
     bad = np.zeros(len(xs), dtype=bool)
     base = (2.0 * math.pi * ab) ** 2
     factor = 1.0
-    for k in range(1, k_max + 1):
+    for k in range(1, len(coeffs)):
         factor *= base
         bad |= ints[:, k] >= factor * mass
     return bad, mass
@@ -428,12 +417,7 @@ def bad_mass_fraction(pw: PWFunction, x_list, bad) -> float:
 
 
 def witness_point(
-    pw: PWFunction,
-    ab: float,
-    x: float,
-    k_max: int = 8,
-    mass: float | None = None,
-    coeffs: np.ndarray | None = None,
+    pw: PWFunction, ab: float, x: float, mass: float, coeffs: np.ndarray
 ) -> float:
     """The first point t of a grid on I_x where every derivative order obeys
     the pointwise growth bound t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k
@@ -441,15 +425,12 @@ def witness_point(
     tenfold refinements; each is scanned in order, in leading chunks of 16
     points that grow fourfold, and the scan stops at the first chunk that
     holds a witness, so the result is the first witness of the whole grid.
-    `mass` is the window's integral of |g|^2 s^alpha, as good_bad_partition
-    returns it; it is computed here when not given, as are the D^k rows
-    `coeffs` (see good_bad_partition)."""
+    `mass` is the window's integral of |g|^2 s^alpha and `coeffs` =
+    dk_coefficients(pw, k_max) are the D^k rows, both as good_bad_partition
+    takes and returns them; k = 0..k_max, k_max = len(coeffs) - 1."""
     lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
-    if mass is None:
-        mass = _window_integrals(pw, x, 0, coeffs)[0]
     alpha = pw.order.alpha
     base = 12.0 * math.pi**2 * ab * ab
-    coeffs = _dk_rows(pw, k_max, coeffs)
     for n in (1000, 10_000, 100_000):
         ts = np.linspace(lo, hi, n)
         start, size = 0, 16
@@ -460,7 +441,7 @@ def witness_point(
             factor = 1.0
             # t = 0 (the window at x = 1) fails the k = 0 bound for alpha < 0
             with np.errstate(divide="ignore"):
-                for k in range(k_max + 1):
+                for k in range(len(coeffs)):
                     ok &= t ** (alpha + k) * dk[k] ** 2 <= factor * mass * (1 + 1e-12)
                     factor *= base
             if np.any(ok):

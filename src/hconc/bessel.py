@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import optimize, special
+from scipy import special
 
 from .errors import DomainError, InternalError
 
@@ -97,10 +97,6 @@ class BesselBound:
     c_alpha: float
     grid_max: float
     alpha: float = 0.0
-
-    def bound_at(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.c_alpha * (1.0 + t) ** (-(self.alpha + 0.5))
 
 
 def _series_j(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -439,9 +435,9 @@ def validate_interlacing(table: ZeroTable) -> None:
         )
 
 
-def _mcmahon_guess(nu: float, ks: np.ndarray) -> np.ndarray:
+def _mcmahon_guess(nu: float, k: int) -> float:
     # Large-index expansion of the k-th positive zero of J_nu.
-    beta = (ks + 0.5 * nu - 0.25) * math.pi
+    beta = (k + 0.5 * nu - 0.25) * math.pi
     mu = 4.0 * nu * nu
     guess = beta - (mu - 1.0) / (8.0 * beta)
     guess -= 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
@@ -457,7 +453,7 @@ def _zeros_by_sign_change(high: Order, count: int, tol: np.ndarray) -> np.ndarra
     step = 0.5 * math.pi
     # McMahon's guess overshoots the low zeros of large orders; the grid is
     # extended until it holds `count` sign changes
-    end = float(_mcmahon_guess(nu, np.array([float(count)]))[0]) + math.pi
+    end = _mcmahon_guess(nu, count) + math.pi
     while True:
         grid = nu + step * np.arange(int((end - nu) / step) + 2)
         f = eval_j(high, grid)
@@ -488,51 +484,18 @@ def _zeros_by_sign_change(high: Order, count: int, tol: np.ndarray) -> np.ndarra
 def zeros_of_j_prime(order: Order, count: int) -> ZeroTable:
     """First `count` positive zeros of j_alpha' as a validated ZeroTable.
 
-    Each zero is a root of j_{alpha+1}: the initial guess comes from the
-    large-index expansion, refined by Newton; roots that fail to converge are
-    re-bracketed within guess +/- pi/2 and bisected.  Where a guess is too
-    far off for that (alpha above ~22, where the expansion overshoots the
-    low zeros) or Newton leaves the reals, every zero is found from the sign
-    changes of j_{alpha+1} instead.  Residual requirement:
-    |j_{alpha+1}(s'_n)| <= 1e-12 * max(1, n).
+    Each zero is a root of j_{alpha+1}, found by `_zeros_by_sign_change`:
+    sign changes of j_{alpha+1} on a grid of step pi/2 from alpha + 1, which
+    McMahon's large-index expansion only sizes, bisected to the last bit.
+    Residual requirement: |j_{alpha+1}(s'_n)| <= 1e-12 * max(1, n).
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     if count > 10**6:
         raise DomainError("count must be <= 1e6")
-    nu = order.alpha + 1.0
-    high = Order(order.alpha).shifted(1)
-    ks = np.arange(1, count + 1, dtype=float)
-    tol = 1e-12 * np.maximum(1.0, ks)
-    guess = _mcmahon_guess(nu, ks)
-    z = guess.copy()
-    # Newton on j_{alpha+1}, whose derivative 2 nu (j_alpha - j_{alpha+1}) / z
-    # takes no order above alpha + 1
-    for _ in range(12):
-        low, f = eval_j_ladder(order, 1, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f * z / (2.0 * nu * (low - f))
-        z = z - step
-        if not np.all(np.isfinite(z)):
-            # a step from a flat point of j_{alpha+1}: the guesses are off
-            return ZeroTable(order=order, zeros=_zeros_by_sign_change(high, count, tol))
-        if np.max(np.abs(step)) < 1e-14 * max(1.0, z[-1]):
-            break
-    bad = (np.abs(eval_j(high, z)) > tol) | (np.abs(z - guess) > math.pi / 2)
-    for i in np.flatnonzero(bad):
-        lo = guess[i] - math.pi / 2 + 1e-9
-        hi = guess[i] + math.pi / 2 - 1e-9
-        if eval_j(high, lo) * eval_j(high, hi) > 0:
-            # the guess is more than pi/2 off, so Newton may have taken the
-            # neighbouring zero for other indices too
-            return ZeroTable(order=order, zeros=_zeros_by_sign_change(high, count, tol))
-        z[i] = optimize.brentq(lambda t: eval_j(high, t), lo, hi, xtol=1e-14)
-        if abs(eval_j(high, z[i])) > tol[i]:
-            raise InternalError(
-                f"zero #{i + 1} refinement stalled: residual "
-                f"{abs(eval_j(high, z[i])):.3e} exceeds {tol[i]:.3e}"
-            )
-    return ZeroTable(order=order, zeros=z)
+    tol = 1e-12 * np.maximum(1.0, np.arange(1, count + 1, dtype=float))
+    zeros = _zeros_by_sign_change(order.shifted(1), count, tol)
+    return ZeroTable(order=order, zeros=zeros)
 
 
 @lru_cache(maxsize=64)

@@ -58,16 +58,6 @@ from .transform import kernel_apply, max_sets, round_trip
 from .translation import make_plan, translate, translate_batch
 
 DEFAULT_SEED = 0xC0FFEE
-RECIPES = (
-    "bernstein",
-    "plancherel",
-    "translation",
-    "extremal",
-    "pair-norm",
-    "ls-verify",
-    "kovrijkine",
-    "good-bad",
-)
 
 
 @dataclass(frozen=True)
@@ -92,10 +82,9 @@ class ExperimentConfig:
             raise UsageError("config must set a name")
         recipe = self.recipe or self.name
         object.__setattr__(self, "recipe", recipe)
-        if recipe not in RECIPES:
-            raise UsageError(
-                f"unknown recipe {recipe!r}; expected one of {', '.join(RECIPES)}"
-            )
+        if recipe not in _RECIPE_TABLE:
+            expected = ", ".join(_RECIPE_TABLE)
+            raise UsageError(f"unknown recipe {recipe!r}; expected one of {expected}")
         for attr in ("omega_file", "s_file", "sigma_file"):
             path = getattr(self, attr)
             if path is not None and not os.path.exists(path):
@@ -245,11 +234,6 @@ def _plancherel_batch(
         scale = float(np.max(np.abs(f_j)))
         cases.append((defect, float(np.max(np.abs(back_j - f_j))) / scale))
     return cases
-
-
-def _plancherel_case(order: Order, b: float, rng) -> tuple[float, float]:
-    """(isometry defect, roundtrip error) for one random band-limited f."""
-    return _plancherel_batch(order, b, [rng], _plancherel_grids(order, b))[0]
 
 
 def _recipe_plancherel(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
@@ -471,7 +455,7 @@ def _recipe_pair_norm(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
             ReportRow(config.name, "quantity=annihilation-constant", const, 1.0, const >= 1.0)
         )
         trial_rows = strong_pair_trials(
-            order, S, Sigma, config.trials, config.seed
+            order, S, Sigma, norm, config.trials, config.seed
         )
         for t, (lhs, rhs) in enumerate(trial_rows):
             rows.append(
@@ -599,13 +583,13 @@ def _recipe_good_bad(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         ab = _GOOD_BAD_PRODUCTS[t % len(_GOOD_BAD_PRODUCTS)]
         pw = random_pw(order, ab, 32, rng, kind="smooth")
         coeffs = dk_coefficients(pw, 8)
-        bad, mass = good_bad_partition(pw, ab, xs, 8, coeffs)
+        bad, mass = good_bad_partition(pw, ab, xs, coeffs)
         frac = bad_mass_fraction(pw, xs, bad)
         goods = xs[~bad]
         found = 0
         for x, m in zip(goods, mass[~bad]):
             try:
-                witness_point(pw, ab, float(x), k_max=8, mass=m, coeffs=coeffs)
+                witness_point(pw, ab, float(x), m, coeffs)
                 found += 1
             except InternalError:
                 pass
@@ -643,10 +627,7 @@ _RECIPE_TABLE = {
 
 def run(config: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
     """Dispatch to the named recipe and write <output_dir>/<name>.csv."""
-    builder = _RECIPE_TABLE.get(config.recipe)
-    if builder is None:
-        raise UsageError(f"unknown recipe {config.recipe!r}")
-    rows = builder(config, jobs)
+    rows = _RECIPE_TABLE[config.recipe](config, jobs)
     write_report(config, rows)
     return rows
 
@@ -692,7 +673,9 @@ def _check_measure():
 def _check_plancherel():
     rng = np.random.default_rng(DEFAULT_SEED)
     for alpha in (-0.5, 0.0, 1.0, 0.3):
-        defect, roundtrip = _plancherel_case(Order(alpha), 1.0, rng)
+        order = Order(alpha)
+        grids = _plancherel_grids(order, 1.0)
+        [(defect, roundtrip)] = _plancherel_batch(order, 1.0, [rng], grids)
         if defect > 1e-7 or roundtrip > 1e-8:
             raise InternalError(
                 f"alpha={alpha}: isometry defect {defect:.3e}, "

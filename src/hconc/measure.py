@@ -113,11 +113,12 @@ def _pi_power_over_gamma(order: Order, z: float) -> float:
 
 
 def _check_power_range(order: Order, top: float, p: float) -> None:
-    """DomainError where top^p, the largest power a closed-form measure
-    takes, leaves the range of a double (alpha in the hundreds)."""
+    """DomainError where top^p, the largest power a closed-form measure or a
+    mu_alpha quadrature rule takes, leaves the range of a double (alpha in
+    the hundreds)."""
     if top > 1.0 and p * math.log(top) >= _LOG_DOUBLE_MAX:
         raise DomainError(
-            f"closed-form measure overflows a double at alpha = {order.alpha}: "
+            f"mu_alpha measure overflows a double at alpha = {order.alpha}: "
             f"{top:g}^{p:g} leaves its range"
         )
 

@@ -23,7 +23,7 @@ from scipy import special
 
 from .bessel import Order
 from .errors import DomainError
-from .measure import IntervalSet, mu_density_constant
+from .measure import IntervalSet, _check_power_range, mu_density_constant
 
 _PANEL = 16  # nodes per panel of the composite rules
 
@@ -106,7 +106,10 @@ def mu_rule(order: Order, subset: IntervalSet, nodes_per_unit: float):
     with the density folded in by `mu_fold`.  A panel that starts at 0 takes
     the Gauss-Jacobi rule of the weight x^(2 alpha + 1) instead, so the rule
     keeps the Gauss-Legendre rate for smooth integrands also where the
-    density is not smooth at 0 (2 alpha + 1 not an integer)."""
+    density is not smooth at 0 (2 alpha + 1 not an integer).  Raises
+    DomainError where sup(subset)^(2 alpha + 2), which the weights near the
+    top of the set approach, leaves the range of a double."""
+    _check_power_range(order, subset.sup(), 2.0 * order.alpha + 2.0)
     nodes, weights = set_rule(subset, nodes_per_unit)
     weights = mu_fold(order, nodes, weights)
     if subset.intervals and subset.inf() == 0.0:

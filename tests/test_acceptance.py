@@ -345,7 +345,7 @@ def test_criterion_10_annihilation_operators():
                        nodes_per_interval=128)
     )
     ok = ok and coarse < 1.0 and fine < 1.0 and abs(fine - coarse) <= 1e-5
-    trials = strong_pair_trials(order, unit, unit, 1000, 20260814)
+    trials = strong_pair_trials(order, unit, unit, coarse, 1000, 20260814)
     holds = np.all(trials[:, 0] <= trials[:, 1] * (1.0 + 1e-9))
     ok = ok and bool(holds) and trials.shape == (1000, 2)
     _finish(

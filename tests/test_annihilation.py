@@ -313,10 +313,11 @@ def test_strong_pair_rows_hold_and_are_deterministic():
     order = Order(0.0)
     S = IntervalSet.of([(0.0, 1.0)])
     Sigma = IntervalSet.of([(0.0, 1.0)])
-    rows = strong_pair_trials(order, S, Sigma, trials=40, seed=5)
+    norm = pair_norm(ProjectionPair(order=order, S=S, Sigma=Sigma, x_max=1.0))
+    rows = strong_pair_trials(order, S, Sigma, norm, trials=40, seed=5)
     assert rows.shape == (40, 2)
     assert np.all(rows[:, 0] <= rows[:, 1] * (1 + 1e-9))
-    again = strong_pair_trials(order, S, Sigma, trials=40, seed=5)
+    again = strong_pair_trials(order, S, Sigma, norm, trials=40, seed=5)
     assert np.array_equal(rows, again)
 
 
@@ -459,10 +460,11 @@ def test_ls_params_validation():
 def test_good_bad_partition_threshold_scaling():
     pw = random_pw(Order(0.0), 1.0, 96, np.random.default_rng(3), kind="smooth")
     xs = np.arange(1.0, 9.0)
+    coeffs = dk_coefficients(pw, 6)
     # huge threshold: nothing can be bad; tiny threshold: something is
-    bad, _ = good_bad_partition(pw, 10.0, xs, k_max=6)
+    bad, _ = good_bad_partition(pw, 10.0, xs, coeffs)
     assert not np.any(bad)
-    assert np.any(good_bad_partition(pw, 1e-3, xs, k_max=6)[0])
+    assert np.any(good_bad_partition(pw, 1e-3, xs, coeffs)[0])
     assert bad_mass_fraction(pw, xs, bad) == 0.0
 
 
@@ -471,50 +473,19 @@ def test_bad_mass_fraction_bounds():
     # the captured fraction must still be a fraction
     pw = random_pw(Order(0.5), 1.0, 96, np.random.default_rng(4), kind="smooth")
     xs = np.arange(1.0, 12.0)
-    bad, _ = good_bad_partition(pw, 0.05, xs, k_max=6)
+    bad, _ = good_bad_partition(pw, 0.05, xs, dk_coefficients(pw, 6))
     frac = bad_mass_fraction(pw, xs, bad)
     assert 0.0 <= frac <= 1.0 + 1e-9
     assert frac > 0.9  # windows cover nearly the whole support
 
 
-def test_partition_masses_feed_witness_search():
-    # the partition's k = 0 integrals are the window masses witness_point
-    # would compute itself, so handing them over changes no witness
-    ab = 0.1
-    pw = random_pw(Order(0.3), ab, 32, np.random.default_rng(9), kind="smooth")
-    xs = np.arange(1.0, 16.0)
-    bad, mass = good_bad_partition(pw, ab, xs, k_max=8)
-    assert not np.all(bad)
-    for x, m in zip(xs[~bad], mass[~bad]):
-        assert m == pytest.approx(_window_integrals(pw, x, 0)[0], rel=1e-14)
-        assert witness_point(pw, ab, x, mass=m) == witness_point(pw, ab, x)
-
-
-def test_good_bad_takes_coefficient_rows_once():
-    # rows formed once per trial give the partition and the witnesses that
-    # each call would form for itself
-    ab = 0.1
-    pw = random_pw(Order(-0.3), ab, 32, np.random.default_rng(10), kind="smooth")
-    xs = np.arange(1.0, 16.0)
-    coeffs = dk_coefficients(pw, 8)
-    bad, mass = good_bad_partition(pw, ab, xs, 8, coeffs=coeffs)
-    ref_bad, ref_mass = good_bad_partition(pw, ab, xs, 8)
-    assert np.array_equal(bad, ref_bad) and np.array_equal(mass, ref_mass)
-    for x, m in zip(xs[~bad][:4], mass[~bad][:4]):
-        got = witness_point(pw, ab, x, k_max=8, mass=m, coeffs=coeffs)
-        assert got == witness_point(pw, ab, x, k_max=8, mass=m)
-        # the window mass comes from the leading row
-        assert witness_point(pw, ab, x, k_max=8, coeffs=coeffs) == got
-    with pytest.raises(DomainError):
-        good_bad_partition(pw, ab, xs, 8, coeffs=coeffs[:8])
-
-
 def test_good_bad_validation():
     pw = random_pw(Order(0.0), 1.0, 32, np.random.default_rng(5))
+    coeffs = dk_coefficients(pw, 4)
     with pytest.raises(DomainError):
-        good_bad_partition(pw, 0.0, np.array([2.0]), k_max=4)
+        good_bad_partition(pw, 0.0, np.array([2.0]), coeffs)
     with pytest.raises(DomainError):
-        good_bad_partition(pw, 0.1, np.array([0.5]), k_max=4)
+        good_bad_partition(pw, 0.1, np.array([0.5]), coeffs)
 
 
 def test_witness_point_satisfies_growth_bounds():
@@ -522,12 +493,11 @@ def test_witness_point_satisfies_growth_bounds():
     # windows to be good, mirroring how the recipe pairs them
     ab, x, k_max = 0.1, 3.0, 8
     pw = random_pw(Order(0.0), ab, 96, np.random.default_rng(6), kind="smooth")
-    t = witness_point(pw, ab, x, k_max=k_max)
+    coeffs = dk_coefficients(pw, k_max)
+    mass = _window_integrals(pw, x, coeffs)[0]
+    t = witness_point(pw, ab, x, mass, coeffs)
     lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
     assert lo <= t <= hi
-    from hconc.annihilation import _window_integrals
-
-    mass = _window_integrals(pw, x, 0)[0]
     base = 12.0 * math.pi**2 * ab * ab
     factor = 1.0
     alpha = pw.order.alpha
@@ -580,12 +550,13 @@ def test_witness_point_matches_full_grid_scan(alpha):
     for trial, ab in enumerate((0.05, 0.1, 0.3)):
         rng = np.random.default_rng((7, trial))
         pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
-        bad, mass = good_bad_partition(pw, ab, xs, k_max=8)
+        coeffs = dk_coefficients(pw, 8)
+        bad, mass = good_bad_partition(pw, ab, xs, coeffs)
         assert not np.all(bad)
         for x, m in zip(xs[~bad], mass[~bad]):
             want = _first_witness_full_grid(pw, ab, x, m)
             assert want is not None
-            assert witness_point(pw, ab, x, mass=m) == want
+            assert witness_point(pw, ab, x, m, coeffs) == want
             if x == 1.0:
                 first_at_origin.append(want)
     # at alpha < 0 the window at x = 1 has no witness at its left end t = 0
@@ -603,8 +574,9 @@ def test_witness_point_scans_every_point_in_order():
     pw = random_pw(Order(-0.3), ab, 32, np.random.default_rng((7, 0)), kind="smooth")
     ts, need = _witness_need(pw, ab, 1.0, 1000)
     assert np.all(np.diff(need) < 0)
+    coeffs = dk_coefficients(pw, 8)
     for i in (1, 15, 16, 17, 79, 80, 335, 336, 999):
-        assert witness_point(pw, ab, 1.0, mass=need[i]) == ts[i]
+        assert witness_point(pw, ab, 1.0, need[i], coeffs) == ts[i]
 
 
 def test_witness_point_refines_the_grid():
@@ -616,7 +588,7 @@ def test_witness_point_refines_the_grid():
     fine, need_fine = _witness_need(pw, ab, x, 10_000)
     assert need_fine.min() < need_coarse.min() * (1 - 1e-6)
     mass = math.sqrt(need_fine.min() * need_coarse.min())
-    t = witness_point(pw, ab, x, mass=mass)
+    t = witness_point(pw, ab, x, mass, dk_coefficients(pw, 8))
     assert t == _first_witness_full_grid(pw, ab, x, mass)
     assert t in fine
     assert t not in coarse
@@ -625,9 +597,10 @@ def test_witness_point_refines_the_grid():
 def test_witness_point_raises_without_witness():
     ab, x = 0.3, 10.0
     pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
-    mass = 1e-30 * _window_integrals(pw, x, 0)[0]
+    coeffs = dk_coefficients(pw, 8)
+    mass = 1e-30 * _window_integrals(pw, x, coeffs)[0]
     with pytest.raises(InternalError, match="no witness point"):
-        witness_point(pw, ab, x, mass=mass)
+        witness_point(pw, ab, x, mass, coeffs)
 
 
 # --------------------------------------------------------------------------

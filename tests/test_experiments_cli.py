@@ -617,6 +617,21 @@ def test_cli_pair_norm_clustered_top_spectrum(
     assert 0.999999 < norm <= 1.0
 
 
+@pytest.mark.parametrize("sup, rc", [(20.0, 2), (8.0, 2), (3.0, 0)])
+def test_cli_pair_norm_large_order(tmp_path, capsys, sup, rc):
+    # at alpha = 200 the mu_alpha weights on [0, sup] reach sup^402, which
+    # leaves the range of a double for sup = 8 and 20: refused, not a
+    # traceback from a NaN Gram
+    path = _write(tmp_path / "s.set", f"0 {sup}\n")
+    argv = ["pair", "norm", "--alpha", "200", "--s", path, "--sigma", path]
+    assert cli.main(argv + ["--xmax", str(sup)]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert "overflows" in err
+    else:
+        assert 0.0 < float(out) <= 1.0
+
+
 def test_cli_ls_bound_prints_value_and_log10(capsys):
     rc = cli.main(
         ["ls", "bound", "--alpha", "0", "--a", "1", "--b", "1", "--gamma", "0.25"]
