@@ -8,7 +8,6 @@ projection-pair norms, and energy-concentration experiments.
 __version__ = "0.1.0"
 
 from .bessel import (
-    BesselBound,
     Order,
     ZeroTable,
     certify_bound,
@@ -31,7 +30,6 @@ from .measure import (
 __all__ = [
     "__version__",
     "Order",
-    "BesselBound",
     "ZeroTable",
     "eval_j",
     "zeros_of_j_prime",

@@ -20,8 +20,12 @@ Three numerical engines live here:
   ratio with spectrum guaranteed inside [0, 1].  It is the squared smallest
   singular value of the Gram's factor, which keeps ratios far below 1e-16.
 
-* good/bad window diagnostics and the analytic-growth inequality checker for
-  the squared-variable reformulation.
+* good/bad windows I_x = [(x-1)^2, (x+1)^2] in the squared variable, in two
+  batched kernel passes per trial: the window integrals on the unit pieces
+  [x - 1, x] and [x, x + 1] of the root variable, each distinct piece
+  integrated once (Gauss-Jacobi on the piece at 0), and a witness scan of
+  every good window in lockstep.  Also the analytic-growth inequality
+  checker.
 """
 
 from __future__ import annotations
@@ -44,12 +48,10 @@ from .paley_wiener import (
     tail_mass,
     theta_constant,
 )
-from .quadrature import build_rule, mu_rule
+from .quadrature import build_rule, mu_pieces, mu_rule
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
-# Gauss-Legendre nodes of the rule on each good/bad window I_x
-_WINDOW_NODES = 96
 # strong-pair trials draw spectra on [0, _TRIAL_BAND * sup Sigma]
 _TRIAL_BAND = 2.0
 
@@ -350,23 +352,27 @@ def _window_integrals(pw: PWFunction, x, coeffs: np.ndarray):
     """Integrals of |d^k g|^2 s^(alpha+k) over I_x = [(x-1)^2, (x+1)^2] for
     k = 0..k_max, where g(s) = f(sqrt(s)), along the last axis; x is one
     window center or an array of them.  `coeffs` = dk_coefficients(pw, k_max)
-    are the D^k rows, and k_max = len(coeffs) - 1."""
+    are the D^k rows, and k_max = len(coeffs) - 1.
+
+    In y = sqrt(s), where d^k g = D^k f, the integral is that of
+    |D^k f(y)|^2 2 y^(2 alpha + 2k + 1) over the unit pieces [x - 1, x] and
+    [x, x + 1].  Neighbouring windows share a piece; each distinct piece is
+    integrated once by the 16-node rule of `mu_pieces`, with D^k f at the
+    nodes of every piece from one `apply_Dk_all` call."""
     k_max = len(coeffs) - 1
     centers = np.asarray(x, dtype=float)
-    rules = [
-        build_rule((c - 1.0) ** 2, (c + 1.0) ** 2, _WINDOW_NODES)
-        for c in centers.ravel()
-    ]
-    s = np.array([rule.nodes for rule in rules]).ravel()
-    dk = apply_Dk_all(pw, coeffs, np.sqrt(s))
-    dk = dk.reshape(k_max + 1, len(rules), _WINDOW_NODES)
-    alpha = pw.order.alpha
-    out = np.empty((len(rules), k_max + 1))
-    for i, rule in enumerate(rules):
-        for k in range(k_max + 1):
-            out[i, k] = float(
-                np.dot(rule.weights, dk[k, i] ** 2 * rule.nodes ** (alpha + k))
-            )
+    flat = centers.ravel()
+    starts, piece = np.unique(np.concatenate([flat - 1.0, flat]), return_inverse=True)
+    y, w = mu_pieces(pw.order, starts)
+    dk = apply_Dk_all(pw, coeffs, y.ravel()).reshape((k_max + 1,) + y.shape)
+    # 2 y^(2 alpha + 2k + 1) dy = (2 / C) y^(2k) d mu_alpha(y)
+    w *= 2.0 / mu_density_constant(pw.order)
+    y2 = y * y
+    per_piece = np.empty((len(starts), k_max + 1))
+    for k in range(k_max + 1):
+        per_piece[:, k] = np.sum(w * dk[k] ** 2, axis=1)
+        w *= y2
+    out = per_piece[piece[: len(flat)]] + per_piece[piece[len(flat) :]]
     return out.reshape(centers.shape + (k_max + 1,))
 
 
@@ -417,42 +423,51 @@ def bad_mass_fraction(pw: PWFunction, x_list, bad) -> float:
 
 
 def witness_point(
-    pw: PWFunction, ab: float, x: float, mass: float, coeffs: np.ndarray
-) -> float:
-    """The first point t of a grid on I_x where every derivative order obeys
-    the pointwise growth bound t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k
-    * window mass.  The grids are 1000 equispaced points on I_x and two
-    tenfold refinements; each is scanned in order, in leading chunks of 16
-    points that grow fourfold, and the scan stops at the first chunk that
-    holds a witness, so the result is the first witness of the whole grid.
-    `mass` is the window's integral of |g|^2 s^alpha and `coeffs` =
-    dk_coefficients(pw, k_max) are the D^k rows, both as good_bad_partition
-    takes and returns them; k = 0..k_max, k_max = len(coeffs) - 1."""
-    lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
+    pw: PWFunction, ab: float, xs, masses, coeffs: np.ndarray
+) -> np.ndarray:
+    """For each window center x of `xs`, the first point t of a grid on I_x
+    where every derivative order obeys the pointwise growth bound
+    t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k * window mass, or NaN
+    where no grid holds one.  The grids are 1000 equispaced points on I_x
+    and two tenfold refinements; each is scanned in order, in leading chunks
+    of 16 points that grow fourfold, and a window stops at the first chunk
+    that holds a witness, which is the first witness of its whole grid.  The
+    windows scan in lockstep, one `apply_Dk_all` call per chunk step over
+    the windows still open; the kernel is evaluated point by point, so no
+    window's result depends on the others.  `masses` (the windows' integrals
+    of |g|^2 s^alpha) and `coeffs` = dk_coefficients(pw, k_max) are as
+    good_bad_partition returns and takes them; k_max = len(coeffs) - 1."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    masses = np.atleast_1d(np.asarray(masses, dtype=float))
     alpha = pw.order.alpha
     base = 12.0 * math.pi**2 * ab * ab
+    witness = np.full(len(xs), np.nan)
+    todo = np.arange(len(xs))  # windows with no witness on the grids so far
     for n in (1000, 10_000, 100_000):
-        ts = np.linspace(lo, hi, n)
+        if not len(todo):
+            break
+        ts = np.linspace((xs[todo] - 1.0) ** 2, (xs[todo] + 1.0) ** 2, n, axis=-1)
+        rows = np.arange(len(todo))  # rows of ts still open on this grid
         start, size = 0, 16
-        while start < n:
-            t = ts[start : start + size]
-            dk = apply_Dk_all(pw, coeffs, np.sqrt(t))
-            ok = np.ones(len(t), dtype=bool)
+        while start < n and len(rows):
+            t = ts[rows, start : start + size]
+            dk = apply_Dk_all(pw, coeffs, np.sqrt(t).ravel())
+            dk = dk.reshape((len(coeffs),) + t.shape)
+            mass = masses[todo[rows], None]
+            ok = np.ones(t.shape, dtype=bool)
             factor = 1.0
             # t = 0 (the window at x = 1) fails the k = 0 bound for alpha < 0
             with np.errstate(divide="ignore"):
                 for k in range(len(coeffs)):
                     ok &= t ** (alpha + k) * dk[k] ** 2 <= factor * mass * (1 + 1e-12)
                     factor *= base
-            if np.any(ok):
-                return float(t[np.argmax(ok)])
+            hit = np.any(ok, axis=1)
+            witness[todo[rows[hit]]] = t[hit, np.argmax(ok[hit], axis=1)]
+            rows = rows[~hit]
             start += size
             size *= 4
-    raise InternalError(
-        f"no witness point found in [{lo:.6f}, {hi:.6f}]: the pointwise "
-        "growth bound has no solution here, which happens when the window "
-        "fails the good-window derivative hypothesis for this ab product"
-    )
+        todo = todo[rows]
+    return witness
 
 
 # --------------------------------------------------------------------------
@@ -554,8 +569,8 @@ def density_necessity_demo(
         raise DomainError("hypothesized concentration constant must be in (0,1)")
     alpha = order.alpha
     theta = theta_constant(order)
-    c_a = certify_bound(order, 200.0).c_alpha
-    c_a2 = certify_bound(order.shifted(2), 200.0).c_alpha
+    c_a = certify_bound(order, 200.0)
+    c_a2 = certify_bound(order.shifted(2), 200.0)
     big_c = 2.0 * math.pi ** (alpha + 1.0) * c_a**2 / (
         theta * math.gamma(alpha + 2.0)
     )

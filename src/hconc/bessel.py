@@ -86,19 +86,6 @@ class Order:
         return Order(self.alpha + k)
 
 
-@dataclass(frozen=True)
-class BesselBound:
-    """Certified envelope constant: |j_alpha(t)| <= c_alpha (1+t)^(-alpha-1/2).
-
-    The constant is an empirical grid maximum inflated by a safety margin,
-    valid on [0, grid_max]; it is not an analytic bound.
-    """
-
-    c_alpha: float
-    grid_max: float
-    alpha: float = 0.0
-
-
 def _series_j(alpha: float, x: np.ndarray) -> np.ndarray:
     # j_alpha(x) = sum_m (-1)^m Gamma(a+1)/(m! Gamma(m+a+1)) (x/2)^(2m),
     # with the recurrence term_m = term_{m-1} * (-(x/2)^2) / (m (m+alpha)).
@@ -507,10 +494,12 @@ def cached_zero_table(alpha: float, count: int) -> ZeroTable:
     return zeros_of_j_prime(Order(alpha), max(n, 64))
 
 
-def certify_bound(order: Order, t_max: float) -> BesselBound:
-    """Empirical envelope constant c_alpha on [0, t_max], with 5% margin.
+def certify_bound(order: Order, t_max: float) -> float:
+    """Empirical envelope constant c_alpha on [0, t_max], with 5% margin:
+    |j_alpha(t)| <= c_alpha (1+t)^(-alpha-1/2) there.
 
-    c_alpha = 1.05 * max over a dense grid of |j_alpha(t)| (1+t)^(alpha+1/2).
+    c_alpha = 1.05 * max over a dense grid of |j_alpha(t)| (1+t)^(alpha+1/2);
+    it is a grid maximum inflated by a safety margin, not an analytic bound.
     """
     if not (t_max > 0) or not math.isfinite(t_max):
         raise DomainError("t_max must be positive and finite")
@@ -518,5 +507,4 @@ def certify_bound(order: Order, t_max: float) -> BesselBound:
     n = int(min(2_000_000, max(4096, 64 * t_max / math.pi)))
     t = np.linspace(0.0, t_max, n)
     vals = np.abs(eval_j(order, t)) * (1.0 + t) ** (order.alpha + 0.5)
-    c = 1.05 * float(np.max(vals))
-    return BesselBound(c_alpha=c, grid_max=float(t_max), alpha=order.alpha)
+    return 1.05 * float(np.max(vals))

@@ -586,13 +586,8 @@ def _recipe_good_bad(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         bad, mass = good_bad_partition(pw, ab, xs, coeffs)
         frac = bad_mass_fraction(pw, xs, bad)
         goods = xs[~bad]
-        found = 0
-        for x, m in zip(goods, mass[~bad]):
-            try:
-                witness_point(pw, ab, float(x), m, coeffs)
-                found += 1
-            except InternalError:
-                pass
+        witness = witness_point(pw, ab, goods, mass[~bad], coeffs)
+        found = int(np.count_nonzero(np.isfinite(witness)))
         return [
             ReportRow(
                 config.name,

@@ -7,9 +7,9 @@ node counts proportional to the number of oscillation periods without the
 cost of huge single rules.
 
 This is the one module that forms mu_alpha quadrature weights: `mu_fold`
-folds the density C x^(2 alpha + 1) into given weights, and `mu_rule` gives
-nodes and mu_alpha weights on a set, integrating the density exactly on a
-panel that starts at 0.
+folds the density C x^(2 alpha + 1) into given weights, `mu_rule` gives
+nodes and mu_alpha weights on a set, and `mu_pieces` on unit pieces [a, a+1];
+both integrate the density exactly on a panel that starts at 0.
 """
 
 from __future__ import annotations
@@ -101,6 +101,14 @@ def mu_fold(order: Order, nodes, weights) -> np.ndarray:
     return weights * mu_density_constant(order) * nodes ** (2.0 * order.alpha + 1.0)
 
 
+def _origin_panel(order: Order, half: float):
+    """Nodes and mu_alpha weights of the Gauss-Jacobi rule of the weight
+    x^(2 alpha + 1) on the panel [0, 2 half]."""
+    beta = 2.0 * order.alpha + 1.0
+    t, w = _gj_nodes(_PANEL, beta)
+    return half * (t + 1.0), mu_density_constant(order) * (w * half ** (beta + 1.0))
+
+
 def mu_rule(order: Order, subset: IntervalSet, nodes_per_unit: float):
     """Nodes on the subset and their mu_alpha quadrature weights: `set_rule`
     with the density folded in by `mu_fold`.  A panel that starts at 0 takes
@@ -114,10 +122,25 @@ def mu_rule(order: Order, subset: IntervalSet, nodes_per_unit: float):
     weights = mu_fold(order, nodes, weights)
     if subset.intervals and subset.inf() == 0.0:
         # the first panel is [0, 2 half]; its Gauss-Legendre nodes are symmetric
-        beta = 2.0 * order.alpha + 1.0
         half = 0.5 * (nodes[0] + nodes[_PANEL - 1])
-        t, w = _gj_nodes(_PANEL, beta)
-        nodes[:_PANEL] = half * (t + 1.0)
-        weights[:_PANEL] = mu_density_constant(order) * (w * half ** (beta + 1.0))
+        nodes[:_PANEL], weights[:_PANEL] = _origin_panel(order, half)
+    return nodes, weights
+
+
+def mu_pieces(order: Order, starts):
+    """Nodes and mu_alpha weights of 16-node rules on the unit pieces
+    [a, a + 1], a in `starts`, one row per piece: Gauss-Legendre with the
+    density folded in by `mu_fold`, and on a piece that starts at 0 the
+    Gauss-Jacobi rule of x^(2 alpha + 1), as in `mu_rule`.  Raises
+    DomainError where the weights leave the range of a double, as `mu_rule`
+    does."""
+    starts = np.asarray(starts, dtype=float)
+    _check_power_range(order, float(np.max(starts)) + 1.0, 2.0 * order.alpha + 2.0)
+    x, w = _gl_nodes(_PANEL)
+    nodes = starts[:, None] + 0.5 * (x + 1.0)
+    weights = mu_fold(order, nodes, 0.5 * w)
+    origin = starts == 0.0
+    if np.any(origin):
+        nodes[origin], weights[origin] = _origin_panel(order, 0.5)
     return nodes, weights
 

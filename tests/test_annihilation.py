@@ -11,6 +11,7 @@ from hconc.annihilation import (
     LSParams,
     ProjectionPair,
     _pair_gram,
+    _lommel_gram,
     _pair_nodes,
     _sigma_max,
     _window_integrals,
@@ -28,7 +29,7 @@ from hconc.annihilation import (
 )
 from hconc.bessel import Order
 from hconc.errors import DomainError, InternalError
-from hconc.measure import IntervalSet
+from hconc.measure import IntervalSet, mu_density_constant
 from hconc.paley_wiener import apply_Dk_all, dk_coefficients, random_pw
 from oracles import (
     ConcentrationMatrix,
@@ -488,6 +489,33 @@ def test_good_bad_validation():
         good_bad_partition(pw, 0.1, np.array([0.5]), coeffs)
 
 
+@pytest.mark.parametrize("alpha", [-0.3, 0.3, 1.0])
+def test_window_integrals_match_lommel_closed_form(alpha):
+    # every window of three recipe trials against the exact integral: in
+    # y = sqrt(s) the k-th integral is (2 / C_(alpha+k)) ||D^k f||^2 on
+    # [x - 1, x + 1] in mu_(alpha+k), and ||D^k f||^2 there is
+    # pi^(2k) c_k^T G c_k with G from Lommel's closed form
+    order = Order(alpha)
+    xs = np.arange(1.0, 16.0)
+    for trial, ab in enumerate((0.05, 0.1, 0.3)):
+        rng = np.random.default_rng((7, trial))
+        pw = random_pw(order, ab, 32, rng, kind="smooth")
+        coeffs = dk_coefficients(pw, 8)
+        ints = _window_integrals(pw, xs, coeffs)
+        xi = pw.spectral_rule.nodes
+        for i, x in enumerate(xs):
+            window = IntervalSet.of([(x - 1.0, x + 1.0)])
+            for k in range(9):
+                gram = _lommel_gram(order.shifted(k), window, xi)
+                want = (
+                    2.0
+                    / mu_density_constant(order.shifted(k))
+                    * math.pi ** (2 * k)
+                    * float(coeffs[k] @ gram @ coeffs[k])
+                )
+                assert ints[i, k] == pytest.approx(want, rel=1e-9)
+
+
 def test_witness_point_satisfies_growth_bounds():
     # the pw bandlimit must equal the threshold product for unit half-width
     # windows to be good, mirroring how the recipe pairs them
@@ -495,7 +523,7 @@ def test_witness_point_satisfies_growth_bounds():
     pw = random_pw(Order(0.0), ab, 96, np.random.default_rng(6), kind="smooth")
     coeffs = dk_coefficients(pw, k_max)
     mass = _window_integrals(pw, x, coeffs)[0]
-    t = witness_point(pw, ab, x, mass, coeffs)
+    (t,) = witness_point(pw, ab, [x], [mass], coeffs)
     lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
     assert lo <= t <= hi
     base = 12.0 * math.pi**2 * ab * ab
@@ -553,10 +581,11 @@ def test_witness_point_matches_full_grid_scan(alpha):
         coeffs = dk_coefficients(pw, 8)
         bad, mass = good_bad_partition(pw, ab, xs, coeffs)
         assert not np.all(bad)
-        for x, m in zip(xs[~bad], mass[~bad]):
+        got = witness_point(pw, ab, xs[~bad], mass[~bad], coeffs)
+        for x, m, t in zip(xs[~bad], mass[~bad], got):
             want = _first_witness_full_grid(pw, ab, x, m)
             assert want is not None
-            assert witness_point(pw, ab, x, m, coeffs) == want
+            assert t == want
             if x == 1.0:
                 first_at_origin.append(want)
     # at alpha < 0 the window at x = 1 has no witness at its left end t = 0
@@ -574,9 +603,9 @@ def test_witness_point_scans_every_point_in_order():
     pw = random_pw(Order(-0.3), ab, 32, np.random.default_rng((7, 0)), kind="smooth")
     ts, need = _witness_need(pw, ab, 1.0, 1000)
     assert np.all(np.diff(need) < 0)
-    coeffs = dk_coefficients(pw, 8)
-    for i in (1, 15, 16, 17, 79, 80, 335, 336, 999):
-        assert witness_point(pw, ab, 1.0, need[i], coeffs) == ts[i]
+    idx = [1, 15, 16, 17, 79, 80, 335, 336, 999]
+    got = witness_point(pw, ab, np.ones(len(idx)), need[idx], dk_coefficients(pw, 8))
+    assert np.array_equal(got, ts[idx])
 
 
 def test_witness_point_refines_the_grid():
@@ -588,19 +617,42 @@ def test_witness_point_refines_the_grid():
     fine, need_fine = _witness_need(pw, ab, x, 10_000)
     assert need_fine.min() < need_coarse.min() * (1 - 1e-6)
     mass = math.sqrt(need_fine.min() * need_coarse.min())
-    t = witness_point(pw, ab, x, mass, dk_coefficients(pw, 8))
+    (t,) = witness_point(pw, ab, [x], [mass], dk_coefficients(pw, 8))
     assert t == _first_witness_full_grid(pw, ab, x, mass)
     assert t in fine
     assert t not in coarse
 
 
-def test_witness_point_raises_without_witness():
+def test_witness_point_is_nan_without_witness():
     ab, x = 0.3, 10.0
     pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
     coeffs = dk_coefficients(pw, 8)
     mass = 1e-30 * _window_integrals(pw, x, coeffs)[0]
-    with pytest.raises(InternalError, match="no witness point"):
-        witness_point(pw, ab, x, mass, coeffs)
+    assert np.isnan(witness_point(pw, ab, [x], [mass], coeffs)).all()
+
+
+def test_witness_point_scans_windows_in_lockstep():
+    # one call over windows that finish at different steps: the second
+    # (x = 10) needs the 10^4-point grid (the mass of the refinement test),
+    # the windows at x = 2, 3, 5 finish in the first chunk, and the last
+    # (x = 10 with a vanishing mass) has no witness; each result is its
+    # window's own, also where a window ahead of it has finished
+    ab = 0.3
+    pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
+    coeffs = dk_coefficients(pw, 8)
+    _, need_coarse = _witness_need(pw, ab, 10.0, 1000)
+    _, need_fine = _witness_need(pw, ab, 10.0, 10_000)
+    xs = np.array([2.0, 10.0, 3.0, 5.0, 10.0])
+    masses = _window_integrals(pw, xs, coeffs)[:, 0]
+    masses[1] = math.sqrt(need_fine.min() * need_coarse.min())
+    masses[4] *= 1e-30
+    got = witness_point(pw, ab, xs, masses, coeffs)
+    for x, m, t in zip(xs[:-1], masses[:-1], got[:-1]):
+        assert t == _first_witness_full_grid(pw, ab, x, m)
+    assert np.isnan(got[-1])
+    first = xs[[0, 2, 3]]
+    lo = (first - 1.0) ** 2
+    assert np.all(got[[0, 2, 3]] < lo + 16.0 * ((first + 1.0) ** 2 - lo) / 999.0)
 
 
 # --------------------------------------------------------------------------

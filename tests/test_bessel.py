@@ -389,12 +389,12 @@ def test_cached_zero_table_growth():
 def test_certified_bound_dominates_dense_grid():
     for alpha in (0.0, 0.5, 2.0):
         order = Order(alpha)
-        bound = certify_bound(order, 300.0)
+        c_alpha = certify_bound(order, 300.0)
         ts = np.linspace(0.0, 300.0, 200_001)
         # the envelope quotient |j_alpha(t)| (1+t)^(alpha+1/2), whose grid
         # maximum the constant bounds within its 5% safety margin
         sup = float(np.max(np.abs(eval_j(order, ts)) * (1.0 + ts) ** (alpha + 0.5)))
-        assert sup <= bound.c_alpha <= 1.06 * sup
+        assert sup <= c_alpha <= 1.06 * sup
 
 
 def test_envelope_amplitude_matches_tail():
