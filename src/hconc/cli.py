@@ -56,11 +56,13 @@ def _parse_triple(text: str, what: str):
     try:
         lo, hi, n = text.split(",")
         lo, hi, n = float(lo), float(hi), int(n)
-        if n >= 1:
+        if n >= 1 and np.isfinite([lo, hi]).all():
             return lo, hi, n
     except ValueError:
         pass
-    raise UsageError(f"{what} must be lo,hi,n with n >= 1, got {text!r}")
+    raise UsageError(
+        f"{what} must be lo,hi,n with finite lo, hi and n >= 1, got {text!r}"
+    )
 
 
 def _parse_pair(text: str, what: str):

@@ -14,6 +14,7 @@ from hconc.experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
     ReportRow,
+    _bump_family,
     parse_config,
     run,
     selftest,
@@ -490,8 +491,11 @@ def test_cli_transform_rejects_bad_support_and_nodes(tmp_path, capsys, support, 
         ("translate", "--y-grid", "0,1,0"),
         ("translate", "--y-grid", "a,1,3"),
         ("translate", "--y-grid", "0,1,2.5"),
+        ("translate", "--y-grid", "0,inf,3"),
+        ("translate", "--y-grid", "nan,1,3"),
         ("extremal", "--x-grid", "0,1,-3"),
         ("extremal", "--x-grid", "0,1"),
+        ("extremal", "--x-grid", "0,inf,3"),
         ("transform", "--support", "a,1"),
         ("transform", "--support", "0,1,2"),
         ("bessel", "--x", "1,a"),
@@ -510,6 +514,16 @@ def test_cli_number_lists_are_usage_errors(tmp_path, capsys, command, flag, text
     assert cli.main(argv + [flag, text]) == 2
     err = capsys.readouterr().err
     assert f"error: {flag} must be" in err
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_cli_translate_rejects_non_finite_x(tmp_path, capsys, x):
+    csv = _write(tmp_path / "f.csv", "x,value\n0,1\n1,0\n")
+    argv = ["translate", "--alpha", "0.5", "--x", x, "--f", csv, "--y-grid", "0,1,3"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: translation arguments must be finite" in err
 
 
 def test_cli_translate_matches_two_point_form(tmp_path, capsys):
@@ -793,3 +807,36 @@ def test_cli_selftest_inject_fault_exits_1(capsys):
     assert "1 of 13 checks failed" in out
     # the corruption must not cascade into unrelated checks
     assert out.count("PASS") == 12
+
+
+def _compact_bump(t, width, poly):
+    # one bump per call, as the translation recipe evaluated them before they
+    # shared a grid pass
+    u = np.asarray(t, dtype=float) / width
+    out = np.zeros_like(u)
+    inside = (u > 0.0) & (u < 1.0)
+    v = u[inside] * (1.0 - u[inside])
+    out[inside] = np.exp(4.0 - 1.0 / np.maximum(v, 1e-300)) * np.polyval(
+        poly, u[inside]
+    )
+    return out
+
+
+@pytest.mark.parametrize("width", [2.0, 3.1, 4.0])
+def test_bump_family_is_bit_equal_to_separate_bumps(width):
+    poly = np.random.default_rng(5).uniform(-1.0, 1.0, size=3)
+    edges = [0.0, width]
+    near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    s = np.concatenate([np.linspace(-0.5, width + 0.5, 1001), edges, near])
+    got = _bump_family(width, poly)(s)
+    assert got.shape == (2, len(s))
+    assert np.array_equal(got[0], _compact_bump(s, width, poly))
+    f_pos = _compact_bump(s, width, np.polymul(poly, poly)) + _compact_bump(
+        s, width, np.array([0.1])
+    )
+    assert np.array_equal(got[1], f_pos)
+    # the grid straddles both support edges; next to them e underflows to 0
+    inside = (s > 0.0) & (s < width)
+    assert np.any(s < 0.0) and np.any(s > width)
+    assert np.all(got[:, ~inside] == 0.0)
+    assert np.all(got[1, inside] >= 0.0) and np.max(got[1]) > 0.0

@@ -232,3 +232,78 @@ def test_fixed_rule_mode_skips_refinement():
     fixed = translate_batch(plan, 1.1, _gauss, ys, adaptive=False)
     adaptive = translate_batch(plan, 1.1, _gauss, ys)
     assert np.max(np.abs(fixed - adaptive)) < 1e-9
+
+
+def _spike(t):
+    # width 0.005 at t = 1: from x = 1 the theta refinement needs 2048 nodes
+    return np.exp(-(((np.asarray(t) - 1.0) / 0.005) ** 2))
+
+
+def _three_sets(t):
+    return np.stack([_gauss(t), _bump(t), np.cos(3.0 * np.asarray(t))])
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7, 1.7])
+@pytest.mark.parametrize("x,adaptive", [(1.3, True), (0.0, True), (1.3, False)])
+def test_set_rows_are_bit_equal_to_single_calls(alpha, x, adaptive):
+    plan = make_plan(Order(alpha))
+    ys = np.linspace(0.0, 2.5, 11)
+    got = translate_batch(plan, x, _three_sets, ys, adaptive=adaptive)
+    assert got.shape == (3, len(ys))
+    for row, f in zip(got, (_gauss, _bump, lambda t: np.cos(3.0 * np.asarray(t)))):
+        solo = translate_batch(plan, x, f, ys, adaptive=adaptive)
+        assert solo.shape == (len(ys),)
+        assert np.array_equal(row, solo)
+
+
+def test_each_set_stops_at_its_own_doubling():
+    order = Order(0.7)
+    plan = make_plan(order)
+    ys = np.array([0.5, 1.0, 1.5])
+    pair = lambda t: np.stack([_gauss(t), _spike(t)])
+    got = translate_batch(plan, 1.0, pair, ys)
+    gauss_solo = translate_batch(plan, 1.0, _gauss, ys)
+    spike_solo = translate_batch(plan, 1.0, _spike, ys)
+    assert np.array_equal(got[0], gauss_solo)
+    assert np.array_equal(got[1], spike_solo)
+    # the spike stops at 2048 nodes, and the Gaussian's 2048-node value is a
+    # different float, so a shared stopping rule would change its row
+    at_2048 = lambda f: translate_batch(
+        make_plan(order, 2048), 1.0, f, ys, adaptive=False
+    )
+    assert np.array_equal(spike_solo, at_2048(_spike))
+    assert not np.array_equal(gauss_solo, at_2048(_gauss))
+
+
+def test_a_set_that_never_settles_raises_for_the_call():
+    plan = make_plan(Order(0.5), n_theta=256)
+    step = lambda t: (np.asarray(t) < 1.0).astype(float)
+    pair = lambda t: np.stack([_gauss(t), step(t)])
+    with pytest.raises(ConvergenceError) as exc_info:
+        translate_batch(plan, 1.0, pair, np.array([1.0]))
+    assert exc_info.value.last_iterate.shape == (2, 1)
+    assert exc_info.value.residual > 0
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.7])
+@pytest.mark.parametrize("x", [0.0, 1.3])
+def test_empty_ys_give_empty_results(alpha, x):
+    plan = make_plan(Order(alpha))
+    assert translate_batch(plan, x, _gauss, np.array([])).shape == (0,)
+    assert translate_batch(plan, x, _three_sets, []).shape == (3, 0)
+
+
+@pytest.mark.parametrize(
+    "x,ys",
+    [(math.nan, [1.0]), (math.inf, [1.0]), (1.0, [0.5, math.nan]), (1.0, [math.inf])],
+)
+def test_non_finite_arguments_raise_before_any_evaluation(x, ys):
+    calls = []
+
+    def f(t):
+        calls.append(len(t))
+        return _gauss(t)
+
+    with pytest.raises(DomainError, match="finite"):
+        translate_batch(make_plan(Order(0.5)), x, f, np.array(ys))
+    assert calls == []
