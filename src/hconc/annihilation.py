@@ -81,16 +81,19 @@ class ProjectionPair:
             raise DomainError("node budget too small")
 
 
-def _pair_nodes(pair: ProjectionPair, budget: int):
+def _pair_nodes(pair: ProjectionPair, budget: int, scale: int = 1):
     """Spectral nodes xi on Sigma and spatial nodes x on S, each with the
-    square root of its mu_alpha quadrature weight.  The density x^(2 alpha+1)
-    is integrated exactly by the rule (Gauss-Jacobi next to 0), so doubling
-    converges fast also where it is not smooth at 0, for alpha in (-1/2, 0)."""
+    square root of its mu_alpha quadrature weight.  Each side takes `scale`
+    times max(budget, its resolution floor) nodes per unit, so doubling the
+    scale doubles the rule that is used, also where the floor rules.  The
+    density x^(2 alpha+1) is integrated exactly by the rule (Gauss-Jacobi
+    next to 0), so doubling converges fast also where it is not smooth at 0,
+    for alpha in (-1/2, 0)."""
     # spectral side must resolve oscillation in xi at rate ~ sup(S)
-    per_unit_xi = max(budget, math.ceil(4.0 * pair.S.sup()) + 32)
+    per_unit_xi = scale * max(budget, math.ceil(4.0 * pair.S.sup()) + 32)
     xi, u = mu_rule(pair.order, pair.Sigma, per_unit_xi)
     # spatial side must resolve oscillation in x at rate ~ sup(Sigma)
-    per_unit_x = max(budget, math.ceil(4.0 * pair.Sigma.sup()) + 32)
+    per_unit_x = scale * max(budget, math.ceil(4.0 * pair.Sigma.sup()) + 32)
     x, v = mu_rule(pair.order, pair.S, per_unit_x)
     return xi, np.sqrt(u), x, np.sqrt(v)
 
@@ -136,11 +139,12 @@ def _lommel_gram(order: Order, far: IntervalSet, t: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _pair_gram(pair: ProjectionPair, budget: int) -> np.ndarray:
+def _pair_gram(pair: ProjectionPair, budget: int, scale: int = 1) -> np.ndarray:
     """Gram of the pair factor on its shorter side (A A^T when Sigma has
-    fewer nodes, else A^T A), with the sum along the longer side replaced by
-    the exact integral over its set, so that the factor is never formed."""
-    xi, su, x, sv = _pair_nodes(pair, budget)
+    fewer nodes, else A^T A), on the nodes of `_pair_nodes`, with the sum
+    along the longer side replaced by the exact integral over its set, so
+    that the factor is never formed."""
+    xi, su, x, sv = _pair_nodes(pair, budget, scale)
     if len(xi) <= len(x):
         t, s, far = xi, su, pair.S
     else:
@@ -167,9 +171,8 @@ def pair_norm(pair: ProjectionPair) -> float:
         return 0.0
     budget = pair.nodes_per_interval
     prev = _sigma_max(_pair_gram(pair, budget))
-    for _ in range(_MAX_DOUBLINGS):
-        budget *= 2
-        cur = _sigma_max(_pair_gram(pair, budget))
+    for doubling in range(1, _MAX_DOUBLINGS + 1):
+        cur = _sigma_max(_pair_gram(pair, budget, 2**doubling))
         if abs(cur - prev) <= _STABILITY_TOL:
             return min(cur, 1.0)
         prev = cur

@@ -135,19 +135,24 @@ def _direct_j(a: float, ax: np.ndarray) -> np.ndarray:
     """j_a at ax >= 0 by the power series below the cutoff and scipy's j0, j1
     or jv above it: the route of orders 0, 1 and those past _TAIL_MAX, and
     the values the Chebyshev table of every other order is fitted to."""
-    out = np.empty_like(ax)
     small = ax < _series_cutoff(a)
+    # j0 and j1 run on the whole array, with no gather or scatter of the
+    # large arguments; the series band below overwrites x = 0, where 2 j1(x)/x
+    # is 0/0.  jv runs past the cutoff only, where its normaliser is finite.
+    if a == 0.0:
+        out = special.j0(ax)
+    elif a == 1.0:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = special.j1(ax)
+            out *= 2.0
+            out /= ax
+    else:
+        out = np.empty_like(ax)
+        big = ~small
+        if np.any(big):
+            out[big] = _normalized_jv(a, ax[big])
     if np.any(small):
         out[small] = _series_j(a, ax[small])
-    big = ~small
-    if np.any(big):
-        xb = ax[big]
-        if a == 0.0:
-            out[big] = special.j0(xb)
-        elif a == 1.0:
-            out[big] = 2.0 * special.j1(xb) / xb
-        else:
-            out[big] = _normalized_jv(a, xb)
     return out
 
 

@@ -282,6 +282,16 @@ def _recipe_plancherel(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
 _TRANSLATION_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 1.7)
 
 
+def _horner(poly: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.polyval(poly, u) in place: polyval starts from 0 * u + poly[0],
+    which is poly[0] exactly, so the values are the same bits."""
+    out = np.full_like(u, poly[0])
+    for c in poly[1:]:
+        out *= u
+        out += c
+    return out
+
+
 def _bump_family(width: float, poly: np.ndarray):
     """Evaluator of the translation recipe's two compact bumps on (0, width):
     1-D s -> rows (f, f_pos), f = e p(u) and f_pos = e p(u)^2 + 0.1 e, with
@@ -296,8 +306,8 @@ def _bump_family(width: float, poly: np.ndarray):
         inside = np.flatnonzero((u > 0.0) & (u < 1.0))
         u_in = u[inside]
         e = np.exp(4.0 - 1.0 / np.maximum(u_in * (1.0 - u_in), 1e-300))
-        out[0, inside] = e * np.polyval(poly, u_in)
-        out[1, inside] = e * np.polyval(poly_sq, u_in) + e * 0.1
+        out[0, inside] = e * _horner(poly, u_in)
+        out[1, inside] = e * _horner(poly_sq, u_in) + e * 0.1
         return out
 
     return bumps

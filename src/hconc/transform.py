@@ -16,19 +16,23 @@ import numpy as np
 
 from .bessel import Order, eval_j_ladder
 
-# Kernel sums run in row blocks to bound peak memory.  A single-order block
-# holds at most _CHUNK kernel entries.  An order-ladder block counts its
-# entries across all k_max + 2 planes (the argument and k_max + 1 orders)
-# against the smaller _LADDER_CHUNK, which keeps the recurrence's work
-# arrays in cache and the ladder's peak memory near a single-order block's.
-_CHUNK = 2_000_000
+# Kernel sums run in row blocks sized to stay in cache: the arguments, the
+# kernel values and the matrix-vector products of a block reuse the same
+# few hundred KB instead of streaming a whole kernel from memory.  A
+# single-order block holds at most _CHUNK kernel entries.  An order-ladder
+# block counts its entries across all k_max + 2 planes (the argument and
+# k_max + 1 orders) against _LADDER_CHUNK, which also keeps the recurrence's
+# work arrays in cache.  How many coefficient sets share one pass is a
+# separate budget, _SET_ENTRIES, of entries in the sets' own arrays.
+_CHUNK = 65_536
 _LADDER_CHUNK = 131_072
+_SET_ENTRIES = 2_000_000
 
 
 def max_sets(width: int) -> int:
     """How many coefficient sets of `width` entries (or results of that
-    many output nodes) fit the _CHUNK entries of one kernel block."""
-    return max(1, _CHUNK // max(1, width))
+    many output nodes) fit the _SET_ENTRIES of one batch."""
+    return max(1, _SET_ENTRIES // max(1, width))
 
 
 def _kernel_blocks(order: Order, k_max: int, out_nodes: np.ndarray, nodes):
@@ -38,7 +42,8 @@ def _kernel_blocks(order: Order, k_max: int, out_nodes: np.ndarray, nodes):
     rows = max(1, budget // max(1, len(nodes)))
     for start in range(0, len(out_nodes), rows):
         block = slice(start, start + rows)
-        args = 2.0 * np.pi * np.outer(out_nodes[block], nodes)
+        args = np.outer(out_nodes[block], nodes)
+        args *= 2.0 * np.pi
         yield block, eval_j_ladder(order, k_max, args)
 
 

@@ -11,12 +11,15 @@ whose weight (1-t^2)^(a-1/2) equals the theta-weight exactly, so the stored
 theta-rule absorbs sin(theta)^(2a) into its weights.  At a = -1/2 the measure
 degenerates to the two endpoint atoms and the closed two-point form is used.
 
-`translate_batch` evaluates f once per theta-rule on the whole (len(ys), n)
-grid of distances.  f may return several functions (sets) on the same
-distances, as an (m, len) array; every set then shares the distance grid
-and the f calls, while the weights are applied to each set by its own
-matrix-vector product and the node doubling stops for each set on its own,
-so a set's result is bit-equal to translating it alone.
+`translate_batch` evaluates f on the (len(ys), n) grid of distances of each
+theta-rule, in row blocks of about _THETA_BLOCK points, so that the grid, f's
+values and the weight products of a block stay in cache.  Each row is formed
+by the same arithmetic in any block, so blocking changes no value.  f may
+return several functions (sets) on the same distances, as an (m, len) array;
+every set then shares the distance grid and the f calls, while the weights
+are applied to each set by its own matrix-vector product and the node
+doubling stops for each set on its own, so a set's result is bit-equal to
+translating it alone.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ from .quadrature import QuadratureRule
 
 _AGREE_TOL = 1e-10
 _MAX_THETA_NODES = 4096
+# distance-grid points per row block of a theta pass (128 KB per temporary)
+_THETA_BLOCK = 16_384
+# rows per block are a multiple of this: BLAS groups the rows of a
+# matrix-vector product in eights (OpenBLAS), so a block's rows then sum as
+# the same rows of the whole grid do, bit for bit
+_ROW_GROUP = 8
 
 
 @lru_cache(maxsize=128)
@@ -61,22 +70,30 @@ def make_plan(order: Order, n_theta: int = 256) -> TranslationPlan:
 
 
 def _theta_pass(order: Order, n: int, x: float, f, ys: np.ndarray) -> np.ndarray:
-    """T_x f at ys on the n-node theta-rule: one f call over the whole
-    (len(ys), n) distance grid, then one matrix-vector product per set."""
+    """T_x f at ys on the n-node theta-rule: per row block of ys, one f call
+    over the block's distance grid, then one matrix-vector product per set."""
     rule = _theta_rule(order.alpha, n)
-    cos_t = np.cos(rule.nodes)
-    # dist^2 = (x - y)^2 + 2 x y (1 - cos theta), grouped to avoid cancellation
-    d2 = (x - ys[:, None]) ** 2 + 2.0 * x * ys[:, None] * (1.0 - cos_t[None, :])
-    dist = np.sqrt(np.maximum(d2, 0.0))
-    vals = np.asarray(f(dist.ravel()), dtype=float)
-    lead = vals.shape[:-1]
-    sets = vals.reshape((math.prod(lead),) + dist.shape)
+    one_minus_cos = 1.0 - np.cos(rule.nodes)
     norm = math.gamma(order.alpha + 1.0) / (
         math.sqrt(math.pi) * math.gamma(order.alpha + 0.5)
     )
-    out = np.empty((len(sets), len(ys)))
-    for j, v in enumerate(sets):
-        out[j] = norm * (v @ rule.weights)
+    rows = max(1, _THETA_BLOCK // n // _ROW_GROUP) * _ROW_GROUP
+    out = None
+    # empty ys still make one (empty) f call, which fixes the set count
+    for start in range(0, max(len(ys), 1), rows):
+        yb = ys[start : start + rows, None]
+        # dist^2 = (x - y)^2 + 2 x y (1 - cos theta), grouped to avoid cancellation
+        dist = (2.0 * x * yb) * one_minus_cos
+        dist += (x - yb) ** 2
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        vals = np.asarray(f(dist.ravel()), dtype=float)
+        lead = vals.shape[:-1]
+        sets = vals.reshape((math.prod(lead),) + dist.shape)
+        if out is None:
+            out = np.empty((len(sets), len(ys)))
+        for j, v in enumerate(sets):
+            out[j, start : start + rows] = norm * (v @ rule.weights)
     return out.reshape(lead + (len(ys),))
 
 

@@ -46,13 +46,13 @@ def eval_j_derivative(order: Order, x) -> np.ndarray | float:
 # pair norms and the concentration eigenproblem (hconc.annihilation)
 
 
-def _pair_factor(pair: ProjectionPair, budget: int) -> np.ndarray:
+def _pair_factor(pair: ProjectionPair, budget: int, scale: int = 1) -> np.ndarray:
     """Factor A with A^T A = the compression of the Sigma-bandpass to S.
 
     A[k, p] = sqrt(u_k) j_alpha(2 pi x_p xi_k) sqrt(v_p) over mu_alpha
     quadrature weights u (spectral, on Sigma) and v (spatial, on S), held
     whole.  The dense reference for `pair_norm`."""
-    return _pair_block(pair.order, *_pair_nodes(pair, budget))
+    return _pair_block(pair.order, *_pair_nodes(pair, budget, scale))
 
 
 def _short_side_gram(pair: ProjectionPair, budget: int, far_budget: int) -> np.ndarray:

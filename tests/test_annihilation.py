@@ -208,9 +208,8 @@ def _dense_pair_norm(pair):
     """pair_norm's node-doubling loop on dense svdvals of the whole factor."""
     budget = pair.nodes_per_interval
     prev = float(linalg.svdvals(_pair_factor(pair, budget))[0])
-    for _ in range(4):
-        budget *= 2
-        cur = float(linalg.svdvals(_pair_factor(pair, budget))[0])
+    for doubling in range(1, 5):
+        cur = float(linalg.svdvals(_pair_factor(pair, budget, 2**doubling))[0])
         if abs(cur - prev) <= 1e-6:
             return min(cur, 1.0)
         prev = cur
@@ -250,6 +249,43 @@ def test_pair_norm_property_matches_dense_svd(alpha, sup_s, sup_sigma):
     norm = pair_norm(pair)
     assert 0.0 <= norm <= 1.0
     assert norm == pytest.approx(_dense_pair_norm(pair), abs=1e-6)
+
+
+@pytest.mark.parametrize("nodes, sup", [(4, 1.0), (16, 10.0)])
+def test_pair_norm_doubling_doubles_the_rule_in_use(monkeypatch, nodes, sup):
+    # the resolution floor 4 sup + 32 nodes per unit used to absorb the
+    # doubled budget: both passes then ran on one rule, and the stability
+    # check compared a value with itself
+    per_unit, sizes = [], []
+    real_rule, real_nodes = annihilation.mu_rule, annihilation._pair_nodes
+
+    def recording_rule(order, subset, nodes_per_unit):
+        per_unit.append(nodes_per_unit)
+        return real_rule(order, subset, nodes_per_unit)
+
+    def recording_nodes(*args):
+        xi, su, x, sv = real_nodes(*args)
+        sizes.append((len(xi), len(x)))
+        return xi, su, x, sv
+
+    monkeypatch.setattr(annihilation, "mu_rule", recording_rule)
+    monkeypatch.setattr(annihilation, "_pair_nodes", recording_nodes)
+    pair = ProjectionPair(
+        order=Order(0.0),
+        S=IntervalSet.of([(0.0, sup)]),
+        Sigma=IntervalSet.of([(0.0, sup)]),
+        x_max=sup,
+        nodes_per_interval=nodes,
+    )
+    assert 0.0 < pair_norm(pair) <= 1.0
+    # one (Sigma, S) pair of rules per pass, the first above the budget
+    passes = list(zip(per_unit[::2], per_unit[1::2]))
+    assert len(passes) == len(sizes) >= 2
+    assert passes[0] == (math.ceil(4 * sup) + 32,) * 2
+    for (xi0, x0), (xi1, x1) in zip(passes, passes[1:]):
+        assert (xi1, x1) == (2 * xi0, 2 * x0)
+    for (nxi0, nx0), (nxi1, nx1) in zip(sizes, sizes[1:]):
+        assert nxi1 > nxi0 and nx1 > nx0
 
 
 def test_projection_pair_validation():

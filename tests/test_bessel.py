@@ -244,6 +244,19 @@ def test_ladder_refuses_top_orders_above_300():
         eval_j_ladder(Order(292.5), 8, np.array([1.0, 40.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_j0_j1_route_is_exact_and_quiet_at_zero(alpha):
+    # j0 and j1 run on the whole array, x = 0 included (2 j1(x) / x is 0/0
+    # there), before the series band is written over them
+    assert eval_j(Order(alpha), 0.0) == 1.0
+    x = np.array([0.0, 1e-3, 0.25, 0.5, 3.0, 0.0, 40.0])
+    got = eval_j(Order(alpha), x)
+    assert got[0] == got[5] == 1.0
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, eval_j(Order(alpha), -x))
+
+
 def test_eval_j_rejects_nonfinite():
     with pytest.raises(DomainError):
         eval_j(Order(0.0), float("nan"))

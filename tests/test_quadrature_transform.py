@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from hconc.bessel import Order, eval_j
+from hconc import experiments
 from hconc.errors import DomainError
+from hconc.experiments import ExperimentConfig, run
 from hconc.measure import IntervalSet, mu_density_constant, mu_measure
 from hconc.quadrature import (
     QuadratureRule,
@@ -193,6 +195,51 @@ def test_coefficient_sets_match_single_set_calls(monkeypatch):
     single = kernel_apply(order, xi, x, ladder[:1])
     for j in range(5):
         assert np.array_equal(single[0, j], kernel_apply(order, xi, x, ladder[0, j]))
+
+
+@pytest.mark.parametrize("width", [1, 400, 640, 5000])
+def test_single_order_kernel_blocks_stay_within_budget(width):
+    order = Order(0.3)
+    nodes = np.linspace(0.1, 5.0, width)
+    out_nodes = np.linspace(0.0, 3.0, 1000)
+    covered = []
+    for block, kern in transform._kernel_blocks(order, 0, out_nodes, nodes):
+        assert kern.shape == (1, len(out_nodes[block]), width)
+        assert kern[0].size <= transform._CHUNK
+        covered.extend(range(len(out_nodes))[block])
+    assert covered == list(range(len(out_nodes)))
+
+
+def test_hundred_plancherel_trials_share_one_kernel_pass(tmp_path, monkeypatch):
+    # the batch size does not follow the cache-sized kernel blocks: all 100
+    # trials go through one round trip, which evaluates each kernel entry once
+    trips, entries = [], []
+    real_trip, real_ladder = experiments.round_trip, transform.eval_j_ladder
+
+    def counting_trip(order, nodes, coeffs, out_nodes, out_weights):
+        trips.append((len(coeffs), len(nodes), len(out_nodes)))
+        return real_trip(order, nodes, coeffs, out_nodes, out_weights)
+
+    def counting_ladder(order, k_max, x):
+        entries.append(np.size(x))
+        return real_ladder(order, k_max, x)
+
+    monkeypatch.setattr(experiments, "round_trip", counting_trip)
+    monkeypatch.setattr(transform, "eval_j_ladder", counting_ladder)
+    # blocks of 16k entries hold 25 rows of 640: a batch sized by them
+    # would split the run into four round trips
+    monkeypatch.setattr(transform, "_CHUNK", 16_384)
+    cfg = ExperimentConfig(
+        "pl", recipe="plancherel", alpha=0.3, trials=100, output_dir=str(tmp_path)
+    )
+    rows = run(cfg)
+    assert len(rows) == 200 and all(r.passed for r in rows)
+    assert len(trips) == 1
+    sets, n, m = trips[0]
+    assert sets == 100
+    # the round trip's kernel is n * m entries; synthesis adds one kernel
+    # of n rows against each member's 128 spectral nodes
+    assert m == 640 and sum(entries) == n * m + n * 128
 
 
 def test_plancherel_for_gaussian():

@@ -8,6 +8,7 @@ from hconc.bessel import Order, eval_j
 from hconc.errors import ConvergenceError, DomainError
 from hconc.measure import IntervalSet, mu_density_constant
 from hconc.quadrature import mu_rule
+from hconc import translation
 from hconc.transform import kernel_apply
 from hconc.translation import make_plan, translate, translate_batch
 from oracles import convolve, kernel_W, translate_via_kernel
@@ -254,6 +255,25 @@ def test_set_rows_are_bit_equal_to_single_calls(alpha, x, adaptive):
         solo = translate_batch(plan, x, f, ys, adaptive=adaptive)
         assert solo.shape == (len(ys),)
         assert np.array_equal(row, solo)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 1.7])
+@pytest.mark.parametrize("n", [256, 512, 4096])
+def test_row_blocks_are_bit_equal_to_one_block(monkeypatch, alpha, n):
+    # the theta pass runs in row blocks of ys; with ys over more than three
+    # blocks, every row is the bits of a pass over the whole grid at once
+    plan = make_plan(Order(alpha), n_theta=n)
+    ys = np.linspace(0.0, 4.0, 3 * (translation._THETA_BLOCK // n) + 29)
+    got = translate_batch(plan, 1.3, _three_sets, ys, adaptive=False)
+    assert got.shape == (3, len(ys))
+    monkeypatch.setattr(translation, "_THETA_BLOCK", n * len(ys))
+    whole = translate_batch(plan, 1.3, _three_sets, ys, adaptive=False)
+    assert np.array_equal(got, whole)
+    # a y alone runs through a one-row product, which BLAS sums in another
+    # order: the same values to rounding
+    for i, y in enumerate(ys):
+        solo = translate_batch(plan, 1.3, _three_sets, [y], adaptive=False)
+        assert np.allclose(got[:, i], solo[:, 0], rtol=0, atol=1e-14)
 
 
 def test_each_set_stops_at_its_own_doubling():
