@@ -5,12 +5,15 @@ Three numerical engines live here:
 
 * pair_norm: the operator norm of (bandpass to Sigma) composed with
   (restrict to S).  One side of the pair, the one whose quadrature rule has
-  fewer nodes, is discretized on measure-weighted quadrature coordinates;
-  the integral over the other set is exact, by Lommel's closed form for
-  the integral of a product of two kernels, so the Gram on the quadrature
-  side comes from two kernel evaluations per node and set endpoint and one
-  matrix product, with no row blocks.  LAPACK's `eigvalsh` returns its top
-  eigenvalue alone; node doubling repeats this until the norm is stable.
+  fewer nodes (n of them), is discretized on measure-weighted quadrature
+  coordinates; the integral over the other set is exact, by Lommel's closed
+  form for the integral of a product of two kernels, so the n x n Gram on
+  the quadrature side comes from two kernel evaluations per node and set
+  endpoint and one matrix product, in one n x n array.  Its numerical rank
+  r is small (about |S| |Sigma| plus a log term), so LAPACK's pivoted
+  Cholesky factors it in place to rank r in O(n^2 r) flops, and the top
+  eigenvalue is that of the r x r core of the factor, against O(n^3) for a
+  full eigensolver; node doubling repeats this until the norm is stable.
 
 * ls_empirical_min_ratio: the minimum of ||f||^2_Omega / ||f||^2 over a
   discretized bandlimited space.  The discretization expands in the
@@ -52,6 +55,8 @@ from .quadrature import build_rule, mu_pieces, mu_rule
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
+# entries of one row block of Lommel denominators a_k^2 - a_l^2
+_DEN_BLOCK = 65536
 # strong-pair trials draw spectra on [0, _TRIAL_BAND * sup Sigma]
 _TRIAL_BAND = 2.0
 
@@ -107,19 +112,24 @@ def _pair_block(order: Order, rows, s_rows, cols, s_cols) -> np.ndarray:
     return blk
 
 
-def _lommel_gram(order: Order, far: IntervalSet, t: np.ndarray) -> np.ndarray:
-    """K[k, l] = integral over `far` of j_alpha(a_k y) j_alpha(a_l y) d mu_alpha(y),
-    a = 2 pi t, in closed form (Lommel's integral).  With p = j_{alpha+1}(. R),
-    q = j_alpha(. R) and c(R) = C R^(2 alpha + 2) / (2 (alpha + 1)), C the
-    mu_alpha density constant,
+def _lommel_gram(
+    order: Order, far: IntervalSet, t: np.ndarray, s: np.ndarray | None = None
+) -> np.ndarray:
+    """K[k, l] = s_k s_l integral over `far` of j_alpha(a_k y) j_alpha(a_l y)
+    d mu_alpha(y), a = 2 pi t, in closed form (Lommel's integral); the
+    weights s default to 1.  With p = j_{alpha+1}(. R), q = j_alpha(. R) and
+    c(R) = C R^(2 alpha + 2) / (2 (alpha + 1)), C the mu_alpha density
+    constant,
 
         K_[0,R](a, b) = c(R) (a^2 p(aR) q(bR) - b^2 q(aR) p(bR)) / (a^2 - b^2),
         K_[0,R](a, a) = c(R) ((alpha + 1) q(aR)^2 - alpha p(aR) q(aR)
                               + (aR)^2 p(aR)^2 / (4 (alpha + 1))),
 
-    and each interval [lo, hi) of `far` adds K_[0,hi] - K_[0,lo].  Over all
-    endpoints the numerator is M - M^T with M = diag(a^2) P^T diag(+-c) Q,
-    P and Q holding p and q with one row per endpoint."""
+    and each interval [lo, hi) of `far` adds K_[0,hi] - K_[0,lo].  P and Q
+    hold s p and s q, one row per endpoint, so over all endpoints the
+    numerator is one product [diag(a^2) P^T C | -Q^T C] [Q; P diag(a^2)],
+    C = diag(+-c).  It is divided by a_k^2 - a_l^2 in row blocks, in place,
+    so the result is the only n x n array."""
     alpha = order.alpha
     ends = np.array(far.intervals, dtype=float).ravel()
     signs = np.tile([-1.0, 1.0], len(far.intervals))
@@ -129,11 +139,19 @@ def _lommel_gram(order: Order, far: IntervalSet, t: np.ndarray) -> np.ndarray:
     z = np.outer(ends, a)
     q = eval_j(order, z)
     p = eval_j(order.shifted(1), z)
+    if s is not None:
+        q *= s
+        p *= s
     a2 = a * a
-    m = a2[:, None] * ((c[:, None] * p).T @ q)
-    den = np.subtract.outer(a2, a2)
-    np.fill_diagonal(den, 1.0)
-    gram = (m - m.T) / den
+    cp = c[:, None] * p * a2
+    cq = c[:, None] * q
+    gram = np.hstack([cp.T, -cq.T]) @ np.vstack([q, p * a2])
+    n = len(t)
+    rows = max(1, _DEN_BLOCK // n)
+    for i in range(0, n, rows):
+        den = np.subtract.outer(a2[i : i + rows], a2)
+        np.fill_diagonal(den[:, i:], 1.0)
+        gram[i : i + rows] /= den
     diag = (alpha + 1.0) * q * q - alpha * p * q + z * z * p * p / (4.0 * alpha + 4.0)
     np.fill_diagonal(gram, c @ diag)
     return gram
@@ -146,22 +164,37 @@ def _pair_gram(pair: ProjectionPair, budget: int, scale: int = 1) -> np.ndarray:
     that the factor is never formed."""
     xi, su, x, sv = _pair_nodes(pair, budget, scale)
     if len(xi) <= len(x):
-        t, s, far = xi, su, pair.S
-    else:
-        t, s, far = x, sv, pair.Sigma
-    gram = _lommel_gram(pair.order, far, t)
-    gram *= s[:, None]
-    gram *= s[None, :]
-    return gram
+        return _lommel_gram(pair.order, pair.S, xi, su)
+    return _lommel_gram(pair.order, pair.Sigma, x, sv)
 
 
 def _sigma_max(gram: np.ndarray) -> float:
-    """Top singular value of a factor from its Gram (A^T A or A A^T): the
-    square root of the Gram's largest eigenvalue, which LAPACK computes
-    alone."""
-    n = len(gram)
-    lam = linalg.eigvalsh(gram, subset_by_index=[n - 1, n - 1], check_finite=False)
-    return math.sqrt(max(float(lam[0]), 0.0))
+    """Top singular value of a factor from its n x n Gram G (A^T A or A A^T),
+    the square root of G's largest eigenvalue; G is overwritten.
+
+    LAPACK's pivoted Cholesky (dpstrf) factors P^T G P = L L^T + E in place
+    and stops at rank r, where every pivot left is <= tol = n eps max_k
+    G_kk.  The top eigenvalue of L L^T is that of the r x r core L^T L.  For
+    a PSD Gram the rest E is PSD with trace <= (n - r) tol, so
+    0 <= lambda_max(G) - lambda_max(L L^T) <= (n - r) tol.  Pivots below tol,
+    roundoff-negative ones among them, end the factorization, so a
+    rank-deficient Gram needs no care and a zero Gram has rank 0.  The cost
+    is O(n^2 r + r^3) against O(n^3) for an eigensolver on G."""
+    if not np.isfinite(gram).all():
+        raise InternalError("pair Gram has non-finite entries")
+    # gram.T is the Fortran-ordered view of the symmetric array, so dpstrf
+    # factors it where it lies
+    factor, _, rank, info = linalg.lapack.dpstrf(gram.T, lower=1, overwrite_a=1)
+    if info < 0:
+        raise InternalError(f"dpstrf rejected argument {-info}")
+    if rank == 0:
+        return 0.0
+    lead = factor[:, :rank]
+    lead[:rank] = np.tril(lead[:rank])  # dpstrf leaves G above the diagonal
+    # the whole spectrum of the core: asking for the top eigenvalue alone
+    # sends clustered spectra (S = Sigma = [0, 3]) to dstemr, which fails
+    lam = linalg.eigvalsh(lead.T @ lead, overwrite_a=True, check_finite=False)
+    return math.sqrt(max(float(lam[-1]), 0.0))
 
 
 def pair_norm(pair: ProjectionPair) -> float:

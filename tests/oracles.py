@@ -19,7 +19,7 @@ from hconc.annihilation import (
 )
 from hconc.bessel import Order, eval_j
 from hconc.errors import DomainError, InternalError
-from hconc.measure import IntervalSet, mu_density_constant
+from hconc.measure import IntervalSet, _pi_power_over_gamma, mu_density_constant
 from hconc.paley_wiener import _MAX_DK, PWFunction
 from hconc.transform import kernel_apply
 from hconc.translation import make_plan, translate_batch
@@ -120,6 +120,26 @@ def concentration_matrix(
         x_max=x_max,
         n_modes=len(B),
     )
+
+
+# --------------------------------------------------------------------------
+# window masses (hconc.measure)
+
+
+def window_masses_by_interval(
+    order: Order, subset: IntervalSet, lo: np.ndarray, hi: np.ndarray
+):
+    """mu_alpha(subset & [lo, hi]) and mu_alpha([lo, hi]) for arrays of
+    windows, with every interval of the subset clipped to every window and
+    the closed-form antiderivative summed over the intervals in order.  The
+    reference for `measure._window_masses`, which clips two intervals per
+    window and reads the rest off a prefix sum."""
+    p = 2.0 * order.alpha + 2.0
+    scale = _pi_power_over_gamma(order, order.alpha + 2.0)
+    part = np.zeros_like(lo)
+    for a_j, b_j in subset.intervals:
+        part += np.clip(b_j, lo, hi) ** p - np.clip(a_j, lo, hi) ** p
+    return scale * part, scale * (hi**p - lo**p)
 
 
 # --------------------------------------------------------------------------

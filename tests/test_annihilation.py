@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,9 +49,35 @@ def test_sigma_max_matches_dense_svd():
     rng = np.random.default_rng(123)
     A = rng.normal(size=(15, 8))
     top = float(np.linalg.svd(A, compute_uv=False)[0])
-    assert _sigma_max(A.T @ A) == pytest.approx(top, rel=1e-8)
-    assert _sigma_max(A @ A.T) == pytest.approx(top, rel=1e-8)
+    assert _sigma_max(A.T @ A) == pytest.approx(top, rel=1e-13)
+    # rank 8 of 15: the factorization stops at the rank
+    assert _sigma_max(A @ A.T) == pytest.approx(top, rel=1e-13)
     assert _sigma_max(np.zeros((3, 3))) == 0.0
+
+
+def test_sigma_max_with_roundoff_negative_pivots():
+    # rank 3 plus a symmetric perturbation at roundoff size: the trailing
+    # pivots come out negative, and the factorization stops before them
+    rng = np.random.default_rng(9)
+    B = rng.normal(size=(12, 3))
+    E = rng.normal(size=(12, 12))
+    G = B @ B.T - 1e-16 * (E @ E.T)
+    assert np.linalg.eigvalsh(G)[0] < 0.0
+    want = math.sqrt(float(np.linalg.eigvalsh(G)[-1]))
+    assert _sigma_max(G) == pytest.approx(want, rel=1e-13)
+    assert _sigma_max(-np.eye(4)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sigma_max_rejects_non_finite_gram(bad):
+    # unchecked, dpstrf stops at a bad entry as at a small pivot: rank 0 for
+    # a NaN on the diagonal, rank 3 of 4 for a bad entry off it, and a number
+    # comes back either way
+    for k, l in ((0, 0), (2, 3)):
+        G = np.eye(4)
+        G[k, l] = G[l, k] = bad
+        with pytest.raises(InternalError):
+            _sigma_max(G)
 
 
 def test_lambda_min_matches_dense_eigh():
@@ -226,6 +253,37 @@ def test_pair_norm_clustered_top_spectrum(alpha, sup_s, sup_sigma):
     norm = pair_norm(pair)
     assert 0.999999 < norm <= 1.0
     assert norm == pytest.approx(_dense_pair_norm(pair), abs=1e-6)
+
+
+# the top spectrum of S = Sigma = [0, 3] clusters at 1 so tightly that
+# LAPACK's dstemr, asked for the top eigenvalue of the rank-27 core alone,
+# fails with an internal error
+@pytest.mark.parametrize(
+    "alpha, sup_s, sup_sigma", STALL_CASES + [(0.0, 3.0, 3.0), (0.0, 15.0, 15.0)]
+)
+def test_sigma_max_matches_dense_eigvalsh_on_pair_grams(alpha, sup_s, sup_sigma):
+    # the Grams of pair_norm's first pass, n = 128, 128, 64, 192 and 1392
+    # (rank 468 at the last); eigvalsh runs on a copy, since _sigma_max
+    # factors its argument in place
+    gram = _pair_gram(_pair(alpha, sup_s, sup_sigma), 64)
+    want = math.sqrt(float(linalg.eigvalsh(gram)[-1]))
+    assert _sigma_max(gram.copy()) == pytest.approx(want, rel=1e-13)
+
+
+def test_pair_gram_and_sigma_max_hold_one_gram():
+    # S = Sigma = [0, 15] at alpha = 0, first pass: n = 1392.  The Gram is
+    # built and factored in place, so beside its n x n array only row
+    # blocks, the rank-r slice of the factor and the r x r core are held
+    pair = _pair(0.0, 15.0, 15.0)
+    n = len(_pair_nodes(pair, 64)[0])
+    assert n == 1392
+    tracemalloc.start()
+    try:
+        _sigma_max(_pair_gram(pair, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8
 
 
 @pytest.mark.parametrize("alpha", [-0.49, -0.4, -0.3])

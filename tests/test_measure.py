@@ -1,19 +1,27 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hconc.bessel import Order
 from hconc.errors import DomainError, UsageError
 from hconc.measure import (
     IntervalSet,
+    _pi_power_over_gamma,
+    _window_masses,
     density_profile,
     density_profile_rows,
     load_interval_set,
     mu_density_constant,
     mu_measure,
 )
+from oracles import window_masses_by_interval
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_interval_set_sorts_and_merges():
@@ -154,6 +162,47 @@ def test_density_profile_against_bruteforce_scan():
     row_xs, row_ratios = density_profile_rows(order, subset, a, 18.0, step=0.01)
     assert row_xs == pytest.approx(xs, abs=1e-9)
     assert row_ratios == pytest.approx(ratios, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-0.5, 3.0),
+    ends=st.lists(st.floats(0.0, 50.0), min_size=0, max_size=40, unique=True),
+    windows=st.lists(
+        st.tuples(st.floats(0.0, 60.0), st.floats(1e-3, 20.0)), min_size=1, max_size=20
+    ),
+)
+def test_window_masses_match_the_per_interval_clip(alpha, ends, windows):
+    order = Order(alpha)
+    ends = sorted(ends)
+    subset = IntervalSet.of(zip(ends[0::2], ends[1::2]))
+    lo = np.array([w[0] for w in windows])
+    hi = lo + np.array([w[1] for w in windows])
+    part, full = _window_masses(order, subset, lo, hi)
+    want_part, want_full = window_masses_by_interval(order, subset, lo, hi)
+    assert np.array_equal(full, want_full)
+    # each closed-form term of either sum is a difference of powers up to
+    # hi^p, so both carry rounding of a few units of mu_alpha([0, hi]); a
+    # window that holds no whole interval sums the same terms bit for bit
+    top = _pi_power_over_gamma(order, alpha + 2.0) * hi ** (2.0 * alpha + 2.0)
+    assert np.all(np.abs(part - want_part) <= 1e-14 * top)
+    holds_whole = np.zeros(len(lo), dtype=bool)
+    for a, b in subset.intervals:
+        holds_whole |= (lo <= a) & (b <= hi)
+    assert np.array_equal(part[~holds_whole], want_part[~holds_whole])
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0])
+def test_window_masses_match_the_per_interval_clip_on_shipped_sets(alpha):
+    # the density scans of the shipped ls-verify configs, at their steps
+    order = Order(alpha)
+    for name, a in (("omega-periodic.set", 1.0), ("omega-sparse.set", 2.0)):
+        subset = load_interval_set(str(CONFIGS / name))
+        xs = a + a / 100.0 * np.arange(int((subset.sup() - a) / (a / 100.0)) + 1)
+        lo, hi = np.maximum(xs - a, 0.0), xs + a
+        part, full = _window_masses(order, subset, lo, hi)
+        want_part, _ = window_masses_by_interval(order, subset, lo, hi)
+        assert np.all(np.abs(part - want_part) <= 1e-14 * full)
 
 
 def test_density_profile_domain_errors():
