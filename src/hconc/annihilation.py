@@ -26,9 +26,10 @@ Three numerical engines live here:
 * good/bad windows I_x = [(x-1)^2, (x+1)^2] in the squared variable, in two
   batched kernel passes per trial: the window integrals on the unit pieces
   [x - 1, x] and [x, x + 1] of the root variable, each distinct piece
-  integrated once (Gauss-Jacobi on the piece at 0), and a witness scan of
-  every good window in lockstep.  Also the analytic-growth inequality
-  checker.
+  integrated once (Gauss-Jacobi on the piece at 0), which also give the
+  mass of the bad windows' union, and a witness scan of every good window
+  in lockstep that probes each window's left end first.  Also the
+  analytic-growth inequality checker.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ from .paley_wiener import (
     apply_Dk_all,
     extremal_family,
     extremal_norm_sq,
-    synthesize,
     tail_mass,
     theta_constant,
 )
-from .quadrature import build_rule, mu_pieces, mu_rule
+from .quadrature import build_rule, mu_pieces, mu_rule, set_rule_size
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
@@ -86,21 +86,32 @@ class ProjectionPair:
             raise DomainError("node budget too small")
 
 
+def _pair_per_unit(pair: ProjectionPair, budget: int, scale: int = 1):
+    """Nodes per unit of the spectral rule on Sigma and of the spatial rule
+    on S.  Each side takes `scale` times max(budget, its resolution floor),
+    so doubling the scale doubles the rule that is used, also where the
+    floor rules."""
+    # the spectral side must resolve oscillation in xi at rate ~ sup(S), and
+    # the spatial side oscillation in x at rate ~ sup(Sigma)
+    per_unit_xi = scale * max(budget, math.ceil(4.0 * pair.S.sup()) + 32)
+    per_unit_x = scale * max(budget, math.ceil(4.0 * pair.Sigma.sup()) + 32)
+    return per_unit_xi, per_unit_x
+
+
 def _pair_nodes(pair: ProjectionPair, budget: int, scale: int = 1):
-    """Spectral nodes xi on Sigma and spatial nodes x on S, each with the
-    square root of its mu_alpha quadrature weight.  Each side takes `scale`
-    times max(budget, its resolution floor) nodes per unit, so doubling the
-    scale doubles the rule that is used, also where the floor rules.  The
-    density x^(2 alpha+1) is integrated exactly by the rule (Gauss-Jacobi
+    """Nodes of the side whose rule is shorter (Sigma on a tie), each with
+    the square root of its mu_alpha quadrature weight, and the other side's
+    set, over which `_lommel_gram` integrates in closed form.  Only the
+    shorter side's rule is built; the other is sized by `set_rule_size`.
+    The density x^(2 alpha+1) is integrated exactly by the rule (Gauss-Jacobi
     next to 0), so doubling converges fast also where it is not smooth at 0,
     for alpha in (-1/2, 0)."""
-    # spectral side must resolve oscillation in xi at rate ~ sup(S)
-    per_unit_xi = scale * max(budget, math.ceil(4.0 * pair.S.sup()) + 32)
-    xi, u = mu_rule(pair.order, pair.Sigma, per_unit_xi)
-    # spatial side must resolve oscillation in x at rate ~ sup(Sigma)
-    per_unit_x = scale * max(budget, math.ceil(4.0 * pair.Sigma.sup()) + 32)
-    x, v = mu_rule(pair.order, pair.S, per_unit_x)
-    return xi, np.sqrt(u), x, np.sqrt(v)
+    per_unit_xi, per_unit_x = _pair_per_unit(pair, budget, scale)
+    if set_rule_size(pair.Sigma, per_unit_xi) <= set_rule_size(pair.S, per_unit_x):
+        t, w = mu_rule(pair.order, pair.Sigma, per_unit_xi)
+        return t, np.sqrt(w), pair.S
+    t, w = mu_rule(pair.order, pair.S, per_unit_x)
+    return t, np.sqrt(w), pair.Sigma
 
 
 def _pair_block(order: Order, rows, s_rows, cols, s_cols) -> np.ndarray:
@@ -162,10 +173,8 @@ def _pair_gram(pair: ProjectionPair, budget: int, scale: int = 1) -> np.ndarray:
     fewer nodes, else A^T A), on the nodes of `_pair_nodes`, with the sum
     along the longer side replaced by the exact integral over its set, so
     that the factor is never formed."""
-    xi, su, x, sv = _pair_nodes(pair, budget, scale)
-    if len(xi) <= len(x):
-        return _lommel_gram(pair.order, pair.S, xi, su)
-    return _lommel_gram(pair.order, pair.Sigma, x, sv)
+    t, s, far = _pair_nodes(pair, budget, scale)
+    return _lommel_gram(pair.order, far, t, s)
 
 
 def _sigma_max(gram: np.ndarray) -> float:
@@ -384,21 +393,24 @@ def ls_bound(params: LSParams) -> float:
 # good/bad windows in the squared variable
 
 
-def _window_integrals(pw: PWFunction, x, coeffs: np.ndarray):
-    """Integrals of |d^k g|^2 s^(alpha+k) over I_x = [(x-1)^2, (x+1)^2] for
-    k = 0..k_max, where g(s) = f(sqrt(s)), along the last axis; x is one
-    window center or an array of them.  `coeffs` = dk_coefficients(pw, k_max)
-    are the D^k rows, and k_max = len(coeffs) - 1.
+def _piece_integrals(pw: PWFunction, centers: np.ndarray, coeffs: np.ndarray):
+    """Integrals of |d^k g|^2 s^(alpha+k) over the pieces of the windows
+    I_x = [(x-1)^2, (x+1)^2], k = 0..k_max, where g(s) = f(sqrt(s)), for the
+    flat array `centers` of x.  `coeffs` = dk_coefficients(pw, k_max) are
+    the D^k rows, and k_max = len(coeffs) - 1.
 
     In y = sqrt(s), where d^k g = D^k f, the integral is that of
     |D^k f(y)|^2 2 y^(2 alpha + 2k + 1) over the unit pieces [x - 1, x] and
     [x, x + 1].  Neighbouring windows share a piece; each distinct piece is
     integrated once by the 16-node rule of `mu_pieces`, with D^k f at the
-    nodes of every piece from one `apply_Dk_all` call."""
+    nodes of every piece from one `apply_Dk_all` call.  Returns the
+    integrals of the distinct pieces, one row (k = 0..k_max) per piece, and
+    a (2, len(centers)) array of the rows of each window's left and right
+    piece; a window's integrals are the sum of its two rows."""
     k_max = len(coeffs) - 1
-    centers = np.asarray(x, dtype=float)
-    flat = centers.ravel()
-    starts, piece = np.unique(np.concatenate([flat - 1.0, flat]), return_inverse=True)
+    starts, piece = np.unique(
+        np.concatenate([centers - 1.0, centers]), return_inverse=True
+    )
     y, w = mu_pieces(pw.order, starts)
     dk = apply_Dk_all(pw, coeffs, y.ravel()).reshape((k_max + 1,) + y.shape)
     # 2 y^(2 alpha + 2k + 1) dy = (2 / C) y^(2k) d mu_alpha(y)
@@ -408,26 +420,34 @@ def _window_integrals(pw: PWFunction, x, coeffs: np.ndarray):
     for k in range(k_max + 1):
         per_piece[:, k] = np.sum(w * dk[k] ** 2, axis=1)
         w *= y2
-    out = per_piece[piece[: len(flat)]] + per_piece[piece[len(flat) :]]
-    return out.reshape(centers.shape + (k_max + 1,))
+    return per_piece, piece.reshape(2, len(centers))
 
 
 def good_bad_partition(
     pw: PWFunction, ab: float, xs, coeffs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Label each window center x >= 1 of `xs` as bad when some derivative
-    order k in [1, k_max] has >= (2 pi ab)^(2k) times the window's own mass:
-    integral over I_x of |d^k g|^2 s^(alpha+k) >= (2 pi ab)^(2k) *
-    integral over I_x of |g|^2 s^alpha.  `coeffs` = dk_coefficients(pw,
-    k_max) are the D^k rows, and k_max = len(coeffs) - 1.  Returns the
-    boolean bad-mask and the window masses (the k = 0 integrals);
-    witness_point takes the masses and the same rows."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Label each window center x of `xs`, an integer >= 1, as bad when some
+    derivative order k in [1, k_max] has >= (2 pi ab)^(2k) times the
+    window's own mass: integral over I_x of |d^k g|^2 s^(alpha+k) >=
+    (2 pi ab)^(2k) * integral over I_x of |g|^2 s^alpha.  `coeffs` =
+    dk_coefficients(pw, k_max) are the D^k rows, and k_max = len(coeffs) - 1.
+
+    Returns the boolean bad-mask, the window masses (the k = 0 integrals),
+    which witness_point takes with the same rows, and the bad-mass fraction:
+    the share of the squared-variable energy on the union of the bad
+    windows, against the closed-form total (Gamma(alpha+1)/pi^(alpha+1))
+    ||f||^2.  On integer centers that union is the union of the distinct
+    unit pieces of the bad windows, so its mass is the sum of their k = 0
+    integrals, and all three come from one kernel pass."""
     if ab <= 0:
         raise DomainError("bandlimit product ab must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 1.0):
         raise DomainError("window centers must be >= 1")
-    ints = _window_integrals(pw, xs, coeffs)
+    if np.any(xs != np.round(xs)):
+        raise DomainError("window centers must be integers")
+    per_piece, halves = _piece_integrals(pw, xs, coeffs)
+    ints = per_piece[halves[0]] + per_piece[halves[1]]
     mass = ints[:, 0]
     bad = np.zeros(len(xs), dtype=bool)
     base = (2.0 * math.pi * ab) ** 2
@@ -435,27 +455,16 @@ def good_bad_partition(
     for k in range(1, len(coeffs)):
         factor *= base
         bad |= ints[:, k] >= factor * mass
-    return bad, mass
-
-
-def bad_mass_fraction(pw: PWFunction, x_list, bad) -> float:
-    """Fraction of the squared-variable energy carried by the union of the
-    windows that the mask `bad` (from good_bad_partition) marks among the
-    centers x_list, against the closed-form total
-    (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2."""
-    xs = np.atleast_1d(np.asarray(x_list, dtype=float))[np.asarray(bad, dtype=bool)]
-    if not len(xs):
-        return 0.0
+    # the k = 0 integral of a piece is 2 / C times its mu_alpha mass of f^2,
+    # and the total is the mu_alpha mass of f^2 on [0, inf)
+    bad_pieces = np.unique(halves[:, bad])
     total = float(np.dot(pw.mu_hat_weights(), pw.coeffs**2))
-    # integrate back in the root variable x = sqrt(s), where the window I_x
-    # is [x - 1, x + 1]: the s^alpha ds mass of a window equals
-    # (Gamma(a+1)/pi^(a+1)) times its mu_alpha mass, and the shared constant
-    # cancels against the total; merged windows can be long, so panels keep
-    # the oscillation of f resolved
-    union = IntervalSet.of([(c - 1.0, c + 1.0) for c in xs])
-    x, w = mu_rule(pw.order, union, max(16.0, 12.0 * pw.bandlimit))
-    mass = float(np.dot(w, synthesize(pw, x) ** 2))
-    return mass / total
+    frac = (
+        float(np.sum(per_piece[bad_pieces, 0]))
+        * (0.5 * mu_density_constant(pw.order))
+        / total
+    )
+    return bad, mass, frac
 
 
 def witness_point(
@@ -465,9 +474,12 @@ def witness_point(
     where every derivative order obeys the pointwise growth bound
     t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k * window mass, or NaN
     where no grid holds one.  The grids are 1000 equispaced points on I_x
-    and two tenfold refinements; each is scanned in order, in leading chunks
-    of 16 points that grow fourfold, and a window stops at the first chunk
-    that holds a witness, which is the first witness of its whole grid.  The
+    and two tenfold refinements; each is scanned in order, in chunks that
+    start with one point, the window's left end, and go on with 16, 64,
+    256, ... points (chunk edges 1, 17, 81, 337, ...), and a window stops at
+    the first chunk that holds a witness, which is the first witness of its
+    whole grid.  In the good-bad recipe's trials the left end is the
+    witness of nearly every window, so most windows cost one point.  The
     windows scan in lockstep, one `apply_Dk_all` call per chunk step over
     the windows still open; the kernel is evaluated point by point, so no
     window's result depends on the others.  `masses` (the windows' integrals
@@ -484,7 +496,7 @@ def witness_point(
             break
         ts = np.linspace((xs[todo] - 1.0) ** 2, (xs[todo] + 1.0) ** 2, n, axis=-1)
         rows = np.arange(len(todo))  # rows of ts still open on this grid
-        start, size = 0, 16
+        start, size = 0, 1
         while start < n and len(rows):
             t = ts[rows, start : start + size]
             dk = apply_Dk_all(pw, coeffs, np.sqrt(t).ravel())
@@ -501,7 +513,7 @@ def witness_point(
             witness[todo[rows[hit]]] = t[hit, np.argmax(ok[hit], axis=1)]
             rows = rows[~hit]
             start += size
-            size *= 4
+            size = max(16, 4 * size)
         todo = todo[rows]
     return witness
 

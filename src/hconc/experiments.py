@@ -29,7 +29,6 @@ from .annihilation import (
     LSParams,
     ProjectionPair,
     annihilation_constant,
-    bad_mass_fraction,
     good_bad_partition,
     kovrijkine_check,
     ls_bound,
@@ -606,8 +605,7 @@ def _recipe_good_bad(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         ab = _GOOD_BAD_PRODUCTS[t % len(_GOOD_BAD_PRODUCTS)]
         pw = random_pw(order, ab, 32, rng, kind="smooth")
         coeffs = dk_coefficients(pw, 8)
-        bad, mass = good_bad_partition(pw, ab, xs, coeffs)
-        frac = bad_mass_fraction(pw, xs, bad)
+        bad, mass, frac = good_bad_partition(pw, ab, xs, coeffs)
         goods = xs[~bad]
         witness = witness_point(pw, ab, goods, mass[~bad], coeffs)
         found = int(np.count_nonzero(np.isfinite(witness)))

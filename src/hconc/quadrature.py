@@ -69,12 +69,24 @@ def build_rule(lo: float, hi: float, n: int) -> QuadratureRule:
     return QuadratureRule((float(lo), float(hi)), mid + half * x, half * w)
 
 
+def _panel_count(lo: float, hi: float, nodes_per_unit: float) -> int:
+    """Number of _PANEL-node panels of `panel_rule` on (lo, hi)."""
+    total = max(_PANEL, int(math.ceil((hi - lo) * nodes_per_unit)))
+    return max(1, int(math.ceil(total / _PANEL)))
+
+
+def set_rule_size(subset: IntervalSet, nodes_per_unit: float) -> int:
+    """Node count of `set_rule` and `mu_rule` on the subset, without
+    building the rule."""
+    panels = sum(_panel_count(a, b, nodes_per_unit) for a, b in subset.intervals)
+    return _PANEL * panels
+
+
 def panel_rule(lo: float, hi: float, nodes_per_unit: float) -> QuadratureRule:
     """Composite Gauss-Legendre rule with roughly nodes_per_unit density."""
     if hi <= lo:
         raise DomainError(f"degenerate interval ({lo}, {hi})")
-    total = max(_PANEL, int(math.ceil((hi - lo) * nodes_per_unit)))
-    npan = max(1, int(math.ceil(total / _PANEL)))
+    npan = _panel_count(lo, hi, nodes_per_unit)
     x, w = _gl_nodes(_PANEL)
     edges = np.linspace(lo, hi, npan + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])

@@ -15,12 +15,22 @@ from hconc.annihilation import (
     ProjectionPair,
     _concentration_factor,
     _pair_block,
-    _pair_nodes,
+    _pair_per_unit,
 )
-from hconc.bessel import Order, eval_j
+from hconc.bessel import (
+    _SERIES_TERMS,
+    _SUB_BLOCK,
+    Order,
+    _chebyshev_j,
+    _hankel_j,
+    _kernel_table,
+    _series_cutoff,
+    eval_j,
+)
 from hconc.errors import DomainError, InternalError
 from hconc.measure import IntervalSet, _pi_power_over_gamma, mu_density_constant
-from hconc.paley_wiener import _MAX_DK, PWFunction
+from hconc.paley_wiener import _MAX_DK, PWFunction, synthesize
+from hconc.quadrature import mu_rule
 from hconc.transform import kernel_apply
 from hconc.translation import make_plan, translate_batch
 
@@ -43,7 +53,61 @@ def eval_j_derivative(order: Order, x) -> np.ndarray | float:
 
 
 # --------------------------------------------------------------------------
+# the power series of the kernel (hconc.bessel)
+
+
+def series_j_per_term_max(alpha: float, x: np.ndarray) -> np.ndarray:
+    """The power series of j_alpha summed term by term, stopping after the
+    first term whose largest |value| over the whole array is below 1e-18:
+    the reference for `bessel._series_j`, which takes its term count from
+    the largest |x| alone."""
+    q = -0.25 * x * x
+    total = np.ones_like(x)
+    term = np.ones_like(x)
+    for m in range(1, _SERIES_TERMS):
+        term = term * q / (m * (m + alpha))
+        total = total + term
+        if np.max(np.abs(term)) < 1e-18:
+            break
+    return total
+
+
+def table_j_every_route(nu: float, x: np.ndarray) -> np.ndarray:
+    """j_nu on the table route as it ran before each element took one band:
+    Hankel's expansion on the tail elements (called also when there are
+    none), Clenshaw on every other element, and the per-term-max series
+    written over the elements below the cutoff, in sub-blocks.  The
+    reference for `bessel._table_j`, which must give the same bits."""
+    tab = _kernel_table(nu)
+    out = np.empty_like(x)
+    cutoff = _series_cutoff(nu)
+    for start in range(0, len(x), _SUB_BLOCK):
+        ax = np.abs(x[start : start + _SUB_BLOCK])
+        o = out[start : start + _SUB_BLOCK]
+        tail = ax >= tab.x_tail
+        o[tail] = _hankel_j(tab, ax[tail])
+        near = ~tail
+        xn = ax[near]
+        vals = _chebyshev_j(tab, xn)
+        small = xn < cutoff
+        if small.any():
+            vals[small] = series_j_per_term_max(nu, xn[small])
+        o[near] = vals
+    return out
+
+
+# --------------------------------------------------------------------------
 # pair norms and the concentration eigenproblem (hconc.annihilation)
+
+
+def pair_rules(pair: ProjectionPair, budget: int, scale: int = 1):
+    """Spectral nodes xi on Sigma and spatial nodes x on S, each with the
+    square root of its mu_alpha quadrature weight: both rules of a pass of
+    `annihilation.pair_norm`, of which `_pair_nodes` builds the shorter."""
+    per_unit_xi, per_unit_x = _pair_per_unit(pair, budget, scale)
+    xi, u = mu_rule(pair.order, pair.Sigma, per_unit_xi)
+    x, v = mu_rule(pair.order, pair.S, per_unit_x)
+    return xi, np.sqrt(u), x, np.sqrt(v)
 
 
 def _pair_factor(pair: ProjectionPair, budget: int, scale: int = 1) -> np.ndarray:
@@ -52,7 +116,7 @@ def _pair_factor(pair: ProjectionPair, budget: int, scale: int = 1) -> np.ndarra
     A[k, p] = sqrt(u_k) j_alpha(2 pi x_p xi_k) sqrt(v_p) over mu_alpha
     quadrature weights u (spectral, on Sigma) and v (spatial, on S), held
     whole.  The dense reference for `pair_norm`."""
-    return _pair_block(pair.order, *_pair_nodes(pair, budget, scale))
+    return _pair_block(pair.order, *pair_rules(pair, budget, scale))
 
 
 def _short_side_gram(pair: ProjectionPair, budget: int, far_budget: int) -> np.ndarray:
@@ -60,8 +124,8 @@ def _short_side_gram(pair: ProjectionPair, budget: int, far_budget: int) -> np.n
     `annihilation._pair_gram` keeps), with the sum along the other side taken
     on that side's quadrature rule at `far_budget`.  The dense reference for
     `_pair_gram`, which integrates the other side in closed form."""
-    xi, su, x, sv = _pair_nodes(pair, budget)
-    fine_xi, fine_su, fine_x, fine_sv = _pair_nodes(pair, far_budget)
+    xi, su, x, sv = pair_rules(pair, budget)
+    fine_xi, fine_su, fine_x, fine_sv = pair_rules(pair, far_budget)
     if len(xi) <= len(x):
         A = _pair_block(pair.order, fine_x, fine_sv, xi, su)
     else:
@@ -120,6 +184,31 @@ def concentration_matrix(
         x_max=x_max,
         n_modes=len(B),
     )
+
+
+# --------------------------------------------------------------------------
+# good/bad windows (hconc.annihilation)
+
+
+def bad_mass_fraction(pw: PWFunction, x_list, bad) -> float:
+    """Fraction of the squared-variable energy carried by the union of the
+    windows that the mask `bad` marks among the centers x_list, against the
+    closed-form total (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2, by a kernel pass
+    of its own over a rule on that union.  The reference for the fraction
+    that `annihilation.good_bad_partition` sums from its window pieces."""
+    xs = np.atleast_1d(np.asarray(x_list, dtype=float))[np.asarray(bad, dtype=bool)]
+    if not len(xs):
+        return 0.0
+    total = float(np.dot(pw.mu_hat_weights(), pw.coeffs**2))
+    # integrate back in the root variable x = sqrt(s), where the window I_x
+    # is [x - 1, x + 1]: the s^alpha ds mass of a window equals
+    # (Gamma(a+1)/pi^(a+1)) times its mu_alpha mass, and the shared constant
+    # cancels against the total; merged windows can be long, so panels keep
+    # the oscillation of f resolved
+    union = IntervalSet.of([(c - 1.0, c + 1.0) for c in xs])
+    x, w = mu_rule(pw.order, union, max(16.0, 12.0 * pw.bandlimit))
+    mass = float(np.dot(w, synthesize(pw, x) ** 2))
+    return mass / total
 
 
 # --------------------------------------------------------------------------

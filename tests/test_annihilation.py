@@ -14,10 +14,9 @@ from hconc.annihilation import (
     _pair_gram,
     _lommel_gram,
     _pair_nodes,
+    _piece_integrals,
     _sigma_max,
-    _window_integrals,
     annihilation_constant,
-    bad_mass_fraction,
     density_necessity_demo,
     good_bad_partition,
     kovrijkine_check,
@@ -37,7 +36,9 @@ from oracles import (
     _pair_factor,
     _short_side_gram,
     apply_Dk,
+    bad_mass_fraction,
     concentration_matrix,
+    pair_rules,
 )
 
 # value pinned from a converged dense-SVD run of the unit S = Sigma = [0, 1]
@@ -209,8 +210,7 @@ def test_pair_gram_closed_form_entries_match_mpmath_quad(alpha, S, Sigma):
     mpmath = pytest.importorskip("mpmath")
     pair = _closed_form_pair(alpha, S, Sigma)
     gram = _pair_gram(pair, 64)
-    xi, su, x, sv = _pair_nodes(pair, 64)
-    t, s, far = (xi, su, pair.S) if len(xi) <= len(x) else (x, sv, pair.Sigma)
+    t, s, far = _pair_nodes(pair, 64)
     n = len(t)
     with mpmath.workdps(20):
         a = mpmath.mpf(alpha)
@@ -322,9 +322,9 @@ def test_pair_norm_doubling_doubles_the_rule_in_use(monkeypatch, nodes, sup):
         return real_rule(order, subset, nodes_per_unit)
 
     def recording_nodes(*args):
-        xi, su, x, sv = real_nodes(*args)
-        sizes.append((len(xi), len(x)))
-        return xi, su, x, sv
+        t, s, far = real_nodes(*args)
+        sizes.append(len(t))
+        return t, s, far
 
     monkeypatch.setattr(annihilation, "mu_rule", recording_rule)
     monkeypatch.setattr(annihilation, "_pair_nodes", recording_nodes)
@@ -336,14 +336,46 @@ def test_pair_norm_doubling_doubles_the_rule_in_use(monkeypatch, nodes, sup):
         nodes_per_interval=nodes,
     )
     assert 0.0 < pair_norm(pair) <= 1.0
-    # one (Sigma, S) pair of rules per pass, the first above the budget
-    passes = list(zip(per_unit[::2], per_unit[1::2]))
-    assert len(passes) == len(sizes) >= 2
-    assert passes[0] == (math.ceil(4 * sup) + 32,) * 2
-    for (xi0, x0), (xi1, x1) in zip(passes, passes[1:]):
-        assert (xi1, x1) == (2 * xi0, 2 * x0)
-    for (nxi0, nx0), (nxi1, nx1) in zip(sizes, sizes[1:]):
-        assert nxi1 > nxi0 and nx1 > nx0
+    # one rule per pass, the one in use, the first above the budget
+    assert len(per_unit) == len(sizes) >= 2
+    assert per_unit[0] == math.ceil(4 * sup) + 32
+    for n0, n1 in zip(per_unit, per_unit[1:]):
+        assert n1 == 2 * n0
+    for n0, n1 in zip(sizes, sizes[1:]):
+        assert n1 > n0
+
+
+@pytest.mark.parametrize(
+    "S, Sigma, x_max",
+    [
+        ([(0.0, 1.0)], [(0.0, 1.0)], 1.0),
+        ([(0.0, 0.5)], [(0.0, 3.0)], 1.0),
+        ([(0.0, 1.5), (2.0, 2.5)], [(0.0, 1.0)], 3.0),
+        ([(0.0, 6.0)], [(0.5, 1.5)], 6.0),
+    ],
+)
+def test_pair_nodes_builds_the_shorter_rule_only(monkeypatch, S, Sigma, x_max):
+    # set_rule_size sizes both sides; the one rule built is the shorter of
+    # the two that the dense reference builds (Sigma's on a tie), bit for bit
+    calls = []
+    real_rule = annihilation.mu_rule
+
+    def recording_rule(*args):
+        calls.append(args)
+        return real_rule(*args)
+
+    monkeypatch.setattr(annihilation, "mu_rule", recording_rule)
+    pair = ProjectionPair(
+        order=Order(0.3), S=IntervalSet.of(S), Sigma=IntervalSet.of(Sigma), x_max=x_max
+    )
+    for scale in (1, 2):
+        calls.clear()
+        t, s, far = _pair_nodes(pair, 64, scale)
+        xi, su, x, sv = pair_rules(pair, 64, scale)
+        assert len(calls) == 1
+        want = (xi, su, pair.S) if len(xi) <= len(x) else (x, sv, pair.Sigma)
+        assert np.array_equal(t, want[0]) and np.array_equal(s, want[1])
+        assert far is want[2]
 
 
 def test_projection_pair_validation():
@@ -552,15 +584,24 @@ def test_ls_params_validation():
 # good/bad windows
 
 
+def _window_integrals(pw, x, coeffs):
+    """The integrals of `_piece_integrals` per window, the sum of its two
+    pieces, for one center or an array of them."""
+    centers = np.asarray(x, dtype=float)
+    per_piece, halves = _piece_integrals(pw, centers.ravel(), coeffs)
+    ints = per_piece[halves[0]] + per_piece[halves[1]]
+    return ints.reshape(centers.shape + (len(coeffs),))
+
+
 def test_good_bad_partition_threshold_scaling():
     pw = random_pw(Order(0.0), 1.0, 96, np.random.default_rng(3), kind="smooth")
     xs = np.arange(1.0, 9.0)
     coeffs = dk_coefficients(pw, 6)
     # huge threshold: nothing can be bad; tiny threshold: something is
-    bad, _ = good_bad_partition(pw, 10.0, xs, coeffs)
+    bad, _, frac = good_bad_partition(pw, 10.0, xs, coeffs)
     assert not np.any(bad)
     assert np.any(good_bad_partition(pw, 1e-3, xs, coeffs)[0])
-    assert bad_mass_fraction(pw, xs, bad) == 0.0
+    assert frac == 0.0
 
 
 def test_bad_mass_fraction_bounds():
@@ -568,10 +609,32 @@ def test_bad_mass_fraction_bounds():
     # the captured fraction must still be a fraction
     pw = random_pw(Order(0.5), 1.0, 96, np.random.default_rng(4), kind="smooth")
     xs = np.arange(1.0, 12.0)
-    bad, _ = good_bad_partition(pw, 0.05, xs, dk_coefficients(pw, 6))
-    frac = bad_mass_fraction(pw, xs, bad)
+    _, _, frac = good_bad_partition(pw, 0.05, xs, dk_coefficients(pw, 6))
     assert 0.0 <= frac <= 1.0 + 1e-9
     assert frac > 0.9  # windows cover nearly the whole support
+
+
+@pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.3, 1.0, 2.5])
+def test_bad_mass_fraction_from_pieces_matches_its_own_kernel_pass(alpha):
+    # the recipe's trials (seed 7, one per ab product, windows 1..15) and a
+    # mask of every other window, against the oracle's kernel pass over a
+    # rule on the union of the bad windows; windows at x and x + 1 share a
+    # piece, which must count once
+    xs = np.arange(1.0, 16.0)
+    seen = 0
+    for trial, ab in enumerate((0.05, 0.1, 0.3)):
+        rng = np.random.default_rng((7, trial))
+        pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
+        coeffs = dk_coefficients(pw, 8)
+        bad, _, frac = good_bad_partition(pw, ab, xs, coeffs)
+        want = bad_mass_fraction(pw, xs, bad)
+        assert frac == pytest.approx(want, rel=1e-13, abs=0.0)
+        seen += int(np.any(bad))
+        # a threshold product 100 times smaller marks every window bad
+        every, _, frac = good_bad_partition(pw, 0.01 * ab, xs, coeffs)
+        assert every.all()
+        assert frac == pytest.approx(bad_mass_fraction(pw, xs, every), rel=1e-13)
+    assert seen
 
 
 def test_good_bad_validation():
@@ -581,6 +644,9 @@ def test_good_bad_validation():
         good_bad_partition(pw, 0.0, np.array([2.0]), coeffs)
     with pytest.raises(DomainError):
         good_bad_partition(pw, 0.1, np.array([0.5]), coeffs)
+    # off the integer lattice, pieces of neighbouring windows overlap
+    with pytest.raises(DomainError, match="integers"):
+        good_bad_partition(pw, 0.1, np.array([2.0, 2.5]), coeffs)
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 0.3, 1.0])
@@ -673,7 +739,7 @@ def test_witness_point_matches_full_grid_scan(alpha):
         rng = np.random.default_rng((7, trial))
         pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
         coeffs = dk_coefficients(pw, 8)
-        bad, mass = good_bad_partition(pw, ab, xs, coeffs)
+        bad, mass, _ = good_bad_partition(pw, ab, xs, coeffs)
         assert not np.all(bad)
         got = witness_point(pw, ab, xs[~bad], mass[~bad], coeffs)
         for x, m, t in zip(xs[~bad], mass[~bad], got):
@@ -691,15 +757,47 @@ def test_witness_point_matches_full_grid_scan(alpha):
 def test_witness_point_scans_every_point_in_order():
     # on the window at x = 1 at alpha = -0.3 the smallest mass that admits a
     # witness falls strictly along the 1000-point grid, so the mass that
-    # admits grid point i makes i the first witness; i runs over both sides
-    # of the chunk edges 16, 80 and 336, and the last point
+    # admits grid point i makes i the first witness; i runs over the right
+    # side of the chunk edge 1, both sides of the edges 17, 81 and 337, and
+    # the last point.  There the left end t = 0 admits no finite mass; at
+    # alpha = 0 it does, and that mass makes it the first witness, which is
+    # the left side of the edge 1
     ab = 0.05
     pw = random_pw(Order(-0.3), ab, 32, np.random.default_rng((7, 0)), kind="smooth")
     ts, need = _witness_need(pw, ab, 1.0, 1000)
-    assert np.all(np.diff(need) < 0)
-    idx = [1, 15, 16, 17, 79, 80, 335, 336, 999]
+    assert np.all(np.diff(need[1:]) < 0)
+    idx = [1, 2, 16, 17, 80, 81, 336, 337, 999]
     got = witness_point(pw, ab, np.ones(len(idx)), need[idx], dk_coefficients(pw, 8))
     assert np.array_equal(got, ts[idx])
+    pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 0)), kind="smooth")
+    ts, need = _witness_need(pw, ab, 1.0, 1000)
+    mass = need[0]
+    (t,) = witness_point(pw, ab, [1.0], [mass], dk_coefficients(pw, 8))
+    assert t == ts[0] == _first_witness_full_grid(pw, ab, 1.0, mass)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.3])
+def test_witness_point_probes_one_point_per_window_first(monkeypatch, alpha):
+    # the recipe's trials at seed 7: the scan's first D^k pass evaluates the
+    # left end of each good window and nothing else
+    calls = []
+    real_apply = annihilation.apply_Dk_all
+
+    def recording_apply(pw, coeffs, x):
+        calls.append(np.size(x))
+        return real_apply(pw, coeffs, x)
+
+    xs = np.arange(1.0, 16.0)
+    for trial, ab in enumerate((0.05, 0.1, 0.3)):
+        rng = np.random.default_rng((7, trial))
+        pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
+        coeffs = dk_coefficients(pw, 8)
+        bad, mass, _ = good_bad_partition(pw, ab, xs, coeffs)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(annihilation, "apply_Dk_all", recording_apply)
+            witness_point(pw, ab, xs[~bad], mass[~bad], coeffs)
+        assert calls[0] == np.count_nonzero(~bad) > 0
 
 
 def test_witness_point_refines_the_grid():
@@ -728,9 +826,10 @@ def test_witness_point_is_nan_without_witness():
 def test_witness_point_scans_windows_in_lockstep():
     # one call over windows that finish at different steps: the second
     # (x = 10) needs the 10^4-point grid (the mass of the refinement test),
-    # the windows at x = 2, 3, 5 finish in the first chunk, and the last
-    # (x = 10 with a vanishing mass) has no witness; each result is its
-    # window's own, also where a window ahead of it has finished
+    # the windows at x = 2, 3, 5 finish in the first chunk, at their left
+    # ends, and the last (x = 10 with a vanishing mass) has no witness; each
+    # result is its window's own, also where a window ahead of it has
+    # finished
     ab = 0.3
     pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
     coeffs = dk_coefficients(pw, 8)
@@ -744,9 +843,7 @@ def test_witness_point_scans_windows_in_lockstep():
     for x, m, t in zip(xs[:-1], masses[:-1], got[:-1]):
         assert t == _first_witness_full_grid(pw, ab, x, m)
     assert np.isnan(got[-1])
-    first = xs[[0, 2, 3]]
-    lo = (first - 1.0) ** 2
-    assert np.all(got[[0, 2, 3]] < lo + 16.0 * ((first + 1.0) ** 2 - lo) / 999.0)
+    assert np.array_equal(got[[0, 2, 3]], (xs[[0, 2, 3]] - 1.0) ** 2)
 
 
 # --------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from hconc.bessel import (
     eval_j_ladder,
     zeros_of_j_prime,
 )
-from hconc.bessel import _direct_j, _kernel_table, _series_cutoff
+from hconc import bessel
+from hconc.bessel import _direct_j, _kernel_table, _series_cutoff, _series_j
 from hconc.errors import DomainError, InternalError
-from oracles import eval_j_derivative
+from oracles import eval_j_derivative, series_j_per_term_max, table_j_every_route
 
 # 50-digit hypergeometric evaluations 0F1(alpha+1; -x^2/4), frozen
 _J_ORACLE = [
@@ -92,13 +93,113 @@ def test_eval_j_even_and_bounded():
 def test_series_and_ratio_routes_agree_near_cutoff():
     from scipy import special
 
-    from hconc.bessel import _series_j
-
     for alpha in (-0.49, 0.0, 0.7, 3.2):
         xs = np.linspace(0.3, 0.8, 101)
         series = _series_j(alpha, xs)
         ratio = 2.0**alpha * math.gamma(alpha + 1.0) * special.jv(alpha, xs) / xs**alpha
         assert np.max(np.abs(series - ratio)) < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [-0.45, -0.3, 0.0, 0.3, 8.0, 28.0, 150.0])
+def test_series_term_count_from_largest_argument_is_bit_exact(alpha):
+    # _series_j takes its term count from the largest |x| alone; the oracle
+    # stops on the largest |term| over the array after every term.  Arrays
+    # of one element, and arrays with 0 and the cutoff's neighbours
+    rng = np.random.default_rng(int(1000 * alpha) % 2**32)
+    cut = _series_cutoff(alpha)
+    edges = [0.0, np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)]
+    arrays = [np.array([v]) for v in edges + [1e-300, 1e-9, 0.1 * cut, 0.7 * cut]]
+    for size in (2, 3, 17, 400):
+        for top in (1e-6, 0.05, 0.5, 1.0):
+            x = rng.uniform(0.0, top * cut, size)
+            arrays += [x, np.concatenate([x, edges]), -x]
+    for x in arrays:
+        assert np.array_equal(_series_j(alpha, x), series_j_per_term_max(alpha, x))
+
+
+@pytest.mark.parametrize("alpha", [-0.45, -0.3, 0.3, 2.3, 8.0, 13.7, 20.5])
+def test_table_route_gives_the_bits_of_every_route_evaluation(alpha):
+    # eval_j and the two top rows of eval_j_ladder, from which the others
+    # follow by a fixed recurrence, against the table route that runs
+    # Hankel and Clenshaw on every sub-block and writes the series over the
+    # small arguments; arrays of 1 to 40000 elements, mixed and single-band
+    rng = np.random.default_rng(29)
+    order = Order(alpha)
+    tail = _kernel_table(alpha).x_tail
+
+    def want(nu, x):
+        return np.clip(table_j_every_route(nu, x), -1.0, 1.0)
+
+    arrays = [np.array([v]) for v in (0.0, 0.25, 0.5, 3.0, float(tail), 80.0)]
+    for size in (2, 12, 384, 8192, 40000):
+        for top in (0.5, 3.0, tail, 4.0 * tail):
+            arrays.append(rng.uniform(0.0, 1.0, size) ** 2 * top)
+    for x in arrays:
+        assert np.array_equal(eval_j(order, x), want(alpha, x))
+        assert np.array_equal(eval_j(order, -x), want(alpha, x))
+    x = rng.uniform(0.0, 2.0 * tail, 3000)
+    base = order.shifted(-7.0) if alpha > 7.0 else order
+    ladder = eval_j_ladder(base, 8, x)
+    assert np.array_equal(ladder[8], want(base.shifted(8).alpha, x))
+    assert np.array_equal(ladder[7], want(base.shifted(7).alpha, x))
+
+
+# orders of each route of eval_j: the closed forms, scipy's j0 and j1, the
+# table route at small and moderate orders, and jv past the tables
+_ROUTE_ALPHAS = (-0.5, -0.3, 0.0, 0.3, 0.5, 1.0, 2.3, 8.0, 28.0, 31.5, 150.0)
+
+
+@pytest.mark.parametrize("alpha", _ROUTE_ALPHAS)
+def test_eval_j_on_mixed_arrays_equals_each_element_alone(alpha):
+    # arrays that span every band of the route (series, Clenshaw panels,
+    # Hankel tail, jv), with 0, the cutoff's and x_tail's neighbours and
+    # negative arguments, give each element the bits it has alone
+    order = Order(alpha)
+    rng = np.random.default_rng(17)
+    cut = _series_cutoff(alpha)
+    tab = _kernel_table(alpha)
+    tail = tab.x_tail if tab is not None else 40.0
+    marks = [0.0, cut, float(tail)]
+    near = [np.nextafter(m, d) for m in marks for d in (0.0, np.inf)]
+    x = np.concatenate(
+        [
+            marks,
+            near,
+            rng.uniform(0.0, cut, 40),
+            rng.uniform(cut, tail, 40),
+            rng.uniform(tail, 4.0 * tail + 100.0, 40),
+        ]
+    )
+    x = rng.permutation(np.concatenate([x, -x[::7]]))
+    together = eval_j(order, x)
+    alone = np.array([eval_j(order, float(v)) for v in x])
+    assert np.array_equal(together, alone)
+
+
+@pytest.mark.parametrize("alpha", [-0.3, 0.3, 2.3, 8.0])
+def test_table_route_calls_only_the_bands_it_needs(monkeypatch, alpha):
+    # an array wholly inside one band of the table route never enters the
+    # other two
+    order = Order(alpha)
+    tab = _kernel_table(alpha)
+    cut = _series_cutoff(alpha)
+    bands = {
+        "_series_j": np.linspace(0.0, np.nextafter(cut, 0.0), 50),
+        "_chebyshev_j": np.linspace(cut, np.nextafter(tab.x_tail, 0.0), 50),
+        "_hankel_j": np.linspace(tab.x_tail, 3.0 * tab.x_tail, 50),
+    }
+    want = {name: eval_j(order, x) for name, x in bands.items()}
+
+    def refuse(*args):
+        raise AssertionError("route entered with no argument in its band")
+
+    for name, x in bands.items():
+        with monkeypatch.context() as m:
+            for other in bands:
+                if other != name:
+                    m.setattr(bessel, other, refuse)
+            assert np.array_equal(eval_j(order, x), want[name])
+            assert np.array_equal(eval_j(order, -x[::-1]), want[name][::-1])
 
 
 # mpmath oracle grid: orders alpha + k, k <= 8, on [0, 600] with x = 0, the

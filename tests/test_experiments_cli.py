@@ -236,7 +236,10 @@ def test_plancherel_trial_rows_do_not_depend_on_the_batch(
 def test_good_bad_recipe_at_negative_order_is_warning_free(tmp_path):
     # the window at x = 1 starts at t = 0, where t^alpha is infinite for
     # alpha < 0; that point fails the growth bound without a warning.  The
-    # rows are pinned: the in-order witness scan changes no value.
+    # rows are pinned: the in-order witness scan changes no value.  The
+    # bad-mass values are sums of the window pieces' integrals; a kernel
+    # pass of their own on the union of the bad windows gave them to within
+    # 5e-15 relative.
     cfg = ExperimentConfig(
         name="gb",
         recipe="good-bad",
@@ -249,9 +252,9 @@ def test_good_bad_recipe_at_negative_order_is_warning_free(tmp_path):
     assert all(r.passed for r in rows)
     body = (tmp_path / "gb.csv").read_text(encoding="utf-8").splitlines()[2:]
     assert body == [
-        "gb,quantity=bad-mass trial=0 ab=0.05,0.0048038082253847592,0.34333333333333332,true",
+        "gb,quantity=bad-mass trial=0 ab=0.05,0.0048038082253847418,0.34333333333333332,true",
         "gb,quantity=witnesses trial=0 ab=0.05,13,13,true",
-        "gb,quantity=bad-mass trial=1 ab=0.1,0.016968708009294002,0.34333333333333332,true",
+        "gb,quantity=bad-mass trial=1 ab=0.1,0.016968708009293922,0.34333333333333332,true",
         "gb,quantity=witnesses trial=1 ab=0.1,13,13,true",
         "gb,quantity=bad-mass trial=2 ab=0.3,0,0.34333333333333332,true",
         "gb,quantity=witnesses trial=2 ab=0.3,15,15,true",

@@ -16,6 +16,7 @@ from hconc.quadrature import (
     mu_rule,
     panel_rule,
     set_rule,
+    set_rule_size,
 )
 from hconc import transform
 from hconc.transform import kernel_apply, round_trip
@@ -73,6 +74,18 @@ def test_panel_rule_weight_total():
     assert np.sum(rule.weights) == pytest.approx(7.5, rel=1e-14)
     assert np.all(rule.weights > 0)
     assert np.all((rule.nodes > 2.0) & (rule.nodes < 9.5))
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [[(0.0, 1.0)], [(0.0, 0.01)], [(0.0, 1.5), (2.0, 2.5)], [(0.5, 7.25), (9.0, 30.0)]],
+)
+@pytest.mark.parametrize("per_unit", [1.0, 16.0, 17.0, 36.5, 96.0, 1000.0])
+def test_set_rule_size_counts_the_rule_without_building_it(intervals, per_unit):
+    subset = IntervalSet.of(intervals)
+    size = set_rule_size(subset, per_unit)
+    assert size == len(set_rule(subset, per_unit)[0])
+    assert size == len(mu_rule(Order(0.3), subset, per_unit)[0])
 
 
 def test_set_rule_matches_per_interval_quadrature():
