@@ -114,23 +114,13 @@ def _pair_nodes(pair: ProjectionPair, budget: int, scale: int = 1):
     return t, np.sqrt(w), pair.Sigma
 
 
-def _pair_block(order: Order, rows, s_rows, cols, s_cols) -> np.ndarray:
-    """Pair-factor entries s_rows j_alpha(2 pi rows cols) s_cols; the kernel
-    is symmetric, so either node side can run along the rows."""
-    blk = eval_j(order, 2.0 * math.pi * np.outer(rows, cols))
-    blk *= s_rows[:, None]
-    blk *= s_cols[None, :]
-    return blk
-
-
 def _lommel_gram(
-    order: Order, far: IntervalSet, t: np.ndarray, s: np.ndarray | None = None
+    order: Order, far: IntervalSet, t: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
     """K[k, l] = s_k s_l integral over `far` of j_alpha(a_k y) j_alpha(a_l y)
-    d mu_alpha(y), a = 2 pi t, in closed form (Lommel's integral); the
-    weights s default to 1.  With p = j_{alpha+1}(. R), q = j_alpha(. R) and
-    c(R) = C R^(2 alpha + 2) / (2 (alpha + 1)), C the mu_alpha density
-    constant,
+    d mu_alpha(y), a = 2 pi t, in closed form (Lommel's integral).  With
+    p = j_{alpha+1}(. R), q = j_alpha(. R) and c(R) = C R^(2 alpha + 2) /
+    (2 (alpha + 1)), C the mu_alpha density constant,
 
         K_[0,R](a, b) = c(R) (a^2 p(aR) q(bR) - b^2 q(aR) p(bR)) / (a^2 - b^2),
         K_[0,R](a, a) = c(R) ((alpha + 1) q(aR)^2 - alpha p(aR) q(aR)
@@ -150,9 +140,8 @@ def _lommel_gram(
     z = np.outer(ends, a)
     q = eval_j(order, z)
     p = eval_j(order.shifted(1), z)
-    if s is not None:
-        q *= s
-        p *= s
+    q *= s
+    p *= s
     a2 = a * a
     cp = c[:, None] * p * a2
     cq = c[:, None] * q
@@ -257,8 +246,9 @@ def strong_pair_trials(
     xi = np.concatenate([xi_in, xi_out])
     u = np.concatenate([u_in, u_out])
     sigma_mask = np.arange(len(xi)) < len(xi_in)
-    x, v = mu_rule(order, S, max(32, math.ceil(12.0 * big)))
-    factor = _pair_block(order, xi, np.sqrt(u), x, np.sqrt(v))
+    # z^T gram z is the mass on S of the function with weighted spectral
+    # coordinates z
+    gram = _lommel_gram(order, S, xi, np.sqrt(u))
     const = annihilation_constant(norm)
 
     rng = np.random.default_rng(seed)
@@ -266,7 +256,7 @@ def strong_pair_trials(
     for t in range(trials):
         z = rng.uniform(-1.0, 1.0, size=len(xi))
         total = float(z @ z)
-        mass_s = float(np.sum((z @ factor) ** 2))
+        mass_s = float(z @ gram @ z)
         spec_out = float(z[~sigma_mask] @ z[~sigma_mask])
         lhs = total
         rhs = const * (max(total - mass_s, 0.0) + spec_out)
@@ -522,21 +512,14 @@ def witness_point(
 # analytic-growth (doubling) inequality
 
 
-def _eval_phi(phi, z):
-    coeffs = np.asarray(phi, dtype=float)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    acc = np.zeros_like(zz)
-    for c in coeffs[::-1]:
-        acc = acc * zz + c
-    return acc
-
-
 def kovrijkine_check(phi, interval, J: IntervalSet) -> tuple[float, float]:
     """Both sides of the analytic doubling inequality
     integral_I |phi|^2 <= (300 |I| / |J|)^(2 ln(M/m)/ln 2 + 1) integral_J |phi|^2
     with M the sup of |phi| on the stadium dist(z, I) < 4|I| and m its sup
-    on I.  phi is a power-series coefficient sequence.
+    on I.  phi is a power-series coefficient sequence, lowest order first.
     """
+    phi = np.asarray(phi, dtype=float)
+    polyval = np.polynomial.polynomial.polyval
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise DomainError("interval I is degenerate")
@@ -544,11 +527,11 @@ def kovrijkine_check(phi, interval, J: IntervalSet) -> tuple[float, float]:
         raise DomainError("J must be a positive-length subset of I")
     length = hi - lo
     rule = build_rule(lo, hi, 128)
-    vals = np.real(_eval_phi(phi, rule.nodes))
+    vals = polyval(rule.nodes, phi)
     lhs = float(np.dot(rule.weights, vals**2))
 
     grid = np.linspace(lo, hi, 2001)
-    m = float(np.max(np.abs(np.real(_eval_phi(phi, grid)))))
+    m = float(np.max(np.abs(polyval(grid, phi))))
     if m == 0.0:
         raise DomainError("degenerate check: phi vanishes identically on I")
 
@@ -573,7 +556,7 @@ def kovrijkine_check(phi, interval, J: IntervalSet) -> tuple[float, float]:
     )
     interior = (gx + 1j * gy)[inside]
     stadium = np.concatenate([left, right, top, bot, interior])
-    M = float(np.max(np.abs(_eval_phi(phi, stadium))))
+    M = float(np.max(np.abs(polyval(stadium, phi))))
     M = max(M, m)
 
     ratio = 300.0 * length / J.length()
@@ -581,7 +564,7 @@ def kovrijkine_check(phi, interval, J: IntervalSet) -> tuple[float, float]:
     j_int = 0.0
     for a, b_hi in J.intervals:
         rj = build_rule(a, b_hi, 128)
-        vj = np.real(_eval_phi(phi, rj.nodes))
+        vj = polyval(rj.nodes, phi)
         j_int += float(np.dot(rj.weights, vj**2))
     rhs = ratio**exponent * j_int
     return lhs, rhs

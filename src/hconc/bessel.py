@@ -244,6 +244,7 @@ def _kernel_table(nu: float) -> _KernelTable | None:
 
 
 def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Horner's rule in place, coefficients lowest order first."""
     acc = np.full_like(u, coeffs[-1])
     for c in coeffs[-2::-1]:
         acc *= u

@@ -23,7 +23,7 @@ from .measure import IntervalSet, density_profile_rows, load_interval_set
 from .paley_wiener import bernstein_sides, extremal_family, random_pw
 from .quadrature import mu_rule
 from .transform import kernel_apply
-from .translation import make_plan, translate_batch
+from .translation import translate_batch
 
 
 def _read_xy(path: str):
@@ -135,7 +135,7 @@ def _cmd_translate(args) -> int:
     ys = np.linspace(lo, hi, n)
     # sampled input is interpolated, so refinement cannot converge past the
     # sampling error; a fixed generous rule is the honest evaluation
-    vals = translate_batch(make_plan(order, n_theta=1024), args.x, f, ys, adaptive=False)
+    vals = translate_batch(order, args.x, f, ys, theta_nodes=1024)
     print("y,value")
     for y, v in zip(ys, vals):
         print(f"{_fmt(y)},{_fmt(v)}")

@@ -38,7 +38,8 @@ from .annihilation import (
     strong_pair_trials,
     witness_point,
 )
-from .bessel import Order, ZeroTable, cached_zero_table, eval_j, zeros_of_j_prime
+from .bessel import Order, ZeroTable, _horner, cached_zero_table, eval_j
+from .bessel import zeros_of_j_prime
 from .errors import ConvergenceError, InternalError, UsageError
 from .measure import (
     IntervalSet,
@@ -57,7 +58,7 @@ from .paley_wiener import (
 )
 from .quadrature import mu_rule
 from .transform import kernel_apply, max_sets, round_trip
-from .translation import make_plan, translate, translate_batch
+from .translation import translate_batch
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -206,16 +207,19 @@ def _recipe_bernstein(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
     return _map_trials(one, config.trials, jobs)
 
 
+def _plancherel_window(b: float) -> float:
+    """x_max of the physical window [0, x_max] of the Plancherel checks."""
+    return 40.0 * max(1.0, 1.0 / b)
+
+
 def _plancherel_grids(order: Order, b: float):
     """(x, wx, xi, wxi): the mu_alpha rules of the physical and spectral
     windows the Plancherel checks run on; they depend on (alpha, b) only."""
-    # window and node counts sized so the discrete spectral sum still tracks
-    # the decaying continuous profile across the whole window
-    x_max = 40.0 * max(1.0, 1.0 / b)
+    x_max = _plancherel_window(b)
     # mu_alpha-weighted rules: Gauss-Jacobi next to 0, where the density
-    # x^(2 alpha + 1) is not smooth; the inverse kernel oscillates ~x_max
-    # cycles per unit of xi
-    x, wx = mu_rule(order, IntervalSet.of([(0.0, x_max)]), 10.0)
+    # x^(2 alpha + 1) is not smooth; f oscillates ~b cycles per unit of x,
+    # and the inverse kernel ~x_max cycles per unit of xi
+    x, wx = mu_rule(order, IntervalSet.of([(0.0, x_max)]), 10.0 * max(1.0, b))
     xi, wxi = mu_rule(order, IntervalSet.of([(0.0, 2.0 * b)]), max(32.0, 8.0 * x_max))
     return x, wx, xi, wxi
 
@@ -227,7 +231,10 @@ def _plancherel_batch(
     generator, all synthesized in one kernel pass and sent through one
     `round_trip` pass on `grids` = _plancherel_grids(order, b)."""
     x, wx, xi, wxi = grids
-    pws = [random_pw(order, b, 128, rng, kind="smooth") for rng in rngs]
+    # the spectral sum aliases from x ~ 0.47 n_spec / b on (see random_pw):
+    # 3 b x_max nodes keep the alias past the whole window
+    n_spec = max(128, math.ceil(3.0 * b * _plancherel_window(b)))
+    pws = [random_pw(order, b, n_spec, rng, kind="smooth") for rng in rngs]
     f = synthesize(pws, x)
     hat, back = round_trip(order, x, wx * f, xi, wxi)
     cases = []
@@ -281,22 +288,14 @@ def _recipe_plancherel(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
 _TRANSLATION_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 1.7)
 
 
-def _horner(poly: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.polyval(poly, u) in place: polyval starts from 0 * u + poly[0],
-    which is poly[0] exactly, so the values are the same bits."""
-    out = np.full_like(u, poly[0])
-    for c in poly[1:]:
-        out *= u
-        out += c
-    return out
-
-
 def _bump_family(width: float, poly: np.ndarray):
     """Evaluator of the translation recipe's two compact bumps on (0, width):
     1-D s -> rows (f, f_pos), f = e p(u) and f_pos = e p(u)^2 + 0.1 e, with
     u = s / width and e = exp(4 - 1/(u (1 - u))) on 0 < u < 1, zero outside.
-    u, the support indices and e are formed once per grid for both rows."""
-    poly_sq = np.polymul(poly, poly)
+    u, the support indices and e are formed once per grid for both rows.
+    poly is highest coefficient first; Horner's rule on it gives the bits of
+    np.polyval, which starts from 0 * u + poly[0] = poly[0] exactly."""
+    low, low_sq = poly[::-1], np.polymul(poly, poly)[::-1]
 
     def bumps(t: np.ndarray) -> np.ndarray:
         u = np.asarray(t, dtype=float) / width
@@ -305,8 +304,8 @@ def _bump_family(width: float, poly: np.ndarray):
         inside = np.flatnonzero((u > 0.0) & (u < 1.0))
         u_in = u[inside]
         e = np.exp(4.0 - 1.0 / np.maximum(u_in * (1.0 - u_in), 1e-300))
-        out[0, inside] = e * _horner(poly, u_in)
-        out[1, inside] = e * _horner(poly_sq, u_in) + e * 0.1
+        out[0, inside] = e * _horner(low, u_in)
+        out[1, inside] = e * _horner(low_sq, u_in) + e * 0.1
         return out
 
     return bumps
@@ -316,7 +315,6 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     rng = _trial_rng(config, t)
     alpha = _TRANSLATION_ALPHAS[t % len(_TRANSLATION_ALPHAS)]
     order = Order(alpha)
-    plan = make_plan(order)
     x = float(rng.uniform(0.2, 4.0))
     y = float(rng.uniform(0.2, 4.0))
     lam = float(rng.uniform(0.3, 3.0))
@@ -328,7 +326,7 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
 
     # the product formula's kernel and the symmetry reference share (x, y)
     prod, sym_ref = translate_batch(
-        plan, x, lambda s: np.stack([eval_j(order, lam * s), f(s)]), np.array([y])
+        order, x, lambda s: np.stack([eval_j(order, lam * s), f(s)]), np.array([y])
     )[:, 0].tolist()
     prod_ref = float(eval_j(order, lam * x)) * float(eval_j(order, lam * y))
     rows.append(
@@ -341,7 +339,10 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
         )
     )
 
-    sym = translate(plan, y, f, x)
+    # the swapped arguments on one 384-node pass: a rule that the reference's
+    # doubling from 256 never uses, and cheap to build once per order
+    # (roots_jacobi's time grows as ~n^2; 2048 nodes take ~30x as long)
+    sym = float(translate_batch(order, y, f, [x], theta_nodes=384)[0])
     rows.append(
         ReportRow(
             config.name,
@@ -355,7 +356,7 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     # 32 nodes/unit: the bump's endpoint boundary layers defeat coarser panels
     big_x, big_w = mu_rule(order, IntervalSet.of([(0.0, width + x + 0.5)]), 32.0)
     # p=1 runs on the nonnegative f_pos so |.| stays smooth under quadrature
-    shifted, shifted_pos = translate_batch(plan, x, bumps, big_x)
+    shifted, shifted_pos = translate_batch(order, x, bumps, big_x)
     base_x, base_w = mu_rule(order, IntervalSet.of([(0.0, width)]), 32.0)
     base, base_pos = bumps(base_x)
     mass = float(np.dot(big_w, shifted))
@@ -777,7 +778,7 @@ def _check_determinism():
         raise InternalError("report not byte-identical across reruns")
 
 
-def selftest(inject_fault: str | None = None, echo=print) -> int:
+def selftest(inject_fault: str | None = None) -> int:
     """Run the desk-scale invariant suite; exit code 0 iff everything passes.
 
     inject_fault="zerotable" deliberately corrupts a zero table to prove the
@@ -807,11 +808,11 @@ def selftest(inject_fault: str | None = None, echo=print) -> int:
             fn()
         except (InternalError, ConvergenceError) as exc:
             failures += 1
-            echo(f"FAIL {name}: {exc} ({time.perf_counter() - start:.2f}s)")
+            print(f"FAIL {name}: {exc} ({time.perf_counter() - start:.2f}s)")
         else:
-            echo(f"PASS {name} ({time.perf_counter() - start:.2f}s)")
+            print(f"PASS {name} ({time.perf_counter() - start:.2f}s)")
     if failures:
-        echo(f"selftest: {failures} of {len(checks)} checks failed")
+        print(f"selftest: {failures} of {len(checks)} checks failed")
         return 1
-    echo(f"selftest: all {len(checks)} checks passed")
+    print(f"selftest: all {len(checks)} checks passed")
     return 0

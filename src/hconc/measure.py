@@ -187,14 +187,11 @@ def density_profile_rows(
 
 
 def density_profile(
-    order: Order,
-    subset: IntervalSet,
-    a: float,
-    x_max: float,
-    step: float | None = None,
+    order: Order, subset: IntervalSet, a: float, x_max: float
 ) -> tuple[float, float]:
-    """Minimum of the density_profile_rows ratios, as (gamma_min, argmin)."""
-    xs, ratios = density_profile_rows(order, subset, a, x_max, step)
+    """Minimum of the density_profile_rows ratios at the default step, as
+    (gamma_min, argmin)."""
+    xs, ratios = density_profile_rows(order, subset, a, x_max)
     k = int(np.argmin(ratios))
     return float(ratios[k]), float(xs[k])
 

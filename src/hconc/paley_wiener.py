@@ -61,27 +61,20 @@ def plancherel_norm(pw: PWFunction) -> float:
     return float(np.sqrt(np.dot(pw.mu_hat_weights(), pw.coeffs**2)))
 
 
-def synthesize(pw: PWFunction | Sequence[PWFunction], x) -> np.ndarray | float:
-    """f(x) = integral of the spectrum against j_alpha(2 pi x xi) d mu_alpha.
-
-    A sequence of members that share one order and spectral rule gives one
-    row per member, all from one pass over the kernel."""
-    scalar = np.isscalar(x)
+def synthesize(pws: Sequence[PWFunction], x) -> np.ndarray:
+    """f(x) = integral of the spectrum against j_alpha(2 pi x xi) d mu_alpha,
+    one row per member of `pws`.  The members share one order and spectral
+    rule, and every row comes from one pass over the kernel."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(pw, PWFunction):
-        vals = kernel_apply(
-            pw.order, xs, pw.spectral_rule.nodes, pw.mu_hat_weights() * pw.coeffs
-        )
-        return float(vals[0]) if scalar else vals
-    first = pw[0]
+    first = pws[0]
     rule = first.spectral_rule
-    for other in pw[1:]:
+    for other in pws[1:]:
         if other.order != first.order or not (
             np.array_equal(other.spectral_rule.nodes, rule.nodes)
             and np.array_equal(other.spectral_rule.weights, rule.weights)
         ):
             raise DomainError("synthesized members must share order and spectral rule")
-    coeffs = first.mu_hat_weights() * np.stack([p.coeffs for p in pw])
+    coeffs = first.mu_hat_weights() * np.stack([p.coeffs for p in pws])
     return kernel_apply(first.order, xs, rule.nodes, coeffs[None])[0]
 
 
@@ -147,6 +140,11 @@ def random_pw(
     shaped by a bump that vanishes to all orders at both band edges, so the
     synthesized function decays faster than any power (usable wherever a
     truncated physical-domain integral must represent the full norm).
+
+    The spectrum is a sum over an n_spec-node rule, not a continuous one, so
+    the synthesized function decays to ~1e-13 and then rises again: the
+    alias starts near x = 0.47 n_spec / b.  A physical window [0, x_max]
+    needs n_spec >= 3 b x_max or so.
     """
     rule = build_rule(0.0, b, n_spec)
     if kind == "uniform":

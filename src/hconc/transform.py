@@ -71,10 +71,9 @@ def round_trip(order: Order, nodes, coeffs, out_nodes, out_weights):
     """(F, back): the kernel sums F(y) = sum_i coeffs_i j_alpha(2 pi y x_i)
     at y in out_nodes, as `kernel_apply`, and the sums back(x_i) =
     sum_m out_weights_m F(y_m) j_alpha(2 pi y_m x_i) of the inverse
-    transform at the nodes, each kernel block evaluated once.  An (m, n)
-    `coeffs` holds one set per row and gives F and back one row per set."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    sets = np.ascontiguousarray(np.atleast_2d(coeffs))
+    transform at the nodes, each kernel block evaluated once.  `coeffs` is
+    (m, n), one set per row, and F and back hold one row per set."""
+    sets = np.ascontiguousarray(coeffs, dtype=float)
     y = np.asarray(out_nodes, dtype=float)
     F = np.empty((len(sets), len(y)))
     back = np.zeros((len(sets), len(nodes)))
@@ -82,6 +81,4 @@ def round_trip(order: Order, nodes, coeffs, out_nodes, out_weights):
         for j, c in enumerate(sets):
             F[j, block] = kern[0] @ c
             back[j] += (out_weights[block] * F[j, block]) @ kern[0]
-    if coeffs.ndim == 1:
-        return F[0], back[0]
     return F, back

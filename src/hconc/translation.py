@@ -11,7 +11,10 @@ whose weight (1-t^2)^(a-1/2) equals the theta-weight exactly, so the stored
 theta-rule absorbs sin(theta)^(2a) into its weights.  At a = -1/2 the measure
 degenerates to the two endpoint atoms and the closed two-point form is used.
 
-`translate_batch` evaluates f on the (len(ys), n) grid of distances of each
+`translate_batch(order, x, f, ys, theta_nodes=None)` is the one entry point.
+With theta_nodes=None the rule doubles from _THETA_NODES nodes until two
+passes agree; an integer theta_nodes gives one pass on a rule of that many
+nodes.  Each pass evaluates f on the (len(ys), n) grid of distances of its
 theta-rule, in row blocks of about _THETA_BLOCK points, so that the grid, f's
 values and the weight products of a block stay in cache.  Each row is formed
 by the same arithmetic in any block, so blocking changes no value.  f may
@@ -25,7 +28,6 @@ translating it alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +38,8 @@ from .errors import ConvergenceError, DomainError
 from .quadrature import QuadratureRule
 
 _AGREE_TOL = 1e-10
+# first rule of the node doubling, and its cap
+_THETA_NODES = 256
 _MAX_THETA_NODES = 4096
 # distance-grid points per row block of a theta pass (128 KB per temporary)
 _THETA_BLOCK = 16_384
@@ -51,22 +55,6 @@ def _theta_rule(alpha: float, n: int) -> QuadratureRule:
     t, w = special.roots_jacobi(n, alpha - 0.5, alpha - 0.5)
     theta = np.arccos(t[::-1])
     return QuadratureRule((0.0, math.pi), theta, w[::-1].copy())
-
-
-@dataclass(frozen=True)
-class TranslationPlan:
-    """Order plus a theta-rule on (0, pi) with the sin^(2 alpha) weight folded
-    into the weights."""
-
-    order: Order
-    theta_rule: QuadratureRule
-
-
-def make_plan(order: Order, n_theta: int = 256) -> TranslationPlan:
-    if order.alpha == -0.5:
-        # two-point limit; the rule is never consulted but keep the type whole
-        return TranslationPlan(order, _theta_rule(0.0, 2))
-    return TranslationPlan(order, _theta_rule(order.alpha, n_theta))
 
 
 def _theta_pass(order: Order, n: int, x: float, f, ys: np.ndarray) -> np.ndarray:
@@ -98,31 +86,31 @@ def _theta_pass(order: Order, n: int, x: float, f, ys: np.ndarray) -> np.ndarray
 
 
 def translate_batch(
-    plan: TranslationPlan, x: float, f, ys, adaptive: bool = True
+    order: Order, x: float, f, ys, theta_nodes: int | None = None
 ) -> np.ndarray:
     """T_x f at every y in ys.  f maps a 1-D array of distances to one value
     each, or to an (m, len) array holding m functions (sets) on the same
     distances; the result is (len(ys),) or (m, len(ys)), every set from the
-    same f calls.  The node count doubles until two successive evaluations
-    agree to 1e-10, for each set on its own: a set's value is that of the
-    first doubling at which its own results agree, so it does not depend on
-    the other sets.  adaptive=False evaluates once on the plan's own rule
-    (for sampled/interpolated f whose kinks defeat refinement)."""
+    same f calls.  With theta_nodes=None the node count doubles from
+    _THETA_NODES until two successive evaluations agree to 1e-10, for each
+    set on its own: a set's value is that of the first doubling at which its
+    own results agree, so it does not depend on the other sets.  An integer
+    theta_nodes evaluates once on a rule of that many nodes (for
+    sampled/interpolated f whose kinks defeat refinement)."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if not (math.isfinite(x) and np.all(np.isfinite(ys))):
         raise DomainError("translation arguments must be finite")
     if x < 0 or np.any(ys < 0):
         raise DomainError("translation arguments live on R+")
-    order = plan.order
     if order.alpha == -0.5:
         left = np.asarray(f(x + ys), dtype=float)
         right = np.asarray(f(np.abs(x - ys)), dtype=float)
         return 0.5 * (left + right)
     if x == 0.0:
         return np.asarray(f(ys), dtype=float)
-    n = len(plan.theta_rule)
+    n = _THETA_NODES if theta_nodes is None else theta_nodes
     first = _theta_pass(order, n, x, f, ys)
-    if not adaptive or len(ys) == 0:
+    if theta_nodes is not None or len(ys) == 0:
         return first
     prev = np.atleast_2d(first)
     result = np.empty_like(prev)
@@ -145,7 +133,3 @@ def translate_batch(
             )
         prev = cur
 
-
-def translate(plan: TranslationPlan, x: float, f, y: float) -> float:
-    """T_x f(y) for a single function and evaluation point."""
-    return float(translate_batch(plan, x, f, np.array([y]))[0])

@@ -14,7 +14,6 @@ from scipy import special
 from hconc.annihilation import (
     ProjectionPair,
     _concentration_factor,
-    _pair_block,
     _pair_per_unit,
 )
 from hconc.bessel import (
@@ -32,7 +31,7 @@ from hconc.measure import IntervalSet, _pi_power_over_gamma, mu_density_constant
 from hconc.paley_wiener import _MAX_DK, PWFunction, synthesize
 from hconc.quadrature import mu_rule
 from hconc.transform import kernel_apply
-from hconc.translation import make_plan, translate_batch
+from hconc.translation import translate_batch
 
 # --------------------------------------------------------------------------
 # kernel derivative (hconc.bessel)
@@ -100,6 +99,13 @@ def table_j_every_route(nu: float, x: np.ndarray) -> np.ndarray:
 # pair norms and the concentration eigenproblem (hconc.annihilation)
 
 
+def pair_block(order: Order, rows, s_rows, cols, s_cols) -> np.ndarray:
+    """Dense pair-factor entries s_rows j_alpha(2 pi rows cols) s_cols; the
+    kernel is symmetric, so either node side can run along the rows."""
+    blk = eval_j(order, 2.0 * math.pi * np.outer(rows, cols))
+    return blk * s_rows[:, None] * s_cols[None, :]
+
+
 def pair_rules(pair: ProjectionPair, budget: int, scale: int = 1):
     """Spectral nodes xi on Sigma and spatial nodes x on S, each with the
     square root of its mu_alpha quadrature weight: both rules of a pass of
@@ -116,7 +122,7 @@ def _pair_factor(pair: ProjectionPair, budget: int, scale: int = 1) -> np.ndarra
     A[k, p] = sqrt(u_k) j_alpha(2 pi x_p xi_k) sqrt(v_p) over mu_alpha
     quadrature weights u (spectral, on Sigma) and v (spatial, on S), held
     whole.  The dense reference for `pair_norm`."""
-    return _pair_block(pair.order, *pair_rules(pair, budget, scale))
+    return pair_block(pair.order, *pair_rules(pair, budget, scale))
 
 
 def _short_side_gram(pair: ProjectionPair, budget: int, far_budget: int) -> np.ndarray:
@@ -127,10 +133,36 @@ def _short_side_gram(pair: ProjectionPair, budget: int, far_budget: int) -> np.n
     xi, su, x, sv = pair_rules(pair, budget)
     fine_xi, fine_su, fine_x, fine_sv = pair_rules(pair, far_budget)
     if len(xi) <= len(x):
-        A = _pair_block(pair.order, fine_x, fine_sv, xi, su)
+        A = pair_block(pair.order, fine_x, fine_sv, xi, su)
     else:
-        A = _pair_block(pair.order, fine_xi, fine_su, x, sv)
+        A = pair_block(pair.order, fine_xi, fine_su, x, sv)
     return A.T @ A
+
+
+def strong_pair_rows_dense(
+    order: Order, S: IntervalSet, Sigma: IntervalSet, norm: float, trials, seed
+) -> np.ndarray:
+    """Rows (lhs, rhs) of `annihilation.strong_pair_trials`, with each
+    draw's mass on S taken as |z^T A|^2 from the dense pair factor A against
+    a mu_alpha rule on S at 12 * 2 sup(Sigma) nodes per unit, where the
+    program takes z^T G_S z with G_S from Lommel's closed form."""
+    big = 2.0 * Sigma.sup()
+    per_unit_xi = math.ceil(4.0 * S.sup()) + 16
+    xi_in, u_in = mu_rule(order, Sigma.intersect_window(0.0, big), per_unit_xi)
+    xi_out, u_out = mu_rule(order, Sigma.complement_within(0.0, big), per_unit_xi)
+    xi = np.concatenate([xi_in, xi_out])
+    u = np.concatenate([u_in, u_out])
+    x, v = mu_rule(order, S, max(32, math.ceil(12.0 * big)))
+    factor = pair_block(order, xi, np.sqrt(u), x, np.sqrt(v))
+    rng = np.random.default_rng(seed)
+    rows = np.empty((trials, 2))
+    for t in range(trials):
+        z = rng.uniform(-1.0, 1.0, size=len(xi))
+        total = float(z @ z)
+        mass = float(np.sum((z @ factor) ** 2))
+        outside = float(z[len(xi_in) :] @ z[len(xi_in) :])
+        rows[t] = (total, (1.0 - norm) ** -2 * (max(total - mass, 0.0) + outside))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -207,7 +239,7 @@ def bad_mass_fraction(pw: PWFunction, x_list, bad) -> float:
     # the oscillation of f resolved
     union = IntervalSet.of([(c - 1.0, c + 1.0) for c in xs])
     x, w = mu_rule(pw.order, union, max(16.0, 12.0 * pw.bandlimit))
-    mass = float(np.dot(w, synthesize(pw, x) ** 2))
+    mass = float(np.dot(w, synthesize([pw], x)[0] ** 2))
     return mass / total
 
 
@@ -269,7 +301,7 @@ def kernel_W(order: Order, x: float, y: float, t) -> np.ndarray | float:
     """Density of the translation measure at t: supported on
     |x-y| < t < x+y, proportional to Delta(x,y,t)^(2a-1) / (xyt)^(2a) where
     Delta is the area factor sqrt((x+y)^2-t^2) * sqrt(t^2-(x-y)^2).  The
-    kernel route to `translation.translate`, which integrates over theta."""
+    kernel route to `translation.translate_batch`, which integrates over theta."""
     a = order.alpha
     if a == -0.5:
         raise DomainError(
@@ -292,7 +324,7 @@ def kernel_W(order: Order, x: float, y: float, t) -> np.ndarray | float:
 
 def translate_via_kernel(order: Order, x: float, f, y: float, n: int = 256) -> float:
     """Independent route to T_x f(y), the reference for
-    `translation.translate`: integrate f against the kernel density over
+    `translation.translate_batch`: integrate f against the kernel density over
     (|x-y|, x+y) in mu_alpha.  The substitution t^2 = x^2 + y^2 + 2xy u
     turns the endpoint singularities into the Gauss-Jacobi weight."""
     a = order.alpha
@@ -317,10 +349,9 @@ def convolve(order: Order, nodes, weights, values, g, out_nodes) -> np.ndarray:
     It checks `translation.translate_batch` through the convolution theorem
     and Young's inequality."""
     out_nodes = np.atleast_1d(np.asarray(out_nodes, dtype=float))
-    plan = make_plan(order)
     mw = weights * values
     result = np.empty(len(out_nodes))
     for i, x in enumerate(out_nodes):
-        tg = translate_batch(plan, float(x), g, nodes)
+        tg = translate_batch(order, float(x), g, nodes)
         result[i] = float(np.dot(mw, tg))
     return result

@@ -39,6 +39,7 @@ from oracles import (
     bad_mass_fraction,
     concentration_matrix,
     pair_rules,
+    strong_pair_rows_dense,
 )
 
 # value pinned from a converged dense-SVD run of the unit S = Sigma = [0, 1]
@@ -448,6 +449,27 @@ def test_strong_pair_rows_hold_and_are_deterministic():
     assert np.array_equal(rows, again)
 
 
+@pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.3, 1.0])
+@pytest.mark.parametrize(
+    "S,Sigma",
+    [
+        ([(0.0, 1.0)], [(0.0, 1.0)]),
+        ([(0.0, 1.5), (2.0, 2.5)], [(0.0, 1.0)]),
+        ([(0.0, 1.0)], [(0.5, 1.5)]),
+        ([(0.0, 0.5)], [(0.0, 2.0)]),
+    ],
+)
+def test_strong_pair_rows_match_a_dense_factor(alpha, S, Sigma):
+    # each draw's mass on S from the closed-form Gram against the dense
+    # factor on a fine rule over S, for four pairs at four orders
+    order = Order(alpha)
+    S, Sigma = IntervalSet.of(S), IntervalSet.of(Sigma)
+    rows = strong_pair_trials(order, S, Sigma, 0.5, trials=20, seed=3)
+    want = strong_pair_rows_dense(order, S, Sigma, 0.5, trials=20, seed=3)
+    assert np.array_equal(rows[:, 0], want[:, 0])
+    assert np.allclose(rows[:, 1], want[:, 1], rtol=1e-12, atol=0)
+
+
 # --------------------------------------------------------------------------
 # concentration eigenproblem
 
@@ -666,7 +688,7 @@ def test_window_integrals_match_lommel_closed_form(alpha):
         for i, x in enumerate(xs):
             window = IntervalSet.of([(x - 1.0, x + 1.0)])
             for k in range(9):
-                gram = _lommel_gram(order.shifted(k), window, xi)
+                gram = _lommel_gram(order.shifted(k), window, xi, np.ones(len(xi)))
                 want = (
                     2.0
                     / mu_density_constant(order.shifted(k))

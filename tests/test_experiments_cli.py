@@ -1,12 +1,13 @@
 """End-to-end tests: config parsing, CSV reports, recipes, and the CLI."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hconc import __version__, cli, transform
+from hconc import __version__, cli, transform, translation
 from hconc.annihilation import ls_empirical_min_ratio
 from hconc.bessel import Order
 from hconc.errors import ConvergenceError, InternalError, UsageError
@@ -22,6 +23,7 @@ from hconc.experiments import (
 )
 from hconc.measure import IntervalSet
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EVENS = "0 1\n2 3\n4 5\n6 7\n8 9\n"
 UNIT = "0 1\n"
 
@@ -210,6 +212,53 @@ def test_plancherel_recipe_passes_at_non_polynomial_weights(tmp_path, alpha):
     rows = run(cfg)
     assert len(rows) == 6
     assert all(r.passed for r in rows), [(r.params, r.value) for r in rows]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.7])
+@pytest.mark.parametrize("b", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_plancherel_recipe_passes_at_every_band(tmp_path, alpha, b):
+    # both rules grow with b: 10 b physical nodes per unit resolve f, and
+    # 3 b x_max spectral nodes keep the sampled spectrum's alias, which
+    # starts near x = 0.47 n_spec / b, outside the window
+    cfg = ExperimentConfig(
+        name="pl", recipe="plancherel", alpha=alpha, b=b, trials=3,
+        output_dir=str(tmp_path),
+    )  # fmt: skip
+    rows = run(cfg)
+    assert len(rows) == 6
+    assert all(r.passed for r in rows), [(r.params, r.value) for r in rows]
+
+
+def test_shipped_plancherel_config_at_band_two_passes(tmp_path):
+    cfg = parse_config(str(CONFIGS / "plancherel-b2.cfg"))
+    assert cfg.b == 2.0
+    rows = run(replace(cfg, output_dir=str(tmp_path)))
+    assert len(rows) == 2 * cfg.trials
+    assert all(r.passed for r in rows), [(r.params, r.value) for r in rows]
+
+
+def test_translation_symmetry_row_fails_under_an_asymmetric_fault(
+    tmp_path, monkeypatch
+):
+    # the row's value translates from y to x on its own rule and its
+    # reference from x to y, so a pass that scales its source point breaks
+    # the symmetry.  That must flip every row whose translate is not zero
+    # (trial 1: |x - y| is past the bump's support) off alpha = -1/2 (the
+    # two-point form runs no theta pass)
+    real_pass = translation._theta_pass
+
+    def skewed(order, n, x, f, ys):
+        return real_pass(order, n, x * (1.0 + 1e-6), f, ys)
+
+    cfg = ExperimentConfig(
+        "tr", recipe="translation", seed=7, trials=5, output_dir=str(tmp_path)
+    )
+    clean = [r for r in run(cfg) if r.params.startswith("quantity=symmetry")]
+    assert len(clean) == 5 and all(r.passed for r in clean)
+    monkeypatch.setattr(translation, "_theta_pass", skewed)
+    rows = [r for r in run(cfg) if r.params.startswith("quantity=symmetry")]
+    assert [r.passed for r in rows] == [True, True, False, False, False]
+    assert "alpha=-0.5" in rows[0].params and rows[1].reference == 0.0
 
 
 @pytest.mark.parametrize("chunk", [2_000_000, 1000])

@@ -149,8 +149,9 @@ def test_density_profile_against_bruteforce_scan():
     )
     order = Order(0.7)
     a = 1.5
-    gmin, argmin = density_profile(order, subset, a, 18.0, step=0.01)
-    xs = a + 0.01 * np.arange(int((18.0 - a) / 0.01) + 1)
+    # the default step a/100 = 0.015 divides 18 - a into 1100 steps
+    gmin, argmin = density_profile(order, subset, a, 18.0)
+    xs = a + 0.015 * np.arange(1101)
     ratios = []
     for x in xs:
         win = IntervalSet.of([(max(x - a, 0.0), x + a)])
@@ -160,8 +161,14 @@ def test_density_profile_against_bruteforce_scan():
     assert gmin == pytest.approx(ratios[k], rel=1e-12)
     assert argmin == pytest.approx(xs[k], abs=1e-9)
     row_xs, row_ratios = density_profile_rows(order, subset, a, 18.0, step=0.01)
-    assert row_xs == pytest.approx(xs, abs=1e-9)
-    assert row_ratios == pytest.approx(ratios, rel=1e-12, abs=1e-15)
+    fine = a + 0.01 * np.arange(int((18.0 - a) / 0.01) + 1)
+    assert row_xs == pytest.approx(fine, abs=1e-9)
+    fine_ratios = [
+        mu_measure(order, subset.intersect_window(max(x - a, 0.0), x + a))
+        / mu_measure(order, IntervalSet.of([(max(x - a, 0.0), x + a)]))
+        for x in fine
+    ]
+    assert row_ratios == pytest.approx(fine_ratios, rel=1e-12, abs=1e-15)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,7 +1,8 @@
 """Every public top-level function and class of `hconc`, and every public
-method of a top-level class, has a caller in the package itself.  Code that
-only tests reach belongs under tests/ as a declared oracle
-(tests/oracles.py), or goes."""
+method of a top-level class, has a caller in the package itself, and so has
+every value of theirs: each defaulted parameter is passed by some call in
+the package.  Code and options that only tests reach belong under tests/ as
+a declared oracle (tests/oracles.py), or go."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,14 @@ ALLOWED = {
     "density_necessity_demo": (
         "the converse (necessity) half of the theorem; it is to become a "
         "recipe with its own config (ROADMAP item 6)"
+    ),
+}
+
+# "name(parameter)" -> why the default may stay without a caller that sets it
+ALLOWED_DEFAULTS = {
+    "main(argv)": (
+        "the console entry point calls main() bare, so argv=None reads "
+        "sys.argv; perfbench and the tests pass argv"
     ),
 }
 
@@ -28,6 +37,38 @@ def _references(node: ast.AST, own: set[str]) -> set[str]:
     return names - own
 
 
+def _parts(tree: ast.Module):
+    """(top-level definition or None, node, names the node's references to
+    which do not count): each top-level statement, and for a class its
+    bases, decorators and body items apart, since a method's own body does
+    not reach it, as a function's does not."""
+    for top in tree.body:
+        named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        own = {top.name} if named else set()
+        if not isinstance(top, ast.ClassDef):
+            yield top, own
+            continue
+        for node in top.bases + top.decorator_list:
+            yield node, own
+        for item in top.body:
+            method = isinstance(item, ast.FunctionDef)
+            yield item, own | {item.name} if method else own
+
+
+def _public(tree: ast.Module):
+    """(name, definition) of each public top-level function and class, and
+    of each public method of a top-level class, named Class.method."""
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not top.name.startswith("_"):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{top.name}.{item.name}", item
+
+
 def _unreached(package: Path) -> dict[str, str]:
     """Top-level public functions and classes of the modules in `package`,
     and public methods of top-level classes (named Class.method), that no
@@ -38,26 +79,78 @@ def _unreached(package: Path) -> dict[str, str]:
     referenced: set[str] = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for top in tree.body:
-            named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
-            own = {top.name} if named else set()
-            if named and not top.name.startswith("_"):
-                defined[top.name] = path.name
-            parts = [(top, own)]
-            if isinstance(top, ast.ClassDef):
-                # as for a function, a method's own body does not reach it
-                parts = [(node, own) for node in top.bases + top.decorator_list]
-                for item in top.body:
-                    method = isinstance(item, ast.FunctionDef)
-                    if method and not item.name.startswith("_"):
-                        defined[f"{top.name}.{item.name}"] = path.name
-                    parts.append((item, own | {item.name} if method else own))
-            for node, skip in parts:
-                referenced |= _references(node, skip)
+        defined.update((name, path.name) for name, _ in _public(tree))
+        for node, own in _parts(tree):
+            referenced |= _references(node, own)
     return {
         name: mod
         for name, mod in defined.items()
         if name.rpartition(".")[2] not in referenced
+    }
+
+
+def _defaults(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """(name, position among the call's positional arguments) of each
+    parameter of `fn` with a default; None for a keyword-only one.  A bound
+    method's first parameter takes no argument."""
+    positional = fn.args.posonlyargs + fn.args.args
+    if bound:
+        positional = positional[1:]
+    first = len(positional) - len(fn.args.defaults)
+    params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    kw = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+    return params + [(a.arg, None) for a, d in kw if d is not None]
+
+
+def _unset_defaults(package: Path) -> dict[str, str]:
+    """Defaulted parameters of the public functions and methods of the
+    modules in `package`, and of the constructors of public classes with an
+    `__init__` of their own (an exception's, say), that no call in `package`
+    outside their own definition passes, as {"name(parameter)": module file}.
+    A call is matched by the callee's last name: f(...), m.f(...) or
+    obj.method(...), and Class(...) for a constructor.  A *args argument
+    passes every positional parameter, a **kwargs argument every one."""
+    targets: dict[str, tuple[list, str]] = {}
+    trees = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        trees.append(tree)
+        for name, node in _public(tree):
+            if isinstance(node, ast.FunctionDef):
+                bound = "." in name and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list
+                )
+                targets[name] = (_defaults(node, bound), path.name)
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    targets[name] = (_defaults(item, True), path.name)
+    by_callee: dict[str, list[str]] = {}
+    for name in targets:
+        by_callee.setdefault(name.rpartition(".")[2], []).append(name)
+    passed: set[tuple[str, str]] = set()
+    for tree in trees:
+        for node, own in _parts(tree):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                callee = getattr(func, "id", None) or getattr(func, "attr", None)
+                if callee in own:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                keywords = {k.arg for k in call.keywords}
+                for name in by_callee.get(callee, ()):
+                    for param, pos in targets[name][0]:
+                        by_position = pos is not None and (starred or pos < len(call.args))
+                        if by_position or param in keywords or None in keywords:
+                            passed.add((name, param))
+    return {
+        f"{name}({param})": mod
+        for name, (params, mod) in targets.items()
+        for param, _ in params
+        if (name, param) not in passed
     }
 
 
@@ -98,4 +191,55 @@ def test_scan_flags_code_that_only_itself_or_an_import_reaches(tmp_path):
         "Box.make": "a.py",
         "Box.spin": "a.py",
         "caller": "b.py",
+    }
+
+
+def test_every_default_is_passed_by_a_caller_in_the_package():
+    unset = {
+        name: mod
+        for name, mod in _unset_defaults(SRC).items()
+        if name not in ALLOWED_DEFAULTS
+    }
+    assert not unset, (
+        "defaulted parameters that no hconc call passes; fix the value in "
+        f"the function, give them a caller, or delete them: {unset}"
+    )
+
+
+def test_default_allowlist_names_only_unset_parameters():
+    unset = _unset_defaults(SRC)
+    for name in ALLOWED_DEFAULTS:
+        assert name in unset, f"{name} is passed or gone; drop it from ALLOWED_DEFAULTS"
+
+
+def test_scan_flags_defaults_that_only_their_own_body_passes(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def plain(x, scale=1.0, *, mode='a'):\n    return x * scale\n\n"
+        "def recursive(n, depth=0):\n"
+        "    return recursive(n - 1, depth + 1) if n else depth\n\n"
+        "def keyed(x, y=2, z=3):\n    return x + y + z\n\n"
+        "class Oops(Exception):\n"
+        "    def __init__(self, message, code=None, hint=None):\n"
+        "        super().__init__(message)\n        self.code = code\n\n"
+        "class Box:\n    def grow(self, by=1, *, twice=False):\n"
+        "        return self.grow(by, twice=False) if twice else by\n\n"
+        "    @staticmethod\n    def make(size=0):\n        return size\n\n"
+        "def _private(flag=False):\n    return flag\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import Box, Oops, keyed, plain, recursive\n\n"
+        "def use(box, args, opts):\n"
+        "    box.grow(2)\n    recursive(3)\n    plain(*args)\n"
+        "    keyed(1, **opts)\n    Box.make(4)\n"
+        "    raise Oops('no', code=2)\n\n"
+        "def main(argv=None):\n    return use(Box(), argv, {})\n",
+        encoding="utf-8",
+    )
+    assert _unset_defaults(tmp_path) == {
+        "plain(mode)": "a.py",
+        "recursive(depth)": "a.py",
+        "Oops(hint)": "a.py",
+        "Box.grow(twice)": "a.py",
+        "main(argv)": "b.py",
     }
