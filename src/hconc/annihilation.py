@@ -59,6 +59,8 @@ _MAX_DOUBLINGS = 4
 _DEN_BLOCK = 65536
 # strong-pair trials draw spectra on [0, _TRIAL_BAND * sup Sigma]
 _TRIAL_BAND = 2.0
+# entries of the concentration factor (modes x Omega nodes): 128 MB
+_FACTOR_ENTRIES = 2**24
 
 
 # --------------------------------------------------------------------------
@@ -69,8 +71,11 @@ _TRIAL_BAND = 2.0
 class ProjectionPair:
     """A spatial set S, a spectral set Sigma, and discretization controls.
 
-    nodes_per_interval is the starting x/xi budget for each interval; the
-    norm computation doubles it until the value is stable.
+    nodes_per_interval is the starting budget of quadrature nodes per unit
+    length on each side, not a per-interval count; `_pair_per_unit` raises
+    it to each side's resolution floor, and `pair_norm` doubles the rules
+    until the value is stable.  The pair-norm recipe and `hconc pair norm`
+    both start from the default 64.
     """
 
     order: Order
@@ -268,53 +273,49 @@ def strong_pair_trials(
 # concentration eigenproblem
 
 
-def _mode_table(order: Order, b: float, x_max: float, cap: int):
-    """Frequencies s'_m / (2 pi x_max) <= b and the closed-form mode norms
-    on [0, x_max] in mu_alpha.  Mode 0 is the constant; modes are mutually
-    orthogonal on the window by the two-frequency integral identity."""
-    a = order.alpha
+def mode_frequencies(order: Order, b: float, x_max: float) -> np.ndarray:
+    """Frequencies s'_m of the mode basis j_alpha(s'_m x / x_max) of
+    PW_alpha(b) on [0, x_max]: 0 (the constant mode) and every positive zero
+    of j_alpha' up to 2 pi b x_max, so the count grows with b x_max."""
     limit = 2.0 * math.pi * b * x_max
     count = max(8, int(limit / math.pi) + 8)
-    table = cached_zero_table(a, count)
+    table = cached_zero_table(order.alpha, count)
     while table.zeros[-1] < limit:
         count *= 2
-        table = cached_zero_table(a, count)
-    sp = np.concatenate([[0.0], table.zeros[table.zeros <= limit]])
-    if len(sp) > cap:
-        sp = sp[:cap]
-    norms = np.empty(len(sp))
-    norms[0] = mu_measure(order, IntervalSet.of([(0.0, x_max)]))
-    if len(sp) > 1:
-        jvals = eval_j(order, sp[1:])
-        half_dens = 0.5 * mu_density_constant(order)  # pi^(a+1) / Gamma(a+1)
-        norms[1:] = half_dens * x_max ** (2.0 * a + 2.0) * jvals**2
-    return sp, norms
+        table = cached_zero_table(order.alpha, count)
+    return np.concatenate([[0.0], table.zeros[table.zeros <= limit]])
 
 
 def _concentration_factor(
-    order: Order, b: float, omega: IntervalSet, x_max: float, n_modes: int
+    order: Order, b: float, omega: IntervalSet, x_max: float
 ) -> np.ndarray:
-    """Factor B, one row per mode and one column per mu_alpha quadrature node
-    on Omega, whose Gram B B^T is the Omega-window energy form on the
-    orthonormal mode basis."""
+    """Factor B, one row per mode of `mode_frequencies` and one column per
+    mu_alpha quadrature node on Omega, whose Gram B B^T is the Omega-window
+    energy form on the orthonormal mode basis.  The modes are mutually
+    orthogonal on [0, x_max] by the two-frequency integral identity, and
+    their mu_alpha norms there have closed forms."""
     if b <= 0 or x_max <= 0:
         raise DomainError("bandlimit and x_max must be positive")
     if omega.sup() > x_max * (1 + 1e-12):
         raise DomainError("Omega must be contained in [0, x_max]")
-    if n_modes < 1:
-        raise DomainError(f"the mode cap n_modes must be >= 1, got {n_modes}")
-    sp, norms = _mode_table(order, b, x_max, n_modes)
+    sp = mode_frequencies(order, b, x_max)
+    norms = np.empty(len(sp))
+    norms[0] = mu_measure(order, IntervalSet.of([(0.0, x_max)]))
+    half_dens = 0.5 * mu_density_constant(order)  # pi^(alpha+1) / Gamma(alpha+1)
+    jvals = eval_j(order, sp[1:])
+    norms[1:] = half_dens * x_max ** (2.0 * order.alpha + 2.0) * jvals**2
     x, v = mu_rule(order, omega.intersect_window(0.0, x_max), max(12.0, 12.0 * b))
+    if len(sp) * len(x) > _FACTOR_ENTRIES:
+        raise DomainError(
+            f"concentration factor of {len(sp)} modes x {len(x)} nodes exceeds "
+            f"{_FACTOR_ENTRIES} entries; lower b or x_max"
+        )
     kern = eval_j(order, np.outer(sp / x_max, x))
     return kern * np.sqrt(v)[None, :] / np.sqrt(norms)[:, None]
 
 
 def ls_empirical_min_ratio(
-    order: Order,
-    b: float,
-    omega: IntervalSet,
-    x_max: float,
-    n_modes: int = 128,
+    order: Order, b: float, omega: IntervalSet, x_max: float
 ) -> float:
     """Minimum concentration ratio min ||f||^2_Omega / ||f||^2 over the
     discretized bandlimited space: the smallest eigenvalue of the
@@ -322,7 +323,7 @@ def ls_empirical_min_ratio(
     smallest singular value of the factor B.  An eigensolver on the Gram
     itself has absolute error ~1e-16, the size of the ratio where Omega
     leaves a gap in [0, x_max]; the singular values of B resolve it."""
-    B = _concentration_factor(order, b, omega, x_max, n_modes)
+    B = _concentration_factor(order, b, omega, x_max)
     s = linalg.svdvals(B, check_finite=False) if B.size else np.zeros(1)
     if s[0] ** 2 > 1.0 + 1e-9:
         raise InternalError(f"concentration spectrum escaped [0, 1]: top {s[0]**2:.9f}")
@@ -517,6 +518,9 @@ def kovrijkine_check(phi, interval, J: IntervalSet) -> tuple[float, float]:
     integral_I |phi|^2 <= (300 |I| / |J|)^(2 ln(M/m)/ln 2 + 1) integral_J |phi|^2
     with M the sup of |phi| on the stadium dist(z, I) < 4|I| and m its sup
     on I.  phi is a power-series coefficient sequence, lowest order first.
+    By the maximum modulus principle the polynomial's sup on the closed
+    stadium is taken on its boundary, so M is the maximum over samples of
+    the boundary (and at least m).
     """
     phi = np.asarray(phi, dtype=float)
     polyval = np.polynomial.polynomial.polyval
@@ -542,22 +546,8 @@ def kovrijkine_check(phi, interval, J: IntervalSet) -> tuple[float, float]:
     left = lo + r * np.exp(1j * (t + math.pi / 2))
     right = hi + r * np.exp(1j * (t - math.pi / 2))
     xs = np.linspace(lo, hi, 257)
-    top = xs + 1j * r
-    bot = xs - 1j * r
-    # coarse interior fill
-    gx, gy = np.meshgrid(np.linspace(lo - r, hi + r, 64), np.linspace(-r, r, 33))
-    inside = (
-        (np.abs(gy) < r)
-        & (
-            ((gx >= lo) & (gx <= hi))
-            | (np.abs(gx - lo + 1j * gy) < r)
-            | (np.abs(gx - hi + 1j * gy) < r)
-        )
-    )
-    interior = (gx + 1j * gy)[inside]
-    stadium = np.concatenate([left, right, top, bot, interior])
-    M = float(np.max(np.abs(polyval(stadium, phi))))
-    M = max(M, m)
+    stadium = np.concatenate([left, right, xs + 1j * r, xs - 1j * r])
+    M = max(float(np.max(np.abs(polyval(stadium, phi)))), m)
 
     ratio = 300.0 * length / J.length()
     exponent = 2.0 * math.log(M / m) / math.log(2.0) + 1.0

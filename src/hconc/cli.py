@@ -187,13 +187,8 @@ def _cmd_ls_bound(args) -> int:
 
 
 def _cmd_ls_empirical(args) -> int:
-    value = ls_empirical_min_ratio(
-        Order(args.alpha),
-        args.b,
-        load_interval_set(args.omega),
-        args.xmax,
-        args.nodes,
-    )
+    omega = load_interval_set(args.omega)
+    value = ls_empirical_min_ratio(Order(args.alpha), args.b, omega, args.xmax)
     print(_fmt(value))
     return 0
 
@@ -207,7 +202,6 @@ def _cmd_ls_verify(args) -> int:
         args.b,
         gamma_declared=args.gamma,
         x_max=args.xmax,
-        n_modes=args.nodes,
     )
     for r in rows:
         print(f"{r.params}: value={_fmt(r.value)} reference={_fmt(r.reference)}")
@@ -328,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--omega", required=True, help="interval-set file")
     p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--nodes", type=int, default=128)
     p.set_defaults(func=_cmd_ls_empirical)
     p = lsub.add_parser("verify", help="check empirical ratio > explicit bound")
     p.add_argument("--alpha", type=float, required=True)
@@ -337,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", required=True, help="interval-set file")
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--xmax", type=float, default=0.0)
-    p.add_argument("--nodes", type=int, default=128)
     p.set_defaults(func=_cmd_ls_verify)
 
     p = sub.add_parser("run", help="run a config-driven experiment recipe")

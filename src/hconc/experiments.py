@@ -34,6 +34,7 @@ from .annihilation import (
     ls_bound,
     ls_bound_log10,
     ls_empirical_min_ratio,
+    mode_frequencies,
     pair_norm,
     strong_pair_trials,
     witness_point,
@@ -75,7 +76,6 @@ class ExperimentConfig:
     s_file: str | None = None
     sigma_file: str | None = None
     xmax: float = 0.0
-    nodes: int = 128
     seed: int = DEFAULT_SEED
     trials: int = 100
     output_dir: str = "."
@@ -94,8 +94,6 @@ class ExperimentConfig:
                 raise UsageError(f"{attr} does not exist: {path}")
         if self.trials < 0:
             raise UsageError("trials must be nonnegative")
-        if self.nodes < 1:
-            raise UsageError("nodes must be positive")
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class ReportRow:
 
 
 _FLOAT_KEYS = {"alpha", "a", "b", "gamma", "xmax"}
-_INT_KEYS = {"nodes", "seed", "trials"}
+_INT_KEYS = {"seed", "trials"}
 _STR_KEYS = {"name", "recipe", "omega_file", "s_file", "sigma_file", "output_dir"}
 
 
@@ -189,13 +187,17 @@ def _trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:
 # recipes
 
 
+# spectral nodes of each Bernstein trial's random PW function
+_BERNSTEIN_NODES = 96
+
+
 def _recipe_bernstein(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
     order = Order(config.alpha)
 
     def one(t: int) -> list[ReportRow]:
         rng = _trial_rng(config, t)
         k = t % 6
-        pw = random_pw(order, config.b, max(16, min(config.nodes, 96)), rng)
+        pw = random_pw(order, config.b, _BERNSTEIN_NODES, rng)
         lhs, rhs = bernstein_sides(pw, k)
         ok = lhs <= rhs * (1 + 1e-6)
         if k == 0:
@@ -463,9 +465,7 @@ def _recipe_pair_norm(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         else IntervalSet.of([(0.0, 1.0)])
     )
     x_max = config.xmax if config.xmax > 0 else max(1.0, S.sup())
-    pair = ProjectionPair(
-        order=order, S=S, Sigma=Sigma, x_max=x_max, nodes_per_interval=config.nodes
-    )
+    pair = ProjectionPair(order=order, S=S, Sigma=Sigma, x_max=x_max)
     norm = pair_norm(pair)
     rows = [
         ReportRow(
@@ -501,10 +501,10 @@ def ls_verify_rows(
     b: float,
     gamma_declared: float = 0.0,
     x_max: float = 0.0,
-    n_modes: int = 128,
 ) -> list[ReportRow]:
     """Certify density, evaluate the explicit bound, measure the empirical
-    minimum concentration, and check the ordering empirical > bound."""
+    minimum concentration on every mode of PW_alpha(b) on [0, x_max], and
+    check the ordering empirical > bound."""
     if omega.is_empty():
         raise UsageError("ls verification requires a nonempty omega")
     # windows [x-a, x+a] are scanned over the covered span only: beyond
@@ -533,11 +533,12 @@ def ls_verify_rows(
     )
     if x_max <= 0:
         x_max = 20.0 * max(1.0, 1.0 / b) + omega.sup()
-    empirical = ls_empirical_min_ratio(order, b, omega, x_max, n_modes)
+    empirical = ls_empirical_min_ratio(order, b, omega, x_max)
+    modes = len(mode_frequencies(order, b, x_max))
     rows.append(
         ReportRow(
             name,
-            f"quantity=empirical-min-ratio xmax={_fmt(x_max)} modes={n_modes}",
+            f"quantity=empirical-min-ratio xmax={_fmt(x_max)} modes={modes}",
             empirical,
             bound,
             empirical > bound,
@@ -557,7 +558,6 @@ def _recipe_ls_verify(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         config.b,
         gamma_declared=config.gamma,
         x_max=config.xmax,
-        n_modes=config.nodes,
     )
 
 
@@ -731,10 +731,10 @@ def _check_ls_monotone():
     full = IntervalSet.of([(0.0, 10.0)])
     evens = IntervalSet.of([(2 * k, 2 * k + 1) for k in range(5)])
     halves = IntervalSet.of([(2 * k, 2 * k + 0.5) for k in range(5)])
-    r_full = ls_empirical_min_ratio(order, 1.0, full, 10.0, 64)
-    r_even = ls_empirical_min_ratio(order, 1.0, evens, 10.0, 64)
-    r_half = ls_empirical_min_ratio(order, 1.0, halves, 10.0, 64)
-    r_none = ls_empirical_min_ratio(order, 1.0, IntervalSet.empty(), 10.0, 64)
+    r_full = ls_empirical_min_ratio(order, 1.0, full, 10.0)
+    r_even = ls_empirical_min_ratio(order, 1.0, evens, 10.0)
+    r_half = ls_empirical_min_ratio(order, 1.0, halves, 10.0)
+    r_none = ls_empirical_min_ratio(order, 1.0, IntervalSet.empty(), 10.0)
     if not (r_none <= r_half <= r_even <= r_full):
         raise InternalError(
             f"concentration not monotone: {r_none} {r_half} {r_even} {r_full}"

@@ -25,6 +25,7 @@ from hconc.bessel import (
     _kernel_table,
     _series_cutoff,
     eval_j,
+    zeros_of_j_prime,
 )
 from hconc.errors import DomainError, InternalError
 from hconc.measure import IntervalSet, _pi_power_over_gamma, mu_density_constant
@@ -165,6 +166,17 @@ def strong_pair_rows_dense(
     return rows
 
 
+def mode_count(alpha: float, b: float, x_max: float) -> int:
+    """1 + #{s'_m <= 2 pi b x_max}: the constant mode and one per positive
+    zero of j_alpha' in the band, counted on a 512-zero table; the size of
+    the basis `annihilation.mode_frequencies` must return."""
+    limit = 2.0 * math.pi * b * x_max
+    zeros = zeros_of_j_prime(Order(alpha), 512).zeros
+    if zeros[-1] <= limit:
+        raise DomainError(f"512 zeros of j_alpha' do not pass {limit}")
+    return 1 + int(np.count_nonzero(zeros <= limit))
+
+
 @dataclass(frozen=True)
 class ConcentrationMatrix:
     """Symmetric PSD Gram of the window-restricted energy form on an
@@ -197,16 +209,12 @@ class ConcentrationMatrix:
 
 
 def concentration_matrix(
-    order: Order,
-    b: float,
-    omega: IntervalSet,
-    x_max: float,
-    n_modes: int = 128,
+    order: Order, b: float, omega: IntervalSet, x_max: float
 ) -> ConcentrationMatrix:
     """The Omega-window Gram B B^T of `annihilation._concentration_factor`
     on the orthonormal mode basis, assembled densely: the reference for
     `ls_empirical_min_ratio`, which takes singular values of B instead."""
-    B = _concentration_factor(order, b, omega, x_max, n_modes)
+    B = _concentration_factor(order, b, omega, x_max)
     g = B @ B.T
     return ConcentrationMatrix(
         matrix=0.5 * (g + g.T),

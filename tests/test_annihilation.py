@@ -38,6 +38,7 @@ from oracles import (
     apply_Dk,
     bad_mass_fraction,
     concentration_matrix,
+    mode_count,
     pair_rules,
     strong_pair_rows_dense,
 )
@@ -476,7 +477,7 @@ def test_strong_pair_rows_match_a_dense_factor(alpha, S, Sigma):
 
 def test_full_window_gram_is_identity():
     conc = concentration_matrix(
-        Order(0.0), 1.0, IntervalSet.of([(0.0, 10.0)]), 10.0, n_modes=64
+        Order(0.0), 1.0, IntervalSet.of([(0.0, 10.0)]), 10.0
     )
     g = conc.matrix
     assert np.max(np.abs(g - np.eye(len(g)))) < 1e-11
@@ -484,7 +485,7 @@ def test_full_window_gram_is_identity():
 
 def test_half_window_spectrum_inside_unit_interval():
     conc = concentration_matrix(
-        Order(0.5), 1.0, IntervalSet.of([(0.0, 5.0)]), 10.0, n_modes=64
+        Order(0.5), 1.0, IntervalSet.of([(0.0, 5.0)]), 10.0
     )
     eigs = np.linalg.eigvalsh(conc.matrix)
     assert eigs[0] > -1e-12
@@ -494,9 +495,9 @@ def test_half_window_spectrum_inside_unit_interval():
 def test_empirical_ratio_matches_dense_eigh():
     order = Order(0.0)
     omega = IntervalSet.of([(2 * k, 2 * k + 1) for k in range(5)])
-    conc = concentration_matrix(order, 1.0, omega, 10.0, n_modes=64)
+    conc = concentration_matrix(order, 1.0, omega, 10.0)
     dense = float(np.linalg.eigvalsh(conc.matrix)[0])
-    got = ls_empirical_min_ratio(order, 1.0, omega, 10.0, n_modes=64)
+    got = ls_empirical_min_ratio(order, 1.0, omega, 10.0)
     assert got == pytest.approx(max(dense, 0.0), abs=1e-9)
 
 
@@ -504,15 +505,15 @@ def test_empirical_ratio_monotone_in_omega():
     order = Order(0.0)
     sparse = IntervalSet.of([(4 * k, 4 * k + 1) for k in range(3)])
     dense_set = IntervalSet.of([(0.0, 10.0)])
-    lo = ls_empirical_min_ratio(order, 1.0, sparse, 10.0, n_modes=64)
-    hi = ls_empirical_min_ratio(order, 1.0, dense_set, 10.0, n_modes=64)
+    lo = ls_empirical_min_ratio(order, 1.0, sparse, 10.0)
+    hi = ls_empirical_min_ratio(order, 1.0, dense_set, 10.0)
     assert lo <= hi + 1e-12
     assert hi == pytest.approx(1.0, abs=1e-9)
 
 
 def test_empty_window_gives_zero_ratio():
     got = ls_empirical_min_ratio(
-        Order(0.0), 1.0, IntervalSet.empty(), 10.0, n_modes=16
+        Order(0.0), 1.0, IntervalSet.empty(), 10.0
     )
     assert got == 0.0
 
@@ -522,11 +523,8 @@ def test_concentration_matrix_validation():
         ls_empirical_min_ratio(Order(0.0), 0.0, IntervalSet.of([(0.0, 1.0)]), 10.0)
     with pytest.raises(DomainError):
         ls_empirical_min_ratio(Order(0.0), 1.0, IntervalSet.of([(0.0, 20.0)]), 10.0)
-    for cap in (0, -5):
-        with pytest.raises(DomainError, match="n_modes"):
-            ls_empirical_min_ratio(
-                Order(0.0), 1.0, IntervalSet.of([(0.0, 1.0)]), 10.0, n_modes=cap
-            )
+    with pytest.raises(DomainError, match="lower b or x_max"):
+        ls_empirical_min_ratio(Order(0.0), 1.0, IntervalSet.of([(0.0, 1e3)]), 1e3)
 
 
 def test_concentration_gram_self_checks():
@@ -551,12 +549,15 @@ def test_concentration_gram_self_checks():
         )
 
 
-def test_mode_cap_is_respected():
-    conc = concentration_matrix(
-        Order(0.0), 1.0, IntervalSet.of([(0.0, 10.0)]), 10.0, n_modes=6
-    )
-    assert conc.n_modes == 6
-    assert conc.matrix.shape == (6, 6)
+@pytest.mark.parametrize("alpha, b, x_max", [(0.0, 1.0, 10.0), (0.5, 1.0, 80.0)])
+def test_modes_are_every_derivative_zero_up_to_the_band(alpha, b, x_max):
+    # the basis spans PW_alpha(b) on [0, x_max]: the constant and each
+    # s'_m <= 2 pi b x_max, also past the 128 modes a cap once cut it to
+    want = mode_count(alpha, b, x_max)
+    omega = IntervalSet.of([(0.0, x_max)])
+    conc = concentration_matrix(Order(alpha), b, omega, x_max)
+    assert conc.n_modes == want
+    assert conc.matrix.shape == (want, want)
 
 
 # --------------------------------------------------------------------------

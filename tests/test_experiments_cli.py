@@ -22,6 +22,7 @@ from hconc.experiments import (
     write_report,
 )
 from hconc.measure import IntervalSet
+from oracles import mode_count
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EVENS = "0 1\n2 3\n4 5\n6 7\n8 9\n"
@@ -50,7 +51,6 @@ def test_parse_config_reads_typed_keys_and_comments(tmp_path):
         "b = 0.125\n"
         "gamma = 0.3\n"
         "xmax = 12.5\n"
-        "nodes = 96\n"
         "trials = 7\n"
         "seed = 0x2A\n"
         "omega_file = omega.set\n"
@@ -64,7 +64,6 @@ def test_parse_config_reads_typed_keys_and_comments(tmp_path):
     assert cfg.b == 0.125
     assert cfg.gamma == 0.3
     assert cfg.xmax == 12.5
-    assert cfg.nodes == 96
     assert cfg.trials == 7
     assert cfg.seed == 42
     # relative paths resolve against the config's own directory
@@ -77,7 +76,6 @@ def test_parse_config_defaults(tmp_path):
     assert cfg.recipe == "kovrijkine"
     assert cfg.seed == DEFAULT_SEED
     assert cfg.trials == 100
-    assert cfg.nodes == 128
     assert cfg.output_dir == "."
     assert cfg.omega_file is None
 
@@ -89,6 +87,8 @@ def test_parse_config_defaults(tmp_path):
         ("name = smoke\nalpha = fast\n", r":2: bad number"),
         ("name = smoke\ntrials = 1.5\n", r":2: bad integer"),
         ("name = smoke\ncolor = red\n", r":2: unknown key"),
+        # the mode count follows from b and xmax; a config cannot cap it
+        ("name = smoke\nnodes = 144\n", r":2: unknown key 'nodes'"),
         ("alpha = 1.0\n", r"must set a name"),
     ],
 )
@@ -96,6 +96,13 @@ def test_parse_config_rejects_malformed_lines(tmp_path, text, pattern):
     path = _write(tmp_path / "bad.cfg", text)
     with pytest.raises(UsageError, match=pattern):
         parse_config(path)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_every_shipped_config_parses(path):
+    # a stale or misspelt key in a shipped config fails here first
+    cfg = parse_config(str(path))
+    assert cfg.name == path.stem
 
 
 def test_parse_config_missing_file(tmp_path):
@@ -110,8 +117,6 @@ def test_config_validation(tmp_path):
         ExperimentConfig(name="frobnicate")
     with pytest.raises(UsageError, match="trials"):
         ExperimentConfig(name="kovrijkine", trials=-1)
-    with pytest.raises(UsageError, match="nodes"):
-        ExperimentConfig(name="kovrijkine", nodes=0)
     with pytest.raises(UsageError, match="omega_file does not exist"):
         ExperimentConfig(name="ls-verify", omega_file=str(tmp_path / "gone.set"))
     # zero trials is a legal smoke configuration
@@ -227,6 +232,36 @@ def test_plancherel_recipe_passes_at_every_band(tmp_path, alpha, b):
     rows = run(cfg)
     assert len(rows) == 6
     assert all(r.passed for r in rows), [(r.params, r.value) for r in rows]
+
+
+# the minimum ratios of the shipped ls-verify configs, bit for bit as they
+# were when the configs capped the basis at 144 modes, above the 120 in use
+_SHIPPED_LS_RATIOS = {
+    "ls-periodic-alpha0": 1.9778251232111482e-05,
+    "ls-periodic-alpha05": 1.956246922996019e-05,
+    "ls-sparse-alpha0": 2.3819541914835764e-11,
+}
+
+
+@pytest.mark.parametrize("stem", sorted(_SHIPPED_LS_RATIOS))
+def test_shipped_ls_verify_uses_every_mode_of_the_band(tmp_path, stem):
+    cfg = parse_config(str(CONFIGS / f"{stem}.cfg"))
+    last = run(replace(cfg, output_dir=str(tmp_path)))[-1]
+    modes = mode_count(cfg.alpha, cfg.b, cfg.xmax)
+    assert modes == 120
+    assert last.params == f"quantity=empirical-min-ratio xmax=60 modes={modes}"
+    assert last.value == _SHIPPED_LS_RATIOS[stem]
+
+
+def test_cli_ls_verify_default_xmax_reports_every_mode(capsys):
+    # x_max defaults to 20 + sup(omega) = 79, past the 128 modes a cap once
+    # cut the basis to
+    omega = str(CONFIGS / "omega-periodic.set")
+    argv = ["ls", "verify", "--alpha", "0", "--a", "1", "--b", "1", "--omega", omega]
+    assert cli.main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[2]
+    assert mode_count(0.0, 1.0, 79.0) == 158
+    assert row.startswith("quantity=empirical-min-ratio xmax=79 modes=158: value=")
 
 
 def test_shipped_plancherel_config_at_band_two_passes(tmp_path):
@@ -725,25 +760,15 @@ def test_cli_ls_empirical_matches_library(tmp_path, capsys):
             path,
             "--xmax",
             "10",
-            "--nodes",
-            "48",
         ]
     )
     assert rc == 0
     got = float(capsys.readouterr().out.strip())
     ref = ls_empirical_min_ratio(
-        Order(0.0), 1.0, IntervalSet.of([(2 * k, 2 * k + 1) for k in range(5)]), 10.0, 48
+        Order(0.0), 1.0, IntervalSet.of([(2 * k, 2 * k + 1) for k in range(5)]), 10.0
     )
     assert 0.0 < got <= 1.0
     assert got == pytest.approx(ref, rel=1e-12)
-
-
-@pytest.mark.parametrize("cap", ["-5", "-100", "0"])
-def test_cli_ls_empirical_rejects_mode_cap_below_one(tmp_path, capsys, cap):
-    path = _write(tmp_path / "evens.set", EVENS)
-    argv = ["ls", "empirical", "--alpha", "0", "--b", "1", "--omega", path]
-    assert cli.main(argv + ["--xmax", "10", "--nodes", cap]) == 2
-    assert "n_modes must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_ls_verify_reports_ordering(tmp_path, capsys):
@@ -764,8 +789,6 @@ def test_cli_ls_verify_reports_ordering(tmp_path, capsys):
             "0.2",
             "--xmax",
             "12",
-            "--nodes",
-            "48",
         ]
     )
     assert rc == 0
