@@ -23,13 +23,14 @@ Three numerical engines live here:
   ratio with spectrum guaranteed inside [0, 1].  It is the squared smallest
   singular value of the Gram's factor, which keeps ratios far below 1e-16.
 
-* good/bad windows I_x = [(x-1)^2, (x+1)^2] in the squared variable, in two
-  batched kernel passes per trial: the window integrals on the unit pieces
-  [x - 1, x] and [x, x + 1] of the root variable, each distinct piece
-  integrated once (Gauss-Jacobi on the piece at 0), which also give the
-  mass of the bad windows' union, and a witness scan of every good window
-  in lockstep that probes each window's left end first.  Also the
-  analytic-growth inequality checker.
+* good/bad windows I_x = [(x-1)^2, (x+1)^2] in the squared variable, in one
+  kernel pass per trial: the window integrals on the unit pieces [x - 1, x]
+  and [x, x + 1] of the root variable, each distinct piece integrated once
+  (Gauss-Jacobi on the piece at 0), which also give the mass of the bad
+  windows' union, and D^k f at the piece starts, the windows' left ends.  A
+  witness scan of every good window probes its left end from that pass and
+  builds grids, scanned in lockstep, only for the windows whose left end
+  fails.  Also the analytic-growth inequality checker.
 """
 
 from __future__ import annotations
@@ -393,17 +394,24 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, coeffs: np.ndarray):
     In y = sqrt(s), where d^k g = D^k f, the integral is that of
     |D^k f(y)|^2 2 y^(2 alpha + 2k + 1) over the unit pieces [x - 1, x] and
     [x, x + 1].  Neighbouring windows share a piece; each distinct piece is
-    integrated once by the 16-node rule of `mu_pieces`, with D^k f at the
-    nodes of every piece from one `apply_Dk_all` call.  Returns the
-    integrals of the distinct pieces, one row (k = 0..k_max) per piece, and
-    a (2, len(centers)) array of the rows of each window's left and right
-    piece; a window's integrals are the sum of its two rows."""
+    integrated once by the 16-node rule of `mu_pieces`.  One `apply_Dk_all`
+    call gives D^k f at the nodes of every piece and, appended after them,
+    at every piece start; a window's left end is the start of its left
+    piece.  Returns the integrals of the distinct pieces, one row (k =
+    0..k_max) per piece, a (2, len(centers)) array of the rows of each
+    window's left and right piece (a window's integrals are the sum of its
+    two rows), and D^k f at the piece starts, one column per piece."""
     k_max = len(coeffs) - 1
     starts, piece = np.unique(
         np.concatenate([centers - 1.0, centers]), return_inverse=True
     )
     y, w = mu_pieces(pw.order, starts)
-    dk = apply_Dk_all(pw, coeffs, y.ravel()).reshape((k_max + 1,) + y.shape)
+    # at the recipe's 32 spectral nodes the rows are one kernel block and
+    # the 16 per piece fill whole BLAS row groups: the starts after them
+    # change no piece value
+    dk = apply_Dk_all(pw, coeffs, np.concatenate([y.ravel(), starts]))
+    at_starts = dk[:, y.size :]
+    dk = dk[:, : y.size].reshape((k_max + 1,) + y.shape)
     # 2 y^(2 alpha + 2k + 1) dy = (2 / C) y^(2k) d mu_alpha(y)
     w *= 2.0 / mu_density_constant(pw.order)
     y2 = y * y
@@ -411,12 +419,12 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, coeffs: np.ndarray):
     for k in range(k_max + 1):
         per_piece[:, k] = np.sum(w * dk[k] ** 2, axis=1)
         w *= y2
-    return per_piece, piece.reshape(2, len(centers))
+    return per_piece, piece.reshape(2, len(centers)), at_starts
 
 
 def good_bad_partition(
     pw: PWFunction, ab: float, xs, coeffs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Label each window center x of `xs`, an integer >= 1, as bad when some
     derivative order k in [1, k_max] has >= (2 pi ab)^(2k) times the
     window's own mass: integral over I_x of |d^k g|^2 s^(alpha+k) >=
@@ -424,12 +432,14 @@ def good_bad_partition(
     dk_coefficients(pw, k_max) are the D^k rows, and k_max = len(coeffs) - 1.
 
     Returns the boolean bad-mask, the window masses (the k = 0 integrals),
-    which witness_point takes with the same rows, and the bad-mass fraction:
-    the share of the squared-variable energy on the union of the bad
-    windows, against the closed-form total (Gamma(alpha+1)/pi^(alpha+1))
-    ||f||^2.  On integer centers that union is the union of the distinct
-    unit pieces of the bad windows, so its mass is the sum of their k = 0
-    integrals, and all three come from one kernel pass."""
+    the bad-mass fraction, and D^k f at each window's left end y = x - 1
+    (s = (x - 1)^2), shape (k_max + 1, len(xs)); witness_point takes the
+    masses and left-end rows of the windows it scans.  The fraction is the
+    share of the squared-variable energy on the union of the bad windows,
+    against the closed-form total (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2.
+    On integer centers that union is the union of the distinct unit pieces
+    of the bad windows, so its mass is the sum of their k = 0 integrals, and
+    all four come from one kernel pass."""
     if ab <= 0:
         raise DomainError("bandlimit product ab must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -437,7 +447,7 @@ def good_bad_partition(
         raise DomainError("window centers must be >= 1")
     if np.any(xs != np.round(xs)):
         raise DomainError("window centers must be integers")
-    per_piece, halves = _piece_integrals(pw, xs, coeffs)
+    per_piece, halves, at_starts = _piece_integrals(pw, xs, coeffs)
     ints = per_piece[halves[0]] + per_piece[halves[1]]
     mass = ints[:, 0]
     bad = np.zeros(len(xs), dtype=bool)
@@ -455,56 +465,62 @@ def good_bad_partition(
         * (0.5 * mu_density_constant(pw.order))
         / total
     )
-    return bad, mass, frac
+    return bad, mass, frac, at_starts[:, halves[0]]
 
 
 def witness_point(
-    pw: PWFunction, ab: float, xs, masses, coeffs: np.ndarray
+    pw: PWFunction, ab: float, xs, masses, left, coeffs: np.ndarray
 ) -> np.ndarray:
     """For each window center x of `xs`, the first point t of a grid on I_x
     where every derivative order obeys the pointwise growth bound
     t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k * window mass, or NaN
     where no grid holds one.  The grids are 1000 equispaced points on I_x
-    and two tenfold refinements; each is scanned in order, in chunks that
-    start with one point, the window's left end, and go on with 16, 64,
-    256, ... points (chunk edges 1, 17, 81, 337, ...), and a window stops at
-    the first chunk that holds a witness, which is the first witness of its
-    whole grid.  In the good-bad recipe's trials the left end is the
-    witness of nearly every window, so most windows cost one point.  The
-    windows scan in lockstep, one `apply_Dk_all` call per chunk step over
-    the windows still open; the kernel is evaluated point by point, so no
-    window's result depends on the others.  `masses` (the windows' integrals
-    of |g|^2 s^alpha) and `coeffs` = dk_coefficients(pw, k_max) are as
-    good_bad_partition returns and takes them; k_max = len(coeffs) - 1."""
+    and two tenfold refinements, each starting at the left end (x - 1)^2.
+    `masses` (the windows' integrals of |g|^2 s^alpha), `left` (D^k f at
+    y = x - 1, one column per window) and `coeffs` = dk_coefficients(pw,
+    k_max) are as good_bad_partition returns and takes them.
+
+    The left end is probed first, from `left`, with no kernel pass; in the
+    good-bad recipe's trials it is the witness of nearly every window.  The
+    grids are built only for the windows whose left end fails, and scanned
+    in order from their second point, in chunks of 16, 64, 256, ... points;
+    a window stops at the first chunk that holds a witness, the first of
+    its grid.  The windows scan in lockstep, one `apply_Dk_all` call per
+    chunk step over the windows still open; the kernel is evaluated point
+    by point, so no window's result depends on the others."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     masses = np.atleast_1d(np.asarray(masses, dtype=float))
-    alpha = pw.order.alpha
+    n_k = len(coeffs)
+    powers = (pw.order.alpha + np.arange(n_k))[:, None, None]
     base = 12.0 * math.pi**2 * ab * ab
-    witness = np.full(len(xs), np.nan)
-    todo = np.arange(len(xs))  # windows with no witness on the grids so far
+    bounds = np.cumprod(np.r_[1.0, np.full(n_k - 1, base)])[:, None, None]
+
+    def holds(t, dk, mass):
+        # every bound at every point of t (windows x points); t = 0 (the
+        # window at x = 1) fails the k = 0 bound for alpha < 0
+        with np.errstate(divide="ignore"):
+            ok = t**powers * dk**2 <= bounds * mass * (1 + 1e-12)
+        return np.all(ok, axis=0)
+
+    lo = (xs - 1.0) ** 2
+    at_left = holds(lo[:, None], left[:, :, None], masses[:, None])[:, 0]
+    witness = np.where(at_left, lo, np.nan)
+    todo = np.flatnonzero(~at_left)  # windows with no witness on the grids so far
     for n in (1000, 10_000, 100_000):
         if not len(todo):
             break
-        ts = np.linspace((xs[todo] - 1.0) ** 2, (xs[todo] + 1.0) ** 2, n, axis=-1)
+        ts = np.linspace(lo[todo], (xs[todo] + 1.0) ** 2, n, axis=-1)
         rows = np.arange(len(todo))  # rows of ts still open on this grid
-        start, size = 0, 1
+        start, size = 1, 16
         while start < n and len(rows):
             t = ts[rows, start : start + size]
             dk = apply_Dk_all(pw, coeffs, np.sqrt(t).ravel())
-            dk = dk.reshape((len(coeffs),) + t.shape)
-            mass = masses[todo[rows], None]
-            ok = np.ones(t.shape, dtype=bool)
-            factor = 1.0
-            # t = 0 (the window at x = 1) fails the k = 0 bound for alpha < 0
-            with np.errstate(divide="ignore"):
-                for k in range(len(coeffs)):
-                    ok &= t ** (alpha + k) * dk[k] ** 2 <= factor * mass * (1 + 1e-12)
-                    factor *= base
+            ok = holds(t, dk.reshape((n_k,) + t.shape), masses[todo[rows], None])
             hit = np.any(ok, axis=1)
             witness[todo[rows[hit]]] = t[hit, np.argmax(ok[hit], axis=1)]
             rows = rows[~hit]
             start += size
-            size = max(16, 4 * size)
+            size *= 4
         todo = todo[rows]
     return witness
 

@@ -606,9 +606,9 @@ def _recipe_good_bad(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         ab = _GOOD_BAD_PRODUCTS[t % len(_GOOD_BAD_PRODUCTS)]
         pw = random_pw(order, ab, 32, rng, kind="smooth")
         coeffs = dk_coefficients(pw, 8)
-        bad, mass, frac = good_bad_partition(pw, ab, xs, coeffs)
+        bad, mass, frac, left = good_bad_partition(pw, ab, xs, coeffs)
         goods = xs[~bad]
-        witness = witness_point(pw, ab, goods, mass[~bad], coeffs)
+        witness = witness_point(pw, ab, goods, mass[~bad], left[:, ~bad], coeffs)
         found = int(np.count_nonzero(np.isfinite(witness)))
         return [
             ReportRow(

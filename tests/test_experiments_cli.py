@@ -345,6 +345,53 @@ def test_good_bad_recipe_at_negative_order_is_warning_free(tmp_path):
     ]
 
 
+# The good-bad recipe at seed 7, 6 trials: per trial the bad-mass fraction
+# and the witness count (of as many good windows), as computed when each
+# trial made a second D^k pass over the windows' left ends.  Speed work on
+# the recipe must keep the fractions to 1e-12 and the counts exactly.
+_GOOD_BAD_PINS = {
+    0.0: [
+        (0.010628827294425, 12),
+        (0.010855944447036116, 14),
+        (0.0, 15),
+        (0.007897936679895003, 13),
+        (0.01179136294018253, 14),
+        (0.0, 15),
+    ],
+    -0.3: [
+        (0.004803808225384742, 13),
+        (0.016968708009293922, 13),
+        (0.0, 15),
+        (0.009316832848960998, 12),
+        (0.014628534534453591, 13),
+        (0.0, 15),
+    ],
+    1.0: [
+        (0.0, 15),
+        (0.013453095798887635, 14),
+        (0.0, 15),
+        (0.0, 15),
+        (0.008064949215411838, 14),
+        (0.0, 15),
+    ],
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_GOOD_BAD_PINS))
+def test_good_bad_recipe_pinned_values(tmp_path, alpha):
+    cfg = ExperimentConfig(
+        name="gb", recipe="good-bad", alpha=alpha, seed=7, trials=6, output_dir=str(tmp_path)
+    )
+    rows = run(cfg)
+    assert len(rows) == 12
+    for t, (frac, found) in enumerate(_GOOD_BAD_PINS[alpha]):
+        bad_mass, witnesses = rows[2 * t], rows[2 * t + 1]
+        assert f"quantity=bad-mass trial={t} " in bad_mass.params
+        assert bad_mass.value == pytest.approx(frac, rel=1e-12, abs=0.0)
+        assert f"quantity=witnesses trial={t} " in witnesses.params
+        assert (witnesses.value, witnesses.reference) == (found, found)
+
+
 def test_run_guards_unknown_recipe():
     with pytest.raises(UsageError, match="unknown recipe"):
         ExperimentConfig(name="det", recipe="frobnicate")
