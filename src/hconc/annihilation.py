@@ -56,6 +56,8 @@ from .quadrature import build_rule, mu_pieces, mu_rule, set_rule_size
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
+# least nodes per unit length of each side's rule on pair_norm's first pass
+_PAIR_PER_UNIT = 64
 # entries of one row block of Lommel denominators a_k^2 - a_l^2
 _DEN_BLOCK = 65536
 # strong-pair trials draw spectra on [0, _TRIAL_BAND * sup Sigma]
@@ -70,41 +72,32 @@ _FACTOR_ENTRIES = 2**24
 
 @dataclass(frozen=True)
 class ProjectionPair:
-    """A spatial set S, a spectral set Sigma, and discretization controls.
-
-    nodes_per_interval is the starting budget of quadrature nodes per unit
-    length on each side, not a per-interval count; `_pair_per_unit` raises
-    it to each side's resolution floor, and `pair_norm` doubles the rules
-    until the value is stable.  The pair-norm recipe and `hconc pair norm`
-    both start from the default 64.
-    """
+    """A spatial set S, a spectral set Sigma, and the window [0, x_max]
+    that holds S.  The quadrature rules are sized by `_pair_per_unit`."""
 
     order: Order
     S: IntervalSet
     Sigma: IntervalSet
     x_max: float
-    nodes_per_interval: int = 64
 
     def __post_init__(self):
         if self.S.sup() > self.x_max * (1 + 1e-12):
             raise DomainError("S must be contained in [0, x_max]")
-        if self.nodes_per_interval < 4:
-            raise DomainError("node budget too small")
 
 
-def _pair_per_unit(pair: ProjectionPair, budget: int, scale: int = 1):
+def _pair_per_unit(pair: ProjectionPair, scale: int = 1):
     """Nodes per unit of the spectral rule on Sigma and of the spatial rule
-    on S.  Each side takes `scale` times max(budget, its resolution floor),
-    so doubling the scale doubles the rule that is used, also where the
-    floor rules."""
+    on S.  Each side takes `scale` times max(_PAIR_PER_UNIT, its resolution
+    floor), so doubling the scale doubles the rule that is used, also where
+    the floor rules."""
     # the spectral side must resolve oscillation in xi at rate ~ sup(S), and
     # the spatial side oscillation in x at rate ~ sup(Sigma)
-    per_unit_xi = scale * max(budget, math.ceil(4.0 * pair.S.sup()) + 32)
-    per_unit_x = scale * max(budget, math.ceil(4.0 * pair.Sigma.sup()) + 32)
+    per_unit_xi = scale * max(_PAIR_PER_UNIT, math.ceil(4.0 * pair.S.sup()) + 32)
+    per_unit_x = scale * max(_PAIR_PER_UNIT, math.ceil(4.0 * pair.Sigma.sup()) + 32)
     return per_unit_xi, per_unit_x
 
 
-def _pair_nodes(pair: ProjectionPair, budget: int, scale: int = 1):
+def _pair_nodes(pair: ProjectionPair, scale: int = 1):
     """Nodes of the side whose rule is shorter (Sigma on a tie), each with
     the square root of its mu_alpha quadrature weight, and the other side's
     set, over which `_lommel_gram` integrates in closed form.  Only the
@@ -112,7 +105,7 @@ def _pair_nodes(pair: ProjectionPair, budget: int, scale: int = 1):
     The density x^(2 alpha+1) is integrated exactly by the rule (Gauss-Jacobi
     next to 0), so doubling converges fast also where it is not smooth at 0,
     for alpha in (-1/2, 0)."""
-    per_unit_xi, per_unit_x = _pair_per_unit(pair, budget, scale)
+    per_unit_xi, per_unit_x = _pair_per_unit(pair, scale)
     if set_rule_size(pair.Sigma, per_unit_xi) <= set_rule_size(pair.S, per_unit_x):
         t, w = mu_rule(pair.order, pair.Sigma, per_unit_xi)
         return t, np.sqrt(w), pair.S
@@ -163,12 +156,12 @@ def _lommel_gram(
     return gram
 
 
-def _pair_gram(pair: ProjectionPair, budget: int, scale: int = 1) -> np.ndarray:
+def _pair_gram(pair: ProjectionPair, scale: int = 1) -> np.ndarray:
     """Gram of the pair factor on its shorter side (A A^T when Sigma has
     fewer nodes, else A^T A), on the nodes of `_pair_nodes`, with the sum
     along the longer side replaced by the exact integral over its set, so
     that the factor is never formed."""
-    t, s, far = _pair_nodes(pair, budget, scale)
+    t, s, far = _pair_nodes(pair, scale)
     return _lommel_gram(pair.order, far, t, s)
 
 
@@ -206,10 +199,9 @@ def pair_norm(pair: ProjectionPair) -> float:
     refined by node doubling until 1e-6 stable, clipped to 1."""
     if pair.S.is_empty() or pair.Sigma.is_empty():
         return 0.0
-    budget = pair.nodes_per_interval
-    prev = _sigma_max(_pair_gram(pair, budget))
+    prev = _sigma_max(_pair_gram(pair))
     for doubling in range(1, _MAX_DOUBLINGS + 1):
-        cur = _sigma_max(_pair_gram(pair, budget, 2**doubling))
+        cur = _sigma_max(_pair_gram(pair, 2**doubling))
         if abs(cur - prev) <= _STABILITY_TOL:
             return min(cur, 1.0)
         prev = cur

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands mirror the library modules; `run` executes a config-driven
-experiment recipe and `selftest` runs the desk-scale invariant suite.
+experiment recipe and `selftest` runs the desk-scale suite of recipes.
 Exit codes: 0 success, 1 failed check, 2 usage or domain error,
 3 numerical non-convergence.
 """
@@ -143,6 +143,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_pw_bernstein(args) -> int:
+    if args.trials < 0:
+        raise UsageError("trials must be nonnegative")
     order = Order(args.alpha)
     print("trial,lhs,rhs,ratio")
     ok = True
@@ -173,7 +175,6 @@ def _cmd_pair_norm(args) -> int:
         S=load_interval_set(args.s),
         Sigma=load_interval_set(args.sigma),
         x_max=args.xmax,
-        nodes_per_interval=args.nodes,
     )
     print(_fmt(pair_norm(pair)))
     return 0
@@ -306,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, help="spatial interval-set file")
     p.add_argument("--sigma", required=True, help="spectral interval-set file")
     p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--nodes", type=int, default=64)
     p.set_defaults(func=_cmd_pair_norm)
 
     p_ls = sub.add_parser("ls", help="concentration bound machinery")
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("selftest", help="desk-scale invariant suite")
+    p = sub.add_parser("selftest", help="desk-scale suite of recipes")
     p.add_argument("--inject-fault", choices=("zerotable",), default=None)
     p.set_defaults(func=_cmd_selftest)
 

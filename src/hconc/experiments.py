@@ -1,16 +1,21 @@
 """Experiment configs, named recipes, CSV reports, and the self-test suite.
 
-Config files are flat `key = value` text; recipes compose the numerical
-modules into reproducible checks and write one CSV per run.  Reports are
-deterministic given the seed: per-trial generators are spawned from
-(seed, trial index), so --jobs parallelism cannot change any value.  The
-Plancherel recipe runs its trials in contiguous batches that share every
-kernel block; each trial keeps its own matrix-vector products, so its values
-do not depend on the batch, and --jobs, which splits the trials into more
-batches, still cannot change them.  The translation recipe likewise
-translates its two compact bumps, and the product-formula kernel together
-with the symmetry reference, through the set axis of `translate_batch`,
-which gives each function the value it has when translated alone.
+Config files are flat `key = value` text, each key set at most once;
+recipes compose the numerical modules into reproducible checks and write
+one CSV per run.  Reports are deterministic given the seed: per-trial
+generators are spawned from (seed, trial index), so --jobs parallelism
+cannot change any value.  The Plancherel recipe runs its trials in
+contiguous batches that share every kernel block; each trial keeps its own
+matrix-vector products, so its values do not depend on the batch, and
+--jobs, which splits the trials into more batches, still cannot change
+them.  The translation recipe likewise translates its two compact bumps,
+and the product-formula kernel together with the symmetry reference,
+through the set axis of `translate_batch`, which gives each function the
+value it has when translated alone.
+
+The self-test runs each recipe of a table at a few trials, at jobs=1 and
+at jobs=2, and fails an entry whose rows fail or whose two reports differ
+by a byte; its zero-table check proves the interlacing validation trips.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -42,13 +48,7 @@ from .annihilation import (
 from .bessel import Order, ZeroTable, _horner, cached_zero_table, eval_j
 from .bessel import zeros_of_j_prime
 from .errors import ConvergenceError, InternalError, UsageError
-from .measure import (
-    IntervalSet,
-    density_profile,
-    load_interval_set,
-    mu_density_constant,
-    mu_measure,
-)
+from .measure import IntervalSet, density_profile, load_interval_set
 from .paley_wiener import (
     bernstein_sides,
     dk_coefficients,
@@ -127,6 +127,8 @@ def parse_config(path: str) -> ExperimentConfig:
             raise UsageError(f"{path}:{i}: expected `key = value`, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in values:
+            raise UsageError(f"{path}:{i}: duplicate key {key!r}")
         if key in _FLOAT_KEYS:
             try:
                 values[key] = float(val)
@@ -171,7 +173,7 @@ def write_report(config: ExperimentConfig, rows: list[ReportRow]) -> str:
 
 
 def _map_trials(fn, n: int, jobs: int) -> list:
-    if jobs <= 1:
+    if jobs == 1:
         chunks = [fn(i) for i in range(n)]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -253,7 +255,7 @@ def _recipe_plancherel(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
     x, _, xi, _ = grids
     # contiguous batches, one per job at least, whose set arrays stay
     # within one kernel block's entries
-    per_job = -(-config.trials // max(1, jobs))
+    per_job = -(-config.trials // jobs)
     size = max(1, min(max_sets(max(len(x), len(xi))), per_job))
     batches = [
         range(start, min(start + size, config.trials))
@@ -644,6 +646,8 @@ _RECIPE_TABLE = {
 
 def run(config: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
     """Dispatch to the named recipe and write <output_dir>/<name>.csv."""
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
     rows = _RECIPE_TABLE[config.recipe](config, jobs)
     write_report(config, rows)
     return rows
@@ -651,16 +655,6 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
 
 # --------------------------------------------------------------------------
 # selftest
-
-
-def _check_half_order():
-    xs = np.linspace(0.0, 100.0, 4001)
-    sinc = np.ones_like(xs)
-    sinc[1:] = np.sin(xs[1:]) / xs[1:]
-    err_s = np.max(np.abs(eval_j(Order(0.5), xs) - sinc))
-    err_c = np.max(np.abs(eval_j(Order(-0.5), xs) - np.cos(xs)))
-    if max(err_s, err_c) > 1e-10:
-        raise InternalError(f"half-order forms off by {max(err_s, err_c):.3e}")
 
 
 def _check_zero_table(inject: str | None):
@@ -672,134 +666,61 @@ def _check_zero_table(inject: str | None):
     ZeroTable(order=order, zeros=zs)
 
 
-def _check_measure():
-    from scipy.integrate import quad
-
-    order = Order(0.8)
-    dens = mu_density_constant(order)
-    subset = IntervalSet.of([(0.3, 1.7), (2.0, 2.5)])
-    ref = sum(
-        quad(lambda x: dens * x ** (2 * order.alpha + 1), lo, hi)[0]
-        for lo, hi in subset.intervals
-    )
-    got = mu_measure(order, subset)
-    if abs(got - ref) > 1e-10 * ref:
-        raise InternalError(f"mu closed form vs quad: {got} vs {ref}")
-
-
-def _check_plancherel():
-    rng = np.random.default_rng(DEFAULT_SEED)
-    for alpha in (-0.5, 0.0, 1.0, 0.3):
-        order = Order(alpha)
-        grids = _plancherel_grids(order, 1.0)
-        [(defect, roundtrip)] = _plancherel_batch(order, 1.0, [rng], grids)
-        if defect > 1e-7 or roundtrip > 1e-8:
-            raise InternalError(
-                f"alpha={alpha}: isometry defect {defect:.3e}, "
-                f"roundtrip {roundtrip:.3e}"
-            )
+# (recipe, trials, alpha) of each recipe check: Plancherel on every eval_j
+# route (closed form, j0, j1, table); translation picks its own orders and
+# kovrijkine takes none; ls-verify needs an omega file
+_SELFTEST_TABLE = (
+    ("plancherel", 1, -0.5),
+    ("plancherel", 1, 0.0),
+    ("plancherel", 1, 1.0),
+    ("plancherel", 1, 0.3),
+    ("translation", 5, 0.0),
+    ("bernstein", 20, 0.0),
+    ("extremal", 6, 0.0),
+    ("pair-norm", 4, 0.0),
+    ("good-bad", 2, 0.0),
+    ("kovrijkine", 6, 0.0),
+)
 
 
-_FROZEN_PAIR_NORM_UNIT = 0.9997619967469777
-
-
-def _check_pair_norm():
-    pair = ProjectionPair(
-        order=Order(0.0),
-        S=IntervalSet.of([(0.0, 1.0)]),
-        Sigma=IntervalSet.of([(0.0, 1.0)]),
-        x_max=1.0,
-    )
-    norm = pair_norm(pair)
-    if abs(norm - _FROZEN_PAIR_NORM_UNIT) > 1e-5:
-        raise InternalError(f"unit pair norm drifted: {norm!r}")
-
-
-def _check_ls_pins():
-    ab = math.log(2.0) / (160.0 * math.sqrt(3.0) * math.pi)
-    pin = ls_bound(LSParams(gamma=1.0, a=1.0, b=ab, order=Order(0.0)))
-    ref = (2.0 / 3.0) / 300.0**2
-    if abs(pin - ref) > 1e-12 * ref:
-        raise InternalError(f"exponent-2 pin off: {pin!r} vs {ref!r}")
-    limit = ls_bound(LSParams(gamma=1.0, a=1.0, b=ab * 1e-9, order=Order(0.0)))
-    if abs(limit - (2.0 / 3.0) / 300.0) > 1e-6:
-        raise InternalError(f"exponent-1 limit off: {limit!r}")
-
-
-def _check_ls_monotone():
-    order = Order(0.0)
-    full = IntervalSet.of([(0.0, 10.0)])
-    evens = IntervalSet.of([(2 * k, 2 * k + 1) for k in range(5)])
-    halves = IntervalSet.of([(2 * k, 2 * k + 0.5) for k in range(5)])
-    r_full = ls_empirical_min_ratio(order, 1.0, full, 10.0)
-    r_even = ls_empirical_min_ratio(order, 1.0, evens, 10.0)
-    r_half = ls_empirical_min_ratio(order, 1.0, halves, 10.0)
-    r_none = ls_empirical_min_ratio(order, 1.0, IntervalSet.empty(), 10.0)
-    if not (r_none <= r_half <= r_even <= r_full):
-        raise InternalError(
-            f"concentration not monotone: {r_none} {r_half} {r_even} {r_full}"
-        )
-    if r_full < 1 - 1e-4:
-        raise InternalError(f"full-window concentration {r_full!r} < 1 - 1e-4")
-    if r_none > 1e-10:
-        raise InternalError(f"empty-window concentration {r_none!r} > 1e-10")
-
-
-def _recipe_check(recipe: str, trials: int, what: str):
-    """A check that runs `trials` trials of a recipe, writing no report, and
-    fails as "<what> failed: <params of the first failed row>"; `what` may
-    hold {n}, the number of failed rows."""
-
-    def check():
-        cfg = ExperimentConfig(f"selftest-{recipe}", recipe=recipe, trials=trials)
-        bad = [r for r in _RECIPE_TABLE[recipe](cfg, 1) if not r.passed]
-        if bad:
-            raise InternalError(f"{what.format(n=len(bad))} failed: {bad[0].params}")
-
-    return check
-
-
-def _check_determinism():
+def _check_recipe(recipe: str, trials: int, alpha: float):
+    """Run a recipe into a temporary directory at jobs=1 and at jobs=2; fail
+    if a row fails or the two reports differ by a byte."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = ExperimentConfig(
-            name="selftest-determinism",
-            recipe="kovrijkine",
-            trials=4,
+            f"selftest-{recipe}",
+            recipe=recipe,
+            alpha=alpha,
+            trials=trials,
             output_dir=tmp,
         )
-        run(cfg, jobs=1)
-        path = os.path.join(tmp, f"{cfg.name}.csv")
-        with open(path, "rb") as fh:
-            first = fh.read()
-        run(cfg, jobs=2)
-        with open(path, "rb") as fh:
-            second = fh.read()
-    if first != second:
-        raise InternalError("report not byte-identical across reruns")
+        reports = []
+        for jobs in (1, 2):
+            rows = run(cfg, jobs)
+            with open(os.path.join(tmp, f"{cfg.name}.csv"), "rb") as fh:
+                reports.append(fh.read())
+    failed = [r for r in rows if not r.passed]
+    if failed:
+        raise InternalError(
+            f"{len(failed)} of {len(rows)} rows failed, first {failed[0].params}"
+        )
+    if reports[0] != reports[1]:
+        raise InternalError("report differs between jobs=1 and jobs=2")
 
 
 def selftest(inject_fault: str | None = None) -> int:
-    """Run the desk-scale invariant suite; exit code 0 iff everything passes.
+    """Run the desk-scale suite; exit code 0 iff every check passes.
 
-    inject_fault="zerotable" deliberately corrupts a zero table to prove the
-    interlacing validation trips; the suite must then report that failure.
+    Each `_SELFTEST_TABLE` entry runs its recipe at jobs=1 and jobs=2 (see
+    `_check_recipe`); `zero-table` validates a computed zero table, which
+    inject_fault="zerotable" corrupts to prove the interlacing validation
+    trips, so that this check, and only it, must then fail.
     """
     if inject_fault not in (None, "zerotable"):
         raise UsageError(f"unknown fault {inject_fault!r}")
-    checks = [
-        ("half-order-forms", _check_half_order),
-        ("zero-table", lambda: _check_zero_table(inject_fault)),
-        ("measure-closed-forms", _check_measure),
-        ("plancherel-roundtrip", _check_plancherel),
-        ("translation-suite", _recipe_check("translation", 5, "{n} translation checks")),
-        ("bernstein-suite", _recipe_check("bernstein", 20, "{n} Bernstein checks")),
-        ("extremal-family", _recipe_check("extremal", 6, "extremal check")),
-        ("pair-norm-frozen", _check_pair_norm),
-        ("ls-bound-pins", _check_ls_pins),
-        ("ls-concentration-monotone", _check_ls_monotone),
-        ("good-bad-windows", _recipe_check("good-bad", 2, "good/bad check")),
-        ("kovrijkine-doubling", _recipe_check("kovrijkine", 6, "doubling inequality")),
-        ("report-determinism", _check_determinism),
+    checks = [("zero-table", partial(_check_zero_table, inject_fault))] + [
+        (f"{recipe} alpha={alpha:g}", partial(_check_recipe, recipe, trials, alpha))
+        for recipe, trials, alpha in _SELFTEST_TABLE
     ]
     failures = 0
     for name, fn in checks:

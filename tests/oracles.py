@@ -107,32 +107,32 @@ def pair_block(order: Order, rows, s_rows, cols, s_cols) -> np.ndarray:
     return blk * s_rows[:, None] * s_cols[None, :]
 
 
-def pair_rules(pair: ProjectionPair, budget: int, scale: int = 1):
+def pair_rules(pair: ProjectionPair, scale: int = 1):
     """Spectral nodes xi on Sigma and spatial nodes x on S, each with the
     square root of its mu_alpha quadrature weight: both rules of a pass of
     `annihilation.pair_norm`, of which `_pair_nodes` builds the shorter."""
-    per_unit_xi, per_unit_x = _pair_per_unit(pair, budget, scale)
+    per_unit_xi, per_unit_x = _pair_per_unit(pair, scale)
     xi, u = mu_rule(pair.order, pair.Sigma, per_unit_xi)
     x, v = mu_rule(pair.order, pair.S, per_unit_x)
     return xi, np.sqrt(u), x, np.sqrt(v)
 
 
-def _pair_factor(pair: ProjectionPair, budget: int, scale: int = 1) -> np.ndarray:
+def _pair_factor(pair: ProjectionPair, scale: int = 1) -> np.ndarray:
     """Factor A with A^T A = the compression of the Sigma-bandpass to S.
 
     A[k, p] = sqrt(u_k) j_alpha(2 pi x_p xi_k) sqrt(v_p) over mu_alpha
     quadrature weights u (spectral, on Sigma) and v (spatial, on S), held
     whole.  The dense reference for `pair_norm`."""
-    return pair_block(pair.order, *pair_rules(pair, budget, scale))
+    return pair_block(pair.order, *pair_rules(pair, scale))
 
 
-def _short_side_gram(pair: ProjectionPair, budget: int, far_budget: int) -> np.ndarray:
-    """Gram of the pair factor on its shorter side at `budget` (the side
-    `annihilation._pair_gram` keeps), with the sum along the other side taken
-    on that side's quadrature rule at `far_budget`.  The dense reference for
+def _short_side_gram(pair: ProjectionPair, far_scale: int) -> np.ndarray:
+    """Gram of the pair factor on its shorter side on the first pass (the
+    side `annihilation._pair_gram` keeps), with the sum along the other side
+    taken on that side's quadrature rule at `far_scale`.  The dense reference for
     `_pair_gram`, which integrates the other side in closed form."""
-    xi, su, x, sv = pair_rules(pair, budget)
-    fine_xi, fine_su, fine_x, fine_sv = pair_rules(pair, far_budget)
+    xi, su, x, sv = pair_rules(pair)
+    fine_xi, fine_su, fine_x, fine_sv = pair_rules(pair, far_scale)
     if len(xi) <= len(x):
         A = pair_block(pair.order, fine_x, fine_sv, xi, su)
     else:

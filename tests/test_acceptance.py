@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from hconc.annihilation import LSParams, ProjectionPair, ls_bound, pair_norm
-from hconc.annihilation import strong_pair_trials
+from hconc.annihilation import _pair_gram, _sigma_max, strong_pair_trials
 from hconc.bessel import Order, cached_zero_table, eval_j
 from hconc.experiments import ExperimentConfig, parse_config, run
 from hconc.measure import IntervalSet
@@ -336,14 +336,11 @@ def test_criterion_10_annihilation_operators():
     ok = all(0.0 <= v <= 1.0 for v in norms)
     # growing the spatial set can only increase the compression norm
     ok = ok and norms[0] <= norms[1] + 5e-6 and norms[1] <= norms[2] + 5e-6
-    coarse = pair_norm(
-        ProjectionPair(order=order, S=unit, Sigma=unit, x_max=1.0,
-                       nodes_per_interval=64)
-    )
-    fine = pair_norm(
-        ProjectionPair(order=order, S=unit, Sigma=unit, x_max=1.0,
-                       nodes_per_interval=128)
-    )
+    unit_pair = ProjectionPair(order=order, S=unit, Sigma=unit, x_max=1.0)
+    coarse = pair_norm(unit_pair)
+    # pair_norm stops at its second pass (scale 2) here; one pass on twice
+    # that rule
+    fine = _sigma_max(_pair_gram(unit_pair, 4))
     ok = ok and coarse < 1.0 and fine < 1.0 and abs(fine - coarse) <= 1e-5
     trials = strong_pair_trials(order, unit, unit, coarse, 1000, 20260814)
     holds = np.all(trials[:, 0] <= trials[:, 1] * (1.0 + 1e-9))

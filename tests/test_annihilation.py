@@ -122,7 +122,7 @@ def test_pair_norm_agrees_with_dense_svd_of_factor():
         x_max=2.0,
     )
     iterated = pair_norm(pair)
-    dense = float(np.linalg.svd(_pair_factor(pair, 256), compute_uv=False)[0])
+    dense = float(np.linalg.svd(_pair_factor(pair, 4), compute_uv=False)[0])
     assert iterated == pytest.approx(dense, abs=5e-6)
 
 
@@ -170,9 +170,9 @@ def _pair(alpha, sup_s, sup_sigma):
 @pytest.mark.parametrize("sup_s, sup_sigma", [(1.0, 1.3), (3.0, 0.5)])
 def test_pair_gram_is_the_short_side_gram_of_factor(sup_s, sup_sigma):
     pair = _pair(0.3, sup_s, sup_sigma)
-    A = _pair_factor(pair, 64)
+    A = _pair_factor(pair)
     dense = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    gram = _pair_gram(pair, 64)
+    gram = _pair_gram(pair)
     assert gram.shape == (min(A.shape),) * 2
     assert np.max(np.abs(gram - dense)) <= 1e-13
 
@@ -198,11 +198,12 @@ def _closed_form_pair(alpha, S, Sigma):
 
 @pytest.mark.parametrize("alpha, S, Sigma", CLOSED_FORM_CASES)
 def test_pair_gram_closed_form_matches_fine_factor(alpha, S, Sigma):
-    # the other side's sum at budget 256 is converged to ~1e-13 here, while
-    # its rule at budget 64 is off by up to 1e-7 in the fourth case
+    # the other side's sum at 4x the first pass's rule is converged to
+    # ~1e-13 here, while the first pass's rule is off by up to 1e-7 in the
+    # fourth case
     pair = _closed_form_pair(alpha, S, Sigma)
-    gram = _pair_gram(pair, 64)
-    fine = _short_side_gram(pair, 64, 256)
+    gram = _pair_gram(pair)
+    fine = _short_side_gram(pair, 4)
     assert gram.shape == fine.shape
     assert np.max(np.abs(gram - fine)) <= 1e-13
 
@@ -211,8 +212,8 @@ def test_pair_gram_closed_form_matches_fine_factor(alpha, S, Sigma):
 def test_pair_gram_closed_form_entries_match_mpmath_quad(alpha, S, Sigma):
     mpmath = pytest.importorskip("mpmath")
     pair = _closed_form_pair(alpha, S, Sigma)
-    gram = _pair_gram(pair, 64)
-    t, s, far = _pair_nodes(pair, 64)
+    gram = _pair_gram(pair)
+    t, s, far = _pair_nodes(pair)
     n = len(t)
     with mpmath.workdps(20):
         a = mpmath.mpf(alpha)
@@ -235,10 +236,9 @@ def test_pair_gram_closed_form_entries_match_mpmath_quad(alpha, S, Sigma):
 
 def _dense_pair_norm(pair):
     """pair_norm's node-doubling loop on dense svdvals of the whole factor."""
-    budget = pair.nodes_per_interval
-    prev = float(linalg.svdvals(_pair_factor(pair, budget))[0])
+    prev = float(linalg.svdvals(_pair_factor(pair))[0])
     for doubling in range(1, 5):
-        cur = float(linalg.svdvals(_pair_factor(pair, budget, 2**doubling))[0])
+        cur = float(linalg.svdvals(_pair_factor(pair, 2**doubling))[0])
         if abs(cur - prev) <= 1e-6:
             return min(cur, 1.0)
         prev = cur
@@ -267,7 +267,7 @@ def test_sigma_max_matches_dense_eigvalsh_on_pair_grams(alpha, sup_s, sup_sigma)
     # the Grams of pair_norm's first pass, n = 128, 128, 64, 192 and 1392
     # (rank 468 at the last); eigvalsh runs on a copy, since _sigma_max
     # factors its argument in place
-    gram = _pair_gram(_pair(alpha, sup_s, sup_sigma), 64)
+    gram = _pair_gram(_pair(alpha, sup_s, sup_sigma))
     want = math.sqrt(float(linalg.eigvalsh(gram)[-1]))
     assert _sigma_max(gram.copy()) == pytest.approx(want, rel=1e-13)
 
@@ -277,11 +277,11 @@ def test_pair_gram_and_sigma_max_hold_one_gram():
     # built and factored in place, so beside its n x n array only row
     # blocks, the rank-r slice of the factor and the r x r core are held
     pair = _pair(0.0, 15.0, 15.0)
-    n = len(_pair_nodes(pair, 64)[0])
+    n = len(_pair_nodes(pair)[0])
     assert n == 1392
     tracemalloc.start()
     try:
-        _sigma_max(_pair_gram(pair, 64))
+        _sigma_max(_pair_gram(pair))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,11 +358,12 @@ def test_pair_norm_resolves_a_set_starting_just_above_zero():
     assert norm(1e-6) == pytest.approx(norm(0.0), abs=1e-5)
 
 
-@pytest.mark.parametrize("nodes, sup", [(4, 1.0), (16, 10.0)])
-def test_pair_norm_doubling_doubles_the_rule_in_use(monkeypatch, nodes, sup):
+@pytest.mark.parametrize("sup", [1.0, 10.0])
+def test_pair_norm_doubling_doubles_the_rule_in_use(monkeypatch, sup):
     # the resolution floor 4 sup + 32 nodes per unit used to absorb the
     # doubled budget: both passes then ran on one rule, and the stability
-    # check compared a value with itself
+    # check compared a value with itself.  The first pass takes 64 nodes per
+    # unit at sup = 1 and the floor, 72, at sup = 10
     per_unit, sizes = [], []
     real_rule, real_nodes = annihilation.mu_rule, annihilation._pair_nodes
 
@@ -382,12 +383,11 @@ def test_pair_norm_doubling_doubles_the_rule_in_use(monkeypatch, nodes, sup):
         S=IntervalSet.of([(0.0, sup)]),
         Sigma=IntervalSet.of([(0.0, sup)]),
         x_max=sup,
-        nodes_per_interval=nodes,
     )
     assert 0.0 < pair_norm(pair) <= 1.0
-    # one rule per pass, the one in use, the first above the budget
+    # one rule per pass, the one in use
     assert len(per_unit) == len(sizes) >= 2
-    assert per_unit[0] == math.ceil(4 * sup) + 32
+    assert per_unit[0] == max(64, math.ceil(4 * sup) + 32)
     for n0, n1 in zip(per_unit, per_unit[1:]):
         assert n1 == 2 * n0
     for n0, n1 in zip(sizes, sizes[1:]):
@@ -419,8 +419,8 @@ def test_pair_nodes_builds_the_shorter_rule_only(monkeypatch, S, Sigma, x_max):
     )
     for scale in (1, 2):
         calls.clear()
-        t, s, far = _pair_nodes(pair, 64, scale)
-        xi, su, x, sv = pair_rules(pair, 64, scale)
+        t, s, far = _pair_nodes(pair, scale)
+        xi, su, x, sv = pair_rules(pair, scale)
         assert len(calls) == 1
         want = (xi, su, pair.S) if len(xi) <= len(x) else (x, sv, pair.Sigma)
         assert np.array_equal(t, want[0]) and np.array_equal(s, want[1])
@@ -434,14 +434,6 @@ def test_projection_pair_validation():
             S=IntervalSet.of([(0.0, 2.0)]),
             Sigma=IntervalSet.of([(0.0, 1.0)]),
             x_max=1.0,
-        )
-    with pytest.raises(DomainError):
-        ProjectionPair(
-            order=Order(0.0),
-            S=IntervalSet.of([(0.0, 1.0)]),
-            Sigma=IntervalSet.of([(0.0, 1.0)]),
-            x_max=1.0,
-            nodes_per_interval=2,
         )
 
 

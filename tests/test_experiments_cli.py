@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hconc import __version__, cli, transform, translation
+from hconc import __version__, cli, experiments, transform, translation
 from hconc.annihilation import ls_empirical_min_ratio
 from hconc.bessel import Order
 from hconc.errors import ConvergenceError, InternalError, UsageError
@@ -15,6 +15,7 @@ from hconc.experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
     ReportRow,
+    _SELFTEST_TABLE,
     _bump_family,
     parse_config,
     run,
@@ -89,6 +90,9 @@ def test_parse_config_defaults(tmp_path):
         ("name = smoke\ncolor = red\n", r":2: unknown key"),
         # the mode count follows from b and xmax; a config cannot cap it
         ("name = smoke\nnodes = 144\n", r":2: unknown key 'nodes'"),
+        # a repeated key is an error, not a silent override
+        ("name = smoke\nseed = 1\nseed = 2\n", r":3: duplicate key 'seed'"),
+        ("name = one\nname = two\n", r":2: duplicate key 'name'"),
         ("alpha = 1.0\n", r"must set a name"),
     ],
 )
@@ -400,6 +404,33 @@ def test_run_guards_unknown_recipe():
 def test_selftest_rejects_unknown_fault():
     with pytest.raises(UsageError, match="unknown fault"):
         selftest(inject_fault="wobble")
+
+
+def test_selftest_passes_one_check_per_table_entry(capsys):
+    assert selftest() == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split(" (")[0].removeprefix("PASS ") for line in lines[:-1]]
+    assert names == ["zero-table"] + [
+        f"{recipe} alpha={alpha:g}" for recipe, _, alpha in _SELFTEST_TABLE
+    ]
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert lines[-1] == f"selftest: all {len(_SELFTEST_TABLE) + 1} checks passed"
+
+
+def test_selftest_fails_only_the_entry_whose_recipe_breaks(capsys, monkeypatch):
+    real_sides = experiments.bernstein_sides
+
+    def doubled(pw, k):
+        _, rhs = real_sides(pw, k)
+        return 2.0 * rhs, rhs
+
+    monkeypatch.setattr(experiments, "bernstein_sides", doubled)
+    assert selftest() == 1
+    out = capsys.readouterr().out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL bernstein alpha=0: 20 of 20 rows failed")
+    assert out.count("PASS") == len(_SELFTEST_TABLE)
 
 
 # --------------------------------------------------------------------------
@@ -868,6 +899,22 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_count_flags_below_their_minimum_exit_2(tmp_path, capsys):
+    cfg_path = _write(
+        tmp_path / "smoke.cfg",
+        "name = smoke\nrecipe = kovrijkine\ntrials = 1\noutput_dir = out\n",
+    )
+    for jobs in ("0", "-2"):
+        assert cli.main(["run", "--config", cfg_path, "--jobs", jobs]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    argv = ["pw", "bernstein", "--alpha", "0", "--b", "1", "--k", "1", "--trials", "-1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "trials must be nonnegative" in err
+
+
 def _main_result(capsys, argv):
     """Exit code, stdout and stderr of one `cli.main` call; argparse's own
     usage errors exit through SystemExit."""
@@ -926,9 +973,9 @@ def test_cli_selftest_inject_fault_exits_1(capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL zero-table" in out
-    assert "1 of 13 checks failed" in out
+    assert f"1 of {len(_SELFTEST_TABLE) + 1} checks failed" in out
     # the corruption must not cascade into unrelated checks
-    assert out.count("PASS") == 12
+    assert out.count("PASS") == len(_SELFTEST_TABLE)
 
 
 def _compact_bump(t, width, poly):

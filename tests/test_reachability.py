@@ -2,7 +2,8 @@
 method of a top-level class, has a caller in the package itself, and so has
 every value of theirs: each defaulted parameter is passed by some call in
 the package.  Code and options that only tests reach belong under tests/ as
-a declared oracle (tests/oracles.py), or go."""
+a declared oracle (tests/oracles.py), or go.  And every name a module
+imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hconc"
 ALLOWED = {
     "density_necessity_demo": (
         "the converse (necessity) half of the theorem; it is to become a "
-        "recipe with its own config (ROADMAP item 6)"
+        "recipe with its own config (ROADMAP item 9)"
     ),
 }
 
@@ -243,3 +244,42 @@ def test_scan_flags_defaults_that_only_their_own_body_passes(tmp_path):
         "Box.grow(twice)": "a.py",
         "main(argv)": "b.py",
     }
+
+
+def _unused_imports(package: Path) -> dict[str, list[str]]:
+    """Names that a module of `package` other than `__init__` (whose imports
+    are re-exports) imports and never loads, as {module file: names}.  A
+    `from __future__` import binds no name."""
+    unused = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bound = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if bound - loaded:
+            unused[path.name] = sorted(bound - loaded)
+    return unused
+
+
+def test_every_import_is_used():
+    unused = _unused_imports(SRC)
+    assert not unused, f"imported names that no code of their module uses: {unused}"
+
+
+def test_scan_flags_imports_that_no_code_loads(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import used\n", encoding="utf-8")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport numpy as np\nimport math, sys\n"
+        "from .b import helper as aid, other\n\n"
+        "def used(x: np.ndarray):\n    return aid(math.pi * x)\n",
+        encoding="utf-8",
+    )
+    assert _unused_imports(tmp_path) == {"a.py": ["os", "other", "sys"]}
