@@ -196,7 +196,6 @@ def _cmd_ls_empirical(args) -> int:
 
 def _cmd_ls_verify(args) -> int:
     rows = ls_verify_rows(
-        "ls-verify",
         Order(args.alpha),
         load_interval_set(args.omega),
         args.a,

@@ -1,17 +1,18 @@
 """Experiment configs, named recipes, CSV reports, and the self-test suite.
 
-Config files are flat `key = value` text, each key set at most once;
-recipes compose the numerical modules into reproducible checks and write
-one CSV per run.  Reports are deterministic given the seed: per-trial
-generators are spawned from (seed, trial index), so --jobs parallelism
-cannot change any value.  The Plancherel recipe runs its trials in
-contiguous batches that share every kernel block; each trial keeps its own
-matrix-vector products, so its values do not depend on the batch, and
---jobs, which splits the trials into more batches, still cannot change
-them.  The translation recipe likewise translates its two compact bumps,
-and the product-formula kernel together with the symmetry reference,
-through the set axis of `translate_batch`, which gives each function the
-value it has when translated alone.
+Config files are flat `key = value` text, each key set at most once, and
+only keys its recipe reads (`_RECIPE_TABLE`); recipes compose the
+numerical modules into reproducible checks and write one CSV per run.
+Reports are deterministic given the seed: per-trial generators are spawned
+from (seed, trial index), so --jobs parallelism cannot change any value.
+The Plancherel recipe runs its trials in contiguous batches that share
+every kernel block; each trial keeps its own matrix-vector products, so
+its values do not depend on the batch, and --jobs, which splits the trials
+into more batches, still cannot change them.  The translation recipe
+likewise translates its two compact bumps, and the product-formula kernel
+together with the symmetry reference, through the set axis of
+`translate_batch`, which gives each function the value it has when
+translated alone.
 
 The self-test runs each recipe of a table at a few trials, at jobs=1 and
 at jobs=2, and fails an entry whose rows fail or whose two reports differ
@@ -98,21 +99,22 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReportRow:
-    experiment: str
     params: str
     value: float
     reference: float
     passed: bool
 
 
-_FLOAT_KEYS = {"alpha", "a", "b", "gamma", "xmax"}
-_INT_KEYS = {"seed", "trials"}
-_STR_KEYS = {"name", "recipe", "omega_file", "s_file", "sigma_file", "output_dir"}
+# config key -> the annotation of its field: how parse_config reads a value
+_KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_NUMBERS = {"float": (float, "number"), "int": (partial(int, base=0), "integer")}
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read a flat `key = value` config file; # comments and blanks ignored."""
+    """Read a flat `key = value` config file; # comments and blanks ignored.
+    A key its recipe does not read is an error at the key's line."""
     values: dict = {}
+    line_of: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -129,25 +131,30 @@ def parse_config(path: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key in values:
             raise UsageError(f"{path}:{i}: duplicate key {key!r}")
-        if key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{i}: bad number for {key}: {val!r}") from exc
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(val, 0)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{i}: bad integer for {key}: {val!r}") from exc
-        elif key in _STR_KEYS:
-            if key.endswith("_file") or key == "output_dir":
-                val = val if os.path.isabs(val) else os.path.join(base, val)
-            values[key] = val
-        else:
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
             raise UsageError(f"{path}:{i}: unknown key {key!r}")
+        if kind in _NUMBERS:
+            convert, noun = _NUMBERS[kind]
+            try:
+                val = convert(val)
+            except ValueError as exc:
+                raise UsageError(f"{path}:{i}: bad {noun} for {key}: {val!r}") from exc
+        elif key.endswith("_file") or key == "output_dir":
+            val = val if os.path.isabs(val) else os.path.join(base, val)
+        values[key], line_of[key] = val, i
     if "name" not in values:
         raise UsageError(f"{path}: config must set a name")
-    return ExperimentConfig(**values)
+    # the recipe may come after a key, or default to the name
+    config = ExperimentConfig(**values)
+    _, reads = _RECIPE_TABLE[config.recipe]
+    for key in values:  # in line order
+        if key not in _SHARED_KEYS and key not in reads:
+            raise UsageError(
+                f"{path}:{line_of[key]}: key {key!r} is not read by recipe "
+                f"{config.recipe!r}"
+            )
+    return config
 
 
 def _fmt(v: float) -> str:
@@ -166,7 +173,7 @@ def write_report(config: ExperimentConfig, rows: list[ReportRow]) -> str:
         fh.write("experiment,params,value,reference,passed\n")
         for r in rows:
             fh.write(
-                f"{r.experiment},{r.params},{_fmt(r.value)},"
+                f"{config.name},{r.params},{_fmt(r.value)},"
                 f"{_fmt(r.reference)},{'true' if r.passed else 'false'}\n"
             )
     return path
@@ -204,9 +211,7 @@ def _recipe_bernstein(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         ok = lhs <= rhs * (1 + 1e-6)
         if k == 0:
             ok = ok and abs(lhs - rhs) <= 1e-9 * max(rhs, 1e-300)
-        return [
-            ReportRow(config.name, f"quantity=bernstein trial={t} k={k}", lhs, rhs, ok)
-        ]
+        return [ReportRow(f"quantity=bernstein trial={t} k={k}", lhs, rhs, ok)]
 
     return _map_trials(one, config.trials, jobs)
 
@@ -270,14 +275,12 @@ def _recipe_plancherel(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         for t, (defect, roundtrip) in zip(trials, cases):
             rows += [
                 ReportRow(
-                    config.name,
                     f"quantity=isometry-defect trial={t}",
                     defect,
                     1e-7,
                     defect <= 1e-7,
                 ),
                 ReportRow(
-                    config.name,
                     f"quantity=roundtrip-error trial={t}",
                     roundtrip,
                     1e-8,
@@ -335,7 +338,6 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     prod_ref = float(eval_j(order, lam * x)) * float(eval_j(order, lam * y))
     rows.append(
         ReportRow(
-            config.name,
             f"quantity=product-formula trial={t} alpha={alpha}",
             prod,
             prod_ref,
@@ -349,7 +351,6 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     sym = float(translate_batch(order, y, f, [x], theta_nodes=384)[0])
     rows.append(
         ReportRow(
-            config.name,
             f"quantity=symmetry trial={t} alpha={alpha}",
             sym,
             sym_ref,
@@ -367,7 +368,6 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     mass_ref = float(np.dot(base_w, base))
     rows.append(
         ReportRow(
-            config.name,
             f"quantity=mass trial={t} alpha={alpha}",
             mass,
             mass_ref,
@@ -379,7 +379,6 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     rhs2 = math.sqrt(np.dot(base_w, base**2))
     rows.append(
         ReportRow(
-            config.name,
             f"quantity=contraction-p2 trial={t} alpha={alpha}",
             lhs2,
             rhs2,
@@ -390,7 +389,6 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     rhs1 = float(np.dot(base_w, np.abs(base_pos)))
     rows.append(
         ReportRow(
-            config.name,
             f"quantity=contraction-p1 trial={t} alpha={alpha}",
             lhs1,
             rhs1,
@@ -407,7 +405,6 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     defect = float(np.max(np.abs(lhs_hat - rhs_hat))) / scale
     rows.append(
         ReportRow(
-            config.name,
             f"quantity=intertwining trial={t} alpha={alpha}",
             defect,
             1e-6,
@@ -423,12 +420,11 @@ def _recipe_translation(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
 
 def _recipe_extremal(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
     order = Order(config.alpha)
-    n_top = min(20, max(1, config.trials))
-    table = cached_zero_table(order.alpha, n_top + 8)
+    table = cached_zero_table(order.alpha, config.trials + 8)
 
     def one(n: int) -> list[ReportRow]:
         peak_ref = extremal_peak(order, n)
-        others = [table.s_prime(k) for k in range(0, n_top + 1) if k != n and k >= 1]
+        others = [table.s_prime(k) for k in range(1, config.trials + 1) if k != n]
         vals = extremal_family(order, n, np.array(others)) if others else np.array([])
         worst = float(np.max(np.abs(vals))) if len(vals) else 0.0
         peak_at = (
@@ -436,14 +432,12 @@ def _recipe_extremal(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         )
         return [
             ReportRow(
-                config.name,
                 f"quantity=zeros n={n}",
                 worst,
                 1e-8 * peak_ref,
                 worst <= 1e-8 * peak_ref,
             ),
             ReportRow(
-                config.name,
                 f"quantity=peak n={n}",
                 peak_at,
                 peak_ref,
@@ -451,7 +445,8 @@ def _recipe_extremal(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
             ),
         ]
 
-    return _map_trials(one, n_top + 1, jobs)
+    # members 0..trials: n = 0 peaks at 0, and n >= 1 at the n-th zero s'_n
+    return _map_trials(one, config.trials + 1, jobs)
 
 
 def _recipe_pair_norm(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
@@ -469,15 +464,11 @@ def _recipe_pair_norm(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
     x_max = config.xmax if config.xmax > 0 else max(1.0, S.sup())
     pair = ProjectionPair(order=order, S=S, Sigma=Sigma, x_max=x_max)
     norm = pair_norm(pair)
-    rows = [
-        ReportRow(
-            config.name, "quantity=pair-norm", norm, 1.0, 0.0 <= norm <= 1.0
-        )
-    ]
+    rows = [ReportRow("quantity=pair-norm", norm, 1.0, 0.0 <= norm <= 1.0)]
     if norm < 1.0:
         const = annihilation_constant(norm)
         rows.append(
-            ReportRow(config.name, "quantity=annihilation-constant", const, 1.0, const >= 1.0)
+            ReportRow("quantity=annihilation-constant", const, 1.0, const >= 1.0)
         )
         trial_rows = strong_pair_trials(
             order, S, Sigma, norm, config.trials, config.seed
@@ -485,7 +476,6 @@ def _recipe_pair_norm(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         for t, (lhs, rhs) in enumerate(trial_rows):
             rows.append(
                 ReportRow(
-                    config.name,
                     f"quantity=strong-pair trial={t}",
                     float(lhs),
                     float(rhs),
@@ -496,7 +486,6 @@ def _recipe_pair_norm(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
 
 
 def ls_verify_rows(
-    name: str,
     order: Order,
     omega: IntervalSet,
     a: float,
@@ -514,7 +503,6 @@ def ls_verify_rows(
     gamma_min, argmin = density_profile(order, omega, a, omega.sup())
     rows = [
         ReportRow(
-            name,
             f"quantity=gamma-min argmin={_fmt(argmin)}",
             gamma_min,
             gamma_declared,
@@ -526,7 +514,6 @@ def ls_verify_rows(
     bound = ls_bound(params)
     rows.append(
         ReportRow(
-            name,
             f"quantity=ls-bound log10={_fmt(ls_bound_log10(params))}",
             bound,
             0.0,
@@ -539,7 +526,6 @@ def ls_verify_rows(
     modes = len(mode_frequencies(order, b, x_max))
     rows.append(
         ReportRow(
-            name,
             f"quantity=empirical-min-ratio xmax={_fmt(x_max)} modes={modes}",
             empirical,
             bound,
@@ -553,7 +539,6 @@ def _recipe_ls_verify(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
     if not config.omega_file:
         raise UsageError("ls-verify requires omega_file")
     return ls_verify_rows(
-        config.name,
         Order(config.alpha),
         load_interval_set(config.omega_file),
         config.a,
@@ -585,7 +570,6 @@ def _recipe_kovrijkine(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
             quantity = "polynomial"
         return [
             ReportRow(
-                config.name,
                 f"quantity={quantity} trial={t}",
                 lhs,
                 rhs,
@@ -614,14 +598,12 @@ def _recipe_good_bad(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         found = int(np.count_nonzero(np.isfinite(witness)))
         return [
             ReportRow(
-                config.name,
                 f"quantity=bad-mass trial={t} ab={ab}",
                 frac,
                 1.0 / 3.0 + 0.01,
                 frac <= 1.0 / 3.0 + 0.01,
             ),
             ReportRow(
-                config.name,
                 f"quantity=witnesses trial={t} ab={ab}",
                 float(found),
                 float(len(goods)),
@@ -632,15 +614,26 @@ def _recipe_good_bad(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
     return _map_trials(one, config.trials, jobs)
 
 
+# keys every recipe reads: the report's name and directory, and the recipe
+_SHARED_KEYS = ("name", "recipe", "output_dir")
+
+# name -> (recipe, the config keys it reads beyond _SHARED_KEYS); parse_config
+# rejects any other key, since it would change nothing but the report header
 _RECIPE_TABLE = {
-    "bernstein": _recipe_bernstein,
-    "plancherel": _recipe_plancherel,
-    "translation": _recipe_translation,
-    "extremal": _recipe_extremal,
-    "pair-norm": _recipe_pair_norm,
-    "ls-verify": _recipe_ls_verify,
-    "kovrijkine": _recipe_kovrijkine,
-    "good-bad": _recipe_good_bad,
+    "bernstein": (_recipe_bernstein, ("alpha", "b", "seed", "trials")),
+    "plancherel": (_recipe_plancherel, ("alpha", "b", "seed", "trials")),
+    "translation": (_recipe_translation, ("seed", "trials")),
+    "extremal": (_recipe_extremal, ("alpha", "trials")),
+    "pair-norm": (
+        _recipe_pair_norm,
+        ("alpha", "s_file", "sigma_file", "xmax", "seed", "trials"),
+    ),
+    "ls-verify": (
+        _recipe_ls_verify,
+        ("alpha", "a", "b", "gamma", "omega_file", "xmax"),
+    ),
+    "kovrijkine": (_recipe_kovrijkine, ("seed", "trials")),
+    "good-bad": (_recipe_good_bad, ("alpha", "seed", "trials")),
 }
 
 
@@ -648,7 +641,8 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
     """Dispatch to the named recipe and write <output_dir>/<name>.csv."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    rows = _RECIPE_TABLE[config.recipe](config, jobs)
+    recipe, _ = _RECIPE_TABLE[config.recipe]
+    rows = recipe(config, jobs)
     write_report(config, rows)
     return rows
 
@@ -666,33 +660,33 @@ def _check_zero_table(inject: str | None):
     ZeroTable(order=order, zeros=zs)
 
 
-# (recipe, trials, alpha) of each recipe check: Plancherel on every eval_j
-# route (closed form, j0, j1, table); translation picks its own orders and
-# kovrijkine takes none; ls-verify needs an omega file
+# (recipe, trials, other keys) of each recipe check: Plancherel on every
+# eval_j route (closed form, j0, j1, table); translation picks its own orders
+# and kovrijkine takes none; ls-verify needs an omega file
 _SELFTEST_TABLE = (
-    ("plancherel", 1, -0.5),
-    ("plancherel", 1, 0.0),
-    ("plancherel", 1, 1.0),
-    ("plancherel", 1, 0.3),
-    ("translation", 5, 0.0),
-    ("bernstein", 20, 0.0),
-    ("extremal", 6, 0.0),
-    ("pair-norm", 4, 0.0),
-    ("good-bad", 2, 0.0),
-    ("kovrijkine", 6, 0.0),
+    ("plancherel", 1, {"alpha": -0.5}),
+    ("plancherel", 1, {"alpha": 0.0}),
+    ("plancherel", 1, {"alpha": 1.0}),
+    ("plancherel", 1, {"alpha": 0.3}),
+    ("translation", 5, {}),
+    ("bernstein", 20, {"alpha": 0.0}),
+    ("extremal", 6, {"alpha": 0.0}),
+    ("pair-norm", 4, {"alpha": 0.0}),
+    ("good-bad", 2, {"alpha": 0.0}),
+    ("kovrijkine", 6, {}),
 )
 
 
-def _check_recipe(recipe: str, trials: int, alpha: float):
+def _selftest_label(recipe: str, keys: dict) -> str:
+    return " ".join([recipe] + [f"{key}={value:g}" for key, value in keys.items()])
+
+
+def _check_recipe(recipe: str, trials: int, keys: dict):
     """Run a recipe into a temporary directory at jobs=1 and at jobs=2; fail
     if a row fails or the two reports differ by a byte."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = ExperimentConfig(
-            f"selftest-{recipe}",
-            recipe=recipe,
-            alpha=alpha,
-            trials=trials,
-            output_dir=tmp,
+            f"selftest-{recipe}", recipe=recipe, trials=trials, output_dir=tmp, **keys
         )
         reports = []
         for jobs in (1, 2):
@@ -719,8 +713,8 @@ def selftest(inject_fault: str | None = None) -> int:
     if inject_fault not in (None, "zerotable"):
         raise UsageError(f"unknown fault {inject_fault!r}")
     checks = [("zero-table", partial(_check_zero_table, inject_fault))] + [
-        (f"{recipe} alpha={alpha:g}", partial(_check_recipe, recipe, trials, alpha))
-        for recipe, trials, alpha in _SELFTEST_TABLE
+        (_selftest_label(recipe, keys), partial(_check_recipe, recipe, trials, keys))
+        for recipe, trials, keys in _SELFTEST_TABLE
     ]
     failures = 0
     for name, fn in checks:

@@ -1,5 +1,7 @@
 """End-to-end tests: config parsing, CSV reports, recipes, and the CLI."""
 
+import importlib
+import json
 import math
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,13 +12,16 @@ import pytest
 from hconc import __version__, cli, experiments, transform, translation
 from hconc.annihilation import ls_empirical_min_ratio
 from hconc.bessel import Order
-from hconc.errors import ConvergenceError, InternalError, UsageError
+from hconc.errors import ConvergenceError, DomainError, InternalError, UsageError
 from hconc.experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
     ReportRow,
+    _RECIPE_TABLE,
     _SELFTEST_TABLE,
+    _SHARED_KEYS,
     _bump_family,
+    _selftest_label,
     parse_config,
     run,
     selftest,
@@ -25,7 +30,8 @@ from hconc.experiments import (
 from hconc.measure import IntervalSet
 from oracles import mode_count
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 EVENS = "0 1\n2 3\n4 5\n6 7\n8 9\n"
 UNIT = "0 1\n"
 
@@ -52,12 +58,15 @@ def test_parse_config_reads_typed_keys_and_comments(tmp_path):
         "b = 0.125\n"
         "gamma = 0.3\n"
         "xmax = 12.5\n"
-        "trials = 7\n"
-        "seed = 0x2A\n"
         "omega_file = omega.set\n"
         "output_dir = out\n",
     )
+    # ls-verify reads neither seed nor trials; the Bernstein recipe reads both
+    counts_path = _write(
+        tmp_path / "counts.cfg", "name = bernstein\ntrials = 7\nseed = 0x2A\n"
+    )
     cfg = parse_config(cfg_path)
+    counts = parse_config(counts_path)
     assert cfg.name == "smoke"
     assert cfg.recipe == "ls-verify"
     assert cfg.alpha == 0.5
@@ -65,8 +74,8 @@ def test_parse_config_reads_typed_keys_and_comments(tmp_path):
     assert cfg.b == 0.125
     assert cfg.gamma == 0.3
     assert cfg.xmax == 12.5
-    assert cfg.trials == 7
-    assert cfg.seed == 42
+    assert counts.trials == 7
+    assert counts.seed == 42
     # relative paths resolve against the config's own directory
     assert cfg.omega_file == str(tmp_path / "omega.set")
     assert cfg.output_dir == str(tmp_path / "out")
@@ -94,6 +103,18 @@ def test_parse_config_defaults(tmp_path):
         ("name = smoke\nseed = 1\nseed = 2\n", r":3: duplicate key 'seed'"),
         ("name = one\nname = two\n", r":2: duplicate key 'name'"),
         ("alpha = 1.0\n", r"must set a name"),
+        # a key the recipe does not read, also one set before the recipe line
+        (
+            "name = g\nb = 2.0\nrecipe = good-bad\n",
+            r":2: key 'b' is not read by recipe 'good-bad'",
+        ),
+        # the recipe defaults to the name; the earliest unread key is named
+        (
+            "name = translation\nseed = 3\nalpha = 0.5\nb = 2.0\n",
+            r"bad\.cfg:3: key 'alpha' is not read by recipe 'translation'",
+        ),
+        # an unknown recipe still gets its own error first
+        ("name = smoke\nb = 2.0\n", r"unknown recipe 'smoke'"),
     ],
 )
 def test_parse_config_rejects_malformed_lines(tmp_path, text, pattern):
@@ -131,6 +152,30 @@ def test_recipe_defaults_to_name():
     assert ExperimentConfig(name="bernstein").recipe == "bernstein"
 
 
+def test_recipe_table_declares_every_config_field():
+    # every field is shared by all recipes or read by some: none is dead
+    # and none is left out of the table
+    read = {key for _, keys in _RECIPE_TABLE.values() for key in keys}
+    assert set(_SHARED_KEYS) | read == {f.name for f in fields(ExperimentConfig)}
+    assert not set(_SHARED_KEYS) & read
+
+
+_WORKLOADS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in _WORKLOADS["workloads"]])
+def test_every_benchmark_config_parses(tmp_path, monkeypatch, workload):
+    # a config the benchmark writes with a key its recipe does not read
+    # would fail every op of the workload
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    workloads.build(workload, 1, tmp_path, CONFIGS, 2, tiny=True)
+    paths = sorted(tmp_path.glob("*.cfg"))
+    assert paths
+    for path in paths:
+        assert parse_config(str(path)).name == path.stem
+
+
 # --------------------------------------------------------------------------
 # reports
 
@@ -138,8 +183,8 @@ def test_recipe_defaults_to_name():
 def test_write_report_provenance_and_format(tmp_path):
     cfg = ExperimentConfig(name="rep", recipe="kovrijkine", output_dir=str(tmp_path))
     rows = [
-        ReportRow("rep", "quantity=x trial=0", 0.1, 1.0, True),
-        ReportRow("rep", "quantity=y trial=1", 2.0, 3.0, False),
+        ReportRow("quantity=x trial=0", 0.1, 1.0, True),
+        ReportRow("quantity=y trial=1", 2.0, 3.0, False),
     ]
     path = write_report(cfg, rows)
     raw = open(path, "rb").read()
@@ -182,6 +227,55 @@ def test_reports_deterministic_across_reruns_and_jobs(tmp_path, recipe):
 
 # --------------------------------------------------------------------------
 # recipes
+
+
+def _key_values(tmp_path) -> dict:
+    """A value off the default for every config key."""
+    half = _write(tmp_path / "half.set", "0 0.5\n")
+    odds = _write(tmp_path / "odds.set", "0 1\n2 3\n4 5\n")
+    return {
+        "alpha": 0.3, "a": 2.0, "b": 1.5, "gamma": 0.1, "omega_file": odds,
+        "s_file": half, "sigma_file": half, "xmax": 10.0, "seed": 11, "trials": 3,
+    }  # fmt: skip
+
+
+def _base_config(tmp_path, recipe: str) -> ExperimentConfig:
+    # ls-verify needs an omega set; a short window keeps its basis small
+    keys = {}
+    if recipe == "ls-verify":
+        keys = {"omega_file": _write(tmp_path / "evens.set", EVENS), "xmax": 12.0}
+    return ExperimentConfig(recipe, trials=2, output_dir=str(tmp_path), **keys)
+
+
+def _body(cfg: ExperimentConfig) -> list[bytes]:
+    """The report's lines below its provenance header."""
+    run(cfg)
+    return Path(cfg.output_dir, f"{cfg.name}.csv").read_bytes().splitlines()[1:]
+
+
+@pytest.mark.parametrize("recipe", sorted(_RECIPE_TABLE))
+def test_keys_a_recipe_does_not_read_change_no_row(tmp_path, recipe):
+    base = _base_config(tmp_path, recipe)
+    _, reads = _RECIPE_TABLE[recipe]
+    unread = {k: v for k, v in _key_values(tmp_path).items() if k not in reads}
+    assert _body(replace(base, **unread)) == _body(base)
+
+
+@pytest.mark.parametrize("recipe", sorted(_RECIPE_TABLE))
+def test_every_key_a_recipe_reads_changes_its_rows(tmp_path, recipe):
+    base = _base_config(tmp_path, recipe)
+    body = _body(base)
+    _, reads = _RECIPE_TABLE[recipe]
+    for key, value in _key_values(tmp_path).items():
+        if key not in reads:
+            continue
+        if (recipe, key) == ("pair-norm", "xmax"):
+            # the window only has to hold S = [0, 1]: a value below sup S is
+            # refused, and one above it changes no row
+            with pytest.raises(DomainError, match="contained"):
+                run(replace(base, xmax=0.5))
+            continue
+        assert _body(replace(base, **{key: value})) != body, key
 
 
 def test_kovrijkine_recipe_rows(tmp_path):
@@ -411,8 +505,10 @@ def test_selftest_passes_one_check_per_table_entry(capsys):
     lines = capsys.readouterr().out.splitlines()
     names = [line.split(" (")[0].removeprefix("PASS ") for line in lines[:-1]]
     assert names == ["zero-table"] + [
-        f"{recipe} alpha={alpha:g}" for recipe, _, alpha in _SELFTEST_TABLE
+        _selftest_label(recipe, keys) for recipe, _, keys in _SELFTEST_TABLE
     ]
+    # translation picks its own orders and kovrijkine takes none
+    assert {"translation", "kovrijkine"} <= set(names)
     assert all(line.startswith("PASS ") for line in lines[:-1])
     assert lines[-1] == f"selftest: all {len(_SELFTEST_TABLE) + 1} checks passed"
 
