@@ -43,7 +43,7 @@ from scipy import linalg
 
 from .bessel import Order, cached_zero_table, certify_bound, eval_j
 from .errors import ConvergenceError, DomainError, InternalError
-from .measure import IntervalSet, mu_density_constant, mu_measure
+from .measure import IntervalSet, _check_power_range, mu_density_constant, mu_measure
 from .paley_wiener import (
     PWFunction,
     apply_Dk_all,
@@ -52,7 +52,7 @@ from .paley_wiener import (
     tail_mass,
     theta_constant,
 )
-from .quadrature import build_rule, mu_pieces, mu_rule, set_rule_size
+from .quadrature import build_rule, mu_panels, mu_rule, set_rule_size
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
@@ -129,8 +129,10 @@ def _lommel_gram(
     hold s p and s q, one row per endpoint, so over all endpoints the
     numerator is one product [diag(a^2) P^T C | -Q^T C] [Q; P diag(a^2)],
     C = diag(+-c).  It is divided by a_k^2 - a_l^2 in row blocks, in place,
-    so the result is the only n x n array."""
+    so the result is the only n x n array.  Raises DomainError where
+    sup(far)^(2 alpha + 2) leaves the range of a double."""
     alpha = order.alpha
+    _check_power_range(order, far.sup(), 2.0 * alpha + 2.0)
     ends = np.array(far.intervals, dtype=float).ravel()
     signs = np.tile([-1.0, 1.0], len(far.intervals))
     c = signs * mu_density_constant(order) * ends ** (2.0 * alpha + 2.0)
@@ -386,7 +388,7 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, coeffs: np.ndarray):
     In y = sqrt(s), where d^k g = D^k f, the integral is that of
     |D^k f(y)|^2 2 y^(2 alpha + 2k + 1) over the unit pieces [x - 1, x] and
     [x, x + 1].  Neighbouring windows share a piece; each distinct piece is
-    integrated once by the 16-node rule of `mu_pieces`.  One `apply_Dk_all`
+    integrated once by its 16-node rule from `mu_panels`.  One `apply_Dk_all`
     call gives D^k f at the nodes of every piece and, appended after them,
     at every piece start; a window's left end is the start of its left
     piece.  Returns the integrals of the distinct pieces, one row (k =
@@ -397,7 +399,7 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, coeffs: np.ndarray):
     starts, piece = np.unique(
         np.concatenate([centers - 1.0, centers]), return_inverse=True
     )
-    y, w = mu_pieces(pw.order, starts)
+    y, w = mu_panels(pw.order, starts, starts + 1.0)
     # at the recipe's 32 spectral nodes the rows are one kernel block and
     # the 16 per piece fill whole BLAS row groups: the starts after them
     # change no piece value
@@ -538,9 +540,8 @@ def kovrijkine_check(phi, interval, J: IntervalSet) -> tuple[float, float]:
     if J.is_empty() or J.intersect_window(lo, hi).length() < J.length() * (1 - 1e-12):
         raise DomainError("J must be a positive-length subset of I")
     length = hi - lo
-    rule = build_rule(lo, hi, 128)
-    vals = polyval(rule.nodes, phi)
-    lhs = float(np.dot(rule.weights, vals**2))
+    nodes, weights = build_rule(lo, hi, 128)
+    lhs = float(np.dot(weights, polyval(nodes, phi) ** 2))
 
     grid = np.linspace(lo, hi, 2001)
     m = float(np.max(np.abs(polyval(grid, phi))))
@@ -561,9 +562,8 @@ def kovrijkine_check(phi, interval, J: IntervalSet) -> tuple[float, float]:
     exponent = 2.0 * math.log(M / m) / math.log(2.0) + 1.0
     j_int = 0.0
     for a, b_hi in J.intervals:
-        rj = build_rule(a, b_hi, 128)
-        vj = polyval(rj.nodes, phi)
-        j_int += float(np.dot(rj.weights, vj**2))
+        nodes, weights = build_rule(a, b_hi, 128)
+        j_int += float(np.dot(weights, polyval(nodes, phi) ** 2))
     rhs = ratio**exponent * j_int
     return lhs, rhs
 

@@ -461,8 +461,7 @@ def _recipe_pair_norm(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         if config.sigma_file
         else IntervalSet.of([(0.0, 1.0)])
     )
-    x_max = config.xmax if config.xmax > 0 else max(1.0, S.sup())
-    pair = ProjectionPair(order=order, S=S, Sigma=Sigma, x_max=x_max)
+    pair = ProjectionPair(order=order, S=S, Sigma=Sigma, x_max=max(1.0, S.sup()))
     norm = pair_norm(pair)
     rows = [ReportRow("quantity=pair-norm", norm, 1.0, 0.0 <= norm <= 1.0)]
     if norm < 1.0:
@@ -626,7 +625,7 @@ _RECIPE_TABLE = {
     "extremal": (_recipe_extremal, ("alpha", "trials")),
     "pair-norm": (
         _recipe_pair_norm,
-        ("alpha", "s_file", "sigma_file", "xmax", "seed", "trials"),
+        ("alpha", "s_file", "sigma_file", "seed", "trials"),
     ),
     "ls-verify": (
         _recipe_ls_verify,

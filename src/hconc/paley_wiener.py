@@ -18,7 +18,7 @@ import numpy as np
 from .bessel import Order, cached_zero_table, eval_j
 from .errors import DomainError
 from .measure import IntervalSet
-from .quadrature import QuadratureRule, build_rule, mu_fold, mu_rule
+from .quadrature import build_rule, mu_fold, mu_rule
 from .transform import kernel_apply
 
 _MAX_DK = 30
@@ -33,27 +33,29 @@ def theta_constant(order: Order) -> float:
 
 @dataclass(frozen=True)
 class PWFunction:
-    """Member of the bandlimited model: spectral samples coeff[i] of the
-    transform at spectral_rule.nodes[i] in (0, bandlimit)."""
+    """Member of the bandlimited model: spectral samples coeffs[i] of the
+    transform at the nodes[i] in [0, bandlimit] of a quadrature rule with
+    the plain (Lebesgue) weights[i]; the three arrays have one length."""
 
     order: Order
     bandlimit: float
-    spectral_rule: QuadratureRule
+    nodes: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if not (self.bandlimit > 0):
             raise DomainError("bandlimit must be positive")
-        if len(self.coeffs) != len(self.spectral_rule):
-            raise DomainError("coeffs must match the spectral rule length")
-        lo, hi = self.spectral_rule.interval
-        if lo < 0 or hi > self.bandlimit * (1 + 1e-12):
-            raise DomainError("spectral rule must live inside (0, bandlimit)")
+        if not len(self.nodes) == len(self.weights) == len(self.coeffs):
+            raise DomainError("nodes, weights and coeffs must have equal lengths")
+        if len(self.nodes) == 0:
+            raise DomainError("the spectral rule has no nodes")
+        if not (np.min(self.nodes) >= 0 and np.max(self.nodes) <= self.bandlimit):
+            raise DomainError("spectral nodes must lie in [0, bandlimit]")
 
     def mu_hat_weights(self, shift: float = 0.0) -> np.ndarray:
         """Spectral weights with the order-(alpha+shift) measure folded in."""
-        rule = self.spectral_rule
-        return mu_fold(self.order.shifted(shift), rule.nodes, rule.weights)
+        return mu_fold(self.order.shifted(shift), self.nodes, self.weights)
 
 
 def plancherel_norm(pw: PWFunction) -> float:
@@ -67,15 +69,14 @@ def synthesize(pws: Sequence[PWFunction], x) -> np.ndarray:
     rule, and every row comes from one pass over the kernel."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     first = pws[0]
-    rule = first.spectral_rule
     for other in pws[1:]:
         if other.order != first.order or not (
-            np.array_equal(other.spectral_rule.nodes, rule.nodes)
-            and np.array_equal(other.spectral_rule.weights, rule.weights)
+            np.array_equal(other.nodes, first.nodes)
+            and np.array_equal(other.weights, first.weights)
         ):
             raise DomainError("synthesized members must share order and spectral rule")
     coeffs = first.mu_hat_weights() * np.stack([p.coeffs for p in pws])
-    return kernel_apply(first.order, xs, rule.nodes, coeffs[None])[0]
+    return kernel_apply(first.order, xs, first.nodes, coeffs[None])[0]
 
 
 def dk_coefficients(pw: PWFunction, k_max: int) -> np.ndarray:
@@ -96,7 +97,7 @@ def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
     against d mu_{alpha+k}.  All rows share one order ladder (two Bessel
     evaluations) per kernel block."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = kernel_apply(pw.order, xs, pw.spectral_rule.nodes, coeffs)
+    vals = kernel_apply(pw.order, xs, pw.nodes, coeffs)
     vals *= np.array([(-math.pi) ** k for k in range(len(coeffs))])[:, None]
     return vals
 
@@ -146,11 +147,11 @@ def random_pw(
     alias starts near x = 0.47 n_spec / b.  A physical window [0, x_max]
     needs n_spec >= 3 b x_max or so.
     """
-    rule = build_rule(0.0, b, n_spec)
+    nodes, weights = build_rule(0.0, b, n_spec)
     if kind == "uniform":
         c = rng.uniform(-1.0, 1.0, size=n_spec)
     elif kind == "smooth":
-        u = rule.nodes / b
+        u = nodes / b
         bump = np.exp(4.0 - 1.0 / np.maximum(u * (1.0 - u), 1e-300))
         deg = int(rng.integers(2, 7))
         poly = np.polynomial.polynomial.polyval(2.0 * u - 1.0, rng.uniform(-1, 1, deg + 1))
@@ -159,11 +160,11 @@ def random_pw(
             c = bump
     else:
         raise DomainError(f"unknown random family {kind!r}")
-    pw = PWFunction(order=order, bandlimit=b, spectral_rule=rule, coeffs=c)
+    pw = PWFunction(order, b, nodes, weights, c)
     nrm = plancherel_norm(pw)
     if nrm == 0.0:
         raise DomainError("degenerate random draw")
-    return PWFunction(order=order, bandlimit=b, spectral_rule=rule, coeffs=c / nrm)
+    return PWFunction(order, b, nodes, weights, c / nrm)
 
 
 # --- peaked interpolation family -------------------------------------------

@@ -35,7 +35,6 @@ from scipy import special
 
 from .bessel import Order
 from .errors import ConvergenceError, DomainError
-from .quadrature import QuadratureRule
 
 _AGREE_TOL = 1e-10
 # first rule of the node doubling, and its cap
@@ -50,18 +49,17 @@ _ROW_GROUP = 8
 
 
 @lru_cache(maxsize=128)
-def _theta_rule(alpha: float, n: int) -> QuadratureRule:
+def _theta_rule(alpha: float, n: int):
     # Gauss-Jacobi on (-1,1) with weight (1-t^2)^(alpha-1/2), mapped to theta.
     t, w = special.roots_jacobi(n, alpha - 0.5, alpha - 0.5)
-    theta = np.arccos(t[::-1])
-    return QuadratureRule((0.0, math.pi), theta, w[::-1].copy())
+    return np.arccos(t[::-1]), w[::-1].copy()
 
 
 def _theta_pass(order: Order, n: int, x: float, f, ys: np.ndarray) -> np.ndarray:
     """T_x f at ys on the n-node theta-rule: per row block of ys, one f call
     over the block's distance grid, then one matrix-vector product per set."""
-    rule = _theta_rule(order.alpha, n)
-    one_minus_cos = 1.0 - np.cos(rule.nodes)
+    theta, weights = _theta_rule(order.alpha, n)
+    one_minus_cos = 1.0 - np.cos(theta)
     norm = math.gamma(order.alpha + 1.0) / (
         math.sqrt(math.pi) * math.gamma(order.alpha + 0.5)
     )
@@ -81,7 +79,7 @@ def _theta_pass(order: Order, n: int, x: float, f, ys: np.ndarray) -> np.ndarray
         if out is None:
             out = np.empty((len(sets), len(ys)))
         for j, v in enumerate(sets):
-            out[j, start : start + rows] = norm * (v @ rule.weights)
+            out[j, start : start + rows] = norm * (v @ weights)
     return out.reshape(lead + (len(ys),))
 
 

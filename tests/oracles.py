@@ -287,7 +287,7 @@ def apply_Dk(pw: PWFunction, k: int, x) -> np.ndarray | float:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     coeffs = pw.mu_hat_weights(shift=k) * pw.coeffs
     vals = (-math.pi) ** k * kernel_apply(
-        pw.order.shifted(k), xs, pw.spectral_rule.nodes, coeffs
+        pw.order.shifted(k), xs, pw.nodes, coeffs
     )
     return float(vals[0]) if scalar else vals
 

@@ -198,7 +198,7 @@ def test_criterion_06_extremal_family(tmp_path):
     start = time.perf_counter()
     ok = True
     worst_zero, worst_peak, worst_norm = 0.0, 0.0, 0.0
-    spec_rule = build_rule(0.0, 1.0 / (2.0 * math.pi), 256)
+    spec_nodes, spec_weights = build_rule(0.0, 1.0 / (2.0 * math.pi), 256)
     for alpha in (0.0, 1.0):
         order = Order(alpha)
         cfg = ExperimentConfig(
@@ -223,8 +223,9 @@ def test_criterion_06_extremal_family(tmp_path):
             pw = PWFunction(
                 order=order,
                 bandlimit=1.0 / (2.0 * math.pi),
-                spectral_rule=spec_rule,
-                coeffs=theta * eval_j(order, 2.0 * math.pi * s_n * spec_rule.nodes),
+                nodes=spec_nodes,
+                weights=spec_weights,
+                coeffs=theta * eval_j(order, 2.0 * math.pi * s_n * spec_nodes),
             )
             norm_sq = plancherel_norm(pw) ** 2
             worst_norm = max(worst_norm, abs(norm_sq / theta - peak_ref) / peak_ref)

@@ -730,7 +730,7 @@ def test_window_integrals_match_lommel_closed_form(alpha):
         pw = random_pw(order, ab, 32, rng, kind="smooth")
         coeffs = dk_coefficients(pw, 8)
         ints = _window_integrals(pw, xs, coeffs)
-        xi = pw.spectral_rule.nodes
+        xi = pw.nodes
         for i, x in enumerate(xs):
             window = IntervalSet.of([(x - 1.0, x + 1.0)])
             for k in range(9):

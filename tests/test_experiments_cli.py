@@ -12,7 +12,7 @@ import pytest
 from hconc import __version__, cli, experiments, transform, translation
 from hconc.annihilation import ls_empirical_min_ratio
 from hconc.bessel import Order
-from hconc.errors import ConvergenceError, DomainError, InternalError, UsageError
+from hconc.errors import ConvergenceError, InternalError, UsageError
 from hconc.experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
@@ -269,12 +269,6 @@ def test_every_key_a_recipe_reads_changes_its_rows(tmp_path, recipe):
     for key, value in _key_values(tmp_path).items():
         if key not in reads:
             continue
-        if (recipe, key) == ("pair-norm", "xmax"):
-            # the window only has to hold S = [0, 1]: a value below sup S is
-            # refused, and one above it changes no row
-            with pytest.raises(DomainError, match="contained"):
-                run(replace(base, xmax=0.5))
-            continue
         assert _body(replace(base, **{key: value})) != body, key
 
 
@@ -291,7 +285,7 @@ def test_kovrijkine_recipe_rows(tmp_path):
 
 def test_pair_norm_recipe_emits_constant_and_trials(tmp_path):
     cfg = ExperimentConfig(
-        name="pair", recipe="pair-norm", trials=4, xmax=1.0, output_dir=str(tmp_path)
+        name="pair", recipe="pair-norm", trials=4, output_dir=str(tmp_path)
     )
     rows = run(cfg)
     # unit S and Sigma: norm < 1, so the constant and the sampled strong
@@ -892,14 +886,19 @@ def test_cli_pair_norm_clustered_top_spectrum(
     assert 0.999999 < norm <= 1.0
 
 
-@pytest.mark.parametrize("sup, rc", [(20.0, 2), (8.0, 2), (3.0, 0)])
-def test_cli_pair_norm_large_order(tmp_path, capsys, sup, rc):
+@pytest.mark.parametrize(
+    "sup_s, sup_sigma, rc",
+    [(20.0, 20.0, 2), (8.0, 8.0, 2), (3.0, 3.0, 0), (20.0, 0.5, 2), (0.5, 20.0, 2)],
+)
+def test_cli_pair_norm_large_order(tmp_path, capsys, sup_s, sup_sigma, rc):
     # at alpha = 200 the mu_alpha weights on [0, sup] reach sup^402, which
     # leaves the range of a double for sup = 8 and 20: refused, not a
-    # traceback from a NaN Gram
-    path = _write(tmp_path / "s.set", f"0 {sup}\n")
-    argv = ["pair", "norm", "--alpha", "200", "--s", path, "--sigma", path]
-    assert cli.main(argv + ["--xmax", str(sup)]) == rc
+    # traceback from a NaN Gram.  That holds for either side, the one with
+    # the quadrature rule and the one integrated in closed form.
+    s_path = _write(tmp_path / "s.set", f"0 {sup_s}\n")
+    sigma_path = _write(tmp_path / "sigma.set", f"0 {sup_sigma}\n")
+    argv = ["pair", "norm", "--alpha", "200", "--s", s_path, "--sigma", sigma_path]
+    assert cli.main(argv + ["--xmax", str(sup_s)]) == rc
     out, err = capsys.readouterr()
     if rc:
         assert "overflows" in err

@@ -34,14 +34,21 @@ def test_theta_constant_closed_forms():
 
 
 def test_pw_function_validation():
-    rule = build_rule(0.0, 1.0, 16)
+    nodes, weights = build_rule(0.0, 1.0, 16)
     with pytest.raises(DomainError):
-        PWFunction(order=Order(0.0), bandlimit=-1.0, spectral_rule=rule, coeffs=np.ones(16))
+        PWFunction(Order(0.0), -1.0, nodes, weights, np.ones(16))
     with pytest.raises(DomainError):
-        PWFunction(order=Order(0.0), bandlimit=1.0, spectral_rule=rule, coeffs=np.ones(5))
+        PWFunction(Order(0.0), 1.0, nodes, weights, np.ones(5))
+    with pytest.raises(DomainError, match="equal lengths"):
+        # a rule whose nodes and weights differ in length
+        PWFunction(Order(0.0), 1.0, np.zeros(4), np.zeros(5), np.ones(4))
     with pytest.raises(DomainError):
         # rule reaches past the declared bandlimit
-        PWFunction(order=Order(0.0), bandlimit=0.5, spectral_rule=rule, coeffs=np.ones(16))
+        PWFunction(Order(0.0), 0.5, nodes, weights, np.ones(16))
+    with pytest.raises(DomainError):
+        PWFunction(Order(0.0), 1.0, -nodes, weights, np.ones(16))
+    with pytest.raises(DomainError, match="no nodes"):
+        PWFunction(Order(0.0), 1.0, np.empty(0), np.empty(0), np.empty(0))
 
 
 def test_mu_hat_weights_total_mass():
@@ -170,11 +177,11 @@ def test_indicator_pw_synthesizes_order_shifted_kernel():
     # the normalized indicator spectrum on (0, 1/(2 pi)) synthesizes the
     # order-(alpha+1) kernel: the n = 0 member of the peaked family
     b = 1.0 / (2.0 * math.pi)
-    rule = build_rule(0.0, b, 64)
+    nodes, weights = build_rule(0.0, b, 64)
     for alpha in (0.0, 1.0):
         order = Order(alpha)
-        coeffs = np.full(len(rule), theta_constant(order))
-        pw = PWFunction(order=order, bandlimit=b, spectral_rule=rule, coeffs=coeffs)
+        coeffs = np.full(len(nodes), theta_constant(order))
+        pw = PWFunction(order, b, nodes, weights, coeffs)
         xs = np.linspace(0.0, 12.0, 49)
         [got] = synthesize([pw], xs)
         want = eval_j(order.shifted(1), xs)
@@ -185,10 +192,10 @@ def _spectral_route_family(order: Order, n: int, n_spec: int = 256) -> PWFunctio
     # independent construction: spectrum theta * j_alpha(2 pi s'_n xi) on
     # (0, 1/(2 pi)); its synthesis must reproduce the closed-form family
     b = 1.0 / (2.0 * math.pi)
-    rule = build_rule(0.0, b, n_spec)
+    nodes, weights = build_rule(0.0, b, n_spec)
     s = cached_zero_table(order.alpha, n).s_prime(n)
-    coeffs = theta_constant(order) * eval_j(order, 2.0 * math.pi * s * rule.nodes)
-    return PWFunction(order=order, bandlimit=b, spectral_rule=rule, coeffs=coeffs)
+    coeffs = theta_constant(order) * eval_j(order, 2.0 * math.pi * s * nodes)
+    return PWFunction(order, b, nodes, weights, coeffs)
 
 
 @pytest.mark.parametrize("alpha,n", [(0.0, 1), (0.0, 4), (1.0, 2), (0.5, 3)])

@@ -9,24 +9,16 @@ from hconc import experiments
 from hconc.errors import DomainError
 from hconc.experiments import ExperimentConfig, run
 from hconc.measure import IntervalSet, mu_density_constant, mu_measure
-from hconc.quadrature import (
-    QuadratureRule,
-    build_rule,
-    mu_fold,
-    mu_rule,
-    panel_rule,
-    set_rule,
-    set_rule_size,
-)
+from hconc.quadrature import build_rule, mu_fold, mu_panels, mu_rule, set_rule_size
 from hconc import transform
 from hconc.transform import kernel_apply, round_trip
 
 
 def test_build_rule_polynomial_exactness():
-    rule = build_rule(0.5, 3.0, 8)
+    nodes, weights = build_rule(0.5, 3.0, 8)
     for k in range(16):  # degree 2n-1 = 15
         exact = (3.0 ** (k + 1) - 0.5 ** (k + 1)) / (k + 1)
-        assert np.dot(rule.weights, rule.nodes**k) == pytest.approx(exact, rel=1e-13)
+        assert np.dot(weights, nodes**k) == pytest.approx(exact, rel=1e-13)
 
 
 def test_build_rule_validation():
@@ -40,14 +32,34 @@ def test_build_rule_validation():
         build_rule(0.0, float("nan"), 8)
 
 
+def _set_rule(order, intervals):
+    return mu_rule(order, IntervalSet.of(intervals), 20.0)
+
+
+def _unit_pieces(order, intervals):
+    # one mu_panels row per unit piece [lo, lo + 1]
+    lo = np.array([a for a, _ in intervals])
+    x, w = mu_panels(order, lo, lo + 1.0)
+    return x.ravel(), w.ravel()
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.02, 0.6, 1.0, 1.6])
-def test_weighted_set_rule_integrates_power_weight(beta):
-    # mu_rule at order alpha = (beta - 1) / 2 integrates against C x^beta
+@pytest.mark.parametrize(
+    "rule, intervals, per_unit",
+    [
+        pytest.param(_set_rule, [(0.0, 1.3), (2.0, 2.5)], 20.0, id="set"),
+        pytest.param(
+            _unit_pieces, [(0.0, 1.0), (2.0, 3.0), (7.0, 8.0)], 16.0, id="unit-pieces"
+        ),
+    ],
+)
+def test_weighted_set_rule_integrates_power_weight(beta, rule, intervals, per_unit):
+    # a rule at order alpha = (beta - 1) / 2 integrates against C x^beta
     order = Order(0.5 * (beta - 1.0))
-    subset = IntervalSet.of([(0.0, 1.3), (2.0, 2.5)])
-    x, w = mu_rule(order, subset, 20.0)
+    subset = IntervalSet.of(intervals)
+    x, w = rule(order, intervals)
     w = w / mu_density_constant(order)
-    assert len(x) == len(set_rule(subset, 20.0)[0])
+    assert len(x) == set_rule_size(subset, per_unit)
     for k in (0, 3, 7):
         p = k + beta + 1.0
         exact = sum(hi**p - lo**p for lo, hi in subset.intervals) / p
@@ -55,25 +67,51 @@ def test_weighted_set_rule_integrates_power_weight(beta):
     # cos(x) x^beta is not smooth at 0 for non-integer beta; the Jacobi panel
     # takes x^beta as its weight, so the rule keeps full accuracy
     got = float(np.dot(w, np.cos(x)))
-    want = (
-        quad(np.cos, 0.0, 1.3, weight="alg", wvar=(beta, 0.0))[0]
-        + quad(lambda t: math.cos(t) * t**beta, 2.0, 2.5)[0]
+    (lo0, hi0), *rest = intervals
+    want = quad(np.cos, lo0, hi0, weight="alg", wvar=(beta, 0.0))[0] + sum(
+        quad(lambda t: math.cos(t) * t**beta, lo, hi)[0] for lo, hi in rest
     )
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_panel_rule_oscillatory_vs_quad():
-    rule = panel_rule(0.0, 30.0, 12.0)
-    val = np.dot(rule.weights, np.cos(7.0 * rule.nodes) * np.exp(-0.1 * rule.nodes))
+@pytest.mark.parametrize("alpha", [-0.3, 0.3])
+@pytest.mark.parametrize("a", [0.0, 1.0, 7.0])
+def test_mu_rule_on_one_panel_is_mu_panels(alpha, a):
+    order = Order(alpha)
+    x, w = mu_rule(order, IntervalSet.of([(a, a + 1.0)]), 16.0)
+    px, pw = mu_panels(order, [a], [a + 1.0])
+    assert np.array_equal(x, px.ravel()) and np.array_equal(w, pw.ravel())
+
+
+@pytest.mark.parametrize("alpha", [-0.3, 0.3])
+@pytest.mark.parametrize("top, per_unit", [(1.3, 20.0), (8.0, 48.0), (30.0, 12.0)])
+def test_mu_rule_origin_panel_is_mu_panels_on_its_edges(alpha, top, per_unit):
+    # the first panel of [0, top] takes its half-width from its own edges
+    order = Order(alpha)
+    subset = IntervalSet.of([(0.0, top)])
+    x, w = mu_rule(order, subset, per_unit)
+    edges = np.linspace(0.0, top, set_rule_size(subset, per_unit) // 16 + 1)
+    px, pw = mu_panels(order, edges[:1], edges[1:2])
+    assert np.array_equal(x[:16], px[0]) and np.array_equal(w[:16], pw[0])
+
+
+# at alpha = -1/2 the density is the constant C = 2: mu_rule's weights are
+# 2 dx, and on a panel at 0 its Gauss-Jacobi rule is Gauss-Legendre
+HALF = Order(-0.5)
+
+
+def test_plain_rule_oscillatory_vs_quad():
+    nodes, weights = mu_rule(HALF, IntervalSet.of([(0.0, 30.0)]), 12.0)
+    val = np.dot(weights / 2.0, np.cos(7.0 * nodes) * np.exp(-0.1 * nodes))
     ref = quad(lambda x: math.cos(7.0 * x) * math.exp(-0.1 * x), 0, 30, limit=400)[0]
     assert val == pytest.approx(ref, abs=1e-12)
 
 
-def test_panel_rule_weight_total():
-    rule = panel_rule(2.0, 9.5, 10.0)
-    assert np.sum(rule.weights) == pytest.approx(7.5, rel=1e-14)
-    assert np.all(rule.weights > 0)
-    assert np.all((rule.nodes > 2.0) & (rule.nodes < 9.5))
+def test_plain_rule_weight_total():
+    nodes, weights = mu_rule(HALF, IntervalSet.of([(2.0, 9.5)]), 10.0)
+    assert np.sum(weights / 2.0) == pytest.approx(7.5, rel=1e-14)
+    assert np.all(weights > 0)
+    assert np.all((nodes > 2.0) & (nodes < 9.5))
 
 
 @pytest.mark.parametrize(
@@ -84,32 +122,28 @@ def test_panel_rule_weight_total():
 def test_set_rule_size_counts_the_rule_without_building_it(intervals, per_unit):
     subset = IntervalSet.of(intervals)
     size = set_rule_size(subset, per_unit)
-    assert size == len(set_rule(subset, per_unit)[0])
+    assert size == len(mu_rule(HALF, subset, per_unit)[0])
     assert size == len(mu_rule(Order(0.3), subset, per_unit)[0])
 
 
-def test_set_rule_matches_per_interval_quadrature():
+def test_plain_set_rule_matches_per_interval_quadrature():
     subset = IntervalSet.of([(0.0, 1.0), (2.0, 3.5)])
-    nodes, weights = set_rule(subset, 20.0)
+    nodes, weights = mu_rule(HALF, subset, 20.0)
+    weights = weights / 2.0
     assert np.sum(weights) == pytest.approx(2.5, rel=1e-14)
     val = float(np.dot(weights, np.exp(-nodes)))
     ref = sum(quad(lambda x: math.exp(-x), lo, hi)[0] for lo, hi in subset.intervals)
     assert val == pytest.approx(ref, rel=1e-13)
-    empty_nodes, empty_weights = set_rule(IntervalSet.empty(), 20.0)
+    empty_nodes, empty_weights = mu_rule(HALF, IntervalSet.empty(), 20.0)
     assert len(empty_nodes) == 0 and len(empty_weights) == 0
-
-
-def test_quadrature_rule_validation():
-    with pytest.raises(DomainError):
-        QuadratureRule((0.0, 1.0), np.zeros(4), np.zeros(5))
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.8, 2.0])
 def test_mu_weights_total_mass(alpha):
     # mu_fold of a Gauss-Legendre rule away from 0
     order = Order(alpha)
-    rule = build_rule(0.3, 2.1, 48)
-    total = float(np.sum(mu_fold(order, rule.nodes, rule.weights)))
+    nodes, weights = build_rule(0.3, 2.1, 48)
+    total = float(np.sum(mu_fold(order, nodes, weights)))
     assert total == pytest.approx(
         mu_measure(order, IntervalSet.of([(0.3, 2.1)])), rel=1e-13
     )
