@@ -14,14 +14,15 @@ j_alpha' (equivalently, the zeros of j_{alpha+1}).
   come within reach of underflow;
 * scipy's j0 / j1 above the cutoff for alpha = 0 and 1;
 * for every other order up to alpha ~ 29 (those whose x_tail <= 64), a table
-  built once per order and cached: a piecewise Chebyshev interpolant on unit
-  panels from the cutoff to x_tail, fitted to the series and jv, and
-  Hankel's asymptotic expansion from x_tail on, where its terms fall below
-  1e-17 (x_tail = 18-23 for alpha <= 12), in sub-blocks of 16384 elements.
-  Each element takes one band: series, Clenshaw or Hankel.  Measured on
-  8192 arguments (2-core shared VM, numpy 2.4), Clenshaw alone costs 37-64
-  ns per element, the route 107-130 ns on [0, 60] at orders 0.3 and 8,
-  against 33-51 ns for j0 and 570-1000 ns for jv there;
+  built once per order and cached: a piecewise Chebyshev interpolant of
+  degree 9 on quarter-unit panels from the cutoff to x_tail, fitted to the
+  series and jv, and Hankel's asymptotic expansion from x_tail on, where
+  its terms fall below 1e-17 (x_tail = 18-23 for alpha <= 12), in
+  sub-blocks of 16384 elements.  Each element takes one band: series,
+  Clenshaw or Hankel.  Measured on 8192 arguments (2-core shared Xeon VM,
+  numpy 2.4), Clenshaw alone costs 18-22 ns per element, the route 46-56
+  ns on [0, 60] at orders 0.3 and 8, against 23 ns for j0 and 370-800 ns
+  for jv there;
 * scipy's jv above the cutoff for the larger orders, ~1.6 us per element at
   alpha = 30.5 on the same arguments; its normaliser
   2^alpha Gamma(alpha+1) / x^alpha is formed in log space where the direct
@@ -58,12 +59,16 @@ _SERIES_TERMS = 26
 # stays well above e^-665, below which scipy's jv returns 0.
 _LOG_HUGE = 600.0
 _MAX_ORDER = 300.0
-# Fast route (`_KernelTable`): Chebyshev panels of this degree below x_tail,
-# Hankel's expansion with at most _HANKEL_TERMS terms, the first dropped one
-# below _HANKEL_TOL, from x_tail on; orders whose x_tail would exceed
-# _TAIL_MAX (alpha above ~29) keep scipy's jv.  Arguments are processed in
-# sub-blocks of _SUB_BLOCK elements.
-_PANEL_DEGREE = 14
+# Fast route (`_KernelTable`): Chebyshev panels of width 1/_PANELS_PER_UNIT
+# and degree _PANEL_DEGREE below x_tail, Hankel's expansion with at most
+# _HANKEL_TERMS terms, the first dropped one below _HANKEL_TOL, from x_tail
+# on; orders whose x_tail would exceed _TAIL_MAX (alpha above ~29) keep
+# scipy's jv.  Arguments are processed in sub-blocks of _SUB_BLOCK elements.
+# Since |j_nu^(k)| <= 1, a panel of width h has Chebyshev coefficients
+# |c_k| <= 2 (h/4)^k / k!: at h = 1/4, c_9 <= 8.0e-17 and c_10 <= 5.0e-19,
+# so 9 is the smallest degree whose first dropped term is below _HANKEL_TOL.
+_PANELS_PER_UNIT = 4
+_PANEL_DEGREE = 9
 _HANKEL_TERMS = 30
 _HANKEL_TOL = 1e-17
 _TAIL_MAX = 64
@@ -177,20 +182,21 @@ def _direct_j(a: float, ax: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _KernelTable:
-    """Fast route of one order nu: Chebyshev coefficients of j_nu on the unit
-    panels [n, n+1), n < x_tail, and Hankel's expansion (DLMF 10.17.3) from
-    x_tail on,
+    """Fast route of one order nu: degree-9 Chebyshev coefficients of j_nu
+    on the quarter-unit panels [n/4, (n+1)/4), n < 4 x_tail, whose first
+    dropped coefficient is at most 5.0e-19, and Hankel's expansion (DLMF
+    10.17.3) from x_tail on,
 
         j_nu(x) = front x^-(nu+1/2) (P(x) cos(x - phi) - Q(x) sin(x - phi)),
 
     phi = (2 nu + 1) pi / 4, front = 2^nu Gamma(nu+1) sqrt(2/pi).  P and Q/x
-    are held as polynomials in 1/x^2, lowest degree first."""
+    are the rows of `pq`, polynomials in 1/x^2, lowest degree first; the
+    shorter row is padded with a zero at its top degree."""
 
     nu: float
     x_tail: int
-    cheb: np.ndarray = field(repr=False)  # (_PANEL_DEGREE + 1, x_tail)
-    p: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
+    cheb: np.ndarray = field(repr=False)  # (_PANEL_DEGREE + 1, 4 x_tail)
+    pq: np.ndarray = field(repr=False)  # (2, ceil(kept / 2))
     front: float
     cos_phi: float
     sin_phi: float
@@ -222,12 +228,14 @@ def _kernel_table(nu: float) -> _KernelTable | None:
             break
     else:
         return None
-    p = np.array(a[0:kept:2])  # P = sum_k (-1)^k a_2k u^k
-    q = np.array(a[1:kept:2])  # Q/x = sum_k (-1)^k a_2k+1 u^k, u = 1/x^2
-    p[1::2] *= -1.0
-    q[1::2] *= -1.0
+    # P = sum_k (-1)^k a_2k u^k and Q/x = sum_k (-1)^k a_2k+1 u^k, u = 1/x^2
+    pq = np.zeros((2, (kept + 1) // 2))
+    pq[0] = a[0:kept:2]
+    pq[1, : kept // 2] = a[1:kept:2]
+    pq[:, 1::2] *= -1.0
     t = chebyshev.chebpts1(_PANEL_DEGREE + 1)
-    nodes = np.arange(x_tail)[:, None] + 0.5 * (t + 1.0)
+    panels = _PANELS_PER_UNIT * x_tail
+    nodes = (np.arange(panels)[:, None] + 0.5 * (t + 1.0)) / _PANELS_PER_UNIT
     values = _direct_j(nu, nodes.ravel()).reshape(nodes.shape)
     cheb = np.linalg.solve(chebyshev.chebvander(t, _PANEL_DEGREE), values.T)
     phi = (2.0 * nu + 1.0) * math.pi / 4.0
@@ -235,8 +243,7 @@ def _kernel_table(nu: float) -> _KernelTable | None:
         nu=nu,
         x_tail=x_tail,
         cheb=cheb,
-        p=p,
-        q=q,
+        pq=pq,
         front=2.0**nu * math.gamma(nu + 1.0) * math.sqrt(2.0 / math.pi),
         cos_phi=math.cos(phi),
         sin_phi=math.sin(phi),
@@ -244,8 +251,12 @@ def _kernel_table(nu: float) -> _KernelTable | None:
 
 
 def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Horner's rule in place, coefficients lowest order first."""
-    acc = np.full_like(u, coeffs[-1])
+    """Horner's rule in place, coefficients lowest order first along the last
+    axis; each row of a 2-D coeffs gives one row of the result, in one loop.
+    A zero top coefficient leaves its row's bits as they are without it."""
+    coeffs = coeffs.T[..., None]
+    acc = np.empty(coeffs.shape[1:-1] + u.shape)
+    acc[...] = coeffs[-1]
     for c in coeffs[-2::-1]:
         acc *= u
         acc += c
@@ -256,9 +267,7 @@ def _hankel_j(tab: _KernelTable, x: np.ndarray) -> np.ndarray:
     # cos(x - phi) and sin(x - phi) from cos x and sin x of the exact
     # argument: x - phi would round away up to ulp(x) of the phase
     r = 1.0 / x
-    u = r * r
-    p = _horner(tab.p, u)
-    q = _horner(tab.q, u)
+    p, q = _horner(tab.pq, r * r)
     q *= r
     cos_x = tab.cos_phi * p + tab.sin_phi * q
     sin_x = tab.sin_phi * p - tab.cos_phi * q
@@ -271,21 +280,23 @@ def _hankel_j(tab: _KernelTable, x: np.ndarray) -> np.ndarray:
 
 def _chebyshev_j(tab: _KernelTable, x: np.ndarray) -> np.ndarray:
     # Clenshaw's recurrence b_k = c_k + 2 t b_{k+1} - b_{k+2} on the panel
-    # [n, n+1) of each x, mapped to t in [-1, 1)
-    panel = x.astype(np.intp)
-    t = 2.0 * (x - panel) - 1.0
+    # [n/4, (n+1)/4) of each x, mapped to t in [-1, 1); 4 x is exact.  One
+    # gather takes every element's coefficients, and b_k overwrites c_k
+    x4 = _PANELS_PER_UNIT * x
+    panel = x4.astype(np.intp)
+    c = tab.cheb.take(panel, axis=1)
+    t = 2.0 * (x4 - panel) - 1.0
     t2 = 2.0 * t
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    tmp = np.empty_like(x)
-    for k in range(_PANEL_DEGREE, 0, -1):
+    tmp = x4  # free once t is formed
+    b1, b2 = c[_PANEL_DEGREE], 0.0
+    for k in range(_PANEL_DEGREE - 1, 0, -1):
         np.multiply(t2, b1, out=tmp)
         tmp -= b2
-        tmp += tab.cheb[k].take(panel)
-        b1, b2, tmp = tmp, b1, b2
+        c[k] += tmp
+        b1, b2 = c[k], b1
     t *= b1
     t -= b2
-    t += tab.cheb[0].take(panel)
+    t += c[0]
     return t
 
 
@@ -463,7 +474,11 @@ def _zeros_by_sign_change(high: Order, count: int, tol: np.ndarray) -> np.ndarra
     """First `count` positive zeros of j_nu, nu = high.alpha, without guesses:
     sign changes on the grid nu + k pi/2, bisected to the last bit.  No zero
     lies below nu and consecutive zeros are more than pi apart, so each grid
-    step holds at most one zero and the n-th sign change is the n-th zero."""
+    step holds at most one zero and the n-th sign change is the n-th zero.
+
+    Bisection runs at most 64 passes and stops early once every bracket is
+    two adjacent doubles: each midpoint then rounds to lo or hi, and since
+    f(hi) has the other sign than flo, no later pass would move a bit."""
     nu = high.alpha
     step = 0.5 * math.pi
     # McMahon's guess overshoots the low zeros of large orders; the grid is
@@ -480,6 +495,8 @@ def _zeros_by_sign_change(high: Order, count: int, tol: np.ndarray) -> np.ndarra
     hi = lo + step
     for _ in range(64):
         mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
         fmid = eval_j(high, mid)
         left = np.signbit(fmid) == np.signbit(flo)
         lo = np.where(left, mid, lo)

@@ -301,8 +301,9 @@ def _bump_family(width: float, poly: np.ndarray):
     u = s / width and e = exp(4 - 1/(u (1 - u))) on 0 < u < 1, zero outside.
     u, the support indices and e are formed once per grid for both rows.
     poly is highest coefficient first; Horner's rule on it gives the bits of
-    np.polyval, which starts from 0 * u + poly[0] = poly[0] exactly."""
-    low, low_sq = poly[::-1], np.polymul(poly, poly)[::-1]
+    np.polyval, which starts from 0 * u + poly[0] = poly[0] exactly; so a
+    leading zero, which np.polymul would trim, leaves np.convolve's bits."""
+    low, low_sq = poly[::-1], np.convolve(poly, poly)[::-1]
 
     def bumps(t: np.ndarray) -> np.ndarray:
         u = np.asarray(t, dtype=float) / width

@@ -17,12 +17,15 @@ from hconc.annihilation import (
     _pair_per_unit,
 )
 from hconc.bessel import (
+    _HANKEL_TERMS,
+    _HANKEL_TOL,
     _SERIES_TERMS,
     _SUB_BLOCK,
     Order,
     _chebyshev_j,
     _hankel_j,
     _kernel_table,
+    _mcmahon_guess,
     _series_cutoff,
     eval_j,
     zeros_of_j_prime,
@@ -94,6 +97,71 @@ def table_j_every_route(nu: float, x: np.ndarray) -> np.ndarray:
             vals[small] = series_j_per_term_max(nu, xn[small])
         o[near] = vals
     return out
+
+
+def _horner_one_row(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    acc = np.full_like(u, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= u
+        acc += c
+    return acc
+
+
+def hankel_j_two_horners(nu: float, x: np.ndarray) -> np.ndarray:
+    """Hankel's expansion of j_nu at tail arguments x >= x_tail with P and Q/x
+    summed by two separate Horner loops, each over its own coefficients
+    alone (no zero padding), rebuilt from a_k(nu) (DLMF 10.17.1) with the
+    term count of `bessel._kernel_table`.  The reference for
+    `bessel._hankel_j`, which sums both in one loop and must give the same
+    bits."""
+    tab = _kernel_table(nu)
+    a = [1.0]
+    for k in range(1, _HANKEL_TERMS + 1):
+        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+    kept = next(k for k, ak in enumerate(a) if abs(ak) < _HANKEL_TOL * tab.x_tail**k)
+    p = np.array(a[0:kept:2])
+    q = np.array(a[1:kept:2])
+    p[1::2] *= -1.0
+    q[1::2] *= -1.0
+    r = 1.0 / x
+    u = r * r
+    pv = _horner_one_row(p, u)
+    qv = _horner_one_row(q, u)
+    qv *= r
+    cos_x = tab.cos_phi * pv + tab.sin_phi * qv
+    sin_x = tab.sin_phi * pv - tab.cos_phi * qv
+    cos_x *= np.cos(x)
+    sin_x *= np.sin(x)
+    cos_x += sin_x
+    cos_x *= tab.front * x ** -(tab.nu + 0.5)
+    return cos_x
+
+
+def zeros_by_sign_change_64(high: Order, count: int) -> np.ndarray:
+    """First `count` positive zeros of j_nu, nu = high.alpha, by sign changes
+    on the grid nu + k pi/2 and exactly 64 bisection passes.  The reference
+    for `bessel._zeros_by_sign_change`, which stops once every bracket is two
+    adjacent doubles and must give the same bits."""
+    nu = high.alpha
+    step = 0.5 * math.pi
+    end = _mcmahon_guess(nu, count) + math.pi
+    while True:
+        grid = nu + step * np.arange(int((end - nu) / step) + 2)
+        f = eval_j(high, grid)
+        change = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))[:count]
+        if len(change) == count:
+            break
+        end += step * (count - len(change) + 1)
+    lo, flo = grid[change], f[change]
+    hi = lo + step
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        fmid = eval_j(high, mid)
+        left = np.signbit(fmid) == np.signbit(flo)
+        lo = np.where(left, mid, lo)
+        flo = np.where(left, fmid, flo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 # --------------------------------------------------------------------------

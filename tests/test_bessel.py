@@ -19,7 +19,13 @@ from hconc.bessel import (
 from hconc import bessel
 from hconc.bessel import _direct_j, _kernel_table, _series_cutoff, _series_j
 from hconc.errors import DomainError, InternalError
-from oracles import eval_j_derivative, series_j_per_term_max, table_j_every_route
+from oracles import (
+    eval_j_derivative,
+    hankel_j_two_horners,
+    series_j_per_term_max,
+    table_j_every_route,
+    zeros_by_sign_change_64,
+)
 
 # 50-digit hypergeometric evaluations 0F1(alpha+1; -x^2/4), frozen
 _J_ORACLE = [
@@ -144,6 +150,39 @@ def test_table_route_gives_the_bits_of_every_route_evaluation(alpha):
     assert np.array_equal(ladder[7], want(base.shifted(7).alpha, x))
 
 
+def test_panel_degree_is_the_smallest_under_the_hankel_tolerance():
+    # |j_nu^(k)| <= 1 bounds the Chebyshev coefficients of a panel of width
+    # h by 2 (h/4)^k / k!: the first dropped one is below the tolerance the
+    # Hankel tail works to, and the last kept one is not
+    h = 1.0 / bessel._PANELS_PER_UNIT
+
+    def bound(k):
+        return 2.0 * (h / 4.0) ** k / math.factorial(k)
+
+    d = bessel._PANEL_DEGREE
+    assert bound(d + 1) <= bessel._HANKEL_TOL < bound(d)
+    tab = _kernel_table(0.3)
+    assert tab.cheb.shape == (d + 1, bessel._PANELS_PER_UNIT * tab.x_tail)
+
+
+@pytest.mark.parametrize("alpha", [-0.3, 0.3, 2.3, 8.0, 20.5])
+def test_hankel_one_loop_gives_the_bits_of_two_horner_loops(alpha):
+    # P and Q/x share one Horner loop over a (2, n) array, the shorter row
+    # padded with a zero at its top degree (Q at -0.3, 0.3, 8 and 20.5; none
+    # at 2.3, where both rows have the same length)
+    tab = _kernel_table(alpha)
+    rng = np.random.default_rng(31)
+    tail = float(tab.x_tail)
+    x = np.concatenate(
+        [
+            [tail, np.nextafter(tail, np.inf), 600.0, 1e8],
+            rng.uniform(tail, 4.0 * tail + 100.0, 4000),
+            tail + rng.exponential(1e4, 1000),
+        ]
+    )
+    assert np.array_equal(bessel._hankel_j(tab, x), hankel_j_two_horners(alpha, x))
+
+
 # orders of each route of eval_j: the closed forms, scipy's j0 and j1, the
 # table route at small and moderate orders, and jv past the tables
 _ROUTE_ALPHAS = (-0.5, -0.3, 0.0, 0.3, 0.5, 1.0, 2.3, 8.0, 28.0, 31.5, 150.0)
@@ -204,7 +243,7 @@ def test_table_route_calls_only_the_bands_it_needs(monkeypatch, alpha):
 
 # mpmath oracle grid: orders alpha + k, k <= 8, on [0, 600] with x = 0, the
 # series cutoff 0.5, both sides of alpha + 10, and both sides of every panel
-# edge n <= x_tail of the fast route of each order.  At alpha = 25.3 the top
+# edge n/4 <= x_tail of the fast route of each order.  At alpha = 25.3 the top
 # orders, which seed the ladder, pass the table bound (~29) and take jv.
 _MP_ALPHAS = (-0.5, 0.0, 0.3, 1.0, 2.3, 8.3, 25.3)
 _MP_KMAX = 8
@@ -216,7 +255,8 @@ def _x_tail(nu):
 
 
 def _edges(top):
-    return (np.arange(1, top + 1)[:, None] + np.array([-1e-9, 1e-9])).ravel()
+    quarters = np.arange(1, 4 * top + 1) / 4.0
+    return (quarters[:, None] + np.array([-1e-9, 1e-9])).ravel()
 
 
 def _mp_grid(alpha):
@@ -404,6 +444,20 @@ def test_zero_residuals_small_deep_into_table():
         res = np.abs(eval_j_derivative(order, table.zeros))
         # derivative amplitude decays like z^(-alpha-3/2); compare loosely
         assert np.all(res < 1e-11)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.3, 1.5, 8.0, 26.0, 151.0])
+def test_zero_bisection_stops_early_with_the_bits_of_64_passes(monkeypatch, nu):
+    # bisection stops once every bracket is two adjacent doubles, 46 to 51
+    # passes at these orders, and gives the bits of all 64 passes
+    want = zeros_by_sign_change_64(Order(nu), 64)
+    calls = []
+    real = bessel.eval_j
+    monkeypatch.setattr(bessel, "eval_j", lambda o, x: calls.append(1) or real(o, x))
+    got = zeros_of_j_prime(Order(nu - 1.0), 64).zeros
+    assert np.array_equal(got, want)
+    # one grid pass, the bisection passes and one residual check
+    assert len(calls) <= 1 + 51 + 1
 
 
 def test_zero_table_validation_catches_corruption():

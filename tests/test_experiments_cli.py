@@ -428,9 +428,9 @@ def test_good_bad_recipe_at_negative_order_is_warning_free(tmp_path):
     assert all(r.passed for r in rows)
     body = (tmp_path / "gb.csv").read_text(encoding="utf-8").splitlines()[2:]
     assert body == [
-        "gb,quantity=bad-mass trial=0 ab=0.05,0.0048038082253847418,0.34333333333333332,true",
+        "gb,quantity=bad-mass trial=0 ab=0.05,0.0048038082253847401,0.34333333333333332,true",
         "gb,quantity=witnesses trial=0 ab=0.05,13,13,true",
-        "gb,quantity=bad-mass trial=1 ab=0.1,0.016968708009293922,0.34333333333333332,true",
+        "gb,quantity=bad-mass trial=1 ab=0.1,0.016968708009293915,0.34333333333333332,true",
         "gb,quantity=witnesses trial=1 ab=0.1,13,13,true",
         "gb,quantity=bad-mass trial=2 ab=0.3,0,0.34333333333333332,true",
         "gb,quantity=witnesses trial=2 ab=0.3,15,15,true",
@@ -1084,6 +1084,21 @@ def _compact_bump(t, width, poly):
         poly, u[inside]
     )
     return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bump_family_square_has_the_bits_of_polymul(seed):
+    # the square's coefficients come from np.convolve; np.polymul's are the
+    # reference, on the recipe's draws and on one with a leading zero
+    poly = np.random.default_rng(seed).uniform(-1.0, 1.0, size=3)
+    if seed == 0:
+        poly[0] = 0.0
+    width = 2.0 + seed / 6.0
+    s = np.linspace(-0.5, width + 0.5, 2001)
+    want = _compact_bump(s, width, np.polymul(poly, poly)) + _compact_bump(
+        s, width, np.array([0.1])
+    )
+    assert np.array_equal(_bump_family(width, poly)(s)[1], want)
 
 
 @pytest.mark.parametrize("width", [2.0, 3.1, 4.0])
