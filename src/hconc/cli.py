@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Subcommands mirror the library modules; `run` executes a config-driven
-experiment recipe and `selftest` runs the desk-scale suite of recipes.
+Subcommands mirror the library modules; `transform` needs no direction,
+since the Hankel transform is its own inverse; `run` executes a
+config-driven experiment recipe, in one thread, and `selftest` runs the
+desk-scale suite of recipes.
 Exit codes: 0 success, 1 failed check, 2 usage or domain error,
 3 numerical non-convergence.
 """
@@ -21,7 +23,7 @@ from .errors import ConvergenceError, DomainError, InternalError, UsageError
 from .experiments import _fmt, ls_verify_rows, parse_config, run, selftest
 from .measure import IntervalSet, density_profile_rows, load_interval_set
 from .paley_wiener import bernstein_sides, extremal_family, random_pw
-from .quadrature import mu_rule
+from .quadrature import _PANEL, mu_panels
 from .transform import kernel_apply
 from .translation import translate_batch
 
@@ -112,12 +114,14 @@ def _cmd_measure_density(args) -> int:
 def _cmd_transform(args) -> int:
     order = Order(args.alpha)
     lo, hi = _parse_pair(args.support, "--support")
-    support = IntervalSet.of([(lo, hi)])
+    IntervalSet.of([(lo, hi)])  # DomainError unless 0 <= lo < hi, both finite
     if not (2 <= args.nodes <= 10**5):
         raise DomainError(f"node count must be in [2, 1e5], got {args.nodes}")
     xs, vs = _read_xy(args.infile)
-    # the transform is its own inverse, so both directions are one kernel sum
-    nodes, weights = mu_rule(order, support, args.nodes / (hi - lo))
+    # the transform is its own inverse, so one kernel sum serves both ways;
+    # equal panels as mu_rule cuts them, ceil(nodes / _PANEL) of them
+    edges = np.linspace(lo, hi, -(-args.nodes // _PANEL) + 1)
+    nodes, weights = (a.ravel() for a in mu_panels(order, edges[:-1], edges[1:]))
     values = np.interp(nodes, xs, vs, left=0.0, right=0.0)
     out_vals = kernel_apply(order, nodes, nodes, weights * values)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -213,7 +217,7 @@ def _cmd_ls_verify(args) -> int:
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
-    rows = run(config, jobs=args.jobs)
+    rows = run(config)
     failed = sum(1 for r in rows if not r.passed)
     print(
         f"{config.name}: {len(rows) - failed} of {len(rows)} rows passed; "
@@ -223,7 +227,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return selftest(inject_fault=args.inject_fault)
+    return selftest()
 
 
 # --------------------------------------------------------------------------
@@ -262,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None)
     p.set_defaults(func=_cmd_measure_density)
 
-    p = sub.add_parser("transform", help="Hankel transform of sampled data")
-    p.add_argument("direction", choices=("forward", "inverse"))
+    p = sub.add_parser("transform", help="self-inverse Hankel transform of samples")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--in", dest="infile", required=True, help="CSV x,value")
     p.add_argument("--support", required=True, help="lo,hi")
@@ -333,11 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a config-driven experiment recipe")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("selftest", help="desk-scale suite of recipes")
-    p.add_argument("--inject-fault", choices=("zerotable",), default=None)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -3,20 +3,19 @@
 Config files are flat `key = value` text, each key set at most once, and
 only keys its recipe reads (`_RECIPE_TABLE`); recipes compose the
 numerical modules into reproducible checks and write one CSV per run.
-Reports are deterministic given the seed: per-trial generators are spawned
-from (seed, trial index), so --jobs parallelism cannot change any value.
+Every recipe runs its trials in order, in one thread.  Reports are
+deterministic given the seed: per-trial generators are spawned from
+(seed, trial index), so a trial's rows do not depend on the trial count.
 The Plancherel recipe runs its trials in contiguous batches that share
 every kernel block; each trial keeps its own matrix-vector products, so
-its values do not depend on the batch, and --jobs, which splits the trials
-into more batches, still cannot change them.  The translation recipe
-likewise translates its two compact bumps, and the product-formula kernel
-together with the symmetry reference, through the set axis of
-`translate_batch`, which gives each function the value it has when
-translated alone.
+its values do not depend on the batch.  The translation recipe likewise
+translates its two compact bumps, and the product-formula kernel together
+with the symmetry reference, through the set axis of `translate_batch`,
+which gives each function the value it has when translated alone.
 
-The self-test runs each recipe of a table at a few trials, at jobs=1 and
-at jobs=2, and fails an entry whose rows fail or whose two reports differ
-by a byte; its zero-table check proves the interlacing validation trips.
+The self-test runs each recipe of a table at a few trials and fails an
+entry whose rows fail; its zero-table check validates a freshly computed
+zero table.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -46,8 +44,8 @@ from .annihilation import (
     strong_pair_trials,
     witness_point,
 )
-from .bessel import Order, ZeroTable, _horner, cached_zero_table, eval_j
-from .bessel import zeros_of_j_prime
+from .bessel import Order, _horner, cached_zero_table, eval_j
+from .bessel import validate_interlacing, zeros_of_j_prime
 from .errors import ConvergenceError, InternalError, UsageError
 from .measure import IntervalSet, density_profile, load_interval_set
 from .paley_wiener import (
@@ -179,13 +177,8 @@ def write_report(config: ExperimentConfig, rows: list[ReportRow]) -> str:
     return path
 
 
-def _map_trials(fn, n: int, jobs: int) -> list:
-    if jobs == 1:
-        chunks = [fn(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(fn, range(n)))
-    return [row for chunk in chunks for row in chunk]
+def _map_trials(fn, n: int) -> list:
+    return [row for i in range(n) for row in fn(i)]
 
 
 def _trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:
@@ -200,7 +193,7 @@ def _trial_rng(config: ExperimentConfig, trial: int) -> np.random.Generator:
 _BERNSTEIN_NODES = 96
 
 
-def _recipe_bernstein(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
+def _recipe_bernstein(config: ExperimentConfig) -> list[ReportRow]:
     order = Order(config.alpha)
 
     def one(t: int) -> list[ReportRow]:
@@ -213,7 +206,7 @@ def _recipe_bernstein(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
             ok = ok and abs(lhs - rhs) <= 1e-9 * max(rhs, 1e-300)
         return [ReportRow(f"quantity=bernstein trial={t} k={k}", lhs, rhs, ok)]
 
-    return _map_trials(one, config.trials, jobs)
+    return _map_trials(one, config.trials)
 
 
 def _plancherel_window(b: float) -> float:
@@ -254,24 +247,17 @@ def _plancherel_batch(
     return cases
 
 
-def _recipe_plancherel(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
+def _recipe_plancherel(config: ExperimentConfig) -> list[ReportRow]:
     order = Order(config.alpha)
     grids = _plancherel_grids(order, config.b)
     x, _, xi, _ = grids
-    # contiguous batches, one per job at least, whose set arrays stay
-    # within one kernel block's entries
-    per_job = -(-config.trials // jobs)
-    size = max(1, min(max_sets(max(len(x), len(xi))), per_job))
-    batches = [
-        range(start, min(start + size, config.trials))
-        for start in range(0, config.trials, size)
-    ]
-
-    def one(i: int) -> list[ReportRow]:
-        trials = batches[i]
+    # contiguous batches whose set arrays stay within one kernel block's entries
+    size = max_sets(max(len(x), len(xi)))
+    rows = []
+    for start in range(0, config.trials, size):
+        trials = range(start, min(start + size, config.trials))
         rngs = [_trial_rng(config, t) for t in trials]
         cases = _plancherel_batch(order, config.b, rngs, grids)
-        rows = []
         for t, (defect, roundtrip) in zip(trials, cases):
             rows += [
                 ReportRow(
@@ -287,9 +273,7 @@ def _recipe_plancherel(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
                     roundtrip <= 1e-8,
                 ),
             ]
-        return rows
-
-    return _map_trials(one, len(batches), jobs)
+    return rows
 
 
 _TRANSLATION_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 1.7)
@@ -415,11 +399,11 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     return rows
 
 
-def _recipe_translation(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
-    return _map_trials(lambda t: _translation_case(config, t), config.trials, jobs)
+def _recipe_translation(config: ExperimentConfig) -> list[ReportRow]:
+    return _map_trials(lambda t: _translation_case(config, t), config.trials)
 
 
-def _recipe_extremal(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
+def _recipe_extremal(config: ExperimentConfig) -> list[ReportRow]:
     order = Order(config.alpha)
     table = cached_zero_table(order.alpha, config.trials + 8)
 
@@ -447,10 +431,10 @@ def _recipe_extremal(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
         ]
 
     # members 0..trials: n = 0 peaks at 0, and n >= 1 at the n-th zero s'_n
-    return _map_trials(one, config.trials + 1, jobs)
+    return _map_trials(one, config.trials + 1)
 
 
-def _recipe_pair_norm(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
+def _recipe_pair_norm(config: ExperimentConfig) -> list[ReportRow]:
     order = Order(config.alpha)
     S = (
         load_interval_set(config.s_file)
@@ -535,7 +519,7 @@ def ls_verify_rows(
     return rows
 
 
-def _recipe_ls_verify(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
+def _recipe_ls_verify(config: ExperimentConfig) -> list[ReportRow]:
     if not config.omega_file:
         raise UsageError("ls-verify requires omega_file")
     return ls_verify_rows(
@@ -548,7 +532,7 @@ def _recipe_ls_verify(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
     )
 
 
-def _recipe_kovrijkine(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
+def _recipe_kovrijkine(config: ExperimentConfig) -> list[ReportRow]:
     def one(t: int) -> list[ReportRow]:
         rng = _trial_rng(config, t)
         if t == 0:
@@ -577,13 +561,13 @@ def _recipe_kovrijkine(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
             )
         ]
 
-    return _map_trials(one, config.trials, jobs)
+    return _map_trials(one, config.trials)
 
 
 _GOOD_BAD_PRODUCTS = (0.05, 0.1, 0.3)
 
 
-def _recipe_good_bad(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
+def _recipe_good_bad(config: ExperimentConfig) -> list[ReportRow]:
     order = Order(config.alpha)
     xs = np.arange(1.0, 16.0)
 
@@ -611,7 +595,7 @@ def _recipe_good_bad(config: ExperimentConfig, jobs: int) -> list[ReportRow]:
             ),
         ]
 
-    return _map_trials(one, config.trials, jobs)
+    return _map_trials(one, config.trials)
 
 
 # keys every recipe reads: the report's name and directory, and the recipe
@@ -637,12 +621,10 @@ _RECIPE_TABLE = {
 }
 
 
-def run(config: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
+def run(config: ExperimentConfig) -> list[ReportRow]:
     """Dispatch to the named recipe and write <output_dir>/<name>.csv."""
-    if jobs < 1:
-        raise UsageError(f"jobs must be at least 1, got {jobs}")
     recipe, _ = _RECIPE_TABLE[config.recipe]
-    rows = recipe(config, jobs)
+    rows = recipe(config)
     write_report(config, rows)
     return rows
 
@@ -651,13 +633,8 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
 # selftest
 
 
-def _check_zero_table(inject: str | None):
-    order = Order(0.7)
-    table = zeros_of_j_prime(order, 128)
-    zs = np.array(table.zeros)
-    if inject == "zerotable":
-        zs[10], zs[11] = zs[11], zs[10]
-    ZeroTable(order=order, zeros=zs)
+def _check_zero_table():
+    validate_interlacing(zeros_of_j_prime(Order(0.7), 128))
 
 
 # (recipe, trials, other keys) of each recipe check: Plancherel on every
@@ -682,37 +659,26 @@ def _selftest_label(recipe: str, keys: dict) -> str:
 
 
 def _check_recipe(recipe: str, trials: int, keys: dict):
-    """Run a recipe into a temporary directory at jobs=1 and at jobs=2; fail
-    if a row fails or the two reports differ by a byte."""
+    """Run a recipe into a temporary directory; fail if a row fails."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = ExperimentConfig(
             f"selftest-{recipe}", recipe=recipe, trials=trials, output_dir=tmp, **keys
         )
-        reports = []
-        for jobs in (1, 2):
-            rows = run(cfg, jobs)
-            with open(os.path.join(tmp, f"{cfg.name}.csv"), "rb") as fh:
-                reports.append(fh.read())
+        rows = run(cfg)
     failed = [r for r in rows if not r.passed]
     if failed:
         raise InternalError(
             f"{len(failed)} of {len(rows)} rows failed, first {failed[0].params}"
         )
-    if reports[0] != reports[1]:
-        raise InternalError("report differs between jobs=1 and jobs=2")
 
 
-def selftest(inject_fault: str | None = None) -> int:
+def selftest() -> int:
     """Run the desk-scale suite; exit code 0 iff every check passes.
 
-    Each `_SELFTEST_TABLE` entry runs its recipe at jobs=1 and jobs=2 (see
-    `_check_recipe`); `zero-table` validates a computed zero table, which
-    inject_fault="zerotable" corrupts to prove the interlacing validation
-    trips, so that this check, and only it, must then fail.
+    Each `_SELFTEST_TABLE` entry runs its recipe once (see `_check_recipe`);
+    `zero-table` validates the interlacing of a computed zero table.
     """
-    if inject_fault not in (None, "zerotable"):
-        raise UsageError(f"unknown fault {inject_fault!r}")
-    checks = [("zero-table", partial(_check_zero_table, inject_fault))] + [
+    checks = [("zero-table", _check_zero_table)] + [
         (_selftest_label(recipe, keys), partial(_check_recipe, recipe, trials, keys))
         for recipe, trials, keys in _SELFTEST_TABLE
     ]

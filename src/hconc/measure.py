@@ -21,6 +21,8 @@ from .bessel import Order
 from .errors import DomainError, UsageError
 
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# most windows of one density profile: 2^24 doubles per array, 128 MB
+_MAX_WINDOWS = 2**24
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,8 @@ def density_profile_rows(
     mu_alpha(subset & [x-a, x+a]) / mu_alpha([x-a, x+a]) at each.
 
     Windows reaching past the subset's support count the absent mass as
-    zero.  Default step is a/100.
+    zero.  Default step is a/100.  DomainError where the window count,
+    floor((x_max - a) / step) + 1, exceeds _MAX_WINDOWS = 2^24.
     """
     if not (0 < a < math.inf):
         raise DomainError(f"window half-width a must be positive and finite, got {a}")
@@ -181,6 +184,11 @@ def density_profile_rows(
     if not (0 < step < math.inf):
         raise DomainError(f"step must be positive and finite, got {step}")
     count = int(math.floor((x_max - a) / step + 1e-12)) + 1
+    if count > _MAX_WINDOWS:
+        raise DomainError(
+            f"density profile needs {count} windows, more than the cap of "
+            f"{_MAX_WINDOWS}; raise step or lower x_max"
+        )
     xs = a + step * np.arange(count)
     part, full = _window_masses(order, subset, np.maximum(xs - a, 0.0), xs + a)
     return xs, part / full

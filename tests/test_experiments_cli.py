@@ -11,7 +11,7 @@ import pytest
 
 from hconc import __version__, cli, experiments, transform, translation
 from hconc.annihilation import ls_empirical_min_ratio
-from hconc.bessel import Order
+from hconc.bessel import Order, ZeroTable
 from hconc.errors import ConvergenceError, InternalError, UsageError
 from hconc.experiments import (
     DEFAULT_SEED,
@@ -28,6 +28,7 @@ from hconc.experiments import (
     write_report,
 )
 from hconc.measure import IntervalSet
+from hconc.quadrature import mu_rule
 from oracles import mode_count
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -211,18 +212,29 @@ def test_zero_trials_yields_header_only_report(tmp_path):
 
 
 @pytest.mark.parametrize("recipe", ["kovrijkine", "plancherel", "good-bad"])
-def test_reports_deterministic_across_reruns_and_jobs(tmp_path, recipe):
-    # plancherel runs its trials in batches that share kernel blocks; --jobs
-    # splits them into other batches and must change no value
+def test_reports_deterministic_across_reruns(tmp_path, recipe):
     cfg = ExperimentConfig(
         name="det", recipe=recipe, trials=4, output_dir=str(tmp_path)
     )
-    run(cfg, jobs=1)
+    run(cfg)
     first = (tmp_path / "det.csv").read_bytes()
-    run(cfg, jobs=1)
+    run(cfg)
     assert (tmp_path / "det.csv").read_bytes() == first
-    run(cfg, jobs=2)
-    assert (tmp_path / "det.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_plancherel_rows_do_not_depend_on_the_batching(tmp_path, monkeypatch, alpha):
+    # plancherel runs its trials in batches that share kernel blocks; batches
+    # of one trial, or of three that leave a trial over, must change no value
+    cfg = ExperimentConfig(
+        "det", recipe="plancherel", alpha=alpha, trials=4, output_dir=str(tmp_path)
+    )
+    run(cfg)
+    whole = (tmp_path / "det.csv").read_bytes()
+    for size in (1, 3):
+        monkeypatch.setattr(experiments, "max_sets", lambda width: size)
+        run(cfg)
+        assert (tmp_path / "det.csv").read_bytes() == whole
 
 
 # --------------------------------------------------------------------------
@@ -489,11 +501,6 @@ def test_run_guards_unknown_recipe():
         ExperimentConfig(name="det", recipe="frobnicate")
 
 
-def test_selftest_rejects_unknown_fault():
-    with pytest.raises(UsageError, match="unknown fault"):
-        selftest(inject_fault="wobble")
-
-
 def test_selftest_passes_one_check_per_table_entry(capsys):
     assert selftest() == 0
     lines = capsys.readouterr().out.splitlines()
@@ -640,6 +647,17 @@ def test_cli_measure_density_rejects_bad_grid(tmp_path, capsys, a, step):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_measure_density_caps_the_window_count(tmp_path, capsys):
+    path = _write(tmp_path / "unit.set", UNIT)
+    argv = ["measure", "density", "--alpha", "0", "--set", path, "--a", "1"]
+    # 9.9e13 windows: a usage error, not a failed allocation
+    assert cli.main(argv + ["--xmax", "100", "--step", "1e-12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "99000000000001 windows" in err
+    assert f"cap of {2**24}" in err
+
+
 def test_cli_measure_density_large_order(tmp_path, capsys):
     path = _write(tmp_path / "unit2.set", "0 2\n")
     argv = ["measure", "density", "--alpha", "200", "--set", path, "--a", "1"]
@@ -666,7 +684,6 @@ def test_cli_transform_roundtrip_through_csvs(tmp_path):
     rc = cli.main(
         [
             "transform",
-            "forward",
             "--alpha",
             "0",
             "--in",
@@ -688,7 +705,6 @@ def test_cli_transform_roundtrip_through_csvs(tmp_path):
     rc = cli.main(
         [
             "transform",
-            "inverse",
             "--alpha",
             "0",
             "--in",
@@ -711,7 +727,6 @@ def test_cli_transform_rejects_malformed_input(tmp_path):
     rc = cli.main(
         [
             "transform",
-            "forward",
             "--alpha",
             "0",
             "--in",
@@ -725,6 +740,30 @@ def test_cli_transform_rejects_malformed_input(tmp_path):
     assert rc == 2
 
 
+def test_cli_transform_writes_the_promised_node_count(tmp_path):
+    # nodes / (hi - lo) per unit, times (hi - lo), once rounded up to 3377
+    gauss = _write(tmp_path / "g.csv", "x,value\n0,1\n9,0.5\n")
+    out = tmp_path / "out.csv"
+    argv = ["transform", "--alpha", "0.3", "--in", gauss, "--nodes", "3376"]
+    argv += ["--support=2.5821339227688793,8.712072323568385", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(np.loadtxt(out, delimiter=",", skiprows=1)) == 3376
+
+
+def test_cli_transform_has_the_bits_of_mu_rule(tmp_path):
+    gauss = _write(tmp_path / "g.csv", "x,value\n0,1\n9,0.5\n")
+    out = tmp_path / "out.csv"
+    argv = ["transform", "--alpha", "0.3", "--in", gauss, "--support=0,8"]
+    assert cli.main(argv + ["--nodes", "256", "--out", str(out)]) == 0
+    xs, vals = np.loadtxt(out, delimiter=",", skiprows=1).T
+    order = Order(0.3)
+    nodes, weights = mu_rule(order, IntervalSet.of([(0.0, 8.0)]), 32.0)
+    f = np.interp(nodes, [0.0, 9.0], [1.0, 0.5])
+    assert np.array_equal(xs, nodes)
+    ref = transform.kernel_apply(order, nodes, nodes, weights * f)
+    assert np.array_equal(vals, ref)
+
+
 @pytest.mark.parametrize(
     "support,nodes",
     [("-1,1", "256"), ("0,1", "1"), ("0,1", "0"), ("0,1", "100001"), ("1,1", "256")],
@@ -732,7 +771,7 @@ def test_cli_transform_rejects_malformed_input(tmp_path):
 def test_cli_transform_rejects_bad_support_and_nodes(tmp_path, capsys, support, nodes):
     gauss = _write(tmp_path / "g.csv", "x,value\n0,1\n1,0.5\n")
     out = tmp_path / "out.csv"
-    argv = ["transform", "forward", "--alpha", "0.3", "--in", gauss]
+    argv = ["transform", "--alpha", "0.3", "--in", gauss]
     argv += [f"--support={support}", "--nodes", nodes, "--out", str(out)]
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err
@@ -762,7 +801,7 @@ def test_cli_number_lists_are_usage_errors(tmp_path, capsys, command, flag, text
     argv = {
         "translate": ["translate", "--alpha", "0", "--x", "1", "--f", csv],
         "extremal": ["pw", "extremal", "--alpha", "0", "--n", "1"],
-        "transform": ["transform", "forward", "--alpha", "0", "--in", csv]
+        "transform": ["transform", "--alpha", "0", "--in", csv]
         + ["--out", out],
         "bessel": ["bessel", "eval", "--alpha", "0"],
     }[command]
@@ -999,10 +1038,6 @@ def test_cli_count_flags_below_their_minimum_exit_2(tmp_path, capsys):
         tmp_path / "smoke.cfg",
         "name = smoke\nrecipe = kovrijkine\ntrials = 1\noutput_dir = out\n",
     )
-    for jobs in ("0", "-2"):
-        assert cli.main(["run", "--config", cfg_path, "--jobs", jobs]) == 2
-        assert "jobs must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
     argv = ["pw", "bernstein", "--alpha", "0", "--b", "1", "--k", "1", "--trials", "-1"]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
@@ -1063,8 +1098,20 @@ def test_cli_internal_failure_exits_1(capsys, monkeypatch):
     assert "consistency check tripped" in capsys.readouterr().err
 
 
-def test_cli_selftest_inject_fault_exits_1(capsys):
-    rc = cli.main(["selftest", "--inject-fault", "zerotable"])
+def test_cli_selftest_inject_fault_exits_1(capsys, monkeypatch):
+    real_zeros = experiments.zeros_of_j_prime
+
+    def swapped(order, count):
+        # a table with two zeros out of order, which ZeroTable would refuse
+        zs = np.array(real_zeros(order, count).zeros)
+        zs[10], zs[11] = zs[11], zs[10]
+        table = object.__new__(ZeroTable)
+        object.__setattr__(table, "order", order)
+        object.__setattr__(table, "zeros", zs)
+        return table
+
+    monkeypatch.setattr(experiments, "zeros_of_j_prime", swapped)
+    rc = cli.main(["selftest"])
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL zero-table" in out

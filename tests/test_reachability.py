@@ -283,3 +283,68 @@ def test_scan_flags_imports_that_no_code_loads(tmp_path):
         encoding="utf-8",
     )
     assert _unused_imports(tmp_path) == {"a.py": ["os", "other", "sys"]}
+
+
+def _unread_options(path: Path) -> list[str]:
+    """The dest of each `add_argument` in the module at `path` (its `dest=`,
+    else its first long flag, or its first flag, or its name, with `-` read
+    as `_`) that no code of the module reads as `args.<dest>`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    dests = []
+    for call in ast.walk(tree):
+        if not (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "add_argument"
+        ):
+            continue
+        keyed = [k.value.value for k in call.keywords if k.arg == "dest"]
+        flags = [a.value for a in call.args if isinstance(a, ast.Constant)]
+        longs = [f for f in flags if f.startswith("--")]
+        dest = keyed[0] if keyed else (longs or flags)[0].lstrip("-")
+        dests.append(dest.replace("-", "_"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    return [dest for dest in dests if dest not in read]
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    unread = _unread_options(SRC / "cli.py")
+    assert not unread, f"options that no handler reads; use or delete them: {unread}"
+
+
+def test_scan_flags_options_that_no_handler_reads(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text(
+        "def handle(args):\n    return args.x_grid, args.infile, args.n, args.k\n\n"
+        "def build(p):\n"
+        "    p.add_argument('direction', choices=('a', 'b'))\n"
+        "    p.add_argument('--x-grid')\n"
+        "    p.add_argument('--in', dest='infile')\n"
+        "    p.add_argument('-n', '--count')\n"
+        "    p.add_argument('-k')\n"
+        "    p.add_argument('--dry-run', action='store_true')\n",
+        encoding="utf-8",
+    )
+    assert _unread_options(path) == ["direction", "count", "dry_run"]
+
+
+def test_no_module_starts_threads():
+    # every recipe runs its trials in order, in one thread
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        threaded = sorted(
+            m for m in imported if m.split(".")[0] in ("concurrent", "threading")
+        )
+        assert not threaded, f"{path.name} imports {threaded}"
