@@ -8,12 +8,16 @@ Three numerical engines live here:
   fewer nodes (n of them), is discretized on measure-weighted quadrature
   coordinates; the integral over the other set is exact, by Lommel's closed
   form for the integral of a product of two kernels, so the n x n Gram on
-  the quadrature side comes from two kernel evaluations per node and set
-  endpoint and one matrix product, in one n x n array.  Its numerical rank
-  r is small (about |S| |Sigma| plus a log term), so LAPACK's pivoted
-  Cholesky factors it in place to rank r in O(n^2 r) flops, and the top
-  eigenvalue is that of the r x r core of the factor, against O(n^3) for a
-  full eigensolver; node doubling repeats this until the norm is stable.
+  the quadrature side comes from two kernel evaluations (orders alpha and
+  alpha + 1) per node and set endpoint, an endpoint at 0 left out since
+  its weight is 0, and one matrix product, in one n x n array.  Its
+  numerical rank r is small (about |S| |Sigma| plus a log term), so
+  LAPACK's pivoted Cholesky factors it in place to rank r in O(n^2 r)
+  flops, and the top eigenvalue is that of the r x r core of the factor,
+  against O(n^3) for a full eigensolver; node doubling repeats this until
+  the norm is stable.  Every call runs the first two passes (scales 1 and
+  2), so their rules come from one call and their kernel values from one
+  call per order, which halves the fixed cost of those calls.
 
 * ls_empirical_min_ratio: the minimum of ||f||^2_Omega / ||f||^2 over a
   discretized bandlimited space.  The discretization expands in the
@@ -21,7 +25,9 @@ Three numerical engines live here:
   derivative zeros), whose Gram over the full window is exactly the identity;
   the minimum eigenvalue of the sub-window Gram is then a true concentration
   ratio with spectrum guaranteed inside [0, 1].  It is the squared smallest
-  singular value of the Gram's factor, which keeps ratios far below 1e-16.
+  singular value of the Gram's factor, which keeps ratios far below 1e-16;
+  the factor is formed in LAPACK's column order, so the SVD takes it
+  without a copy.
 
 * good/bad windows I_x = [(x-1)^2, (x+1)^2] in the squared variable, in one
   kernel pass per trial: the window integrals on the unit pieces [x - 1, x]
@@ -52,7 +58,7 @@ from .paley_wiener import (
     tail_mass,
     theta_constant,
 )
-from .quadrature import build_rule, mu_panels, mu_rule, set_rule_size
+from .quadrature import build_rule, mu_panels, mu_rule, mu_rules, set_rule_size
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
@@ -97,74 +103,100 @@ def _pair_per_unit(pair: ProjectionPair, scale: int = 1):
     return per_unit_xi, per_unit_x
 
 
-def _pair_nodes(pair: ProjectionPair, scale: int = 1):
-    """Nodes of the side whose rule is shorter (Sigma on a tie), each with
-    the square root of its mu_alpha quadrature weight, and the other side's
-    set, over which `_lommel_gram` integrates in closed form.  Only the
-    shorter side's rule is built; the other is sized by `set_rule_size`.
-    The density x^(2 alpha+1) is integrated exactly by the rule (Gauss-Jacobi
-    next to 0), so doubling converges fast also where it is not smooth at 0,
-    for alpha in (-1/2, 0)."""
+def _pair_side(pair: ProjectionPair, scale: int = 1):
+    """(near, nodes per unit, far): the set of the side whose rule is
+    shorter (Sigma on a tie), the nodes per unit of that rule, and the other
+    side's set, over which `_lommel_grams` integrates in closed form.  The
+    other side's rule is only sized, by `set_rule_size`."""
     per_unit_xi, per_unit_x = _pair_per_unit(pair, scale)
     if set_rule_size(pair.Sigma, per_unit_xi) <= set_rule_size(pair.S, per_unit_x):
-        t, w = mu_rule(pair.order, pair.Sigma, per_unit_xi)
-        return t, np.sqrt(w), pair.S
-    t, w = mu_rule(pair.order, pair.S, per_unit_x)
-    return t, np.sqrt(w), pair.Sigma
+        return pair.Sigma, per_unit_xi, pair.S
+    return pair.S, per_unit_x, pair.Sigma
 
 
-def _lommel_gram(
-    order: Order, far: IntervalSet, t: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """K[k, l] = s_k s_l integral over `far` of j_alpha(a_k y) j_alpha(a_l y)
-    d mu_alpha(y), a = 2 pi t, in closed form (Lommel's integral).  With
-    p = j_{alpha+1}(. R), q = j_alpha(. R) and c(R) = C R^(2 alpha + 2) /
-    (2 (alpha + 1)), C the mu_alpha density constant,
+def _lommel_grams(order: Order, parts):
+    """For each (far, t, s) of `parts`, one at a time, K[k, l] = s_k s_l
+    integral over `far` of j_alpha(a_k y) j_alpha(a_l y) d mu_alpha(y),
+    a = 2 pi t, in closed form (Lommel's integral).  With p = j_{alpha+1}(. R),
+    q = j_alpha(. R) and c(R) = C R^(2 alpha + 2) / (2 (alpha + 1)), C the
+    mu_alpha density constant,
 
         K_[0,R](a, b) = c(R) (a^2 p(aR) q(bR) - b^2 q(aR) p(bR)) / (a^2 - b^2),
         K_[0,R](a, a) = c(R) ((alpha + 1) q(aR)^2 - alpha p(aR) q(aR)
                               + (aR)^2 p(aR)^2 / (4 (alpha + 1))),
 
-    and each interval [lo, hi) of `far` adds K_[0,hi] - K_[0,lo].  P and Q
-    hold s p and s q, one row per endpoint, so over all endpoints the
+    and each interval [lo, hi) of `far` adds K_[0,hi] - K_[0,lo].  An end
+    with c = 0, as an end at 0 has, adds nothing and takes no kernel values;
+    those of every other end of every part come from one `eval_j` call per
+    order, which works elementwise, so each Gram is the bits it has alone.
+    P and Q hold s p and s q, one row per end, so over all ends the
     numerator is one product [diag(a^2) P^T C | -Q^T C] [Q; P diag(a^2)],
     C = diag(+-c).  It is divided by a_k^2 - a_l^2 in row blocks, in place,
     so the result is the only n x n array.  Raises DomainError where
     sup(far)^(2 alpha + 2) leaves the range of a double."""
     alpha = order.alpha
-    _check_power_range(order, far.sup(), 2.0 * alpha + 2.0)
-    ends = np.array(far.intervals, dtype=float).ravel()
-    signs = np.tile([-1.0, 1.0], len(far.intervals))
-    c = signs * mu_density_constant(order) * ends ** (2.0 * alpha + 2.0)
-    c /= 2.0 * alpha + 2.0
-    a = 2.0 * math.pi * t
-    z = np.outer(ends, a)
-    q = eval_j(order, z)
-    p = eval_j(order.shifted(1), z)
-    q *= s
-    p *= s
-    a2 = a * a
-    cp = c[:, None] * p * a2
-    cq = c[:, None] * q
-    gram = np.hstack([cp.T, -cq.T]) @ np.vstack([q, p * a2])
-    n = len(t)
-    rows = max(1, _DEN_BLOCK // n)
-    for i in range(0, n, rows):
-        den = np.subtract.outer(a2[i : i + rows], a2)
-        np.fill_diagonal(den[:, i:], 1.0)
-        gram[i : i + rows] /= den
-    diag = (alpha + 1.0) * q * q - alpha * p * q + z * z * p * p / (4.0 * alpha + 4.0)
-    np.fill_diagonal(gram, c @ diag)
-    return gram
+    prepared = []
+    for far, t, s in parts:
+        _check_power_range(order, far.sup(), 2.0 * alpha + 2.0)
+        ends = np.array(far.intervals, dtype=float).ravel()
+        signs = np.tile([-1.0, 1.0], len(far.intervals))
+        c = signs * mu_density_constant(order) * ends ** (2.0 * alpha + 2.0)
+        c /= 2.0 * alpha + 2.0
+        a = 2.0 * math.pi * t
+        prepared.append((c, a, np.outer(ends[c != 0.0], a), s))
+    z = np.concatenate([z.ravel() for _, _, z, _ in prepared])
+    q_all, p_all = eval_j(order, z), eval_j(order.shifted(1), z)
+    start = 0
+    for c, a, z, s in prepared:
+        q = q_all[start : start + z.size].reshape(z.shape)
+        p = p_all[start : start + z.size].reshape(z.shape)
+        start += z.size
+        kept = c != 0.0
+        q *= s
+        p *= s
+        a2 = a * a
+        cp = c[kept, None] * p * a2
+        cq = c[kept, None] * q
+        gram = np.hstack([cp.T, -cq.T]) @ np.vstack([q, p * a2])
+        n = len(a)
+        rows = max(1, _DEN_BLOCK // n)
+        for i in range(0, n, rows):
+            den = np.subtract.outer(a2[i : i + rows], a2)
+            np.fill_diagonal(den[:, i:], 1.0)
+            gram[i : i + rows] /= den
+        # the diagonal sums over every end, a dropped one as a zero row:
+        # dgemv's order of summation follows the row count, so leaving the
+        # row out would move the last bits of unions that start at 0
+        diag = np.zeros((len(c), n))
+        diag[kept] = (alpha + 1.0) * q * q - alpha * p * q
+        diag[kept] += z * z * p * p / (4.0 * alpha + 4.0)
+        np.fill_diagonal(gram, c @ diag)
+        yield gram
+        del gram  # the caller is done with it: free it before the next
 
 
-def _pair_gram(pair: ProjectionPair, scale: int = 1) -> np.ndarray:
-    """Gram of the pair factor on its shorter side (A A^T when Sigma has
-    fewer nodes, else A^T A), on the nodes of `_pair_nodes`, with the sum
-    along the longer side replaced by the exact integral over its set, so
-    that the factor is never formed."""
-    t, s, far = _pair_nodes(pair, scale)
-    return _lommel_gram(pair.order, far, t, s)
+def _pass_grams(pair: ProjectionPair, scales):
+    """The Grams of the pair factor at each scale of `scales`, one at a
+    time: each on the pass's shorter side (A A^T when Sigma has fewer
+    nodes, else A^T A) and its mu_alpha rule (Gauss-Jacobi next to 0, so
+    doubling converges fast also for alpha in (-1/2, 0), where
+    x^(2 alpha + 1) is not smooth at 0), with the sum along the longer side
+    replaced by the exact integral over its set (`_lommel_grams`), so that
+    the factor is never formed.  The rules of all scales come from one
+    `mu_rules` call."""
+    sides = [_pair_side(pair, scale) for scale in scales]
+    rules = mu_rules(pair.order, [(near, per_unit) for near, per_unit, _ in sides])
+    parts = [(far, t, np.sqrt(w)) for (t, w), (_, _, far) in zip(rules, sides)]
+    return _lommel_grams(pair.order, parts)
+
+
+def _pair_grams(pair: ProjectionPair):
+    """The Grams of pair_norm's passes at scale 1, 2, 4, ...,
+    2^_MAX_DOUBLINGS.  Every pair_norm call runs the first two, so they
+    share their rule call and their kernel calls."""
+    yield from _pass_grams(pair, (1, 2))
+    for doubling in range(2, _MAX_DOUBLINGS + 1):
+        yield from _pass_grams(pair, (2**doubling,))
 
 
 def _sigma_max(gram: np.ndarray) -> float:
@@ -201,9 +233,10 @@ def pair_norm(pair: ProjectionPair) -> float:
     refined by node doubling until 1e-6 stable, clipped to 1."""
     if pair.S.is_empty() or pair.Sigma.is_empty():
         return 0.0
-    prev = _sigma_max(_pair_gram(pair))
-    for doubling in range(1, _MAX_DOUBLINGS + 1):
-        cur = _sigma_max(_pair_gram(pair, 2**doubling))
+    # map drops each Gram once its norm is taken, before the next is built
+    norms = map(_sigma_max, _pair_grams(pair))
+    prev = next(norms)
+    for cur in norms:
         if abs(cur - prev) <= _STABILITY_TOL:
             return min(cur, 1.0)
         prev = cur
@@ -248,7 +281,7 @@ def strong_pair_trials(
     sigma_mask = np.arange(len(xi)) < len(xi_in)
     # z^T gram z is the mass on S of the function with weighted spectral
     # coordinates z
-    gram = _lommel_gram(order, S, xi, np.sqrt(u))
+    [gram] = _lommel_grams(order, [(S, xi, np.sqrt(u))])
     const = annihilation_constant(norm)
 
     rng = np.random.default_rng(seed)
@@ -305,8 +338,12 @@ def _concentration_factor(
             f"concentration factor of {len(sp)} modes x {len(x)} nodes exceeds "
             f"{_FACTOR_ENTRIES} entries; lower b or x_max"
         )
-    kern = eval_j(order, np.outer(sp / x_max, x))
-    return kern * np.sqrt(v)[None, :] / np.sqrt(norms)[:, None]
+    # formed node-major and returned transposed: B is then in LAPACK's
+    # column order, so svdvals factors it where it lies, with no copy
+    kern = eval_j(order, np.outer(x, sp / x_max))
+    kern *= np.sqrt(v)[:, None]
+    kern /= np.sqrt(norms)[None, :]
+    return kern.T
 
 
 def ls_empirical_min_ratio(
@@ -319,7 +356,10 @@ def ls_empirical_min_ratio(
     itself has absolute error ~1e-16, the size of the ratio where Omega
     leaves a gap in [0, x_max]; the singular values of B resolve it."""
     B = _concentration_factor(order, b, omega, x_max)
-    s = linalg.svdvals(B, check_finite=False) if B.size else np.zeros(1)
+    if B.size:
+        s = linalg.svdvals(B, overwrite_a=True, check_finite=False)
+    else:
+        s = np.zeros(1)
     if s[0] ** 2 > 1.0 + 1e-9:
         raise InternalError(f"concentration spectrum escaped [0, 1]: top {s[0]**2:.9f}")
     if B.shape[1] < len(B):

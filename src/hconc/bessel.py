@@ -8,7 +8,10 @@ j_alpha' (equivalently, the zeros of j_{alpha+1}).
 
 `eval_j` takes one of five routes, chosen by the order and the argument:
 
-* closed form for alpha = -1/2 and 1/2: cos x and sin x / x, at every x;
+* closed form for alpha = -1/2 and 1/2: cos x and sin x / x, at every x,
+  the latter divided on the exact argument (1 at x = 0); np.sinc(x / pi)
+  rounds x / pi first, which costs up to 5.7e-14 of the 1/x envelope on
+  [0.5, 500], and a third more time per element;
 * power series for |x| below a cutoff: 0.5 (the J_alpha / x^alpha quotient
   loses accuracy there), widened at orders above ~120 to where J_alpha would
   come within reach of underflow;
@@ -343,7 +346,11 @@ def eval_j(order: Order, x) -> np.ndarray | float:
         out = np.cos(x)
         return float(out[0]) if scalar else out
     if order.alpha == 0.5:
-        out = np.sinc(x / np.pi)
+        out = np.sin(x)
+        zero = x == 0.0
+        with np.errstate(invalid="ignore"):  # 0 / 0, overwritten below
+            out /= x
+        out[zero] = 1.0
         return float(out[0]) if scalar else out
     tab = _kernel_table(order.alpha)
     if tab is None:

@@ -67,9 +67,6 @@ class IntervalSet:
     def sup(self) -> float:
         return self.intervals[-1][1] if self.intervals else 0.0
 
-    def inf(self) -> float:
-        return self.intervals[0][0] if self.intervals else 0.0
-
     def length(self) -> float:
         return sum(hi - lo for lo, hi in self.intervals)
 

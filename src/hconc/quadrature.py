@@ -8,9 +8,9 @@ This is the one module that forms mu_alpha quadrature weights: `mu_fold`
 folds the density C x^(2 alpha + 1) into given weights, and `mu_panels`
 gives nodes and mu_alpha weights of 16-node rules on given panels, with the
 Gauss-Jacobi rule of the density on a panel that starts at 0.  `mu_rule`
-cuts a set into panels for it; fixed 16-node panels keep node counts
-proportional to the number of oscillation periods without the cost of huge
-single rules.
+cuts a set into panels for it (`mu_rules` several sets, in one call); fixed
+16-node panels keep node counts proportional to the number of oscillation
+periods without the cost of huge single rules.
 """
 
 from __future__ import annotations
@@ -99,17 +99,36 @@ def mu_panels(order: Order, lo, hi):
     return nodes, weights
 
 
+def _panel_edges(subset: IntervalSet, nodes_per_unit: float):
+    """Starts and ends of the panels of `mu_rule` on a non-empty subset:
+    each interval cut into `_panel_count` equal panels."""
+    edges = [
+        np.linspace(a, b, _panel_count(a, b, nodes_per_unit) + 1)
+        for a, b in subset.intervals
+    ]
+    lo = np.concatenate([e[:-1] for e in edges])
+    return lo, np.concatenate([e[1:] for e in edges])
+
+
+def mu_rules(order: Order, parts):
+    """The (nodes, weights) of `mu_rule` on each (non-empty subset,
+    nodes_per_unit) of `parts`, from one `mu_panels` call on the panels of
+    all of them.  Each panel's rule depends on that panel alone, so every
+    result is the bits of its own `mu_rule` call."""
+    lo, hi = zip(*(_panel_edges(subset, per_unit) for subset, per_unit in parts))
+    nodes, weights = mu_panels(order, np.concatenate(lo), np.concatenate(hi))
+    cuts = np.cumsum([len(x) for x in lo[:-1]])
+    return [
+        (n.ravel(), w.ravel())
+        for n, w in zip(np.split(nodes, cuts), np.split(weights, cuts))
+    ]
+
+
 def mu_rule(order: Order, subset: IntervalSet, nodes_per_unit: float):
     """Nodes on the subset and their mu_alpha quadrature weights: each
     interval is cut into `_panel_count` equal panels, about nodes_per_unit
     nodes per unit length, which take the rules of `mu_panels`."""
     if subset.is_empty():
         return np.empty(0), np.empty(0)
-    edges = [
-        np.linspace(a, b, _panel_count(a, b, nodes_per_unit) + 1)
-        for a, b in subset.intervals
-    ]
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
-    nodes, weights = mu_panels(order, lo, hi)
-    return nodes.ravel(), weights.ravel()
+    [rule] = mu_rules(order, [(subset, nodes_per_unit)])
+    return rule

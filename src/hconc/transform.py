@@ -18,13 +18,12 @@ from .bessel import Order, eval_j_ladder
 
 # Kernel sums run in row blocks sized to stay in cache: the arguments, the
 # kernel values and the matrix-vector products of a block reuse the same
-# few hundred KB instead of streaming a whole kernel from memory.  A
-# single-order block holds at most _CHUNK kernel entries.  An order-ladder
-# block counts its entries across all k_max + 2 planes (the argument and
-# k_max + 1 orders) against _LADDER_CHUNK, which also keeps the recurrence's
-# work arrays in cache.  How many coefficient sets share one pass is a
-# separate budget, _SET_ENTRIES, of entries in the sets' own arrays.
-_CHUNK = 65_536
+# few hundred KB instead of streaming a whole kernel from memory.  A block
+# counts its entries across all k_max + 2 planes (the argument and k_max + 1
+# orders) against _LADDER_CHUNK, which also keeps the recurrence's work
+# arrays in cache; a single-order block holds 65,536 kernel entries.  How
+# many coefficient sets share one pass is a separate budget, _SET_ENTRIES,
+# of entries in the sets' own arrays.
 _LADDER_CHUNK = 131_072
 _SET_ENTRIES = 2_000_000
 
@@ -38,8 +37,7 @@ def max_sets(width: int) -> int:
 def _kernel_blocks(order: Order, k_max: int, out_nodes: np.ndarray, nodes):
     """Row blocks (block, kern) of the kernel ladder j_{alpha+k}(2 pi y x),
     y = out_nodes[block], x in nodes, kern of shape (k_max+1, rows, len(nodes))."""
-    budget = _CHUNK if k_max == 0 else _LADDER_CHUNK // (k_max + 2)
-    rows = max(1, budget // max(1, len(nodes)))
+    rows = max(1, _LADDER_CHUNK // (k_max + 2) // max(1, len(nodes)))
     for start in range(0, len(out_nodes), rows):
         block = slice(start, start + rows)
         args = np.outer(out_nodes[block], nodes)

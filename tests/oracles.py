@@ -15,6 +15,7 @@ from hconc.annihilation import (
     ProjectionPair,
     _concentration_factor,
     _pair_per_unit,
+    _pair_side,
 )
 from hconc.bessel import (
     _HANKEL_TERMS,
@@ -178,11 +179,30 @@ def pair_block(order: Order, rows, s_rows, cols, s_cols) -> np.ndarray:
 def pair_rules(pair: ProjectionPair, scale: int = 1):
     """Spectral nodes xi on Sigma and spatial nodes x on S, each with the
     square root of its mu_alpha quadrature weight: both rules of a pass of
-    `annihilation.pair_norm`, of which `_pair_nodes` builds the shorter."""
+    `annihilation.pair_norm`, of which `_pass_grams` builds the shorter."""
     per_unit_xi, per_unit_x = _pair_per_unit(pair, scale)
     xi, u = mu_rule(pair.order, pair.Sigma, per_unit_xi)
     x, v = mu_rule(pair.order, pair.S, per_unit_x)
     return xi, np.sqrt(u), x, np.sqrt(v)
+
+
+def pair_nodes(pair: ProjectionPair, scale: int = 1):
+    """Nodes of the shorter side of a pass of `annihilation.pair_norm`
+    (`_pair_side`), each with the square root of its mu_alpha quadrature
+    weight, and the other side's set, from that pass's own `mu_rule`."""
+    near, per_unit, far = _pair_side(pair, scale)
+    t, w = mu_rule(pair.order, near, per_unit)
+    return t, np.sqrt(w), far
+
+
+def pair_gram(pair: ProjectionPair, scale: int = 1) -> np.ndarray:
+    """The Gram of one pass of `annihilation.pair_norm` on its own rule and
+    kernel calls, with every end of the other side's set
+    (`lommel_gram_all_ends`).  The reference for `annihilation._pass_grams`,
+    which shares both among the passes it builds, leaves ends at 0 out of
+    its kernel calls, and must give the same bits."""
+    t, s, far = pair_nodes(pair, scale)
+    return lommel_gram_all_ends(pair.order, far, t, s)
 
 
 def _pair_factor(pair: ProjectionPair, scale: int = 1) -> np.ndarray:
@@ -196,9 +216,10 @@ def _pair_factor(pair: ProjectionPair, scale: int = 1) -> np.ndarray:
 
 def _short_side_gram(pair: ProjectionPair, far_scale: int) -> np.ndarray:
     """Gram of the pair factor on its shorter side on the first pass (the
-    side `annihilation._pair_gram` keeps), with the sum along the other side
-    taken on that side's quadrature rule at `far_scale`.  The dense reference for
-    `_pair_gram`, which integrates the other side in closed form."""
+    side `annihilation._pass_grams` keeps), with the sum along the other
+    side taken on that side's quadrature rule at `far_scale`.  The dense
+    reference for `_pass_grams`, which integrates the other side in closed
+    form."""
     xi, su, x, sv = pair_rules(pair)
     fine_xi, fine_su, fine_x, fine_sv = pair_rules(pair, far_scale)
     if len(xi) <= len(x):
@@ -206,6 +227,34 @@ def _short_side_gram(pair: ProjectionPair, far_scale: int) -> np.ndarray:
     else:
         A = pair_block(pair.order, fine_xi, fine_su, x, sv)
     return A.T @ A
+
+
+def lommel_gram_all_ends(
+    order: Order, far: IntervalSet, t: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """Lommel's closed-form Gram over `far` with kernel values at every end
+    of `far`, also at an end at 0, whose weight c(0) = 0 zeroes its terms.
+    The reference for `annihilation._lommel_grams`, which leaves such ends
+    out of its kernel calls and must give the same bits."""
+    alpha = order.alpha
+    ends = np.array(far.intervals, dtype=float).ravel()
+    signs = np.tile([-1.0, 1.0], len(far.intervals))
+    c = signs * mu_density_constant(order) * ends ** (2.0 * alpha + 2.0)
+    c /= 2.0 * alpha + 2.0
+    a = 2.0 * math.pi * t
+    z = np.outer(ends, a)
+    q = eval_j(order, z) * s
+    p = eval_j(order.shifted(1), z) * s
+    a2 = a * a
+    gram = np.hstack([(c[:, None] * p * a2).T, -(c[:, None] * q).T]) @ np.vstack(
+        [q, p * a2]
+    )
+    den = np.subtract.outer(a2, a2)
+    np.fill_diagonal(den, 1.0)
+    gram /= den
+    diag = (alpha + 1.0) * q * q - alpha * p * q + z * z * p * p / (4.0 * alpha + 4.0)
+    np.fill_diagonal(gram, c @ diag)
+    return gram
 
 
 def strong_pair_rows_dense(

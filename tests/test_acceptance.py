@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from hconc.annihilation import LSParams, ProjectionPair, ls_bound, pair_norm
-from hconc.annihilation import _pair_gram, _sigma_max, strong_pair_trials
+from hconc.annihilation import _pass_grams, _sigma_max, strong_pair_trials
 from hconc.bessel import Order, cached_zero_table, eval_j
 from hconc.experiments import ExperimentConfig, parse_config, run
 from hconc.measure import IntervalSet
@@ -341,7 +341,7 @@ def test_criterion_10_annihilation_operators():
     coarse = pair_norm(unit_pair)
     # pair_norm stops at its second pass (scale 2) here; one pass on twice
     # that rule
-    fine = _sigma_max(_pair_gram(unit_pair, 4))
+    fine = _sigma_max(next(_pass_grams(unit_pair, (4,))))
     ok = ok and coarse < 1.0 and fine < 1.0 and abs(fine - coarse) <= 1e-5
     trials = strong_pair_trials(order, unit, unit, coarse, 1000, 20260814)
     holds = np.all(trials[:, 0] <= trials[:, 1] * (1.0 + 1e-9))

@@ -11,9 +11,6 @@ from hconc import annihilation
 from hconc.annihilation import (
     LSParams,
     ProjectionPair,
-    _pair_gram,
-    _lommel_gram,
-    _pair_nodes,
     _piece_integrals,
     _sigma_max,
     annihilation_constant,
@@ -38,7 +35,10 @@ from oracles import (
     apply_Dk,
     bad_mass_fraction,
     concentration_matrix,
+    lommel_gram_all_ends,
     mode_count,
+    pair_gram,
+    pair_nodes,
     pair_rules,
     strong_pair_rows_dense,
 )
@@ -167,17 +167,22 @@ def _pair(alpha, sup_s, sup_sigma):
     )
 
 
+def _pass_gram(pair, scale=1):
+    """The Gram of pair_norm's pass at `scale`, as pair_norm builds it."""
+    return next(annihilation._pass_grams(pair, (scale,)))
+
+
 @pytest.mark.parametrize("sup_s, sup_sigma", [(1.0, 1.3), (3.0, 0.5)])
 def test_pair_gram_is_the_short_side_gram_of_factor(sup_s, sup_sigma):
     pair = _pair(0.3, sup_s, sup_sigma)
     A = _pair_factor(pair)
     dense = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    gram = _pair_gram(pair)
+    gram = _pass_gram(pair)
     assert gram.shape == (min(A.shape),) * 2
     assert np.max(np.abs(gram - dense)) <= 1e-13
 
 
-# (alpha, S, Sigma), each with the set _pair_gram integrates in closed form
+# (alpha, S, Sigma), each with the set the Gram integrates in closed form
 CLOSED_FORM_CASES = [
     (0.3, [(0.2, 0.4)], [(10.0, 10.5)]),  # Sigma, away from 0
     (25.3, [(0.2, 0.3)], [(30.0, 30.2), (31.0, 31.1)]),  # Sigma, away from 0
@@ -202,7 +207,7 @@ def test_pair_gram_closed_form_matches_fine_factor(alpha, S, Sigma):
     # ~1e-13 here, while the first pass's rule is off by up to 1e-7 in the
     # fourth case
     pair = _closed_form_pair(alpha, S, Sigma)
-    gram = _pair_gram(pair)
+    gram = _pass_gram(pair)
     fine = _short_side_gram(pair, 4)
     assert gram.shape == fine.shape
     assert np.max(np.abs(gram - fine)) <= 1e-13
@@ -212,8 +217,8 @@ def test_pair_gram_closed_form_matches_fine_factor(alpha, S, Sigma):
 def test_pair_gram_closed_form_entries_match_mpmath_quad(alpha, S, Sigma):
     mpmath = pytest.importorskip("mpmath")
     pair = _closed_form_pair(alpha, S, Sigma)
-    gram = _pair_gram(pair)
-    t, s, far = _pair_nodes(pair)
+    gram = _pass_gram(pair)
+    t, s, far = pair_nodes(pair)
     n = len(t)
     with mpmath.workdps(20):
         a = mpmath.mpf(alpha)
@@ -267,25 +272,30 @@ def test_sigma_max_matches_dense_eigvalsh_on_pair_grams(alpha, sup_s, sup_sigma)
     # the Grams of pair_norm's first pass, n = 128, 128, 64, 192 and 1392
     # (rank 468 at the last); eigvalsh runs on a copy, since _sigma_max
     # factors its argument in place
-    gram = _pair_gram(_pair(alpha, sup_s, sup_sigma))
+    gram = _pass_gram(_pair(alpha, sup_s, sup_sigma))
     want = math.sqrt(float(linalg.eigvalsh(gram)[-1]))
     assert _sigma_max(gram.copy()) == pytest.approx(want, rel=1e-13)
 
 
 def test_pair_gram_and_sigma_max_hold_one_gram():
-    # S = Sigma = [0, 15] at alpha = 0, first pass: n = 1392.  The Gram is
-    # built and factored in place, so beside its n x n array only row
-    # blocks, the rank-r slice of the factor and the r x r core are held
+    # S = Sigma = [0, 15] at alpha = 0: n = 1392 on the first pass and 2n on
+    # the second.  Each Gram is built and factored in place, and dropped
+    # before the next is built, so beside the 2n x 2n array only row blocks,
+    # the rank-r slice of the factor and the r x r core are held (1.12 times
+    # the 2n x 2n array in all); the n x n Gram of the first pass, still
+    # held, would add a quarter
     pair = _pair(0.0, 15.0, 15.0)
-    n = len(_pair_nodes(pair)[0])
+    n = len(pair_nodes(pair)[0])
     assert n == 1392
     tracemalloc.start()
     try:
-        _sigma_max(_pair_gram(pair))
+        # as pair_norm consumes them
+        norms = list(map(_sigma_max, annihilation._pass_grams(pair, (1, 2))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n * n * 8
+    assert len(norms) == 2
+    assert peak <= 1.2 * (2 * n) ** 2 * 8
 
 
 @pytest.mark.parametrize("alpha", [-0.49, -0.4, -0.3])
@@ -358,26 +368,98 @@ def test_pair_norm_resolves_a_set_starting_just_above_zero():
     assert norm(1e-6) == pytest.approx(norm(0.0), abs=1e-5)
 
 
+# (S, Sigma) from 0, above 0, and unions from 0 and above it, on either side
+OPENING_SETS = [
+    ([(0.0, 1.7)], [(0.0, 1.1)]),
+    ([(0.3, 1.9)], [(0.2, 1.4)]),
+    ([(0.0, 0.8), (1.2, 2.1)], [(0.0, 1.3)]),
+    ([(0.4, 1.6)], [(0.0, 0.6), (0.9, 1.8)]),
+    ([(0.0, 0.7), (1.1, 1.9)], [(0.25, 0.9), (1.3, 2.2)]),
+]
+
+
+def _pair_norm_pass_by_pass(pair):
+    """pair_norm's loop with each pass's Gram from its own `pair_gram`."""
+    prev = _sigma_max(pair_gram(pair))
+    for doubling in range(1, 5):
+        cur = _sigma_max(pair_gram(pair, 2**doubling))
+        if abs(cur - prev) <= 1e-6:
+            return min(cur, 1.0)
+        prev = cur
+    raise AssertionError("pass-by-pass loop did not stabilize")
+
+
+# 30.5 and 31.5 take scipy's jv, whose normaliser branch follows the largest
+# argument of a call
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 30.5])
+@pytest.mark.parametrize("S, Sigma", OPENING_SETS)
+def test_merged_opening_passes_give_the_bits_of_separate_passes(alpha, S, Sigma):
+    # the first two passes share one rule call and one eval_j call per order
+    S, Sigma = IntervalSet.of(S), IntervalSet.of(Sigma)
+    pair = ProjectionPair(Order(alpha), S, Sigma, x_max=S.sup())
+    grams = annihilation._pair_grams(pair)
+    for scale in (1, 2):
+        assert np.array_equal(next(grams), pair_gram(pair, scale))
+    assert pair_norm(pair) == _pair_norm_pass_by_pass(pair)
+
+
+@pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.3, 0.5, 1.0, 30.5])
+@pytest.mark.parametrize(
+    "far",
+    [
+        [(0.0, 1.7)],
+        [(0.0, 0.8), (1.2, 2.1)],
+        [(0.0, 0.5), (0.9, 1.4), (2.0, 3.1)],
+        [(0.3, 1.9)],
+        [(0.25, 0.9), (1.3, 2.2)],
+    ],
+)
+def test_lommel_gram_without_zero_weight_ends_matches_all_ends(alpha, far):
+    # an end at 0 has weight c(0) = 0; leaving it out of the kernel calls
+    # keeps every bit, also where its zero row entered the dgemv sum
+    order, far = Order(alpha), IntervalSet.of(far)
+    t, w = annihilation.mu_rule(order, IntervalSet.of([(0.0, 1.3)]), 64)
+    s = np.sqrt(w)
+    [gram] = annihilation._lommel_grams(order, [(far, t, s)])
+    assert np.array_equal(gram, lommel_gram_all_ends(order, far, t, s))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3])
+def test_strong_pair_trials_match_the_all_ends_gram(monkeypatch, alpha):
+    order = Order(alpha)
+    S = IntervalSet.of([(0.0, 0.6), (1.0, 1.5)])
+    Sigma = IntervalSet.of([(0.0, 1.2)])
+    rows = strong_pair_trials(order, S, Sigma, 0.5, trials=20, seed=3)
+
+    def all_ends(order, parts):
+        return (lommel_gram_all_ends(order, *part) for part in parts)
+
+    monkeypatch.setattr(annihilation, "_lommel_grams", all_ends)
+    want = strong_pair_trials(order, S, Sigma, 0.5, trials=20, seed=3)
+    assert np.array_equal(rows, want)
+
+
 @pytest.mark.parametrize("sup", [1.0, 10.0])
 def test_pair_norm_doubling_doubles_the_rule_in_use(monkeypatch, sup):
     # the resolution floor 4 sup + 32 nodes per unit used to absorb the
     # doubled budget: both passes then ran on one rule, and the stability
     # check compared a value with itself.  The first pass takes 64 nodes per
-    # unit at sup = 1 and the floor, 72, at sup = 10
+    # unit at sup = 1 and the floor, 72, at sup = 10.  Each pass picks its
+    # side once (`_pair_side`) and hands one part to `_lommel_grams`
     per_unit, sizes = [], []
-    real_rule, real_nodes = annihilation.mu_rule, annihilation._pair_nodes
+    real_side, real_grams = annihilation._pair_side, annihilation._lommel_grams
 
-    def recording_rule(order, subset, nodes_per_unit):
+    def recording_side(*args):
+        near, nodes_per_unit, far = real_side(*args)
         per_unit.append(nodes_per_unit)
-        return real_rule(order, subset, nodes_per_unit)
+        return near, nodes_per_unit, far
 
-    def recording_nodes(*args):
-        t, s, far = real_nodes(*args)
-        sizes.append(len(t))
-        return t, s, far
+    def recording_grams(order, parts):
+        sizes.extend(len(t) for _, t, _ in parts)
+        return real_grams(order, parts)
 
-    monkeypatch.setattr(annihilation, "mu_rule", recording_rule)
-    monkeypatch.setattr(annihilation, "_pair_nodes", recording_nodes)
+    monkeypatch.setattr(annihilation, "_pair_side", recording_side)
+    monkeypatch.setattr(annihilation, "_lommel_grams", recording_grams)
     pair = ProjectionPair(
         order=Order(0.0),
         S=IntervalSet.of([(0.0, sup)]),
@@ -404,26 +486,28 @@ def test_pair_norm_doubling_doubles_the_rule_in_use(monkeypatch, sup):
     ],
 )
 def test_pair_nodes_builds_the_shorter_rule_only(monkeypatch, S, Sigma, x_max):
-    # set_rule_size sizes both sides; the one rule built is the shorter of
-    # the two that the dense reference builds (Sigma's on a tie), bit for bit
+    # set_rule_size sizes both sides; the one rule a pass builds is the
+    # shorter of the two that the dense reference builds (Sigma's on a tie),
+    # bit for bit
     calls = []
-    real_rule = annihilation.mu_rule
+    real_rules = annihilation.mu_rules
 
-    def recording_rule(*args):
-        calls.append(args)
-        return real_rule(*args)
+    def recording_rules(order, parts):
+        calls.append(real_rules(order, parts))
+        return calls[-1]
 
-    monkeypatch.setattr(annihilation, "mu_rule", recording_rule)
+    monkeypatch.setattr(annihilation, "mu_rules", recording_rules)
     pair = ProjectionPair(
         order=Order(0.3), S=IntervalSet.of(S), Sigma=IntervalSet.of(Sigma), x_max=x_max
     )
     for scale in (1, 2):
         calls.clear()
-        t, s, far = _pair_nodes(pair, scale)
+        next(annihilation._pass_grams(pair, (scale,)))
+        [[(t, w)]] = calls
+        far = annihilation._pair_side(pair, scale)[2]
         xi, su, x, sv = pair_rules(pair, scale)
-        assert len(calls) == 1
         want = (xi, su, pair.S) if len(xi) <= len(x) else (x, sv, pair.Sigma)
-        assert np.array_equal(t, want[0]) and np.array_equal(s, want[1])
+        assert np.array_equal(t, want[0]) and np.array_equal(np.sqrt(w), want[1])
         assert far is want[2]
 
 
@@ -538,6 +622,25 @@ def test_empirical_ratio_matches_dense_eigh():
     dense = float(np.linalg.eigvalsh(conc.matrix)[0])
     got = ls_empirical_min_ratio(order, 1.0, omega, 10.0)
     assert got == pytest.approx(max(dense, 0.0), abs=1e-9)
+
+
+def test_concentration_factor_is_factored_where_it_lies():
+    # B is formed node-major and returned transposed, in LAPACK's column
+    # order, so svdvals overwrites it with no copy: beside B the ratio holds
+    # little more than svdvals' workspace (5.0 x B with the copy, at alpha 1/2,
+    # whose kernel makes no temporaries)
+    order = Order(0.5)
+    omega = IntervalSet.of([(2 * k, 2 * k + 1) for k in range(30)])
+    B = annihilation._concentration_factor(order, 1.0, omega, 60.0)
+    assert B.shape == (120, 480) and B.flags.f_contiguous
+    ls_empirical_min_ratio(order, 1.0, omega, 60.0)
+    tracemalloc.start()
+    try:
+        ls_empirical_min_ratio(order, 1.0, omega, 60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * B.nbytes
 
 
 def test_empirical_ratio_monotone_in_omega():
@@ -734,7 +837,9 @@ def test_window_integrals_match_lommel_closed_form(alpha):
         for i, x in enumerate(xs):
             window = IntervalSet.of([(x - 1.0, x + 1.0)])
             for k in range(9):
-                gram = _lommel_gram(order.shifted(k), window, xi, np.ones(len(xi)))
+                gram = lommel_gram_all_ends(
+                    order.shifted(k), window, xi, np.ones(len(xi))
+                )
                 want = (
                     2.0
                     / mu_density_constant(order.shifted(k))

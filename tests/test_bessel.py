@@ -398,6 +398,21 @@ def test_j0_j1_route_is_exact_and_quiet_at_zero(alpha):
     assert np.array_equal(got, eval_j(Order(alpha), -x))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_half_order_is_sin_over_x_on_the_exact_argument():
+    # sin x / x divided on x itself; np.sinc(x / pi) rounds x / pi first,
+    # which moved the value by up to 5.7e-14 of the 1/x envelope here
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.linspace(0.5, 500.0, 4001)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.sin(x) / x) for x in xs])
+    assert np.max(np.abs(eval_j(Order(0.5), xs) - want) * xs) <= 1e-15
+    # 1 at x = 0 (also -0), and quiet there
+    got = eval_j(Order(0.5), np.array([0.0, -0.0, 1e-300, 3.0]))
+    assert got[0] == got[1] == got[2] == 1.0 and eval_j(Order(0.5), 0.0) == 1.0
+    assert got[3] == math.sin(3.0) / 3.0
+
+
 def test_eval_j_rejects_nonfinite():
     with pytest.raises(DomainError):
         eval_j(Order(0.0), float("nan"))

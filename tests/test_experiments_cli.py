@@ -339,10 +339,12 @@ def test_plancherel_recipe_passes_at_every_band(tmp_path, alpha, b):
 
 
 # the minimum ratios of the shipped ls-verify configs, bit for bit as they
-# were when the configs capped the basis at 144 modes, above the 120 in use
+# were when the configs capped the basis at 144 modes, above the 120 in use;
+# at alpha = 1/2 as sin x / x gives them on the exact argument (with
+# np.sinc(x / pi), which rounds x / pi first, it read 1.956246922996019e-05)
 _SHIPPED_LS_RATIOS = {
     "ls-periodic-alpha0": 1.9778251232111482e-05,
-    "ls-periodic-alpha05": 1.956246922996019e-05,
+    "ls-periodic-alpha05": 1.9562469229959684e-05,
     "ls-sparse-alpha0": 2.3819541914835764e-11,
 }
 
@@ -406,7 +408,7 @@ def test_plancherel_trial_rows_do_not_depend_on_the_batch(
 ):
     # all trials of a run share the kernel blocks; a trial's rows are the
     # same bytes whichever trials run beside it, also over many row blocks
-    monkeypatch.setattr(transform, "_CHUNK", chunk)
+    monkeypatch.setattr(transform, "_LADDER_CHUNK", 2 * chunk)
     lines = {}
     for trials in (3, 7):
         out = tmp_path / str(trials)

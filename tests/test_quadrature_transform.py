@@ -200,8 +200,9 @@ def test_mu_rule_weights_sum_to_mu_measure(alpha):
 @pytest.mark.parametrize("chunk", [2_000_000, 1000])
 def test_round_trip_matches_forward_and_inverse(monkeypatch, chunk):
     # one kernel pass gives the forward transform and the inverse of its
-    # weighted values; a small _CHUNK forces many row blocks
-    monkeypatch.setattr(transform, "_CHUNK", chunk)
+    # weighted values; a small budget (chunk entries per single-order
+    # block) forces many row blocks
+    monkeypatch.setattr(transform, "_LADDER_CHUNK", 2 * chunk)
     order = Order(0.3)
     x, wx = mu_rule(order, IntervalSet.of([(0.0, 6.0)]), 40.0)
     xi, wxi = mu_rule(order, IntervalSet.of([(0.0, 3.0)]), 40.0)
@@ -220,7 +221,6 @@ def test_coefficient_sets_match_single_set_calls(monkeypatch):
     # m coefficient sets share each kernel block, yet every set keeps its
     # own matrix-vector product: the values are those of m separate calls,
     # here over many row blocks
-    monkeypatch.setattr(transform, "_CHUNK", 1000)
     monkeypatch.setattr(transform, "_LADDER_CHUNK", 1000)
     order = Order(0.3)
     rng = np.random.default_rng(11)
@@ -252,7 +252,7 @@ def test_single_order_kernel_blocks_stay_within_budget(width):
     covered = []
     for block, kern in transform._kernel_blocks(order, 0, out_nodes, nodes):
         assert kern.shape == (1, len(out_nodes[block]), width)
-        assert kern[0].size <= transform._CHUNK
+        assert kern[0].size <= transform._LADDER_CHUNK // 2 == 65_536
         covered.extend(range(len(out_nodes))[block])
     assert covered == list(range(len(out_nodes)))
 
@@ -275,7 +275,7 @@ def test_hundred_plancherel_trials_share_one_kernel_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(transform, "eval_j_ladder", counting_ladder)
     # blocks of 16k entries hold 25 rows of 640: a batch sized by them
     # would split the run into four round trips
-    monkeypatch.setattr(transform, "_CHUNK", 16_384)
+    monkeypatch.setattr(transform, "_LADDER_CHUNK", 2 * 16_384)
     cfg = ExperimentConfig(
         "pl", recipe="plancherel", alpha=0.3, trials=100, output_dir=str(tmp_path)
     )

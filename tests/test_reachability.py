@@ -27,13 +27,43 @@ ALLOWED_DEFAULTS = {
 }
 
 
-def _references(node: ast.AST, own: set[str]) -> set[str]:
-    """Names that `node` loads or reads as attributes, other than `own`."""
+def _external(tree: ast.Module) -> set[str]:
+    """Names that the module binds by importing from outside the package
+    (math, np, linalg, dataclass, ...): an absolute import."""
+    return {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.level == 0)
+        for alias in node.names
+    }
+
+
+def _root(node: ast.Attribute) -> ast.AST:
+    """The base of a dotted chain a.b.c: the node under its last attribute."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def _on_external(node: ast.AST, external: set[str]) -> bool:
+    """Whether `node` is an attribute read on a dotted chain rooted at an
+    imported outside name: `math.inf` or `linalg.lapack.dpstrf` is not a use
+    of a package method named inf or dpstrf."""
+    if not isinstance(node, ast.Attribute):
+        return False
+    root = _root(node)
+    return isinstance(root, ast.Name) and root.id in external
+
+
+def _references(node: ast.AST, own: set[str], external: set[str]) -> set[str]:
+    """Names that `node` loads or reads as attributes, other than `own` and
+    attributes read on imported outside names."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and not _on_external(sub, external):
             names.add(sub.attr)
     return names - own
 
@@ -75,14 +105,16 @@ def _unreached(package: Path) -> dict[str, str]:
     and public methods of top-level classes (named Class.method), that no
     module of it loads or reads as an attribute outside the body of their
     own definition, as {name: module file}.  Imports (so also the
-    re-exports of `__init__`) and `__all__` strings are not references."""
+    re-exports of `__init__`), `__all__` strings and attribute reads on
+    names imported from outside the package are not references."""
     defined: dict[str, str] = {}
     referenced: set[str] = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         defined.update((name, path.name) for name, _ in _public(tree))
+        external = _external(tree)
         for node, own in _parts(tree):
-            referenced |= _references(node, own)
+            referenced |= _references(node, own, external)
     return {
         name: mod
         for name, mod in defined.items()
@@ -109,8 +141,10 @@ def _unset_defaults(package: Path) -> dict[str, str]:
     `__init__` of their own (an exception's, say), that no call in `package`
     outside their own definition passes, as {"name(parameter)": module file}.
     A call is matched by the callee's last name: f(...), m.f(...) or
-    obj.method(...), and Class(...) for a constructor.  A *args argument
-    passes every positional parameter, a **kwargs argument every one."""
+    obj.method(...), and Class(...) for a constructor; a call of an
+    attribute of a name imported from outside the package (np.sum(...)) is
+    none of them.  A *args argument passes every positional parameter, a
+    **kwargs argument every one."""
     targets: dict[str, tuple[list, str]] = {}
     trees = []
     for path in sorted(package.glob("*.py")):
@@ -132,9 +166,10 @@ def _unset_defaults(package: Path) -> dict[str, str]:
         by_callee.setdefault(name.rpartition(".")[2], []).append(name)
     passed: set[tuple[str, str]] = set()
     for tree in trees:
+        external = _external(tree)
         for node, own in _parts(tree):
             for call in ast.walk(node):
-                if not isinstance(call, ast.Call):
+                if not isinstance(call, ast.Call) or _on_external(call.func, external):
                     continue
                 func = call.func
                 callee = getattr(func, "id", None) or getattr(func, "attr", None)
@@ -192,6 +227,36 @@ def test_scan_flags_code_that_only_itself_or_an_import_reaches(tmp_path):
         "Box.make": "a.py",
         "Box.spin": "a.py",
         "caller": "b.py",
+    }
+
+
+def test_scan_ignores_attribute_reads_on_imported_outside_names(tmp_path):
+    # math.inf, np.linalg.norm and linalg.lapack.dpstrf read attributes of
+    # imported modules, not the package methods of those names; a read on a
+    # package name (IntervalSet.of), a local (box.size) or a call result
+    # still counts
+    (tmp_path / "a.py").write_text(
+        "import math\nimport numpy as np\nfrom scipy import linalg\n\n"
+        "class Box:\n    @staticmethod\n    def of():\n        return Box()\n\n"
+        "    def inf(self):\n        return math.inf\n\n"
+        "    def norm(self):\n        return np.linalg.norm\n\n"
+        "    def dpstrf(self):\n        return linalg.lapack.dpstrf\n\n"
+        "    def size(self):\n        return 1\n\n"
+        "    def shape(self):\n        return 2\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "import math\nimport numpy as np\nfrom .a import Box\n\n"
+        "def caller(box):\n"
+        "    return Box.of(), box.size(), np.asarray(box).shape, math.inf\n\n"
+        "def sums(x):\n    return np.linalg.norm(x), caller(x)\n",
+        encoding="utf-8",
+    )
+    assert _unreached(tmp_path) == {
+        "Box.inf": "a.py",
+        "Box.norm": "a.py",
+        "Box.dpstrf": "a.py",
+        "sums": "b.py",
     }
 
 
