@@ -20,7 +20,7 @@ from .annihilation import LSParams, ProjectionPair, ls_bound, ls_bound_log10
 from .annihilation import ls_empirical_min_ratio, pair_norm
 from .bessel import Order, eval_j, zeros_of_j_prime
 from .errors import ConvergenceError, DomainError, InternalError, UsageError
-from .experiments import _fmt, ls_verify_rows, parse_config, run, selftest
+from .experiments import _fmt, _row, ls_verify_rows, parse_config, run, selftest
 from .measure import IntervalSet, density_profile_rows, load_interval_set
 from .paley_wiener import bernstein_sides, extremal_family, random_pw
 from .quadrature import _PANEL, mu_panels
@@ -157,7 +157,7 @@ def _cmd_pw_bernstein(args) -> int:
         pw = random_pw(order, args.b, 48, rng)
         lhs, rhs = bernstein_sides(pw, args.k)
         ratio = lhs / rhs if rhs > 0 else float("inf")
-        ok = ok and lhs <= rhs * (1 + 1e-6)
+        ok &= _row("bernstein", lhs, rhs, trial=t, k=args.k).passed
         print(f"{t},{_fmt(lhs)},{_fmt(rhs)},{_fmt(ratio)}")
     return 0 if ok else 1
 

@@ -21,6 +21,7 @@ zero table.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
 import time
@@ -177,6 +178,68 @@ def write_report(config: ExperimentConfig, rows: list[ReportRow]) -> str:
     return path
 
 
+# --------------------------------------------------------------------------
+# row checks: one comparison form per kind of inequality a row checks
+
+
+def _at_most(slack: float):
+    """value <= reference (1 + slack)."""
+    factor = 1 + slack
+    return lambda value, ref, **_: value <= ref * factor
+
+
+def _within(tol: float, floor: float = 1.0):
+    """|value - reference| <= tol max(floor, |reference|)."""
+    return lambda value, ref, **_: abs(value - ref) <= tol * max(floor, abs(ref))
+
+
+def _ordered(relation):
+    """value `relation` reference, with no slack."""
+    return lambda value, ref, **_: relation(value, ref)
+
+
+def _bernstein(value, ref, k, **_) -> bool:
+    """The derivative-norm inequality; at k = 0 both sides are ||f||, so
+    they must also agree."""
+    return _at_most(1e-6)(value, ref) and (k != 0 or _within(1e-9, 1e-300)(value, ref))
+
+
+# row kind -> check(value, reference, **ids) of its rows; the index of every
+# kind of row a recipe writes
+_CHECKS = {
+    "bernstein": _bernstein,
+    "isometry-defect": _at_most(0.0),
+    "roundtrip-error": _at_most(0.0),
+    # an absolute 1e-8: |reference| <= 1, since eval_j clips to [-1, 1]
+    "product-formula": _within(1e-8),
+    "symmetry": _within(1e-10),
+    "mass": _within(1e-8),
+    "contraction-p2": _at_most(1e-8),
+    "contraction-p1": _at_most(1e-8),
+    "intertwining": _at_most(0.0),
+    "zeros": _at_most(0.0),
+    "peak": _within(1e-6, floor=0.0),
+    "pair-norm": lambda value, ref, **_: 0.0 <= value <= ref,
+    "annihilation-constant": _ordered(operator.ge),
+    "strong-pair": _at_most(1e-9),
+    "gamma-min": lambda value, ref, **_: value >= ref > 0,
+    "ls-bound": _ordered(operator.ge),
+    "empirical-min-ratio": _ordered(operator.gt),
+    "constant": _at_most(1e-12),
+    "polynomial": _at_most(1e-12),
+    "bad-mass": _at_most(0.0),
+    "witnesses": _ordered(operator.eq),
+}
+
+
+def _row(kind: str, value, reference, **ids) -> ReportRow:
+    """The row of one check: params `quantity=<kind> key=value ...` in the
+    order of `ids`, passed as the kind's entry of _CHECKS judges it."""
+    params = " ".join([f"quantity={kind}"] + [f"{k}={v}" for k, v in ids.items()])
+    passed = bool(_CHECKS[kind](value, reference, **ids))
+    return ReportRow(params, value, reference, passed)
+
+
 def _map_trials(fn, n: int) -> list:
     return [row for i in range(n) for row in fn(i)]
 
@@ -201,10 +264,7 @@ def _recipe_bernstein(config: ExperimentConfig) -> list[ReportRow]:
         k = t % 6
         pw = random_pw(order, config.b, _BERNSTEIN_NODES, rng)
         lhs, rhs = bernstein_sides(pw, k)
-        ok = lhs <= rhs * (1 + 1e-6)
-        if k == 0:
-            ok = ok and abs(lhs - rhs) <= 1e-9 * max(rhs, 1e-300)
-        return [ReportRow(f"quantity=bernstein trial={t} k={k}", lhs, rhs, ok)]
+        return [_row("bernstein", lhs, rhs, trial=t, k=k)]
 
     return _map_trials(one, config.trials)
 
@@ -260,23 +320,14 @@ def _recipe_plancherel(config: ExperimentConfig) -> list[ReportRow]:
         cases = _plancherel_batch(order, config.b, rngs, grids)
         for t, (defect, roundtrip) in zip(trials, cases):
             rows += [
-                ReportRow(
-                    f"quantity=isometry-defect trial={t}",
-                    defect,
-                    1e-7,
-                    defect <= 1e-7,
-                ),
-                ReportRow(
-                    f"quantity=roundtrip-error trial={t}",
-                    roundtrip,
-                    1e-8,
-                    roundtrip <= 1e-8,
-                ),
+                _row("isometry-defect", defect, 1e-7, trial=t),
+                _row("roundtrip-error", roundtrip, 1e-8, trial=t),
             ]
     return rows
 
 
 _TRANSLATION_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 1.7)
+_TRANSLATION_NORMS = ("mass", "contraction-p2", "contraction-p1")
 
 
 def _bump_family(width: float, poly: np.ndarray):
@@ -314,34 +365,17 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     poly = rng.uniform(-1.0, 1.0, size=3)
     bumps = _bump_family(width, poly)
     f = lambda s: bumps(s)[0]
-    rows = []
 
     # the product formula's kernel and the symmetry reference share (x, y)
     prod, sym_ref = translate_batch(
         order, x, lambda s: np.stack([eval_j(order, lam * s), f(s)]), np.array([y])
     )[:, 0].tolist()
     prod_ref = float(eval_j(order, lam * x)) * float(eval_j(order, lam * y))
-    rows.append(
-        ReportRow(
-            f"quantity=product-formula trial={t} alpha={alpha}",
-            prod,
-            prod_ref,
-            abs(prod - prod_ref) <= 1e-8,
-        )
-    )
 
     # the swapped arguments on one 384-node pass: a rule that the reference's
     # doubling from 256 never uses, and cheap to build once per order
     # (roots_jacobi's time grows as ~n^2; 2048 nodes take ~30x as long)
     sym = float(translate_batch(order, y, f, [x], theta_nodes=384)[0])
-    rows.append(
-        ReportRow(
-            f"quantity=symmetry trial={t} alpha={alpha}",
-            sym,
-            sym_ref,
-            abs(sym - sym_ref) <= 1e-10 * max(1.0, abs(sym_ref)),
-        )
-    )
 
     # 32 nodes/unit: the bump's endpoint boundary layers defeat coarser panels
     big_x, big_w = mu_rule(order, IntervalSet.of([(0.0, width + x + 0.5)]), 32.0)
@@ -349,36 +383,10 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     shifted, shifted_pos = translate_batch(order, x, bumps, big_x)
     base_x, base_w = mu_rule(order, IntervalSet.of([(0.0, width)]), 32.0)
     base, base_pos = bumps(base_x)
-    mass = float(np.dot(big_w, shifted))
-    mass_ref = float(np.dot(base_w, base))
-    rows.append(
-        ReportRow(
-            f"quantity=mass trial={t} alpha={alpha}",
-            mass,
-            mass_ref,
-            abs(mass - mass_ref) <= 1e-8 * max(1.0, abs(mass_ref)),
-        )
-    )
-
-    lhs2 = math.sqrt(np.dot(big_w, shifted**2))
-    rhs2 = math.sqrt(np.dot(base_w, base**2))
-    rows.append(
-        ReportRow(
-            f"quantity=contraction-p2 trial={t} alpha={alpha}",
-            lhs2,
-            rhs2,
-            lhs2 <= rhs2 * (1 + 1e-8),
-        )
-    )
-    lhs1 = float(np.dot(big_w, np.abs(shifted_pos)))
-    rhs1 = float(np.dot(base_w, np.abs(base_pos)))
-    rows.append(
-        ReportRow(
-            f"quantity=contraction-p1 trial={t} alpha={alpha}",
-            lhs1,
-            rhs1,
-            lhs1 <= rhs1 * (1 + 1e-8),
-        )
+    # (mass of f, L2 norm of f, L1 norm of f_pos) after and before translation
+    after, before = (
+        (float(np.dot(w, g)), math.sqrt(np.dot(w, g**2)), float(np.dot(w, abs(g_pos))))
+        for w, g, g_pos in ((big_w, shifted, shifted_pos), (base_w, base, base_pos))
     )
 
     ys = np.linspace(0.05, 2.0, 24)
@@ -388,15 +396,14 @@ def _translation_case(config: ExperimentConfig, t: int) -> list[ReportRow]:
     )
     scale = float(np.max(np.abs(rhs_hat)))
     defect = float(np.max(np.abs(lhs_hat - rhs_hat))) / scale
-    rows.append(
-        ReportRow(
-            f"quantity=intertwining trial={t} alpha={alpha}",
-            defect,
-            1e-6,
-            defect <= 1e-6,
-        )
-    )
-    return rows
+
+    ids = {"trial": t, "alpha": alpha}
+    return [
+        _row("product-formula", prod, prod_ref, **ids),
+        _row("symmetry", sym, sym_ref, **ids),
+        *map(partial(_row, **ids), _TRANSLATION_NORMS, after, before),
+        _row("intertwining", defect, 1e-6, **ids),
+    ]
 
 
 def _recipe_translation(config: ExperimentConfig) -> list[ReportRow]:
@@ -416,18 +423,8 @@ def _recipe_extremal(config: ExperimentConfig) -> list[ReportRow]:
             float(extremal_family(order, n, table.s_prime(n))) if n >= 1 else 1.0
         )
         return [
-            ReportRow(
-                f"quantity=zeros n={n}",
-                worst,
-                1e-8 * peak_ref,
-                worst <= 1e-8 * peak_ref,
-            ),
-            ReportRow(
-                f"quantity=peak n={n}",
-                peak_at,
-                peak_ref,
-                abs(peak_at - peak_ref) <= 1e-6 * peak_ref,
-            ),
+            _row("zeros", worst, 1e-8 * peak_ref, n=n),
+            _row("peak", peak_at, peak_ref, n=n),
         ]
 
     # members 0..trials: n = 0 peaks at 0, and n >= 1 at the n-th zero s'_n
@@ -436,36 +433,22 @@ def _recipe_extremal(config: ExperimentConfig) -> list[ReportRow]:
 
 def _recipe_pair_norm(config: ExperimentConfig) -> list[ReportRow]:
     order = Order(config.alpha)
-    S = (
-        load_interval_set(config.s_file)
-        if config.s_file
-        else IntervalSet.of([(0.0, 1.0)])
-    )
-    Sigma = (
-        load_interval_set(config.sigma_file)
-        if config.sigma_file
-        else IntervalSet.of([(0.0, 1.0)])
+    S, Sigma = (
+        load_interval_set(path) if path else IntervalSet.of([(0.0, 1.0)])
+        for path in (config.s_file, config.sigma_file)
     )
     pair = ProjectionPair(order=order, S=S, Sigma=Sigma, x_max=max(1.0, S.sup()))
     norm = pair_norm(pair)
-    rows = [ReportRow("quantity=pair-norm", norm, 1.0, 0.0 <= norm <= 1.0)]
+    rows = [_row("pair-norm", norm, 1.0)]
     if norm < 1.0:
-        const = annihilation_constant(norm)
-        rows.append(
-            ReportRow("quantity=annihilation-constant", const, 1.0, const >= 1.0)
-        )
+        rows.append(_row("annihilation-constant", annihilation_constant(norm), 1.0))
         trial_rows = strong_pair_trials(
             order, S, Sigma, norm, config.trials, config.seed
         )
-        for t, (lhs, rhs) in enumerate(trial_rows):
-            rows.append(
-                ReportRow(
-                    f"quantity=strong-pair trial={t}",
-                    float(lhs),
-                    float(rhs),
-                    lhs <= rhs * (1 + 1e-9),
-                )
-            )
+        rows += [
+            _row("strong-pair", float(lhs), float(rhs), trial=t)
+            for t, (lhs, rhs) in enumerate(trial_rows)
+        ]
     return rows
 
 
@@ -485,36 +468,17 @@ def ls_verify_rows(
     # windows [x-a, x+a] are scanned over the covered span only: beyond
     # sup(omega) every window eventually misses the set and gamma -> 0
     gamma_min, argmin = density_profile(order, omega, a, omega.sup())
-    rows = [
-        ReportRow(
-            f"quantity=gamma-min argmin={_fmt(argmin)}",
-            gamma_min,
-            gamma_declared,
-            gamma_min >= gamma_declared > 0,
-        )
-    ]
+    rows = [_row("gamma-min", gamma_min, gamma_declared, argmin=_fmt(argmin))]
     gamma_used = min(gamma_min, gamma_declared) if gamma_declared > 0 else gamma_min
     params = LSParams(gamma=gamma_used, a=a, b=b, order=order)
     bound = ls_bound(params)
-    rows.append(
-        ReportRow(
-            f"quantity=ls-bound log10={_fmt(ls_bound_log10(params))}",
-            bound,
-            0.0,
-            bound >= 0.0,
-        )
-    )
+    rows.append(_row("ls-bound", bound, 0.0, log10=_fmt(ls_bound_log10(params))))
     if x_max <= 0:
         x_max = 20.0 * max(1.0, 1.0 / b) + omega.sup()
     empirical = ls_empirical_min_ratio(order, b, omega, x_max)
     modes = len(mode_frequencies(order, b, x_max))
     rows.append(
-        ReportRow(
-            f"quantity=empirical-min-ratio xmax={_fmt(x_max)} modes={modes}",
-            empirical,
-            bound,
-            empirical > bound,
-        )
+        _row("empirical-min-ratio", empirical, bound, xmax=_fmt(x_max), modes=modes)
     )
     return rows
 
@@ -536,10 +500,8 @@ def _recipe_kovrijkine(config: ExperimentConfig) -> list[ReportRow]:
     def one(t: int) -> list[ReportRow]:
         rng = _trial_rng(config, t)
         if t == 0:
-            lhs, rhs = kovrijkine_check(
-                [2.5], (0.0, 1.0), IntervalSet.of([(0.0, 0.5)])
-            )
-            quantity = "constant"
+            lhs, rhs = kovrijkine_check([2.5], (0.0, 1.0), IntervalSet.of([(0.0, 0.5)]))
+            kind = "constant"
         else:
             deg = int(rng.integers(1, 6))
             coeffs = rng.uniform(-1.0, 1.0, size=deg + 1)
@@ -551,15 +513,8 @@ def _recipe_kovrijkine(config: ExperimentConfig) -> list[ReportRow]:
             lhs, rhs = kovrijkine_check(
                 coeffs, (lo, lo + length), IntervalSet.of([(j_lo, j_hi)])
             )
-            quantity = "polynomial"
-        return [
-            ReportRow(
-                f"quantity={quantity} trial={t}",
-                lhs,
-                rhs,
-                lhs <= rhs * (1 + 1e-12),
-            )
-        ]
+            kind = "polynomial"
+        return [_row(kind, lhs, rhs, trial=t)]
 
     return _map_trials(one, config.trials)
 
@@ -581,18 +536,8 @@ def _recipe_good_bad(config: ExperimentConfig) -> list[ReportRow]:
         witness = witness_point(pw, ab, goods, mass[~bad], left[:, ~bad], coeffs)
         found = int(np.count_nonzero(np.isfinite(witness)))
         return [
-            ReportRow(
-                f"quantity=bad-mass trial={t} ab={ab}",
-                frac,
-                1.0 / 3.0 + 0.01,
-                frac <= 1.0 / 3.0 + 0.01,
-            ),
-            ReportRow(
-                f"quantity=witnesses trial={t} ab={ab}",
-                float(found),
-                float(len(goods)),
-                found == len(goods),
-            ),
+            _row("bad-mass", frac, 1.0 / 3.0 + 0.01, trial=t, ab=ab),
+            _row("witnesses", float(found), float(len(goods)), trial=t, ab=ab),
         ]
 
     return _map_trials(one, config.trials)
