@@ -199,20 +199,18 @@ def _cmd_ls_empirical(args) -> int:
 
 
 def _cmd_ls_verify(args) -> int:
-    rows = ls_verify_rows(
-        Order(args.alpha),
-        load_interval_set(args.omega),
-        args.a,
-        args.b,
-        gamma_declared=args.gamma,
-        x_max=args.xmax,
-    )
+    omega = load_interval_set(args.omega)
+    order = Order(args.alpha)
+    rows = ls_verify_rows(order, omega, args.a, args.b, args.gamma, args.xmax)
     for r in rows:
         print(f"{r.params}: value={_fmt(r.value)} reference={_fmt(r.reference)}")
-    ordering = rows[-1]
-    verdict = "PASS" if ordering.passed else "FAIL"
-    print(f"{verdict}: empirical min ratio vs explicit bound")
-    return 0 if ordering.passed else 1
+    failed = [r for r in rows if not r.passed]
+    if failed:
+        first = failed[0].params
+        print(f"FAIL: {len(failed)} of {len(rows)} rows failed, first {first}")
+        return 1
+    print("PASS: empirical min ratio vs explicit bound")
+    return 0
 
 
 def _cmd_run(args) -> int:

@@ -3,6 +3,7 @@
 Config files are flat `key = value` text, each key set at most once, and
 only keys its recipe reads (`_RECIPE_TABLE`); recipes compose the
 numerical modules into reproducible checks and write one CSV per run.
+Every report row comes from `_row`, judged by its kind's `_CHECKS` entry.
 Every recipe runs its trials in order, in one thread.  Reports are
 deterministic given the seed: per-trial generators are spawned from
 (seed, trial index), so a trial's rows do not depend on the trial count.
@@ -222,7 +223,8 @@ _CHECKS = {
     "pair-norm": lambda value, ref, **_: 0.0 <= value <= ref,
     "annihilation-constant": _ordered(operator.ge),
     "strong-pair": _at_most(1e-9),
-    "gamma-min": lambda value, ref, **_: value >= ref > 0,
+    # an undeclared gamma (0) asks only that omega be relatively dense
+    "gamma-min": lambda value, ref, **_: value > 0 and value >= ref,
     "ls-bound": _ordered(operator.ge),
     "empirical-min-ratio": _ordered(operator.gt),
     "constant": _at_most(1e-12),
@@ -457,18 +459,23 @@ def ls_verify_rows(
     omega: IntervalSet,
     a: float,
     b: float,
-    gamma_declared: float = 0.0,
-    x_max: float = 0.0,
+    gamma_declared: float,
+    x_max: float,
 ) -> list[ReportRow]:
     """Certify density, evaluate the explicit bound, measure the empirical
     minimum concentration on every mode of PW_alpha(b) on [0, x_max], and
-    check the ordering empirical > bound."""
+    check the ordering empirical > bound.  gamma_declared = 0 declares no
+    gamma, and x_max <= 0 takes sup(omega) + 20 max(1, 1/b).  A set that is
+    not relatively dense (gamma_min = 0) gets its failed density row alone:
+    no bound applies."""
     if omega.is_empty():
         raise UsageError("ls verification requires a nonempty omega")
     # windows [x-a, x+a] are scanned over the covered span only: beyond
     # sup(omega) every window eventually misses the set and gamma -> 0
     gamma_min, argmin = density_profile(order, omega, a, omega.sup())
     rows = [_row("gamma-min", gamma_min, gamma_declared, argmin=_fmt(argmin))]
+    if gamma_min <= 0.0:
+        return rows
     gamma_used = min(gamma_min, gamma_declared) if gamma_declared > 0 else gamma_min
     params = LSParams(gamma=gamma_used, a=a, b=b, order=order)
     bound = ls_bound(params)
@@ -486,14 +493,9 @@ def ls_verify_rows(
 def _recipe_ls_verify(config: ExperimentConfig) -> list[ReportRow]:
     if not config.omega_file:
         raise UsageError("ls-verify requires omega_file")
-    return ls_verify_rows(
-        Order(config.alpha),
-        load_interval_set(config.omega_file),
-        config.a,
-        config.b,
-        gamma_declared=config.gamma,
-        x_max=config.xmax,
-    )
+    omega = load_interval_set(config.omega_file)
+    order, a, b = Order(config.alpha), config.a, config.b
+    return ls_verify_rows(order, omega, a, b, config.gamma, config.xmax)
 
 
 def _recipe_kovrijkine(config: ExperimentConfig) -> list[ReportRow]:

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import operator
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,11 +18,16 @@ from hconc.experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
     ReportRow,
+    _CHECKS,
     _RECIPE_TABLE,
     _SELFTEST_TABLE,
     _SHARED_KEYS,
+    _at_most,
     _bump_family,
+    _ordered,
+    _row,
     _selftest_label,
+    _within,
     parse_config,
     run,
     selftest,
@@ -235,6 +241,71 @@ def test_plancherel_rows_do_not_depend_on_the_batching(tmp_path, monkeypatch, al
         monkeypatch.setattr(experiments, "max_sets", lambda width: size)
         run(cfg)
         assert (tmp_path / "det.csv").read_bytes() == whole
+
+
+# --------------------------------------------------------------------------
+# row checks
+
+
+@pytest.mark.parametrize(
+    "check, bound, ref, beyond",
+    [
+        # at most the reference with a relative slack: at reference 1 the
+        # bound is the double nearest 1 + slack
+        (_at_most(0.0), 1e-7, 1e-7, np.inf),
+        (_at_most(1e-8), 1 + 1e-8, 1.0, np.inf),
+        # within tol max(floor, |reference|): on the floor, on both sides
+        (_within(1e-8), 1e-8, 0.0, np.inf),
+        (_within(1e-8), -1e-8, 0.0, -np.inf),
+        # and on |reference|, where the dyadic numbers make the bound exact
+        (_within(2.0**-20, floor=0.0), 4.0 + 2.0**-18, 4.0, np.inf),
+        (_within(2.0**-20, floor=0.0), -4.0 - 2.0**-18, -4.0, -np.inf),
+        # bare orderings
+        (_ordered(operator.ge), 1.0, 1.0, -np.inf),
+        (_ordered(operator.gt), np.nextafter(1.0, 2.0), 1.0, -np.inf),
+        (_ordered(operator.eq), 3.0, 3.0, np.inf),
+        (_ordered(operator.eq), 3.0, 3.0, -np.inf),
+    ],
+)
+def test_comparison_form_passes_its_bound_and_fails_past_it(check, bound, ref, beyond):
+    assert check(bound, ref)
+    assert not check(np.nextafter(bound, beyond), ref)
+
+
+def test_bespoke_checks_at_their_bounds():
+    pair_norm, gamma_min, bernstein = (
+        _CHECKS[kind] for kind in ("pair-norm", "gamma-min", "bernstein")
+    )
+    # a pair norm lies in [0, 1]
+    assert pair_norm(0.0, 1.0) and pair_norm(1.0, 1.0)
+    assert not pair_norm(np.nextafter(0.0, -1.0), 1.0)
+    assert not pair_norm(np.nextafter(1.0, 2.0), 1.0)
+    # gamma_min reaches the declared gamma; undeclared (0), it is positive
+    assert gamma_min(0.25, 0.25) and not gamma_min(np.nextafter(0.25, 0.0), 0.25)
+    assert gamma_min(np.nextafter(0.0, 1.0), 0.0) and not gamma_min(0.0, 0.0)
+    # at k = 0 both Bernstein sides are ||f||: they must agree to 1e-9 of
+    # max(rhs, 1e-300), on top of lhs <= rhs (1 + 1e-6)
+    tiny = 1e-9 * 1e-300
+    assert bernstein(-tiny, 0.0, k=0)
+    assert not bernstein(np.nextafter(-tiny, -1.0), 0.0, k=0)
+    assert bernstein(np.nextafter(-tiny, -1.0), 0.0, k=1)
+    assert bernstein(1 + 1e-6, 1.0, k=1)
+    assert not bernstein(np.nextafter(1 + 1e-6, 2.0), 1.0, k=1)
+
+
+def test_row_writes_kind_and_ids_in_order_and_judges_by_its_kind():
+    assert _row("peak", 1.0, 1.0, n=3) == ReportRow("quantity=peak n=3", 1.0, 1.0, True)
+    row = _row("bad-mass", 0.5, 1.0 / 3.0 + 0.01, trial=2, ab=0.1)
+    assert row.params == "quantity=bad-mass trial=2 ab=0.1"
+    assert row.passed is False
+    assert _row("pair-norm", 0.5, 1.0).params == "quantity=pair-norm"
+
+
+def test_cli_pw_bernstein_judges_by_the_recipe_check(capsys, monkeypatch):
+    argv = ["pw", "bernstein", "--alpha", "0", "--b", "1", "--k", "2", "--trials", "2"]
+    assert cli.main(argv) == 0
+    monkeypatch.setitem(_CHECKS, "bernstein", lambda value, ref, **ids: False)
+    assert cli.main(argv) == 1
 
 
 # --------------------------------------------------------------------------
@@ -1010,6 +1081,62 @@ def test_cli_ls_verify_reports_ordering(tmp_path, capsys):
     assert "quantity=gamma-min" in out
     assert "quantity=ls-bound" in out
     assert out.splitlines()[-1] == "PASS: empirical min ratio vs explicit bound"
+
+
+def _ls_verify_argv(omega, *flags):
+    return ["ls", "verify", "--alpha", "0", "--a", "1", "--b", "1", "--omega", omega, *flags]
+
+
+def test_cli_ls_verify_fails_on_a_failed_density_row(tmp_path, capsys):
+    # gamma 1/2 is more than the periodic set's 1/4: the density row fails,
+    # though the ordering row passes, and ls verify fails as run does
+    omega = str(CONFIGS / "omega-periodic.set")
+    assert cli.main(_ls_verify_argv(omega, "--gamma", "0.5", "--xmax", "60")) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "quantity=gamma-min argmin=1: value=0.25 reference=0.5"
+    assert lines[-1] == "FAIL: 1 of 3 rows failed, first quantity=gamma-min argmin=1"
+    cfg = _write(
+        tmp_path / "dense.cfg",
+        f"name = dense\nrecipe = ls-verify\ngamma = 0.5\nomega_file = {omega}\n"
+        "xmax = 60\noutput_dir = .\n",
+    )
+    assert cli.main(["run", "--config", cfg]) == 1
+    assert "dense: 2 of 3 rows passed" in capsys.readouterr().out
+
+
+def test_cli_run_without_gamma_asks_only_for_relative_density(tmp_path, capsys):
+    # the shipped periodic config without its gamma: gamma_min = 1/4 > 0
+    omega = str(CONFIGS / "omega-periodic.set")
+    cfg = _write(
+        tmp_path / "undeclared.cfg",
+        f"name = undeclared\nrecipe = ls-verify\nomega_file = {omega}\n"
+        "xmax = 60\noutput_dir = .\n",
+    )
+    assert cli.main(["run", "--config", cfg]) == 0
+    assert "undeclared: 3 of 3 rows passed" in capsys.readouterr().out
+    lines = (tmp_path / "undeclared.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[2] == "undeclared,quantity=gamma-min argmin=1,0.25,0,true"
+
+
+def test_cli_reports_a_set_that_is_not_relatively_dense(tmp_path, capsys):
+    # every window [x - 1, x + 1] with 2 <= x <= 4 misses [0, 1] u [5, 6]:
+    # gamma_min = 0, no bound applies, and the density row is the report
+    gap = _write(tmp_path / "gap.set", "0 1\n5 6\n")
+    assert cli.main(_ls_verify_argv(gap)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "quantity=gamma-min argmin=2: value=0 reference=0",
+        "FAIL: 1 of 1 rows failed, first quantity=gamma-min argmin=2",
+    ]
+    cfg = _write(
+        tmp_path / "gap.cfg",
+        "name = gap\nrecipe = ls-verify\nomega_file = gap.set\noutput_dir = .\n",
+    )
+    assert cli.main(["run", "--config", cfg]) == 1
+    lines = (tmp_path / "gap.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == [
+        "experiment,params,value,reference,passed",
+        "gap,quantity=gamma-min argmin=2,0,0,false",
+    ]
 
 
 def test_cli_run_executes_config_and_writes_report(tmp_path, capsys):

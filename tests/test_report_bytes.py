@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hconc.experiments import ExperimentConfig, parse_config, run
+from hconc.experiments import _CHECKS, ExperimentConfig, parse_config, run
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -61,6 +61,16 @@ def test_every_recipe_and_shipped_config_has_a_golden():
 @pytest.mark.parametrize("name", sorted(_RUNS) + _SHIPPED)
 def test_report_body_matches_its_golden(tmp_path, name):
     assert _body(name, str(tmp_path)) == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_the_goldens_write_every_kind_of_check_and_no_other():
+    # params start with quantity=<kind>; no params text holds a comma
+    kinds = {
+        line.split(",")[1].split()[0].removeprefix("quantity=")
+        for path in GOLDEN.glob("*.csv")
+        for line in path.read_text(encoding="utf-8").splitlines()[1:]
+    }
+    assert kinds == set(_CHECKS)
 
 
 if __name__ == "__main__":
