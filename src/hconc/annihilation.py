@@ -4,20 +4,21 @@ energy-concentration bound with its empirical verification.
 Three numerical engines live here:
 
 * pair_norm: the operator norm of (bandpass to Sigma) composed with
-  (restrict to S).  One side of the pair, the one whose quadrature rule has
-  fewer nodes (n of them), is discretized on measure-weighted quadrature
-  coordinates; the integral over the other set is exact, by Lommel's closed
-  form for the integral of a product of two kernels, so the n x n Gram on
-  the quadrature side comes from two kernel evaluations (orders alpha and
-  alpha + 1) per node and set endpoint, an endpoint at 0 left out since
-  its weight is 0, and one matrix product, in one n x n array.  Its
-  numerical rank r is small (about |S| |Sigma| plus a log term), so
-  LAPACK's pivoted Cholesky factors it in place to rank r in O(n^2 r)
-  flops, and the top eigenvalue is that of the r x r core of the factor,
-  against O(n^3) for a full eigensolver; node doubling repeats this until
-  the norm is stable.  Every call runs the first two passes (scales 1 and
-  2), so their rules come from one call and their kernel values from one
-  call per order, which halves the fixed cost of those calls.
+  (restrict to S), for plain interval sets S and Sigma, whose rules are
+  sized from sup S and sup Sigma.  One side of the pair, the one whose
+  quadrature rule has fewer nodes (n of them), is discretized on
+  measure-weighted quadrature coordinates; the integral over the other set
+  is exact, by Lommel's closed form for the integral of a product of two
+  kernels, so the n x n Gram on the quadrature side comes from two kernel
+  evaluations (orders alpha and alpha + 1) per node and set endpoint, an
+  endpoint at 0 left out since its weight is 0, and one matrix product, in
+  one n x n array.  Its numerical rank r is small (about |S| |Sigma| plus a
+  log term), so LAPACK's pivoted Cholesky factors it in place to rank r in
+  O(n^2 r) flops, and the top eigenvalue is that of the r x r core of the
+  factor, against O(n^3) for a full eigensolver; node doubling repeats this
+  until the norm is stable.  Every call runs the first two passes (scales
+  1 and 2), so their rules come from one call and their kernel values from
+  one call per order, which halves the fixed cost of those calls.
 
 * ls_empirical_min_ratio: the minimum of ||f||^2_Omega / ||f||^2 over a
   discretized bandlimited space.  The discretization expands in the
@@ -76,42 +77,27 @@ _FACTOR_ENTRIES = 2**24
 # pair norms
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
-    """A spatial set S, a spectral set Sigma, and the window [0, x_max]
-    that holds S.  The quadrature rules are sized by `_pair_per_unit`."""
-
-    order: Order
-    S: IntervalSet
-    Sigma: IntervalSet
-    x_max: float
-
-    def __post_init__(self):
-        if self.S.sup() > self.x_max * (1 + 1e-12):
-            raise DomainError("S must be contained in [0, x_max]")
-
-
-def _pair_per_unit(pair: ProjectionPair, scale: int = 1):
+def _pair_per_unit(S: IntervalSet, Sigma: IntervalSet, scale: int = 1):
     """Nodes per unit of the spectral rule on Sigma and of the spatial rule
     on S.  Each side takes `scale` times max(_PAIR_PER_UNIT, its resolution
     floor), so doubling the scale doubles the rule that is used, also where
     the floor rules."""
     # the spectral side must resolve oscillation in xi at rate ~ sup(S), and
     # the spatial side oscillation in x at rate ~ sup(Sigma)
-    per_unit_xi = scale * max(_PAIR_PER_UNIT, math.ceil(4.0 * pair.S.sup()) + 32)
-    per_unit_x = scale * max(_PAIR_PER_UNIT, math.ceil(4.0 * pair.Sigma.sup()) + 32)
+    per_unit_xi = scale * max(_PAIR_PER_UNIT, math.ceil(4.0 * S.sup()) + 32)
+    per_unit_x = scale * max(_PAIR_PER_UNIT, math.ceil(4.0 * Sigma.sup()) + 32)
     return per_unit_xi, per_unit_x
 
 
-def _pair_side(pair: ProjectionPair, scale: int = 1):
+def _pair_side(S: IntervalSet, Sigma: IntervalSet, scale: int = 1):
     """(near, nodes per unit, far): the set of the side whose rule is
     shorter (Sigma on a tie), the nodes per unit of that rule, and the other
     side's set, over which `_lommel_grams` integrates in closed form.  The
     other side's rule is only sized, by `set_rule_size`."""
-    per_unit_xi, per_unit_x = _pair_per_unit(pair, scale)
-    if set_rule_size(pair.Sigma, per_unit_xi) <= set_rule_size(pair.S, per_unit_x):
-        return pair.Sigma, per_unit_xi, pair.S
-    return pair.S, per_unit_x, pair.Sigma
+    per_unit_xi, per_unit_x = _pair_per_unit(S, Sigma, scale)
+    if set_rule_size(Sigma, per_unit_xi) <= set_rule_size(S, per_unit_x):
+        return Sigma, per_unit_xi, S
+    return S, per_unit_x, Sigma
 
 
 def _lommel_grams(order: Order, parts):
@@ -175,7 +161,7 @@ def _lommel_grams(order: Order, parts):
         del gram  # the caller is done with it: free it before the next
 
 
-def _pass_grams(pair: ProjectionPair, scales):
+def _pass_grams(order: Order, S: IntervalSet, Sigma: IntervalSet, scales):
     """The Grams of the pair factor at each scale of `scales`, one at a
     time: each on the pass's shorter side (A A^T when Sigma has fewer
     nodes, else A^T A) and its mu_alpha rule (Gauss-Jacobi next to 0, so
@@ -184,19 +170,19 @@ def _pass_grams(pair: ProjectionPair, scales):
     replaced by the exact integral over its set (`_lommel_grams`), so that
     the factor is never formed.  The rules of all scales come from one
     `mu_rules` call."""
-    sides = [_pair_side(pair, scale) for scale in scales]
-    rules = mu_rules(pair.order, [(near, per_unit) for near, per_unit, _ in sides])
+    sides = [_pair_side(S, Sigma, scale) for scale in scales]
+    rules = mu_rules(order, [(near, per_unit) for near, per_unit, _ in sides])
     parts = [(far, t, np.sqrt(w)) for (t, w), (_, _, far) in zip(rules, sides)]
-    return _lommel_grams(pair.order, parts)
+    return _lommel_grams(order, parts)
 
 
-def _pair_grams(pair: ProjectionPair):
+def _pair_grams(order: Order, S: IntervalSet, Sigma: IntervalSet):
     """The Grams of pair_norm's passes at scale 1, 2, 4, ...,
     2^_MAX_DOUBLINGS.  Every pair_norm call runs the first two, so they
     share their rule call and their kernel calls."""
-    yield from _pass_grams(pair, (1, 2))
+    yield from _pass_grams(order, S, Sigma, (1, 2))
     for doubling in range(2, _MAX_DOUBLINGS + 1):
-        yield from _pass_grams(pair, (2**doubling,))
+        yield from _pass_grams(order, S, Sigma, (2**doubling,))
 
 
 def _sigma_max(gram: np.ndarray) -> float:
@@ -228,13 +214,14 @@ def _sigma_max(gram: np.ndarray) -> float:
     return math.sqrt(max(float(lam[-1]), 0.0))
 
 
-def pair_norm(pair: ProjectionPair) -> float:
+def pair_norm(order: Order, S: IntervalSet, Sigma: IntervalSet) -> float:
     """Operator norm ||F_Sigma E_S||: top singular value of the pair factor,
-    refined by node doubling until 1e-6 stable, clipped to 1."""
-    if pair.S.is_empty() or pair.Sigma.is_empty():
+    refined by node doubling until 1e-6 stable, clipped to 1.  The rules are
+    sized from sup S and sup Sigma (`_pair_per_unit`)."""
+    if S.is_empty() or Sigma.is_empty():
         return 0.0
     # map drops each Gram once its norm is taken, before the next is built
-    norms = map(_sigma_max, _pair_grams(pair))
+    norms = map(_sigma_max, _pair_grams(order, S, Sigma))
     prev = next(norms)
     for cur in norms:
         if abs(cur - prev) <= _STABILITY_TOL:
@@ -260,29 +247,25 @@ def strong_pair_trials(
     order: Order,
     S: IntervalSet,
     Sigma: IntervalSet,
-    norm: float,
+    const: float,
     trials: int,
     seed: int,
 ) -> np.ndarray:
     """Monte-Carlo margins for the split-energy inequality
-    ||f||^2 <= (1-norm)^-2 (||f||^2 on S-complement + spectral mass outside
-    Sigma), over random functions in a wide-band discretization; `norm` is
-    pair_norm of the pair (S, Sigma).
+    ||f||^2 <= const (||f||^2 on S-complement + spectral mass outside
+    Sigma), over random functions in a wide-band discretization; `const` is
+    the annihilation constant of the pair (S, Sigma).
 
     Returns an array of rows (lhs, rhs); the inequality asks lhs <= rhs.
     """
     big = _TRIAL_BAND * Sigma.sup()
     # spectral nodes resolve the oscillation in xi at rate ~ sup(S)
     per_unit_xi = math.ceil(4.0 * S.sup()) + 16
-    xi_in, u_in = mu_rule(order, Sigma.intersect_window(0.0, big), per_unit_xi)
-    xi_out, u_out = mu_rule(order, Sigma.complement_within(0.0, big), per_unit_xi)
-    xi = np.concatenate([xi_in, xi_out])
-    u = np.concatenate([u_in, u_out])
-    sigma_mask = np.arange(len(xi)) < len(xi_in)
-    # z^T gram z is the mass on S of the function with weighted spectral
-    # coordinates z
+    parts = (Sigma.intersect_window(0.0, big), Sigma.complement_within(0.0, big))
+    (xi_in, u_in), (xi_out, u_out) = mu_rules(order, [(p, per_unit_xi) for p in parts])
+    xi, u = np.concatenate([xi_in, xi_out]), np.concatenate([u_in, u_out])
+    # z^T gram z is the mass on S of the function of weighted spectral coordinates z
     [gram] = _lommel_grams(order, [(S, xi, np.sqrt(u))])
-    const = annihilation_constant(norm)
 
     rng = np.random.default_rng(seed)
     rows = np.empty((trials, 2))
@@ -290,10 +273,8 @@ def strong_pair_trials(
         z = rng.uniform(-1.0, 1.0, size=len(xi))
         total = float(z @ z)
         mass_s = float(z @ gram @ z)
-        spec_out = float(z[~sigma_mask] @ z[~sigma_mask])
-        lhs = total
-        rhs = const * (max(total - mass_s, 0.0) + spec_out)
-        rows[t] = (lhs, rhs)
+        spec_out = float(z[len(xi_in) :] @ z[len(xi_in) :])
+        rows[t] = (total, const * (max(total - mass_s, 0.0) + spec_out))
     return rows
 
 

@@ -144,10 +144,6 @@ def _normalized_jv(a: float, x: np.ndarray) -> np.ndarray:
     e^600, and in log space elsewhere; past the cutoff it never exceeds
     e^600."""
     log_front = a * math.log(2.0) + math.lgamma(a + 1.0)
-    if log_front < _LOG_HUGE and a * math.log(np.max(x)) < _LOG_HUGE:
-        # every normaliser fits: one expression over the whole array, with
-        # no masks or named temporaries on the large kernel blocks
-        return 2.0**a * math.gamma(a + 1.0) * special.jv(a, x) / x**a
     jv = special.jv(a, x)
     far = (a * np.log(x) >= _LOG_HUGE) | (log_front >= _LOG_HUGE)
     out = np.empty_like(x)

@@ -34,7 +34,6 @@ import numpy as np
 from . import __version__
 from .annihilation import (
     LSParams,
-    ProjectionPair,
     annihilation_constant,
     good_bad_partition,
     kovrijkine_check,
@@ -242,6 +241,13 @@ def _row(kind: str, value, reference, **ids) -> ReportRow:
     return ReportRow(params, value, reference, passed)
 
 
+def failure_line(rows: list[ReportRow]) -> str:
+    """`n of m rows failed, first <params>`, or "" when every row passed."""
+    failed = [r.params for r in rows if not r.passed]
+    count = f"{len(failed)} of {len(rows)} rows failed"
+    return f"{count}, first {failed[0]}" if failed else ""
+
+
 def _map_trials(fn, n: int) -> list:
     return [row for i in range(n) for row in fn(i)]
 
@@ -415,18 +421,16 @@ def _recipe_translation(config: ExperimentConfig) -> list[ReportRow]:
 def _recipe_extremal(config: ExperimentConfig) -> list[ReportRow]:
     order = Order(config.alpha)
     table = cached_zero_table(order.alpha, config.trials + 8)
+    # member n peaks at nodes[n] and vanishes at every other zero
+    nodes = np.r_[0.0, table.zeros[: config.trials]]
 
     def one(n: int) -> list[ReportRow]:
         peak_ref = extremal_peak(order, n)
-        others = [table.s_prime(k) for k in range(1, config.trials + 1) if k != n]
-        vals = extremal_family(order, n, np.array(others)) if others else np.array([])
-        worst = float(np.max(np.abs(vals))) if len(vals) else 0.0
-        peak_at = (
-            float(extremal_family(order, n, table.s_prime(n))) if n >= 1 else 1.0
-        )
+        vals = extremal_family(order, n, nodes)
+        worst = float(np.max(np.abs(np.delete(vals, [0, n])), initial=0.0))
         return [
             _row("zeros", worst, 1e-8 * peak_ref, n=n),
-            _row("peak", peak_at, peak_ref, n=n),
+            _row("peak", float(vals[n]), peak_ref, n=n),
         ]
 
     # members 0..trials: n = 0 peaks at 0, and n >= 1 at the n-th zero s'_n
@@ -439,17 +443,15 @@ def _recipe_pair_norm(config: ExperimentConfig) -> list[ReportRow]:
         load_interval_set(path) if path else IntervalSet.of([(0.0, 1.0)])
         for path in (config.s_file, config.sigma_file)
     )
-    pair = ProjectionPair(order=order, S=S, Sigma=Sigma, x_max=max(1.0, S.sup()))
-    norm = pair_norm(pair)
+    norm = pair_norm(order, S, Sigma)
     rows = [_row("pair-norm", norm, 1.0)]
     if norm < 1.0:
-        rows.append(_row("annihilation-constant", annihilation_constant(norm), 1.0))
-        trial_rows = strong_pair_trials(
-            order, S, Sigma, norm, config.trials, config.seed
-        )
+        const = annihilation_constant(norm)
+        rows.append(_row("annihilation-constant", const, 1.0))
+        sides = strong_pair_trials(order, S, Sigma, const, config.trials, config.seed)
         rows += [
             _row("strong-pair", float(lhs), float(rhs), trial=t)
-            for t, (lhs, rhs) in enumerate(trial_rows)
+            for t, (lhs, rhs) in enumerate(sides)
         ]
     return rows
 
@@ -611,12 +613,9 @@ def _check_recipe(recipe: str, trials: int, keys: dict):
         cfg = ExperimentConfig(
             f"selftest-{recipe}", recipe=recipe, trials=trials, output_dir=tmp, **keys
         )
-        rows = run(cfg)
-    failed = [r for r in rows if not r.passed]
-    if failed:
-        raise InternalError(
-            f"{len(failed)} of {len(rows)} rows failed, first {failed[0].params}"
-        )
+        failure = failure_line(run(cfg))
+    if failure:
+        raise InternalError(failure)
 
 
 def selftest() -> int:

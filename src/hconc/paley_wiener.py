@@ -58,11 +58,6 @@ class PWFunction:
         return mu_fold(self.order.shifted(shift), self.nodes, self.weights)
 
 
-def plancherel_norm(pw: PWFunction) -> float:
-    """L2 norm from the spectral side (the transform is an isometry)."""
-    return float(np.sqrt(np.dot(pw.mu_hat_weights(), pw.coeffs**2)))
-
-
 def synthesize(pws: Sequence[PWFunction], x) -> np.ndarray:
     """f(x) = integral of the spectrum against j_alpha(2 pi x xi) d mu_alpha,
     one row per member of `pws`.  The members share one order and spectral
@@ -105,7 +100,8 @@ def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
 def dk_norm(pw: PWFunction, k: int) -> float:
     """L2 norm of D^k f in the order-(alpha+k) measure, via the exact
     spectral identity ||D^k f|| = pi^k * (spectral norm of the coefficients
-    in mu_{alpha+k}).  No physical-domain truncation enters."""
+    in mu_{alpha+k}); at k = 0 it is Plancherel's ||f||.  No physical-domain
+    truncation enters."""
     if not (0 <= k <= _MAX_DK):
         raise DomainError(f"derivative order k must be in [0, {_MAX_DK}]")
     return math.pi**k * float(
@@ -123,7 +119,7 @@ def bernstein_sides(pw: PWFunction, k: int) -> tuple[float, float]:
     else:
         # Gamma overflows a double past 171; the quotient does not
         factor = math.exp(0.5 * (math.lgamma(a + 1.0) - math.lgamma(a + k + 1.0)))
-    rhs = factor * (math.pi**1.5 * pw.bandlimit) ** k * plancherel_norm(pw)
+    rhs = factor * (math.pi**1.5 * pw.bandlimit) ** k * dk_norm(pw, 0)
     return lhs, rhs
 
 
@@ -161,7 +157,7 @@ def random_pw(
     else:
         raise DomainError(f"unknown random family {kind!r}")
     pw = PWFunction(order, b, nodes, weights, c)
-    nrm = plancherel_norm(pw)
+    nrm = dk_norm(pw, 0)
     if nrm == 0.0:
         raise DomainError("degenerate random draw")
     return PWFunction(order, b, nodes, weights, c / nrm)

@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from hconc.annihilation import (
-    ProjectionPair,
-    _concentration_factor,
-    _pair_per_unit,
-    _pair_side,
-)
+from hconc.annihilation import _concentration_factor, _pair_per_unit, _pair_side
 from hconc.bessel import (
     _HANKEL_TERMS,
     _HANKEL_TOL,
@@ -176,56 +171,62 @@ def pair_block(order: Order, rows, s_rows, cols, s_cols) -> np.ndarray:
     return blk * s_rows[:, None] * s_cols[None, :]
 
 
-def pair_rules(pair: ProjectionPair, scale: int = 1):
+def pair_rules(order: Order, S: IntervalSet, Sigma: IntervalSet, scale: int = 1):
     """Spectral nodes xi on Sigma and spatial nodes x on S, each with the
     square root of its mu_alpha quadrature weight: both rules of a pass of
     `annihilation.pair_norm`, of which `_pass_grams` builds the shorter."""
-    per_unit_xi, per_unit_x = _pair_per_unit(pair, scale)
-    xi, u = mu_rule(pair.order, pair.Sigma, per_unit_xi)
-    x, v = mu_rule(pair.order, pair.S, per_unit_x)
+    per_unit_xi, per_unit_x = _pair_per_unit(S, Sigma, scale)
+    xi, u = mu_rule(order, Sigma, per_unit_xi)
+    x, v = mu_rule(order, S, per_unit_x)
     return xi, np.sqrt(u), x, np.sqrt(v)
 
 
-def pair_nodes(pair: ProjectionPair, scale: int = 1):
+def pair_nodes(order: Order, S: IntervalSet, Sigma: IntervalSet, scale: int = 1):
     """Nodes of the shorter side of a pass of `annihilation.pair_norm`
     (`_pair_side`), each with the square root of its mu_alpha quadrature
     weight, and the other side's set, from that pass's own `mu_rule`."""
-    near, per_unit, far = _pair_side(pair, scale)
-    t, w = mu_rule(pair.order, near, per_unit)
+    near, per_unit, far = _pair_side(S, Sigma, scale)
+    t, w = mu_rule(order, near, per_unit)
     return t, np.sqrt(w), far
 
 
-def pair_gram(pair: ProjectionPair, scale: int = 1) -> np.ndarray:
+def pair_gram(
+    order: Order, S: IntervalSet, Sigma: IntervalSet, scale: int = 1
+) -> np.ndarray:
     """The Gram of one pass of `annihilation.pair_norm` on its own rule and
     kernel calls, with every end of the other side's set
     (`lommel_gram_all_ends`).  The reference for `annihilation._pass_grams`,
     which shares both among the passes it builds, leaves ends at 0 out of
     its kernel calls, and must give the same bits."""
-    t, s, far = pair_nodes(pair, scale)
-    return lommel_gram_all_ends(pair.order, far, t, s)
+    t, s, far = pair_nodes(order, S, Sigma, scale)
+    return lommel_gram_all_ends(order, far, t, s)
 
 
-def _pair_factor(pair: ProjectionPair, scale: int = 1) -> np.ndarray:
+def _pair_factor(
+    order: Order, S: IntervalSet, Sigma: IntervalSet, scale: int = 1
+) -> np.ndarray:
     """Factor A with A^T A = the compression of the Sigma-bandpass to S.
 
     A[k, p] = sqrt(u_k) j_alpha(2 pi x_p xi_k) sqrt(v_p) over mu_alpha
     quadrature weights u (spectral, on Sigma) and v (spatial, on S), held
     whole.  The dense reference for `pair_norm`."""
-    return pair_block(pair.order, *pair_rules(pair, scale))
+    return pair_block(order, *pair_rules(order, S, Sigma, scale))
 
 
-def _short_side_gram(pair: ProjectionPair, far_scale: int) -> np.ndarray:
+def _short_side_gram(
+    order: Order, S: IntervalSet, Sigma: IntervalSet, far_scale: int
+) -> np.ndarray:
     """Gram of the pair factor on its shorter side on the first pass (the
     side `annihilation._pass_grams` keeps), with the sum along the other
     side taken on that side's quadrature rule at `far_scale`.  The dense
     reference for `_pass_grams`, which integrates the other side in closed
     form."""
-    xi, su, x, sv = pair_rules(pair)
-    fine_xi, fine_su, fine_x, fine_sv = pair_rules(pair, far_scale)
+    xi, su, x, sv = pair_rules(order, S, Sigma)
+    fine_xi, fine_su, fine_x, fine_sv = pair_rules(order, S, Sigma, far_scale)
     if len(xi) <= len(x):
-        A = pair_block(pair.order, fine_x, fine_sv, xi, su)
+        A = pair_block(order, fine_x, fine_sv, xi, su)
     else:
-        A = pair_block(pair.order, fine_xi, fine_su, x, sv)
+        A = pair_block(order, fine_xi, fine_su, x, sv)
     return A.T @ A
 
 
@@ -258,7 +259,7 @@ def lommel_gram_all_ends(
 
 
 def strong_pair_rows_dense(
-    order: Order, S: IntervalSet, Sigma: IntervalSet, norm: float, trials, seed
+    order: Order, S: IntervalSet, Sigma: IntervalSet, const: float, trials, seed
 ) -> np.ndarray:
     """Rows (lhs, rhs) of `annihilation.strong_pair_trials`, with each
     draw's mass on S taken as |z^T A|^2 from the dense pair factor A against
@@ -279,7 +280,7 @@ def strong_pair_rows_dense(
         total = float(z @ z)
         mass = float(np.sum((z @ factor) ** 2))
         outside = float(z[len(xi_in) :] @ z[len(xi_in) :])
-        rows[t] = (total, (1.0 - norm) ** -2 * (max(total - mass, 0.0) + outside))
+        rows[t] = (total, const * (max(total - mass, 0.0) + outside))
     return rows
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hconc.annihilation import LSParams, ProjectionPair, ls_bound, pair_norm
+from hconc.annihilation import LSParams, annihilation_constant, ls_bound, pair_norm
 from hconc.annihilation import _pass_grams, _sigma_max, strong_pair_trials
 from hconc.bessel import Order, cached_zero_table, eval_j
 from hconc.experiments import ExperimentConfig, parse_config, run
@@ -22,8 +22,8 @@ from hconc.measure import IntervalSet
 from hconc.paley_wiener import (
     PWFunction,
     extremal_family,
+    dk_norm,
     extremal_peak,
-    plancherel_norm,
     theta_constant,
 )
 from hconc.quadrature import build_rule
@@ -227,7 +227,7 @@ def test_criterion_06_extremal_family(tmp_path):
                 weights=spec_weights,
                 coeffs=theta * eval_j(order, 2.0 * math.pi * s_n * spec_nodes),
             )
-            norm_sq = plancherel_norm(pw) ** 2
+            norm_sq = dk_norm(pw, 0) ** 2
             worst_norm = max(worst_norm, abs(norm_sq / theta - peak_ref) / peak_ref)
         zero_rows = [r for r in rows if "quantity=zeros" in r.params]
         worst_zero = max(
@@ -330,20 +330,17 @@ def test_criterion_10_annihilation_operators():
         unit,
         IntervalSet.of([(0.0, 1.0), (1.5, 2.0)]),
     )
-    norms = [
-        pair_norm(ProjectionPair(order=order, S=S, Sigma=unit, x_max=2.0))
-        for S in nested
-    ]
+    norms = [pair_norm(order, S, unit) for S in nested]
     ok = all(0.0 <= v <= 1.0 for v in norms)
     # growing the spatial set can only increase the compression norm
     ok = ok and norms[0] <= norms[1] + 5e-6 and norms[1] <= norms[2] + 5e-6
-    unit_pair = ProjectionPair(order=order, S=unit, Sigma=unit, x_max=1.0)
-    coarse = pair_norm(unit_pair)
+    coarse = pair_norm(order, unit, unit)
     # pair_norm stops at its second pass (scale 2) here; one pass on twice
     # that rule
-    fine = _sigma_max(next(_pass_grams(unit_pair, (4,))))
+    fine = _sigma_max(next(_pass_grams(order, unit, unit, (4,))))
     ok = ok and coarse < 1.0 and fine < 1.0 and abs(fine - coarse) <= 1e-5
-    trials = strong_pair_trials(order, unit, unit, coarse, 1000, 20260814)
+    const = annihilation_constant(coarse)
+    trials = strong_pair_trials(order, unit, unit, const, 1000, 20260814)
     holds = np.all(trials[:, 0] <= trials[:, 1] * (1.0 + 1e-9))
     ok = ok and bool(holds) and trials.shape == (1000, 2)
     _finish(

@@ -10,7 +10,6 @@ from scipy import linalg
 from hconc import annihilation
 from hconc.annihilation import (
     LSParams,
-    ProjectionPair,
     _piece_integrals,
     _sigma_max,
     annihilation_constant,
@@ -101,81 +100,59 @@ def test_lambda_min_matches_dense_eigh():
     assert conc.eigs == pytest.approx(lam, rel=1e-8)
 
 
-def _unit_pair(alpha=0.0):
-    return ProjectionPair(
-        order=Order(alpha),
-        S=IntervalSet.of([(0.0, 1.0)]),
-        Sigma=IntervalSet.of([(0.0, 1.0)]),
-        x_max=1.0,
-    )
-
-
 def test_pair_norm_frozen_unit_case():
-    assert pair_norm(_unit_pair()) == pytest.approx(_FROZEN_UNIT_NORM, abs=1e-5)
+    unit = IntervalSet.of([(0.0, 1.0)])
+    assert pair_norm(Order(0.0), unit, unit) == pytest.approx(
+        _FROZEN_UNIT_NORM, abs=1e-5
+    )
 
 
 def test_pair_norm_agrees_with_dense_svd_of_factor():
-    pair = ProjectionPair(
-        order=Order(0.5),
-        S=IntervalSet.of([(0.0, 1.0), (1.5, 2.0)]),
-        Sigma=IntervalSet.of([(0.0, 1.3)]),
-        x_max=2.0,
+    pair = (
+        Order(0.5),
+        IntervalSet.of([(0.0, 1.0), (1.5, 2.0)]),
+        IntervalSet.of([(0.0, 1.3)]),
     )
-    iterated = pair_norm(pair)
-    dense = float(np.linalg.svd(_pair_factor(pair, 4), compute_uv=False)[0])
+    iterated = pair_norm(*pair)
+    dense = float(np.linalg.svd(_pair_factor(*pair, 4), compute_uv=False)[0])
     assert iterated == pytest.approx(dense, abs=5e-6)
 
 
 def test_pair_norm_empty_sets():
-    pair = ProjectionPair(
-        order=Order(0.0),
-        S=IntervalSet.empty(),
-        Sigma=IntervalSet.of([(0.0, 1.0)]),
-        x_max=1.0,
-    )
-    assert pair_norm(pair) == 0.0
+    unit = IntervalSet.of([(0.0, 1.0)])
+    assert pair_norm(Order(0.0), IntervalSet.empty(), unit) == 0.0
 
 
 def test_pair_norm_near_one_for_matched_sets():
-    pair = ProjectionPair(
-        order=Order(0.0),
-        S=IntervalSet.of([(0.0, 4.0)]),
-        Sigma=IntervalSet.of([(0.0, 4.0)]),
-        x_max=4.0,
-    )
-    norm = pair_norm(pair)
+    norm = pair_norm(*_pair(0.0, 4.0, 4.0))
     assert 0.999 < norm <= 1.0
 
 
 def test_pair_norm_monotone_in_spatial_set():
     sigma = IntervalSet.of([(0.0, 1.0)])
-    small = ProjectionPair(
-        order=Order(0.0), S=IntervalSet.of([(0.0, 0.5)]), Sigma=sigma, x_max=1.0
-    )
-    large = ProjectionPair(
-        order=Order(0.0), S=IntervalSet.of([(0.0, 1.0)]), Sigma=sigma, x_max=1.0
-    )
-    assert pair_norm(small) <= pair_norm(large) + 5e-6
+    small = pair_norm(Order(0.0), IntervalSet.of([(0.0, 0.5)]), sigma)
+    large = pair_norm(Order(0.0), IntervalSet.of([(0.0, 1.0)]), sigma)
+    assert small <= large + 5e-6
 
 
 def _pair(alpha, sup_s, sup_sigma):
-    return ProjectionPair(
-        order=Order(alpha),
-        S=IntervalSet.of([(0.0, sup_s)]),
-        Sigma=IntervalSet.of([(0.0, sup_sigma)]),
-        x_max=sup_s,
+    """(order, S, Sigma) of S = [0, sup_s] and Sigma = [0, sup_sigma]."""
+    return (
+        Order(alpha),
+        IntervalSet.of([(0.0, sup_s)]),
+        IntervalSet.of([(0.0, sup_sigma)]),
     )
 
 
 def _pass_gram(pair, scale=1):
     """The Gram of pair_norm's pass at `scale`, as pair_norm builds it."""
-    return next(annihilation._pass_grams(pair, (scale,)))
+    return next(annihilation._pass_grams(*pair, (scale,)))
 
 
 @pytest.mark.parametrize("sup_s, sup_sigma", [(1.0, 1.3), (3.0, 0.5)])
 def test_pair_gram_is_the_short_side_gram_of_factor(sup_s, sup_sigma):
     pair = _pair(0.3, sup_s, sup_sigma)
-    A = _pair_factor(pair)
+    A = _pair_factor(*pair)
     dense = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
     gram = _pass_gram(pair)
     assert gram.shape == (min(A.shape),) * 2
@@ -197,8 +174,7 @@ MPMATH_CASES = [CLOSED_FORM_CASES[0], CLOSED_FORM_CASES[2]]
 
 
 def _closed_form_pair(alpha, S, Sigma):
-    S, Sigma = IntervalSet.of(S), IntervalSet.of(Sigma)
-    return ProjectionPair(order=Order(alpha), S=S, Sigma=Sigma, x_max=S.sup())
+    return Order(alpha), IntervalSet.of(S), IntervalSet.of(Sigma)
 
 
 @pytest.mark.parametrize("alpha, S, Sigma", CLOSED_FORM_CASES)
@@ -208,7 +184,7 @@ def test_pair_gram_closed_form_matches_fine_factor(alpha, S, Sigma):
     # fourth case
     pair = _closed_form_pair(alpha, S, Sigma)
     gram = _pass_gram(pair)
-    fine = _short_side_gram(pair, 4)
+    fine = _short_side_gram(*pair, 4)
     assert gram.shape == fine.shape
     assert np.max(np.abs(gram - fine)) <= 1e-13
 
@@ -218,7 +194,7 @@ def test_pair_gram_closed_form_entries_match_mpmath_quad(alpha, S, Sigma):
     mpmath = pytest.importorskip("mpmath")
     pair = _closed_form_pair(alpha, S, Sigma)
     gram = _pass_gram(pair)
-    t, s, far = pair_nodes(pair)
+    t, s, far = pair_nodes(*pair)
     n = len(t)
     with mpmath.workdps(20):
         a = mpmath.mpf(alpha)
@@ -241,9 +217,9 @@ def test_pair_gram_closed_form_entries_match_mpmath_quad(alpha, S, Sigma):
 
 def _dense_pair_norm(pair):
     """pair_norm's node-doubling loop on dense svdvals of the whole factor."""
-    prev = float(linalg.svdvals(_pair_factor(pair))[0])
+    prev = float(linalg.svdvals(_pair_factor(*pair))[0])
     for doubling in range(1, 5):
-        cur = float(linalg.svdvals(_pair_factor(pair, 2**doubling))[0])
+        cur = float(linalg.svdvals(_pair_factor(*pair, 2**doubling))[0])
         if abs(cur - prev) <= 1e-6:
             return min(cur, 1.0)
         prev = cur
@@ -257,7 +233,7 @@ STALL_CASES = [(0.0, 4.0, 2.0), (0.3, 2.0, 2.0), (1.0, 3.0, 1.0)]
 @pytest.mark.parametrize("alpha, sup_s, sup_sigma", STALL_CASES)
 def test_pair_norm_clustered_top_spectrum(alpha, sup_s, sup_sigma):
     pair = _pair(alpha, sup_s, sup_sigma)
-    norm = pair_norm(pair)
+    norm = pair_norm(*pair)
     assert 0.999999 < norm <= 1.0
     assert norm == pytest.approx(_dense_pair_norm(pair), abs=1e-6)
 
@@ -285,12 +261,12 @@ def test_pair_gram_and_sigma_max_hold_one_gram():
     # the 2n x 2n array in all); the n x n Gram of the first pass, still
     # held, would add a quarter
     pair = _pair(0.0, 15.0, 15.0)
-    n = len(pair_nodes(pair)[0])
+    n = len(pair_nodes(*pair)[0])
     assert n == 1392
     tracemalloc.start()
     try:
         # as pair_norm consumes them
-        norms = list(map(_sigma_max, annihilation._pass_grams(pair, (1, 2))))
+        norms = list(map(_sigma_max, annihilation._pass_grams(*pair, (1, 2))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,7 +279,7 @@ def test_pair_norm_converges_for_orders_near_minus_half(alpha):
     # x^(2 alpha + 1) is not smooth at 0 here; on a Gauss-Legendre rule the
     # norm moved by ~1e-5 per doubling and never met the 1e-6 stability test
     pair = _pair(alpha, 1.0, 3.0)
-    norm = pair_norm(pair)
+    norm = pair_norm(*pair)
     assert 0.99 < norm <= 1.0
     assert norm == pytest.approx(_dense_pair_norm(pair), abs=1e-6)
 
@@ -316,7 +292,7 @@ def test_pair_norm_converges_for_orders_near_minus_half(alpha):
 )
 def test_pair_norm_property_matches_dense_svd(alpha, sup_s, sup_sigma):
     pair = _pair(alpha, sup_s, sup_sigma)
-    norm = pair_norm(pair)
+    norm = pair_norm(*pair)
     assert 0.0 <= norm <= 1.0
     assert norm == pytest.approx(_dense_pair_norm(pair), abs=1e-6)
 
@@ -349,7 +325,7 @@ def test_pair_norm_dilation_covariance(alpha, ends, sup_sigma, t):
     def norm(scale):
         S = IntervalSet.of([(scale * a, scale * b) for a, b in zip(ends[::2], ends[1::2])])
         Sigma = IntervalSet.of([(0.0, sup_sigma / scale)])
-        return pair_norm(ProjectionPair(Order(alpha), S, Sigma, x_max=S.sup()))
+        return pair_norm(Order(alpha), S, Sigma)
 
     assert norm(t) == pytest.approx(norm(1.0), abs=2 * annihilation._STABILITY_TOL)
 
@@ -363,7 +339,7 @@ def test_pair_norm_resolves_a_set_starting_just_above_zero():
     def norm(lo):
         S = IntervalSet.of([(lo, 0.5)])
         Sigma = IntervalSet.of([(0.0, 2.0)])
-        return pair_norm(ProjectionPair(Order(-0.3), S, Sigma, x_max=0.5))
+        return pair_norm(Order(-0.3), S, Sigma)
 
     assert norm(1e-6) == pytest.approx(norm(0.0), abs=1e-5)
 
@@ -380,9 +356,9 @@ OPENING_SETS = [
 
 def _pair_norm_pass_by_pass(pair):
     """pair_norm's loop with each pass's Gram from its own `pair_gram`."""
-    prev = _sigma_max(pair_gram(pair))
+    prev = _sigma_max(pair_gram(*pair))
     for doubling in range(1, 5):
-        cur = _sigma_max(pair_gram(pair, 2**doubling))
+        cur = _sigma_max(pair_gram(*pair, 2**doubling))
         if abs(cur - prev) <= 1e-6:
             return min(cur, 1.0)
         prev = cur
@@ -395,12 +371,11 @@ def _pair_norm_pass_by_pass(pair):
 @pytest.mark.parametrize("S, Sigma", OPENING_SETS)
 def test_merged_opening_passes_give_the_bits_of_separate_passes(alpha, S, Sigma):
     # the first two passes share one rule call and one eval_j call per order
-    S, Sigma = IntervalSet.of(S), IntervalSet.of(Sigma)
-    pair = ProjectionPair(Order(alpha), S, Sigma, x_max=S.sup())
-    grams = annihilation._pair_grams(pair)
+    pair = (Order(alpha), IntervalSet.of(S), IntervalSet.of(Sigma))
+    grams = annihilation._pair_grams(*pair)
     for scale in (1, 2):
-        assert np.array_equal(next(grams), pair_gram(pair, scale))
-    assert pair_norm(pair) == _pair_norm_pass_by_pass(pair)
+        assert np.array_equal(next(grams), pair_gram(*pair, scale))
+    assert pair_norm(*pair) == _pair_norm_pass_by_pass(pair)
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.3, 0.5, 1.0, 30.5])
@@ -429,14 +404,44 @@ def test_strong_pair_trials_match_the_all_ends_gram(monkeypatch, alpha):
     order = Order(alpha)
     S = IntervalSet.of([(0.0, 0.6), (1.0, 1.5)])
     Sigma = IntervalSet.of([(0.0, 1.2)])
-    rows = strong_pair_trials(order, S, Sigma, 0.5, trials=20, seed=3)
+    rows = strong_pair_trials(order, S, Sigma, 4.0, trials=20, seed=3)
 
     def all_ends(order, parts):
         return (lommel_gram_all_ends(order, *part) for part in parts)
 
     monkeypatch.setattr(annihilation, "_lommel_grams", all_ends)
-    want = strong_pair_trials(order, S, Sigma, 0.5, trials=20, seed=3)
+    want = strong_pair_trials(order, S, Sigma, 4.0, trials=20, seed=3)
     assert np.array_equal(rows, want)
+
+
+@pytest.mark.parametrize("Sigma", [[(0.0, 1.2)], [(0.3, 0.8), (1.0, 1.4)]])
+def test_strong_pair_trials_build_both_rules_in_one_call(monkeypatch, Sigma):
+    # the rules on Sigma and on the rest of [0, 2 sup Sigma] come from one
+    # mu_rules call, with the bits of a mu_rule call each; the trials take
+    # the constant they are given and compute none
+    order, S, Sigma = Order(0.3), IntervalSet.of([(0.0, 1.5)]), IntervalSet.of(Sigma)
+    calls = []
+    real_rules = annihilation.mu_rules
+
+    def recording_rules(order, parts):
+        calls.append(real_rules(order, parts))
+        return calls[-1]
+
+    def no_constant(norm):
+        raise AssertionError("strong_pair_trials computed a constant")
+
+    monkeypatch.setattr(annihilation, "mu_rules", recording_rules)
+    monkeypatch.setattr(annihilation, "annihilation_constant", no_constant)
+    strong_pair_trials(order, S, Sigma, 4.0, trials=3, seed=1)
+    [[inside, outside]] = calls
+    per_unit = math.ceil(4.0 * S.sup()) + 16
+    big = 2.0 * Sigma.sup()
+    for (x, w), part in zip(
+        (inside, outside),
+        (Sigma.intersect_window(0.0, big), Sigma.complement_within(0.0, big)),
+    ):
+        want_x, want_w = annihilation.mu_rule(order, part, per_unit)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
 
 
 @pytest.mark.parametrize("sup", [1.0, 10.0])
@@ -460,13 +465,7 @@ def test_pair_norm_doubling_doubles_the_rule_in_use(monkeypatch, sup):
 
     monkeypatch.setattr(annihilation, "_pair_side", recording_side)
     monkeypatch.setattr(annihilation, "_lommel_grams", recording_grams)
-    pair = ProjectionPair(
-        order=Order(0.0),
-        S=IntervalSet.of([(0.0, sup)]),
-        Sigma=IntervalSet.of([(0.0, sup)]),
-        x_max=sup,
-    )
-    assert 0.0 < pair_norm(pair) <= 1.0
+    assert 0.0 < pair_norm(*_pair(0.0, sup, sup)) <= 1.0
     # one rule per pass, the one in use
     assert len(per_unit) == len(sizes) >= 2
     assert per_unit[0] == max(64, math.ceil(4 * sup) + 32)
@@ -477,15 +476,15 @@ def test_pair_norm_doubling_doubles_the_rule_in_use(monkeypatch, sup):
 
 
 @pytest.mark.parametrize(
-    "S, Sigma, x_max",
+    "S, Sigma",
     [
-        ([(0.0, 1.0)], [(0.0, 1.0)], 1.0),
-        ([(0.0, 0.5)], [(0.0, 3.0)], 1.0),
-        ([(0.0, 1.5), (2.0, 2.5)], [(0.0, 1.0)], 3.0),
-        ([(0.0, 6.0)], [(0.5, 1.5)], 6.0),
+        ([(0.0, 1.0)], [(0.0, 1.0)]),
+        ([(0.0, 0.5)], [(0.0, 3.0)]),
+        ([(0.0, 1.5), (2.0, 2.5)], [(0.0, 1.0)]),
+        ([(0.0, 6.0)], [(0.5, 1.5)]),
     ],
 )
-def test_pair_nodes_builds_the_shorter_rule_only(monkeypatch, S, Sigma, x_max):
+def test_pair_nodes_builds_the_shorter_rule_only(monkeypatch, S, Sigma):
     # set_rule_size sizes both sides; the one rule a pass builds is the
     # shorter of the two that the dense reference builds (Sigma's on a tie),
     # bit for bit
@@ -497,28 +496,16 @@ def test_pair_nodes_builds_the_shorter_rule_only(monkeypatch, S, Sigma, x_max):
         return calls[-1]
 
     monkeypatch.setattr(annihilation, "mu_rules", recording_rules)
-    pair = ProjectionPair(
-        order=Order(0.3), S=IntervalSet.of(S), Sigma=IntervalSet.of(Sigma), x_max=x_max
-    )
+    order, S, Sigma = Order(0.3), IntervalSet.of(S), IntervalSet.of(Sigma)
     for scale in (1, 2):
         calls.clear()
-        next(annihilation._pass_grams(pair, (scale,)))
+        next(annihilation._pass_grams(order, S, Sigma, (scale,)))
         [[(t, w)]] = calls
-        far = annihilation._pair_side(pair, scale)[2]
-        xi, su, x, sv = pair_rules(pair, scale)
-        want = (xi, su, pair.S) if len(xi) <= len(x) else (x, sv, pair.Sigma)
+        far = annihilation._pair_side(S, Sigma, scale)[2]
+        xi, su, x, sv = pair_rules(order, S, Sigma, scale)
+        want = (xi, su, S) if len(xi) <= len(x) else (x, sv, Sigma)
         assert np.array_equal(t, want[0]) and np.array_equal(np.sqrt(w), want[1])
         assert far is want[2]
-
-
-def test_projection_pair_validation():
-    with pytest.raises(DomainError):
-        ProjectionPair(
-            order=Order(0.0),
-            S=IntervalSet.of([(0.0, 2.0)]),
-            Sigma=IntervalSet.of([(0.0, 1.0)]),
-            x_max=1.0,
-        )
 
 
 def test_annihilation_constant_values_and_domain():
@@ -541,35 +528,25 @@ def test_split_bound_dominates_union_norm():
         # triangle inequality: the union pair's norm is at most the sum of
         # the four cross pair norms
         bound = sum(
-            pair_norm(
-                ProjectionPair(
-                    order=order,
-                    S=IntervalSet.of([s]),
-                    Sigma=IntervalSet.of([g]),
-                    x_max=s[1],
-                )
-            )
+            pair_norm(order, IntervalSet.of([s]), IntervalSet.of([g]))
             for s in (s0, sinf)
             for g in (g0, ginf)
         )
-        union = ProjectionPair(
-            order=order,
-            S=IntervalSet.of([s0, sinf]),
-            Sigma=IntervalSet.of([g0, ginf]),
-            x_max=sinf[1],
+        union = pair_norm(
+            order, IntervalSet.of([s0, sinf]), IntervalSet.of([g0, ginf])
         )
-        assert pair_norm(union) <= bound + 1e-5
+        assert union <= bound + 1e-5
 
 
 def test_strong_pair_rows_hold_and_are_deterministic():
     order = Order(0.0)
     S = IntervalSet.of([(0.0, 1.0)])
     Sigma = IntervalSet.of([(0.0, 1.0)])
-    norm = pair_norm(ProjectionPair(order=order, S=S, Sigma=Sigma, x_max=1.0))
-    rows = strong_pair_trials(order, S, Sigma, norm, trials=40, seed=5)
+    const = annihilation_constant(pair_norm(order, S, Sigma))
+    rows = strong_pair_trials(order, S, Sigma, const, trials=40, seed=5)
     assert rows.shape == (40, 2)
     assert np.all(rows[:, 0] <= rows[:, 1] * (1 + 1e-9))
-    again = strong_pair_trials(order, S, Sigma, norm, trials=40, seed=5)
+    again = strong_pair_trials(order, S, Sigma, const, trials=40, seed=5)
     assert np.array_equal(rows, again)
 
 
@@ -588,8 +565,8 @@ def test_strong_pair_rows_match_a_dense_factor(alpha, S, Sigma):
     # factor on a fine rule over S, for four pairs at four orders
     order = Order(alpha)
     S, Sigma = IntervalSet.of(S), IntervalSet.of(Sigma)
-    rows = strong_pair_trials(order, S, Sigma, 0.5, trials=20, seed=3)
-    want = strong_pair_rows_dense(order, S, Sigma, 0.5, trials=20, seed=3)
+    rows = strong_pair_trials(order, S, Sigma, 4.0, trials=20, seed=3)
+    want = strong_pair_rows_dense(order, S, Sigma, 4.0, trials=20, seed=3)
     assert np.array_equal(rows[:, 0], want[:, 0])
     assert np.allclose(rows[:, 1], want[:, 1], rtol=1e-12, atol=0)
 

@@ -16,7 +16,6 @@ from hconc.paley_wiener import (
     extremal_family,
     extremal_norm_sq,
     extremal_peak,
-    plancherel_norm,
     random_pw,
     synthesize,
     tail_mass,
@@ -64,7 +63,7 @@ def test_plancherel_vs_physical_norm(alpha):
     # spectral isometry against an independent physical-domain quadrature
     rng = np.random.default_rng(11)
     pw = random_pw(Order(alpha), 1.0, 128, rng, kind="smooth")
-    assert plancherel_norm(pw) == pytest.approx(1.0, rel=1e-13)
+    assert dk_norm(pw, 0) == pytest.approx(1.0, rel=1e-13)
     x, w = mu_rule(pw.order, IntervalSet.of([(0.0, 40.0)]), 10.0)
     physical = math.sqrt(np.dot(w, synthesize([pw], x)[0] ** 2))
     assert physical == pytest.approx(1.0, rel=1e-7)
@@ -87,8 +86,11 @@ def test_synthesize_sequence_matches_members():
 
 
 def test_dk_norm_at_zero_is_plancherel():
+    # the spectral L2 norm in mu_alpha, bit for bit: the transform is an
+    # isometry, so this is ||f||
     pw = random_pw(Order(0.3), 1.5, 64, np.random.default_rng(1))
-    assert dk_norm(pw, 0) == pytest.approx(plancherel_norm(pw), rel=1e-14)
+    spectral = math.sqrt(np.dot(pw.mu_hat_weights(), pw.coeffs**2))
+    assert dk_norm(pw, 0) == spectral
 
 
 def test_apply_dk_at_zero_is_synthesis():
@@ -212,7 +214,7 @@ def test_extremal_family_matches_spectral_route(alpha, n):
 def test_extremal_norm_matches_spectral_route(alpha, n):
     order = Order(alpha)
     pw = _spectral_route_family(order, n)
-    assert plancherel_norm(pw) ** 2 == pytest.approx(
+    assert dk_norm(pw, 0) ** 2 == pytest.approx(
         extremal_norm_sq(order, n), rel=1e-11
     )
 

@@ -2,7 +2,8 @@
 method of a top-level class, has a caller in the package itself, and so has
 every value of theirs: each defaulted parameter is passed by some call in
 the package.  Code and options that only tests reach belong under tests/ as
-a declared oracle (tests/oracles.py), or go.  And every name a module
+a declared oracle (tests/oracles.py), or go.  Every field of a dataclass is
+read by package code outside its own class.  And every name a module
 imports is used in it."""
 
 import ast
@@ -397,6 +398,100 @@ def test_scan_flags_options_that_no_handler_reads(tmp_path):
         encoding="utf-8",
     )
     assert _unread_options(path) == ["direction", "count", "dry_run"]
+
+
+def _is_dataclass(decorator: ast.AST) -> bool:
+    """Whether a class decorator is `dataclass`, `dataclass(...)` or
+    `dataclasses.dataclass(...)`."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def _unread_fields(package: Path) -> dict[str, str]:
+    """Fields of the top-level dataclasses of the modules in `package` that
+    no module of it reads as an attribute (`obj.field`) outside the body of
+    their own class, as {"Class.field": module file}.  A read is matched by
+    the attribute's name, as the other scans match calls; attribute reads on
+    names imported from outside the package (np.size) are none, and neither
+    is passing a field to the constructor."""
+    fields: dict[tuple[str, str], str] = {}
+    read_outside: dict[str, set[str]] = {}  # attribute -> classes it is read in
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        external = _external(tree)
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            if owner and any(_is_dataclass(d) for d in top.decorator_list):
+                for item in top.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(
+                        item.target, ast.Name
+                    ):
+                        fields[(owner, item.target.id)] = path.name
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and not _on_external(node, external)
+                ):
+                    read_outside.setdefault(node.attr, set()).add(owner)
+    return {
+        f"{cls}.{name}": mod
+        for (cls, name), mod in fields.items()
+        if not read_outside.get(name, set()) - {cls}
+    }
+
+
+# "Class.field" -> why the field may stay unread by the package
+ALLOWED_FIELDS = {
+    f"NecessityRow.{name}": ALLOWED["density_necessity_demo"]
+    for name in (
+        "concentration",
+        "concentrated",
+        "tail",
+        "window_mass",
+        "window_bound",
+        "gamma_implied",
+        "passes",
+    )
+}
+
+
+def test_every_dataclass_field_is_read_outside_its_class():
+    unread = {
+        name: mod
+        for name, mod in _unread_fields(SRC).items()
+        if name not in ALLOWED_FIELDS
+    }
+    assert not unread, (
+        "dataclass fields that no hconc code reads outside their own class; "
+        f"read them, or delete them: {unread}"
+    )
+
+
+def test_field_allowlist_names_only_unread_fields():
+    unread = _unread_fields(SRC)
+    for name in ALLOWED_FIELDS:
+        assert name in unread, f"{name} is read or gone; drop it from ALLOWED_FIELDS"
+
+
+def test_scan_flags_fields_that_only_their_own_class_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\nfrom dataclasses import dataclass, field\n\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    lo: float\n    hi: float\n"
+        "    cap: float\n    size: int = field(default=0)\n\n"
+        "    def __post_init__(self):\n"
+        "        assert self.hi <= self.cap\n\n"
+        "@dataclass\nclass Box:\n    width: float\n\n"
+        "class Plain:\n    depth: float\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "import numpy as np\nfrom .a import Box, Pair\n\n"
+        "def use(x):\n    pair = Pair(lo=0.0, hi=1.0, cap=x, size=2)\n"
+        "    return pair.lo + pair.hi + np.size(x) + Box(width=x).width\n",
+        encoding="utf-8",
+    )
+    assert _unread_fields(tmp_path) == {"Pair.cap": "a.py", "Pair.size": "a.py"}
 
 
 def test_no_module_starts_threads():
