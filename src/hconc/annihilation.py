@@ -30,14 +30,15 @@ Three numerical engines live here:
   the factor is formed in LAPACK's column order, so the SVD takes it
   without a copy.
 
-* good/bad windows I_x = [(x-1)^2, (x+1)^2] in the squared variable, in one
-  kernel pass per trial: the window integrals on the unit pieces [x - 1, x]
-  and [x, x + 1] of the root variable, each distinct piece integrated once
-  (Gauss-Jacobi on the piece at 0), which also give the mass of the bad
-  windows' union, and D^k f at the piece starts, the windows' left ends.  A
-  witness scan of every good window probes its left end from that pass and
-  builds grids, scanned in lockstep, only for the windows whose left end
-  fails.  Also the analytic-growth inequality checker.
+* good/bad windows I_x = [(x-1)^2, (x+1)^2] in the squared variable, from
+  one kernel ladder per order and band, kept across trials: the window
+  integrals on the unit pieces [x - 1, x] and [x, x + 1] of the root
+  variable, each distinct piece integrated once (Gauss-Jacobi on the piece
+  at 0), which also give the mass of the bad windows' union, and D^k f at
+  the piece starts, the windows' left ends.  A witness scan of every good
+  window probes its left end from those rows and builds grids, scanned in
+  lockstep, only for the windows whose left end fails.  Also the
+  analytic-growth inequality checker.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .paley_wiener import (
     apply_Dk_all,
     extremal_family,
     extremal_norm_sq,
+    held_apply_Dk_all,
     tail_mass,
     theta_constant,
 )
@@ -303,8 +305,10 @@ def _concentration_factor(
     energy form on the orthonormal mode basis.  The modes are mutually
     orthogonal on [0, x_max] by the two-frequency integral identity, and
     their mu_alpha norms there have closed forms."""
-    if b <= 0 or x_max <= 0:
-        raise DomainError("bandlimit and x_max must be positive")
+    if not (0 < b < math.inf and 0 < x_max < math.inf):
+        raise DomainError(
+            f"bandlimit and x_max must be positive and finite, got {b} and {x_max}"
+        )
     if omega.sup() > x_max * (1 + 1e-12):
         raise DomainError("Omega must be contained in [0, x_max]")
     sp = mode_frequencies(order, b, x_max)
@@ -409,13 +413,17 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, coeffs: np.ndarray):
     In y = sqrt(s), where d^k g = D^k f, the integral is that of
     |D^k f(y)|^2 2 y^(2 alpha + 2k + 1) over the unit pieces [x - 1, x] and
     [x, x + 1].  Neighbouring windows share a piece; each distinct piece is
-    integrated once by its 16-node rule from `mu_panels`.  One `apply_Dk_all`
-    call gives D^k f at the nodes of every piece and, appended after them,
-    at every piece start; a window's left end is the start of its left
-    piece.  Returns the integrals of the distinct pieces, one row (k =
-    0..k_max) per piece, a (2, len(centers)) array of the rows of each
-    window's left and right piece (a window's integrals are the sum of its
-    two rows), and D^k f at the piece starts, one column per piece."""
+    integrated once by its 16-node rule from `mu_panels`.  One
+    `held_apply_Dk_all` call gives D^k f at the nodes of every piece and,
+    appended after them, at every piece start; a window's left end is the
+    start of its left piece.  The points depend on the order and centers
+    alone, so a trial that repeats them and pw.nodes (the spectral rule,
+    set by the band) finds the kernel ladder built, when it fits one block
+    as the recipe's 272 points x 32 nodes do, and runs only the
+    matrix-vector products.  Returns the integrals of the distinct pieces,
+    one row (k = 0..k_max) per piece, a (2, len(centers)) array of the rows
+    of each window's left and right piece (a window's integrals are the sum
+    of its two rows), and D^k f at the piece starts, one column per piece."""
     k_max = len(coeffs) - 1
     starts, piece = np.unique(
         np.concatenate([centers - 1.0, centers]), return_inverse=True
@@ -424,7 +432,7 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, coeffs: np.ndarray):
     # at the recipe's 32 spectral nodes the rows are one kernel block and
     # the 16 per piece fill whole BLAS row groups: the starts after them
     # change no piece value
-    dk = apply_Dk_all(pw, coeffs, np.concatenate([y.ravel(), starts]))
+    dk = held_apply_Dk_all(pw, coeffs, np.concatenate([y.ravel(), starts]))
     at_starts = dk[:, y.size :]
     dk = dk[:, : y.size].reshape((k_max + 1,) + y.shape)
     # 2 y^(2 alpha + 2k + 1) dy = (2 / C) y^(2k) d mu_alpha(y)

@@ -177,7 +177,8 @@ def _cmd_pw_extremal(args) -> int:
 def _cmd_pair_norm(args) -> int:
     order = Order(args.alpha)
     S, Sigma = load_interval_set(args.s), load_interval_set(args.sigma)
-    if S.sup() > args.xmax * (1 + 1e-12):
+    # a NaN x_max bounds nothing; x_max = inf holds every S
+    if not S.sup() <= args.xmax * (1 + 1e-12):
         raise DomainError("S must be contained in [0, x_max]")
     print(_fmt(pair_norm(order, S, Sigma)))
     return 0

@@ -443,6 +443,11 @@ def _recipe_pair_norm(config: ExperimentConfig) -> list[ReportRow]:
         load_interval_set(path) if path else IntervalSet.of([(0.0, 1.0)])
         for path in (config.s_file, config.sigma_file)
     )
+    if Sigma.is_empty():
+        raise UsageError(
+            f"sigma_file {config.sigma_file} holds an empty set: the strong-pair "
+            "trials draw their spectra on [0, 2 sup Sigma]"
+        )
     norm = pair_norm(order, S, Sigma)
     rows = [_row("pair-norm", norm, 1.0)]
     if norm < 1.0:

@@ -19,7 +19,7 @@ from .bessel import Order, cached_zero_table, eval_j
 from .errors import DomainError
 from .measure import IntervalSet
 from .quadrature import build_rule, mu_fold, mu_rule
-from .transform import kernel_apply
+from .transform import held_kernel_apply, kernel_apply
 
 _MAX_DK = 30
 
@@ -91,8 +91,19 @@ def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
     D^k f(x) = (-pi)^k * integral of spectrum * j_{alpha+k}(2 pi x xi)
     against d mu_{alpha+k}.  All rows share one order ladder (two Bessel
     evaluations) per kernel block."""
+    return _dk_rows(kernel_apply, pw, coeffs, x)
+
+
+def held_apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
+    """`apply_Dk_all` at points x that recur from call to call, on the
+    kernel ladder that `held_kernel_apply` keeps; the same bits."""
+    return _dk_rows(held_kernel_apply, pw, coeffs, x)
+
+
+def _dk_rows(apply, pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
+    # the kernel sums of `apply` (one of transform's two), row k times (-pi)^k
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = kernel_apply(pw.order, xs, pw.nodes, coeffs)
+    vals = apply(pw.order, xs, pw.nodes, coeffs)
     vals *= np.array([(-math.pi) ** k for k in range(len(coeffs))])[:, None]
     return vals
 

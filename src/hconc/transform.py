@@ -8,9 +8,13 @@ sums at output nodes, for one order or a whole ladder alpha + k, and
 Both take several coefficient sets at once (one per function on the same
 nodes): every kernel block is evaluated once and applied to each set by its
 own matrix-vector product, so a set's result does not depend on the others.
+`held_kernel_apply` is `kernel_apply` for output nodes that recur, such as
+the good-bad windows' points: it keeps a kernel of one block for the process.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,15 +38,57 @@ def max_sets(width: int) -> int:
     return max(1, _SET_ENTRIES // max(1, width))
 
 
+def _block_rows(k_max: int, width: int) -> int:
+    """Output nodes per row block of a ladder of k_max + 1 orders against
+    `width` nodes, so that the block fits _LADDER_CHUNK."""
+    return max(1, _LADDER_CHUNK // (k_max + 2) // max(1, width))
+
+
 def _kernel_blocks(order: Order, k_max: int, out_nodes: np.ndarray, nodes):
     """Row blocks (block, kern) of the kernel ladder j_{alpha+k}(2 pi y x),
     y = out_nodes[block], x in nodes, kern of shape (k_max+1, rows, len(nodes))."""
-    rows = max(1, _LADDER_CHUNK // (k_max + 2) // max(1, len(nodes)))
+    rows = _block_rows(k_max, len(nodes))
     for start in range(0, len(out_nodes), rows):
         block = slice(start, start + rows)
         args = np.outer(out_nodes[block], nodes)
         args *= 2.0 * np.pi
         yield block, eval_j_ladder(order, k_max, args)
+
+
+@lru_cache(maxsize=8)
+def _held_block(order: Order, k_max: int, out_bytes: bytes, node_bytes: bytes):
+    """The one (block, kern) of `_kernel_blocks` on the output nodes and
+    nodes whose float64 bytes are given, with kern read-only."""
+    out_nodes, nodes = np.frombuffer(out_bytes), np.frombuffer(node_bytes)
+    [(block, kern)] = _kernel_blocks(order, k_max, out_nodes, nodes)
+    kern.setflags(write=False)
+    return block, kern
+
+
+def _held_blocks(order: Order, k_max: int, out_nodes: np.ndarray, nodes):
+    """`_kernel_blocks`, but a kernel that fits one block comes from the
+    `_held_block` cache; a larger one streams block by block."""
+    nodes = np.asarray(nodes, dtype=float)
+    if not 0 < len(out_nodes) <= _block_rows(k_max, len(nodes)):
+        return _kernel_blocks(order, k_max, out_nodes, nodes)
+    return [_held_block(order, k_max, out_nodes.tobytes(), nodes.tobytes())]
+
+
+def _kernel_sums(blocks, order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
+    """The sums of `kernel_apply` over the (block, kern) pairs that
+    blocks(order, k_max, y, nodes) yields: one matrix-vector product per
+    block, order and coefficient set."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    # (n,) and (k_max+1, n) hold one set per order
+    sets = coeffs if coeffs.ndim == 3 else coeffs.reshape(-1, 1, coeffs.shape[-1])
+    sets = np.ascontiguousarray(sets)
+    y = np.atleast_1d(np.asarray(out_nodes, dtype=float))
+    out = np.empty(sets.shape[:2] + (len(y),))
+    for block, kern in blocks(order, len(sets) - 1, y, nodes):
+        for k, row in enumerate(sets):
+            for j, c in enumerate(row):
+                out[k, j, block] = kern[k] @ c
+    return out.reshape(coeffs.shape[:-1] + (len(y),))
 
 
 def kernel_apply(order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
@@ -51,18 +97,17 @@ def kernel_apply(order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
     block from one `eval_j_ladder` call.  A 1-D `coeffs` is the single order
     alpha and gives a 1-D result.  A 3-D `coeffs` of shape (k_max+1, m, n)
     holds m coefficient sets per order and gives shape (k_max+1, m, len(y))."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    # (n,) and (k_max+1, n) hold one set per order
-    sets = coeffs if coeffs.ndim == 3 else coeffs.reshape(-1, 1, coeffs.shape[-1])
-    sets = np.ascontiguousarray(sets)
-    k_max = len(sets) - 1
-    y = np.atleast_1d(np.asarray(out_nodes, dtype=float))
-    out = np.empty(sets.shape[:2] + (len(y),))
-    for block, kern in _kernel_blocks(order, k_max, y, nodes):
-        for k in range(k_max + 1):
-            for j, c in enumerate(sets[k]):
-                out[k, j, block] = kern[k] @ c
-    return out.reshape(coeffs.shape[:-1] + (len(y),))
+    return _kernel_sums(_kernel_blocks, order, out_nodes, nodes, coeffs)
+
+
+def held_kernel_apply(order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
+    """`kernel_apply` for output nodes that recur from call to call.  A
+    kernel ladder that fits one row block is kept, read-only, in a
+    process-wide cache of 8 entries keyed on the order, the ladder height
+    and the bytes of both node sets, so a repeat evaluates no kernel; a
+    larger one streams block by block, as in `kernel_apply`.  The sums are
+    the same bits either way."""
+    return _kernel_sums(_held_blocks, order, out_nodes, nodes, coeffs)
 
 
 def round_trip(order: Order, nodes, coeffs, out_nodes, out_weights):

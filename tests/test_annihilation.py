@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from hconc import annihilation
+from hconc import annihilation, transform
 from hconc.annihilation import (
     LSParams,
     _piece_integrals,
@@ -929,37 +929,116 @@ def test_witness_point_scans_every_point_in_order():
     assert t == ts[0] == _first_witness_full_grid(pw, ab, 1.0, mass)
 
 
+def _recording_ladders(monkeypatch):
+    """The row counts of every kernel ladder built from here on, in a list
+    that the caller may clear; the held window kernels are dropped first,
+    so the count does not depend on what ran before."""
+    built = []
+    real = transform.eval_j_ladder
+
+    def recording(order, k_max, x):
+        built.append(np.shape(x)[0])
+        return real(order, k_max, x)
+
+    monkeypatch.setattr(transform, "eval_j_ladder", recording)
+    transform._held_block.cache_clear()
+    return built
+
+
+def _recipe_trial(alpha, trial):
+    """The seed-7 good-bad recipe's function and D^k rows of trial `trial`,
+    and its band product."""
+    ab = (0.05, 0.1, 0.3)[trial % 3]
+    rng = np.random.default_rng((7, trial))
+    pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
+    return pw, ab, dk_coefficients(pw, 8)
+
+
 @pytest.mark.parametrize("alpha", [-0.3, 0.0, 1.0])
 def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, alpha):
-    # the recipe's trials at seed 7: the partition's pass over the 16 nodes
-    # of each of the 16 pieces and the 16 piece starts is the only D^k pass
-    # of a trial whose left ends are all witnesses; the others add grid
-    # chunks.  At alpha < 0 the window at x = 1 has no witness at t = 0
-    calls = []
-    real_apply = annihilation.apply_Dk_all
-
-    def recording_apply(pw, coeffs, x):
-        calls.append(np.size(x))
-        return real_apply(pw, coeffs, x)
-
-    monkeypatch.setattr(annihilation, "apply_Dk_all", recording_apply)
+    # the recipe's trials at seed 7: the partition's ladder over the 16 nodes
+    # of each of the 16 pieces and the 16 piece starts is built by the first
+    # trial of each band and held for the repeats, and it is the only
+    # ladder of a trial whose left ends are all witnesses; the others add
+    # grid chunks.  At alpha < 0 the window at x = 1 has no witness at t = 0
+    built = _recording_ladders(monkeypatch)
     xs = np.arange(1.0, 16.0)
     one_pass = 0
     for trial in range(6):
-        ab = (0.05, 0.1, 0.3)[trial % 3]
-        rng = np.random.default_rng((7, trial))
-        pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
-        coeffs = dk_coefficients(pw, 8)
-        calls.clear()
+        pw, ab, coeffs = _recipe_trial(alpha, trial)
+        built.clear()
         bad, mass, _, left = good_bad_partition(pw, ab, xs, coeffs)
+        window = [17 * 16] if trial < 3 else []
+        assert built == window
         got = witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad], coeffs)
-        assert calls[0] == 17 * 16
         if np.array_equal(got, (xs[~bad] - 1.0) ** 2):
-            assert len(calls) == 1
+            assert built == window
             one_pass += 1
         else:
-            assert len(calls) > 1
+            assert len(built) > len(window)
     assert one_pass == (0 if alpha < 0 else 6)
+
+
+def test_held_window_kernels_give_the_streamed_bits(monkeypatch):
+    # the partition from a cleared cache, from a warm one, and with every
+    # kernel streamed through kernel_apply: the same four results, bit for bit
+    xs = np.arange(1.0, 16.0)
+    for alpha in (-0.3, 0.0, 1.0):
+        trials = [_recipe_trial(alpha, t) for t in range(3)]
+        transform._held_block.cache_clear()
+        cold = [good_bad_partition(pw, ab, xs, c) for pw, ab, c in trials]
+        warm = [good_bad_partition(pw, ab, xs, c) for pw, ab, c in trials]
+        with monkeypatch.context() as m:
+            m.setattr(annihilation, "held_apply_Dk_all", apply_Dk_all)
+            streamed = [good_bad_partition(pw, ab, xs, c) for pw, ab, c in trials]
+        for got in (warm, streamed):
+            for want_parts, got_parts in zip(cold, got):
+                for want, part in zip(want_parts, got_parts):
+                    assert np.array_equal(want, part)
+
+
+def test_six_trials_at_one_order_build_three_window_ladders(monkeypatch):
+    built = _recording_ladders(monkeypatch)
+    xs = np.arange(1.0, 16.0)
+    for trial in range(6):
+        pw, ab, coeffs = _recipe_trial(0.0, trial)
+        good_bad_partition(pw, ab, xs, coeffs)
+    assert built == [17 * 16] * 3
+    assert transform._held_block.cache_info().currsize == 3
+
+
+def test_held_window_kernels_are_read_only(monkeypatch):
+    held = []
+    real = transform._held_blocks
+
+    def recording(*args):
+        blocks = real(*args)
+        held.extend(blocks)
+        return blocks
+
+    monkeypatch.setattr(transform, "_held_blocks", recording)
+    transform._held_block.cache_clear()
+    pw, ab, coeffs = _recipe_trial(0.0, 0)
+    good_bad_partition(pw, ab, np.arange(1.0, 16.0), coeffs)
+    [(_, kern)] = held
+    assert kern.shape == (9, 17 * 16, 32)
+    with pytest.raises(ValueError):
+        kern[0, 0, 0] = 0.0
+
+
+def test_partition_past_one_block_streams_and_holds_nothing(monkeypatch):
+    # 30 centers give 31 pieces, 17 x 31 = 527 points: 10 x 527 x 32
+    # entries exceed one block of _LADDER_CHUNK (409 rows of 32), so each
+    # call streams its kernel in two blocks and the cache is left as it was
+    built = _recording_ladders(monkeypatch)
+    pw, ab, coeffs = _recipe_trial(0.0, 0)
+    good_bad_partition(pw, ab, np.arange(1.0, 16.0), coeffs)
+    assert transform._held_block.cache_info().currsize == 1
+    built.clear()
+    for _ in range(2):
+        good_bad_partition(pw, ab, np.arange(1.0, 31.0), coeffs)
+    assert built == [409, 118] * 2
+    assert transform._held_block.cache_info().currsize == 1
 
 
 def test_good_bad_partition_left_rows_are_dk_at_the_left_ends():

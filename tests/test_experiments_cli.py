@@ -382,6 +382,21 @@ def test_pair_norm_recipe_emits_constant_and_trials(tmp_path):
     assert all(r.passed for r in rows)
 
 
+def test_pair_norm_recipe_refuses_an_empty_sigma(tmp_path, capsys):
+    # the strong-pair trials draw on [0, 2 sup Sigma], which an empty Sigma
+    # leaves empty: a usage error that names the file, not a traceback
+    empty = _write(tmp_path / "empty.set", "")
+    cfg = _write(
+        tmp_path / "pair.cfg",
+        f"name = pair\nrecipe = pair-norm\nsigma_file = {empty}\n"
+        f"output_dir = {tmp_path}\n",
+    )
+    assert cli.main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sigma_file {empty} holds an empty set")
+    assert not (tmp_path / "pair.csv").exists()
+
+
 @pytest.mark.parametrize("alpha", [0.3, -0.3, 1.7])
 def test_plancherel_recipe_passes_at_non_polynomial_weights(tmp_path, alpha):
     # x^(2 alpha + 1) is not a polynomial: the rules integrate it exactly on
@@ -1033,6 +1048,20 @@ def test_cli_pair_norm_large_order(tmp_path, capsys, sup_s, sup_sigma, rc):
         assert 0.0 < float(out) <= 1.0
 
 
+@pytest.mark.parametrize("xmax, rc", [("nan", 2), ("inf", 0)])
+def test_cli_pair_norm_refuses_a_nan_xmax(tmp_path, capsys, xmax, rc):
+    # S fits in no window [0, nan], as it fits in none below sup S; it fits
+    # in [0, inf), which leaves the norm as it is
+    path = _write(tmp_path / "unit.set", UNIT)
+    argv = ["pair", "norm", "--alpha", "0", "--s", path, "--sigma", path]
+    assert cli.main(argv + ["--xmax", xmax]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert err == "error: S must be contained in [0, x_max]\n"
+    else:
+        assert float(out) == pytest.approx(0.9997619967469777, abs=1e-5)
+
+
 def test_cli_ls_bound_prints_value_and_log10(capsys):
     rc = cli.main(
         ["ls", "bound", "--alpha", "0", "--a", "1", "--b", "1", "--gamma", "0.25"]
@@ -1069,6 +1098,16 @@ def test_cli_ls_empirical_matches_library(tmp_path, capsys):
     )
     assert 0.0 < got <= 1.0
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "b, xmax", [("nan", "60"), ("inf", "60"), ("1", "nan"), ("1", "inf")]
+)
+def test_cli_ls_empirical_refuses_a_non_finite_band_or_window(capsys, b, xmax):
+    omega = str(CONFIGS / "omega-periodic.set")
+    argv = ["ls", "empirical", "--alpha", "0", "--b", b, "--xmax", xmax]
+    assert cli.main(argv + ["--omega", omega]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True)
@@ -1117,6 +1156,17 @@ def test_cli_ls_verify_reports_ordering(tmp_path, capsys):
 
 def _ls_verify_argv(omega, *flags):
     return ["ls", "verify", "--alpha", "0", "--a", "1", "--b", "1", "--omega", omega, *flags]
+
+
+@pytest.mark.parametrize(
+    "b, xmax", [("1", "nan"), ("1", "inf"), ("nan", "60"), ("inf", "60")]
+)
+def test_cli_ls_verify_refuses_a_non_finite_band_or_window(capsys, b, xmax):
+    omega = str(CONFIGS / "omega-periodic.set")
+    argv = ["ls", "verify", "--alpha", "0", "--a", "1", "--b", b, "--omega", omega]
+    assert cli.main(argv + ["--gamma", "0.25", "--xmax", xmax]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be positive and finite" in err
 
 
 def test_cli_ls_verify_fails_on_a_failed_density_row(tmp_path, capsys):
