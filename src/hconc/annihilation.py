@@ -31,14 +31,15 @@ Three numerical engines live here:
   without a copy.
 
 * good/bad windows I_x = [(x-1)^2, (x+1)^2] in the squared variable, from
-  one kernel ladder per order and band, kept across trials: the window
-  integrals on the unit pieces [x - 1, x] and [x, x + 1] of the root
-  variable, each distinct piece integrated once (Gauss-Jacobi on the piece
-  at 0), which also give the mass of the bad windows' union, and D^k f at
-  the piece starts, the windows' left ends.  A witness scan of every good
-  window probes its left end from those rows and builds grids, scanned in
-  lockstep, only for the windows whose left end fails.  Also the
-  analytic-growth inequality checker.
+  one kernel ladder per order and band and one set of piece rules per
+  order, kept across trials: the window integrals on the unit pieces
+  [x - 1, x] and [x, x + 1] of the root variable, each distinct piece
+  integrated once (Gauss-Jacobi on the piece at 0), which also give the
+  mass of the bad windows' union, and D^k f at the piece starts, the
+  windows' left ends.  A witness scan of every good window probes its left
+  end from those rows and builds grids, scanned in lockstep, only for the
+  windows whose left end fails.  Also the analytic-growth inequality
+  checker.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .paley_wiener import (
     theta_constant,
 )
 from .quadrature import build_rule, mu_panels, mu_rule, mu_rules, set_rule_size
+from .transform import _held
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
@@ -368,8 +370,10 @@ class LSParams:
     def __post_init__(self):
         if not (0 < self.gamma <= 1):
             raise DomainError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("a and b must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise DomainError(
+                f"a and b must be positive and finite, got {self.a} and {self.b}"
+            )
 
 
 def ls_bound_log10(params: LSParams) -> float:
@@ -404,6 +408,25 @@ def ls_bound(params: LSParams) -> float:
 # good/bad windows in the squared variable
 
 
+def _window_pieces(order: Order, k_max: int, center_bytes: bytes):
+    # the arrays of _piece_integrals that depend on the order, k_max and
+    # the centers alone: the pieces' left and right indices per window, the
+    # points (the pieces' nodes, then their starts) and the weight rows
+    # 2 y^(2 alpha + 2k + 1) dy = (2 / C) y^(2k) d mu_alpha(y), k = 0..k_max
+    centers = np.frombuffer(center_bytes)
+    starts, piece = np.unique(
+        np.concatenate([centers - 1.0, centers]), return_inverse=True
+    )
+    y, w = mu_panels(order, starts, starts + 1.0)
+    w *= 2.0 / mu_density_constant(order)
+    y2 = y * y
+    rows = np.empty((k_max + 1,) + y.shape)
+    for k in range(k_max + 1):
+        rows[k] = w
+        w *= y2
+    return piece.reshape(2, len(centers)), np.concatenate([y.ravel(), starts]), rows
+
+
 def _piece_integrals(pw: PWFunction, centers: np.ndarray, coeffs: np.ndarray):
     """Integrals of |d^k g|^2 s^(alpha+k) over the pieces of the windows
     I_x = [(x-1)^2, (x+1)^2], k = 0..k_max, where g(s) = f(sqrt(s)), for the
@@ -416,33 +439,25 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, coeffs: np.ndarray):
     integrated once by its 16-node rule from `mu_panels`.  One
     `held_apply_Dk_all` call gives D^k f at the nodes of every piece and,
     appended after them, at every piece start; a window's left end is the
-    start of its left piece.  The points depend on the order and centers
-    alone, so a trial that repeats them and pw.nodes (the spectral rule,
-    set by the band) finds the kernel ladder built, when it fits one block
-    as the recipe's 272 points x 32 nodes do, and runs only the
-    matrix-vector products.  Returns the integrals of the distinct pieces,
-    one row (k = 0..k_max) per piece, a (2, len(centers)) array of the rows
-    of each window's left and right piece (a window's integrals are the sum
-    of its two rows), and D^k f at the piece starts, one column per piece."""
-    k_max = len(coeffs) - 1
-    starts, piece = np.unique(
-        np.concatenate([centers - 1.0, centers]), return_inverse=True
+    start of its left piece.  The pieces, points and weight rows depend on
+    the order, k_max and centers alone, and the kernel ladder on those and
+    pw.nodes (the spectral rule, set by the band); all are `_held` (the
+    ladder when it fits one block, as the recipe's 272 points x 32 nodes
+    do), so a trial that repeats them runs only the products and the sums.
+    Returns the integrals of the distinct pieces, one row (k = 0..k_max)
+    per piece, a (2, len(centers)) array of the rows of each window's left
+    and right piece (a window's integrals are the sum of its two rows), and
+    D^k f at the piece starts, one column per piece."""
+    halves, points, rows = _held(
+        _window_pieces, pw.order, len(coeffs) - 1, centers.tobytes()
     )
-    y, w = mu_panels(pw.order, starts, starts + 1.0)
     # at the recipe's 32 spectral nodes the rows are one kernel block and
     # the 16 per piece fill whole BLAS row groups: the starts after them
     # change no piece value
-    dk = held_apply_Dk_all(pw, coeffs, np.concatenate([y.ravel(), starts]))
-    at_starts = dk[:, y.size :]
-    dk = dk[:, : y.size].reshape((k_max + 1,) + y.shape)
-    # 2 y^(2 alpha + 2k + 1) dy = (2 / C) y^(2k) d mu_alpha(y)
-    w *= 2.0 / mu_density_constant(pw.order)
-    y2 = y * y
-    per_piece = np.empty((len(starts), k_max + 1))
-    for k in range(k_max + 1):
-        per_piece[:, k] = np.sum(w * dk[k] ** 2, axis=1)
-        w *= y2
-    return per_piece, piece.reshape(2, len(centers)), at_starts
+    dk = held_apply_Dk_all(pw, coeffs, points)
+    n = rows[0].size
+    per_piece = np.sum(rows * dk[:, :n].reshape(rows.shape) ** 2, axis=2).T
+    return per_piece, halves, dk[:, n:]
 
 
 def good_bad_partition(

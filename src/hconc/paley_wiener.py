@@ -19,7 +19,7 @@ from .bessel import Order, cached_zero_table, eval_j
 from .errors import DomainError
 from .measure import IntervalSet
 from .quadrature import build_rule, mu_fold, mu_rule
-from .transform import held_kernel_apply, kernel_apply
+from .transform import _held, held_kernel_apply, kernel_apply
 
 _MAX_DK = 30
 
@@ -74,15 +74,26 @@ def synthesize(pws: Sequence[PWFunction], x) -> np.ndarray:
     return kernel_apply(first.order, xs, first.nodes, coeffs[None])[0]
 
 
+def _folded_rows(order: Order, k_max: int, node_bytes: bytes, weight_bytes: bytes):
+    # mu_fold(alpha + k) of the spectral rule, one row per k; each row takes
+    # its own scalar power, as mu_hat_weights does: a power with an array of
+    # exponents moves last bits
+    nodes, weights = np.frombuffer(node_bytes), np.frombuffer(weight_bytes)
+    return np.stack([mu_fold(order.shifted(k), nodes, weights) for k in range(k_max + 1)])
+
+
 def dk_coefficients(pw: PWFunction, k_max: int) -> np.ndarray:
     """Spectral coefficient rows of D^k f for k = 0..k_max: row k is the
     spectrum with the order-(alpha+k) measure folded in.  A caller that
-    evaluates D^k f at many point sets forms them once."""
+    evaluates D^k f at many point sets forms them once.  The folded
+    weights depend on the order, k_max and the spectral rule alone, so
+    they are `_held` for the process, and a repeat forms only the
+    products."""
     if not (0 <= k_max <= _MAX_DK):
         raise DomainError(f"derivative order k_max must be in [0, {_MAX_DK}]")
-    return np.stack(
-        [pw.mu_hat_weights(shift=k) * pw.coeffs for k in range(k_max + 1)]
-    )
+    nodes = np.asarray(pw.nodes, dtype=float).tobytes()
+    weights = np.asarray(pw.weights, dtype=float).tobytes()
+    return _held(_folded_rows, pw.order, k_max, nodes, weights) * pw.coeffs
 
 
 def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
@@ -147,7 +158,11 @@ def random_pw(
     nonzero boundary values).  kind="smooth": random low-degree polynomial
     shaped by a bump that vanishes to all orders at both band edges, so the
     synthesized function decays faster than any power (usable wherever a
-    truncated physical-domain integral must represent the full norm).
+    truncated physical-domain integral must represent the full norm).  The
+    bump is set to 0 where it would be subnormal (below the smallest normal
+    double), as at the two end nodes of a 32-node rule: arithmetic on
+    subnormals is slow, and the draw's norm is the same bits, since the
+    square of a subnormal is already 0.
 
     The spectrum is a sum over an n_spec-node rule, not a continuous one, so
     the synthesized function decays to ~1e-13 and then rises again: the
@@ -160,6 +175,7 @@ def random_pw(
     elif kind == "smooth":
         u = nodes / b
         bump = np.exp(4.0 - 1.0 / np.maximum(u * (1.0 - u), 1e-300))
+        bump[bump < np.finfo(float).tiny] = 0.0
         deg = int(rng.integers(2, 7))
         poly = np.polynomial.polynomial.polyval(2.0 * u - 1.0, rng.uniform(-1, 1, deg + 1))
         c = bump * poly

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from hconc import annihilation, transform
+from hconc import annihilation, paley_wiener, transform
 from hconc.annihilation import (
     LSParams,
     _piece_integrals,
@@ -931,8 +931,8 @@ def test_witness_point_scans_every_point_in_order():
 
 def _recording_ladders(monkeypatch):
     """The row counts of every kernel ladder built from here on, in a list
-    that the caller may clear; the held window kernels are dropped first,
-    so the count does not depend on what ran before."""
+    that the caller may clear; a test that calls it takes `cold_held`, so
+    the count does not depend on what ran before."""
     built = []
     real = transform.eval_j_ladder
 
@@ -941,7 +941,6 @@ def _recording_ladders(monkeypatch):
         return real(order, k_max, x)
 
     monkeypatch.setattr(transform, "eval_j_ladder", recording)
-    transform._held_block.cache_clear()
     return built
 
 
@@ -955,7 +954,7 @@ def _recipe_trial(alpha, trial):
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 0.0, 1.0])
-def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, alpha):
+def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, cold_held, alpha):
     # the recipe's trials at seed 7: the partition's ladder over the 16 nodes
     # of each of the 16 pieces and the 16 piece starts is built by the first
     # trial of each band and held for the repeats, and it is the only
@@ -979,13 +978,13 @@ def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, alpha):
     assert one_pass == (0 if alpha < 0 else 6)
 
 
-def test_held_window_kernels_give_the_streamed_bits(monkeypatch):
+def test_held_window_kernels_give_the_streamed_bits(monkeypatch, cold_held):
     # the partition from a cleared cache, from a warm one, and with every
     # kernel streamed through kernel_apply: the same four results, bit for bit
     xs = np.arange(1.0, 16.0)
     for alpha in (-0.3, 0.0, 1.0):
         trials = [_recipe_trial(alpha, t) for t in range(3)]
-        transform._held_block.cache_clear()
+        cold_held.cache_clear()
         cold = [good_bad_partition(pw, ab, xs, c) for pw, ab, c in trials]
         warm = [good_bad_partition(pw, ab, xs, c) for pw, ab, c in trials]
         with monkeypatch.context() as m:
@@ -997,17 +996,19 @@ def test_held_window_kernels_give_the_streamed_bits(monkeypatch):
                     assert np.array_equal(want, part)
 
 
-def test_six_trials_at_one_order_build_three_window_ladders(monkeypatch):
+def test_six_trials_at_one_order_build_three_window_ladders(monkeypatch, cold_held):
     built = _recording_ladders(monkeypatch)
     xs = np.arange(1.0, 16.0)
     for trial in range(6):
         pw, ab, coeffs = _recipe_trial(0.0, trial)
         good_bad_partition(pw, ab, xs, coeffs)
     assert built == [17 * 16] * 3
-    assert transform._held_block.cache_info().currsize == 3
+    # three ladders and three folded spectral rows, one per band, and the
+    # order's one set of pieces
+    assert cold_held.cache_info().currsize == 3 + 3 + 1
 
 
-def test_held_window_kernels_are_read_only(monkeypatch):
+def test_held_window_kernels_are_read_only(monkeypatch, cold_held):
     held = []
     real = transform._held_blocks
 
@@ -1017,7 +1018,6 @@ def test_held_window_kernels_are_read_only(monkeypatch):
         return blocks
 
     monkeypatch.setattr(transform, "_held_blocks", recording)
-    transform._held_block.cache_clear()
     pw, ab, coeffs = _recipe_trial(0.0, 0)
     good_bad_partition(pw, ab, np.arange(1.0, 16.0), coeffs)
     [(_, kern)] = held
@@ -1026,19 +1026,81 @@ def test_held_window_kernels_are_read_only(monkeypatch):
         kern[0, 0, 0] = 0.0
 
 
-def test_partition_past_one_block_streams_and_holds_nothing(monkeypatch):
+def test_partition_past_one_block_streams_and_holds_nothing(monkeypatch, cold_held):
     # 30 centers give 31 pieces, 17 x 31 = 527 points: 10 x 527 x 32
     # entries exceed one block of _LADDER_CHUNK (409 rows of 32), so each
-    # call streams its kernel in two blocks and the cache is left as it was
+    # call streams its kernel in two blocks and holds no kernel: the cache
+    # gains the 30 centers' pieces alone
     built = _recording_ladders(monkeypatch)
     pw, ab, coeffs = _recipe_trial(0.0, 0)
     good_bad_partition(pw, ab, np.arange(1.0, 16.0), coeffs)
-    assert transform._held_block.cache_info().currsize == 1
+    # the folded rows, the 15 centers' pieces and their kernel
+    assert cold_held.cache_info().currsize == 3
     built.clear()
     for _ in range(2):
         good_bad_partition(pw, ab, np.arange(1.0, 31.0), coeffs)
     assert built == [409, 118] * 2
-    assert transform._held_block.cache_info().currsize == 1
+    assert cold_held.cache_info().currsize == 4
+
+
+@pytest.mark.parametrize("alpha", [-0.3, 0.0, 1.0])
+def test_repeated_trials_rebuild_no_rule_and_no_folded_row(monkeypatch, cold_held, alpha):
+    # per trial of the recipe at seed 7: subnormal spectral coefficients,
+    # `mu_panels` calls (the pieces' rules) and `mu_fold` calls inside
+    # dk_coefficients.  The pieces depend on the order alone and are built
+    # by trial 0; the folded rows depend on the band as well and are built
+    # by trials 0-2; a repeated (alpha, ab), trials 3-5, builds neither
+    calls = {"mu_panels": 0, "mu_fold": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(annihilation, "mu_panels")
+    counting(paley_wiener, "mu_fold")
+    xs = np.arange(1.0, 16.0)
+    subnormal, folds, panels = [], [], []
+    for trial in range(6):
+        ab = (0.05, 0.1, 0.3)[trial % 3]
+        pw = random_pw(Order(alpha), ab, 32, np.random.default_rng((7, trial)), kind="smooth")
+        mags = np.abs(pw.coeffs)
+        subnormal.append(int(np.count_nonzero((mags > 0) & (mags < np.finfo(float).tiny))))
+        before = calls["mu_fold"]
+        coeffs = dk_coefficients(pw, 8)
+        folds.append(calls["mu_fold"] - before)
+        before = calls["mu_panels"]
+        good_bad_partition(pw, ab, xs, coeffs)
+        panels.append(calls["mu_panels"] - before)
+    assert subnormal == [0] * 6
+    assert panels == [1, 0, 0, 0, 0, 0]
+    assert folds == [9, 9, 9, 0, 0, 0]
+
+
+def test_held_pieces_and_spectral_rows_are_read_only(cold_held):
+    # after one trial the cache holds its folded rows, pieces and kernel;
+    # asking again for the first two hits them, and every array is read-only
+    xs = np.arange(1.0, 16.0)
+    pw, ab, coeffs = _recipe_trial(0.0, 0)
+    good_bad_partition(pw, ab, xs, coeffs)
+    halves, points, rows = transform._held(
+        annihilation._window_pieces, pw.order, 8, xs.tobytes()
+    )
+    folded = transform._held(
+        paley_wiener._folded_rows, pw.order, 8, pw.nodes.tobytes(), pw.weights.tobytes()
+    )
+    info = cold_held.cache_info()
+    assert (info.hits, info.currsize) == (2, 3)
+    assert halves.shape == (2, 15) and points.shape == (17 * 16,)
+    assert rows.shape == (9, 16, 16) and folded.shape == (9, 32)
+    assert np.array_equal(folded * pw.coeffs, coeffs)
+    for held in (halves, points, rows, folded):
+        with pytest.raises(ValueError):
+            held.flat[0] = 0
 
 
 def test_good_bad_partition_left_rows_are_dk_at_the_left_ends():

@@ -1062,6 +1062,15 @@ def test_cli_pair_norm_refuses_a_nan_xmax(tmp_path, capsys, xmax, rc):
         assert float(out) == pytest.approx(0.9997619967469777, abs=1e-5)
 
 
+@pytest.mark.parametrize("a, b", [("1", "nan"), ("1", "inf"), ("nan", "1")])
+def test_cli_ls_bound_refuses_a_non_finite_width_or_band(capsys, a, b):
+    # a NaN a or b printed nan and an infinite one 0, with exit 0
+    argv = ["ls", "bound", "--alpha", "0", "--a", a, "--b", b, "--gamma", "0.25"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "a and b must be positive and finite" in err
+
+
 def test_cli_ls_bound_prints_value_and_log10(capsys):
     rc = cli.main(
         ["ls", "bound", "--alpha", "0", "--a", "1", "--b", "1", "--gamma", "0.25"]

@@ -175,6 +175,60 @@ def test_random_pw_determinism_and_kinds():
         random_pw(Order(0.0), 1.0, 32, np.random.default_rng(0), kind="spiky")
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _subnormal_count(values) -> int:
+    mags = np.abs(values)
+    return int(np.count_nonzero((mags > 0) & (mags < _TINY)))
+
+
+@pytest.mark.parametrize("b", [0.05, 0.3, 2.0])
+@pytest.mark.parametrize("n_spec", [16, 32, 128])
+def test_smooth_draws_hold_no_subnormal(n_spec, b):
+    # the bump underflows into the subnormals at the two end nodes of a
+    # 32-node rule (to 0 at 128 nodes, nowhere at 16); the draw and its
+    # D^k rows hold none.  At order 7, b = 0.05 and 128 nodes a folded row
+    # times a normal coefficient still underflows into them (rows 6-8 at
+    # the fourth node), which no recipe reaches
+    for alpha in (-0.5, 0.0, 0.5, 2.5):
+        for seed in range(8):
+            rng = np.random.default_rng((seed, 0))
+            pw = random_pw(Order(alpha), b, n_spec, rng, kind="smooth")
+            assert _subnormal_count(pw.coeffs) == 0
+            assert _subnormal_count(dk_coefficients(pw, 8)) == 0
+
+
+def _unflushed_smooth_draw(order, b, n_spec, rng):
+    # random_pw(kind="smooth") with the bump's subnormals kept
+    nodes, weights = build_rule(0.0, b, n_spec)
+    u = nodes / b
+    bump = np.exp(4.0 - 1.0 / np.maximum(u * (1.0 - u), 1e-300))
+    deg = int(rng.integers(2, 7))
+    c = bump * np.polynomial.polynomial.polyval(2.0 * u - 1.0, rng.uniform(-1, 1, deg + 1))
+    pw = PWFunction(order, b, nodes, weights, c)
+    return PWFunction(order, b, nodes, weights, c / dk_norm(pw, 0))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+def test_flushed_draw_synthesizes_the_unflushed_bits(alpha):
+    # the two end coefficients are subnormal in the unflushed draw and 0 in
+    # the draw; every other coefficient, the norm, the synthesized function
+    # and D^k f at the good-bad windows' points are the same bits
+    x = np.linspace(0.0, 16.0, 272)
+    for seed in range(4):
+        for ab in (0.05, 0.1, 0.3):
+            pw = random_pw(Order(alpha), ab, 32, np.random.default_rng((seed, 1)), kind="smooth")
+            raw = _unflushed_smooth_draw(Order(alpha), ab, 32, np.random.default_rng((seed, 1)))
+            assert _subnormal_count(raw.coeffs) == _subnormal_count(raw.coeffs[[0, -1]]) == 2
+            assert np.all(pw.coeffs[[0, -1]] == 0.0)
+            assert np.array_equal(pw.coeffs[1:-1], raw.coeffs[1:-1])
+            assert dk_norm(pw, 0) == dk_norm(raw, 0)
+            assert np.array_equal(synthesize([pw], x), synthesize([raw], x))
+            got = apply_Dk_all(pw, dk_coefficients(pw, 8), x)
+            assert np.array_equal(got, apply_Dk_all(raw, dk_coefficients(raw, 8), x))
+
+
 def test_indicator_pw_synthesizes_order_shifted_kernel():
     # the normalized indicator spectrum on (0, 1/(2 pi)) synthesizes the
     # order-(alpha+1) kernel: the n = 0 member of the peaked family

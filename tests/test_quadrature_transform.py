@@ -244,6 +244,32 @@ def test_coefficient_sets_match_single_set_calls(monkeypatch):
         assert np.array_equal(single[0, j], kernel_apply(order, xi, x, ladder[0, j]))
 
 
+@pytest.mark.parametrize("rows", [24, 272, 527])
+@pytest.mark.parametrize("sets", [1, 4])
+@pytest.mark.parametrize("k_max", [0, 8])
+def test_kernel_sums_equal_the_per_set_gemv_loop(k_max, sets, rows):
+    # one stacked matmul per block against one gemv per block, order and
+    # set, bit for bit; 527 rows of 32 nodes stream in two blocks at k_max 8
+    order = Order(0.3)
+    rng = np.random.default_rng(29)
+    nodes = np.sort(rng.uniform(0.0, 0.3, 32))
+    y = np.linspace(0.0, 16.0, rows)
+    coeffs = rng.standard_normal((k_max + 1, sets, 32))
+    want = np.empty((k_max + 1, sets, rows))
+    blocks = list(transform._kernel_blocks(order, k_max, y, nodes))
+    assert len(blocks) == (2 if (k_max, rows) == (8, 527) else 1)
+    for block, kern in blocks:
+        for k in range(k_max + 1):
+            for j in range(sets):
+                want[k, j, block] = kern[k] @ coeffs[k, j]
+    got = transform._kernel_sums(transform._kernel_blocks, order, y, nodes, coeffs)
+    assert np.array_equal(got, want)
+    if sets == 1:
+        # (k_max+1, n): one set per order
+        flat = transform._kernel_sums(transform._kernel_blocks, order, y, nodes, coeffs[:, 0])
+        assert np.array_equal(flat, want[:, 0])
+
+
 @pytest.mark.parametrize("width", [1, 400, 640, 5000])
 def test_single_order_kernel_blocks_stay_within_budget(width):
     order = Order(0.3)
