@@ -31,11 +31,11 @@ Three numerical engines live here:
   without a copy.
 
 * good/bad windows I_x = [(x-1)^2, (x+1)^2] in the squared variable, from
-  one kernel ladder per order and band and one set of piece rules per
-  order, kept across trials: the window integrals on the unit pieces
-  [x - 1, x] and [x, x + 1] of the root variable, each distinct piece
-  integrated once (Gauss-Jacobi on the piece at 0), which also give the
-  mass of the bad windows' union, and D^k f at the piece starts, the
+  one window plan per order, band and set of centers, kept across trials
+  (`_window_plan`, the only good-bad cache): the window integrals on the
+  unit pieces [x - 1, x] and [x, x + 1] of the root variable, each distinct
+  piece integrated once (Gauss-Jacobi on the piece at 0), which also give
+  the mass of the bad windows' union, and D^k f at the piece starts, the
   windows' left ends.  A witness scan of every good window probes its left
   end from those rows and builds grids, scanned in lockstep, only for the
   windows whose left end fails.  Also the analytic-growth inequality
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import linalg
@@ -55,15 +56,17 @@ from .errors import ConvergenceError, DomainError, InternalError
 from .measure import IntervalSet, _check_power_range, mu_density_constant, mu_measure
 from .paley_wiener import (
     PWFunction,
+    _check_dk,
+    _dk_signs,
     apply_Dk_all,
+    dk_coefficients,
     extremal_family,
     extremal_norm_sq,
-    held_apply_Dk_all,
     tail_mass,
     theta_constant,
 )
-from .quadrature import build_rule, mu_panels, mu_rule, mu_rules, set_rule_size
-from .transform import _held
+from .quadrature import build_rule, mu_fold, mu_panels, mu_rule, mu_rules, set_rule_size
+from .transform import _block_rows, _kernel_blocks, _kernel_sums
 
 _STABILITY_TOL = 1e-6
 _MAX_DOUBLINGS = 4
@@ -408,66 +411,84 @@ def ls_bound(params: LSParams) -> float:
 # good/bad windows in the squared variable
 
 
-def _window_pieces(order: Order, k_max: int, center_bytes: bytes):
-    # the arrays of _piece_integrals that depend on the order, k_max and
-    # the centers alone: the pieces' left and right indices per window, the
-    # points (the pieces' nodes, then their starts) and the weight rows
-    # 2 y^(2 alpha + 2k + 1) dy = (2 / C) y^(2k) d mu_alpha(y), k = 0..k_max
-    centers = np.frombuffer(center_bytes)
-    starts, piece = np.unique(
-        np.concatenate([centers - 1.0, centers]), return_inverse=True
-    )
+@lru_cache(maxsize=16)
+def _window_plan(order: Order, k_max: int, centers: bytes, rule: bytes):
+    """The arrays of a good-bad trial that depend on the order, k_max, the
+    window centers and the spectral rule alone (keyed on the float64 bytes
+    of the centers and of the rule's (2, n) nodes and weights), made once
+    per process and read-only; 16 entries at most.  In order: each window's
+    left and right piece index, shape (2, len(centers)); the points, the
+    16-node `mu_panels` rules of the distinct unit pieces [s, s + 1],
+    s in {x - 1, x}, then the starts s; the weight rows
+    2 y^(2 alpha + 2k + 1) dy = (2 / C) y^(2k) d mu_alpha(y), k = 0..k_max;
+    the folded spectral rows mu_fold(alpha + k); and the kernel ladder at
+    the points and the spectral nodes as the one (block, kern) pair of
+    `_kernel_blocks`, where it fits one row block (the recipe's 272 points
+    x 32 nodes do), else none, and the kernel streams on each call."""
+    _check_dk(k_max)
+    x = np.frombuffer(centers)
+    nodes, weights = np.frombuffer(rule).reshape(2, -1)
+    starts, piece = np.unique(np.concatenate([x - 1.0, x]), return_inverse=True)
     y, w = mu_panels(order, starts, starts + 1.0)
     w *= 2.0 / mu_density_constant(order)
     y2 = y * y
     rows = np.empty((k_max + 1,) + y.shape)
+    folded = np.empty((k_max + 1, len(nodes)))
     for k in range(k_max + 1):
         rows[k] = w
         w *= y2
-    return piece.reshape(2, len(centers)), np.concatenate([y.ravel(), starts]), rows
+        # one scalar power per row, as mu_hat_weights takes it: a power with
+        # an array of exponents moves last bits
+        folded[k] = mu_fold(order.shifted(k), nodes, weights)
+    points = np.concatenate([y.ravel(), starts])
+    held = ()
+    if len(points) <= _block_rows(k_max, len(nodes)):
+        held = tuple(_kernel_blocks(order, k_max, points, nodes))
+    for part in (piece, points, rows, folded, *(kern for _, kern in held)):
+        part.setflags(write=False)
+    return piece.reshape(2, len(x)), points, rows, folded, held
 
 
-def _piece_integrals(pw: PWFunction, centers: np.ndarray, coeffs: np.ndarray):
+def _piece_integrals(pw: PWFunction, centers: np.ndarray, k_max: int):
     """Integrals of |d^k g|^2 s^(alpha+k) over the pieces of the windows
     I_x = [(x-1)^2, (x+1)^2], k = 0..k_max, where g(s) = f(sqrt(s)), for the
-    flat array `centers` of x.  `coeffs` = dk_coefficients(pw, k_max) are
-    the D^k rows, and k_max = len(coeffs) - 1.
-
-    In y = sqrt(s), where d^k g = D^k f, the integral is that of
-    |D^k f(y)|^2 2 y^(2 alpha + 2k + 1) over the unit pieces [x - 1, x] and
-    [x, x + 1].  Neighbouring windows share a piece; each distinct piece is
-    integrated once by its 16-node rule from `mu_panels`.  One
-    `held_apply_Dk_all` call gives D^k f at the nodes of every piece and,
-    appended after them, at every piece start; a window's left end is the
-    start of its left piece.  The pieces, points and weight rows depend on
-    the order, k_max and centers alone, and the kernel ladder on those and
-    pw.nodes (the spectral rule, set by the band); all are `_held` (the
-    ladder when it fits one block, as the recipe's 272 points x 32 nodes
-    do), so a trial that repeats them runs only the products and the sums.
-    Returns the integrals of the distinct pieces, one row (k = 0..k_max)
-    per piece, a (2, len(centers)) array of the rows of each window's left
-    and right piece (a window's integrals are the sum of its two rows), and
-    D^k f at the piece starts, one column per piece."""
-    halves, points, rows = _held(
-        _window_pieces, pw.order, len(coeffs) - 1, centers.tobytes()
-    )
+    flat array `centers` of x.  In y = sqrt(s), where d^k g = D^k f, the
+    integral is that of |D^k f(y)|^2 2 y^(2 alpha + 2k + 1) over the unit
+    pieces [x - 1, x] and [x, x + 1]; neighbouring windows share a piece,
+    and each distinct piece is integrated once.  One kernel pass over the
+    window plan's points gives D^k f at the nodes of every piece and at
+    every piece start; a window's left end is the start of its left piece.
+    Returns the integrals of the distinct pieces, one row (k = 0..k_max) per
+    piece, each window's left and right piece row, shape (2, len(centers))
+    (a window's integrals are the sum of its two rows), D^k f at the piece
+    starts, one column per piece, and the mu_alpha mass of f^2 on [0, inf)
+    from the plan's folded row k = 0."""
+    rule = np.asarray([pw.nodes, pw.weights], dtype=float).tobytes()
+    plan = _window_plan(pw.order, k_max, centers.tobytes(), rule)
+    halves, points, rows, folded, held = plan
     # at the recipe's 32 spectral nodes the rows are one kernel block and
     # the 16 per piece fill whole BLAS row groups: the starts after them
     # change no piece value
-    dk = held_apply_Dk_all(pw, coeffs, points)
+    blocks = held or _kernel_blocks(pw.order, k_max, points, pw.nodes)
+    dk = _dk_signs(_kernel_sums(blocks, len(points), folded * pw.coeffs))
     n = rows[0].size
     per_piece = np.sum(rows * dk[:, :n].reshape(rows.shape) ** 2, axis=2).T
-    return per_piece, halves, dk[:, n:]
+    total = float(np.dot(folded[0], pw.coeffs**2))
+    return per_piece, halves, dk[:, n:], total
+
+
+def _check_band_product(ab: float) -> None:
+    if not (0.0 < ab < math.inf):
+        raise DomainError(f"bandlimit product ab must be positive and finite, got {ab}")
 
 
 def good_bad_partition(
-    pw: PWFunction, ab: float, xs, coeffs: np.ndarray
+    pw: PWFunction, ab: float, xs, k_max: int
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Label each window center x of `xs`, an integer >= 1, as bad when some
     derivative order k in [1, k_max] has >= (2 pi ab)^(2k) times the
     window's own mass: integral over I_x of |d^k g|^2 s^(alpha+k) >=
-    (2 pi ab)^(2k) * integral over I_x of |g|^2 s^alpha.  `coeffs` =
-    dk_coefficients(pw, k_max) are the D^k rows, and k_max = len(coeffs) - 1.
+    (2 pi ab)^(2k) * integral over I_x of |g|^2 s^alpha.
 
     Returns the boolean bad-mask, the window masses (the k = 0 integrals),
     the bad-mass fraction, and D^k f at each window's left end y = x - 1
@@ -478,26 +499,20 @@ def good_bad_partition(
     On integer centers that union is the union of the distinct unit pieces
     of the bad windows, so its mass is the sum of their k = 0 integrals, and
     all four come from one kernel pass."""
-    if ab <= 0:
-        raise DomainError("bandlimit product ab must be positive")
+    _check_band_product(ab)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 1.0):
         raise DomainError("window centers must be >= 1")
     if np.any(xs != np.round(xs)):
         raise DomainError("window centers must be integers")
-    per_piece, halves, at_starts = _piece_integrals(pw, xs, coeffs)
+    per_piece, halves, at_starts, total = _piece_integrals(pw, xs, k_max)
     ints = per_piece[halves[0]] + per_piece[halves[1]]
     mass = ints[:, 0]
-    bad = np.zeros(len(xs), dtype=bool)
-    base = (2.0 * math.pi * ab) ** 2
-    factor = 1.0
-    for k in range(1, len(coeffs)):
-        factor *= base
-        bad |= ints[:, k] >= factor * mass
+    factors = np.cumprod(np.full(k_max, (2.0 * math.pi * ab) ** 2))
+    bad = np.any(ints[:, 1:] >= factors * mass[:, None], axis=1)
     # the k = 0 integral of a piece is 2 / C times its mu_alpha mass of f^2,
     # and the total is the mu_alpha mass of f^2 on [0, inf)
     bad_pieces = np.unique(halves[:, bad])
-    total = float(np.dot(pw.mu_hat_weights(), pw.coeffs**2))
     frac = (
         float(np.sum(per_piece[bad_pieces, 0]))
         * (0.5 * mu_density_constant(pw.order))
@@ -506,29 +521,29 @@ def good_bad_partition(
     return bad, mass, frac, at_starts[:, halves[0]]
 
 
-def witness_point(
-    pw: PWFunction, ab: float, xs, masses, left, coeffs: np.ndarray
-) -> np.ndarray:
+def witness_point(pw: PWFunction, ab: float, xs, masses, left) -> np.ndarray:
     """For each window center x of `xs`, the first point t of a grid on I_x
     where every derivative order obeys the pointwise growth bound
     t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k * window mass, or NaN
     where no grid holds one.  The grids are 1000 equispaced points on I_x
     and two tenfold refinements, each starting at the left end (x - 1)^2.
-    `masses` (the windows' integrals of |g|^2 s^alpha), `left` (D^k f at
-    y = x - 1, one column per window) and `coeffs` = dk_coefficients(pw,
-    k_max) are as good_bad_partition returns and takes them.
+    `masses` (the windows' integrals of |g|^2 s^alpha) and `left` (D^k f at
+    y = x - 1, one column per window, k = 0..k_max) are as
+    good_bad_partition returns them.
 
     The left end is probed first, from `left`, with no kernel pass; in the
     good-bad recipe's trials it is the witness of nearly every window.  The
-    grids are built only for the windows whose left end fails, and scanned
+    grids, and the rows dk_coefficients(pw, k_max) they are evaluated
+    from, are built only for the windows whose left end fails, and scanned
     in order from their second point, in chunks of 16, 64, 256, ... points;
     a window stops at the first chunk that holds a witness, the first of
     its grid.  The windows scan in lockstep, one `apply_Dk_all` call per
     chunk step over the windows still open; the kernel is evaluated point
     by point, so no window's result depends on the others."""
+    _check_band_product(ab)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     masses = np.atleast_1d(np.asarray(masses, dtype=float))
-    n_k = len(coeffs)
+    n_k = len(left)
     powers = (pw.order.alpha + np.arange(n_k))[:, None, None]
     base = 12.0 * math.pi**2 * ab * ab
     bounds = np.cumprod(np.r_[1.0, np.full(n_k - 1, base)])[:, None, None]
@@ -544,6 +559,8 @@ def witness_point(
     at_left = holds(lo[:, None], left[:, :, None], masses[:, None])[:, 0]
     witness = np.where(at_left, lo, np.nan)
     todo = np.flatnonzero(~at_left)  # windows with no witness on the grids so far
+    if len(todo):
+        coeffs = dk_coefficients(pw, n_k - 1)
     for n in (1000, 10_000, 100_000):
         if not len(todo):
             break

@@ -51,7 +51,6 @@ from .errors import ConvergenceError, InternalError, UsageError
 from .measure import IntervalSet, density_profile, load_interval_set
 from .paley_wiener import (
     bernstein_sides,
-    dk_coefficients,
     extremal_family,
     extremal_peak,
     random_pw,
@@ -539,10 +538,9 @@ def _recipe_good_bad(config: ExperimentConfig) -> list[ReportRow]:
         rng = _trial_rng(config, t)
         ab = _GOOD_BAD_PRODUCTS[t % len(_GOOD_BAD_PRODUCTS)]
         pw = random_pw(order, ab, 32, rng, kind="smooth")
-        coeffs = dk_coefficients(pw, 8)
-        bad, mass, frac, left = good_bad_partition(pw, ab, xs, coeffs)
+        bad, mass, frac, left = good_bad_partition(pw, ab, xs, 8)
         goods = xs[~bad]
-        witness = witness_point(pw, ab, goods, mass[~bad], left[:, ~bad], coeffs)
+        witness = witness_point(pw, ab, goods, mass[~bad], left[:, ~bad])
         found = int(np.count_nonzero(np.isfinite(witness)))
         return [
             _row("bad-mass", frac, 1.0 / 3.0 + 0.01, trial=t, ab=ab),

@@ -5,6 +5,8 @@ A PWFunction stores spectral samples of the transform on a rule over (0, b);
 synthesis is the inverse-transform quadrature.  The iterated half-derivative
 D = (1/2x) d/dx maps the model to order alpha+k with an explicit kernel, which
 gives the norm of D^k f as an exact spectral sum (no physical truncation).
+D^k f at points is the kernel sums of the rows of `dk_coefficients`, row k
+times (-pi)^k (`_dk_signs`); nothing here is cached.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .bessel import Order, cached_zero_table, eval_j
 from .errors import DomainError
 from .measure import IntervalSet
 from .quadrature import build_rule, mu_fold, mu_rule
-from .transform import _held, held_kernel_apply, kernel_apply
+from .transform import kernel_apply
 
 _MAX_DK = 30
 
@@ -74,26 +76,17 @@ def synthesize(pws: Sequence[PWFunction], x) -> np.ndarray:
     return kernel_apply(first.order, xs, first.nodes, coeffs[None])[0]
 
 
-def _folded_rows(order: Order, k_max: int, node_bytes: bytes, weight_bytes: bytes):
-    # mu_fold(alpha + k) of the spectral rule, one row per k; each row takes
-    # its own scalar power, as mu_hat_weights does: a power with an array of
-    # exponents moves last bits
-    nodes, weights = np.frombuffer(node_bytes), np.frombuffer(weight_bytes)
-    return np.stack([mu_fold(order.shifted(k), nodes, weights) for k in range(k_max + 1)])
+def _check_dk(k: int) -> None:
+    if not (0 <= k <= _MAX_DK):
+        raise DomainError(f"derivative order must be in [0, {_MAX_DK}], got {k}")
 
 
 def dk_coefficients(pw: PWFunction, k_max: int) -> np.ndarray:
     """Spectral coefficient rows of D^k f for k = 0..k_max: row k is the
     spectrum with the order-(alpha+k) measure folded in.  A caller that
-    evaluates D^k f at many point sets forms them once.  The folded
-    weights depend on the order, k_max and the spectral rule alone, so
-    they are `_held` for the process, and a repeat forms only the
-    products."""
-    if not (0 <= k_max <= _MAX_DK):
-        raise DomainError(f"derivative order k_max must be in [0, {_MAX_DK}]")
-    nodes = np.asarray(pw.nodes, dtype=float).tobytes()
-    weights = np.asarray(pw.weights, dtype=float).tobytes()
-    return _held(_folded_rows, pw.order, k_max, nodes, weights) * pw.coeffs
+    evaluates D^k f at many point sets forms them once."""
+    _check_dk(k_max)
+    return np.stack([pw.mu_hat_weights(shift=k) for k in range(k_max + 1)]) * pw.coeffs
 
 
 def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
@@ -102,21 +95,14 @@ def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
     D^k f(x) = (-pi)^k * integral of spectrum * j_{alpha+k}(2 pi x xi)
     against d mu_{alpha+k}.  All rows share one order ladder (two Bessel
     evaluations) per kernel block."""
-    return _dk_rows(kernel_apply, pw, coeffs, x)
+    return _dk_signs(kernel_apply(pw.order, x, pw.nodes, coeffs))
 
 
-def held_apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
-    """`apply_Dk_all` at points x that recur from call to call, on the
-    kernel ladder that `held_kernel_apply` keeps; the same bits."""
-    return _dk_rows(held_kernel_apply, pw, coeffs, x)
-
-
-def _dk_rows(apply, pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
-    # the kernel sums of `apply` (one of transform's two), row k times (-pi)^k
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = apply(pw.order, xs, pw.nodes, coeffs)
-    vals *= np.array([(-math.pi) ** k for k in range(len(coeffs))])[:, None]
-    return vals
+def _dk_signs(sums: np.ndarray) -> np.ndarray:
+    """Kernel sums of the rows of `dk_coefficients`, one row per order
+    alpha + k, made D^k f in place: row k times (-pi)^k."""
+    sums *= np.array([(-math.pi) ** k for k in range(len(sums))])[:, None]
+    return sums
 
 
 def dk_norm(pw: PWFunction, k: int) -> float:
@@ -124,8 +110,7 @@ def dk_norm(pw: PWFunction, k: int) -> float:
     spectral identity ||D^k f|| = pi^k * (spectral norm of the coefficients
     in mu_{alpha+k}); at k = 0 it is Plancherel's ||f||.  No physical-domain
     truncation enters."""
-    if not (0 <= k <= _MAX_DK):
-        raise DomainError(f"derivative order k must be in [0, {_MAX_DK}]")
+    _check_dk(k)
     return math.pi**k * float(
         np.sqrt(np.dot(pw.mu_hat_weights(shift=k), pw.coeffs**2))
     )

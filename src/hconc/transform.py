@@ -8,14 +8,12 @@ sums at output nodes, for one order or a whole ladder alpha + k, and
 Both take several coefficient sets at once (one per function on the same
 nodes): every kernel block is evaluated once and applied to each set by its
 own matrix-vector product, so a set's result does not depend on the others.
-`held_kernel_apply` is `kernel_apply` for output nodes that recur, such as
-the good-bad windows' points: it keeps a kernel of one block in `_held`, the
-process-wide cache of the arrays that recur from call to call.
+`_kernel_sums` is the one loop that forms kernel sums, over the (block,
+kern) pairs that `_kernel_blocks` streams or that a caller holds, as the
+good-bad window plan does; this module holds no cache.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,51 +54,20 @@ def _kernel_blocks(order: Order, k_max: int, out_nodes: np.ndarray, nodes):
         yield block, eval_j_ladder(order, k_max, args)
 
 
-@lru_cache(maxsize=16)
-def _held(build, *key):
-    """build(*key), made once per process for each distinct key, with every
-    array of it read-only: the arrays that recurring calls rebuild from
-    the same inputs (the good-bad windows' kernel ladders, piece rules and
-    folded spectral rows).  The key holds the order, the ladder height and
-    the float64 bytes of the node sets or window centers; 16 entries at
-    most."""
-    made = build(*key)
-    for part in made if isinstance(made, tuple) else (made,):
-        if isinstance(part, np.ndarray):
-            part.setflags(write=False)
-    return made
-
-
-def _one_block(order: Order, k_max: int, out_bytes: bytes, node_bytes: bytes):
-    # the one (block, kern) of _kernel_blocks on the nodes of these bytes
-    out_nodes, nodes = np.frombuffer(out_bytes), np.frombuffer(node_bytes)
-    [(block, kern)] = _kernel_blocks(order, k_max, out_nodes, nodes)
-    return block, kern
-
-
-def _held_blocks(order: Order, k_max: int, out_nodes: np.ndarray, nodes):
-    """`_kernel_blocks`, but a kernel that fits one block is `_held`; a
-    larger one streams block by block."""
-    nodes = np.asarray(nodes, dtype=float)
-    if not 0 < len(out_nodes) <= _block_rows(k_max, len(nodes)):
-        return _kernel_blocks(order, k_max, out_nodes, nodes)
-    return [_held(_one_block, order, k_max, out_nodes.tobytes(), nodes.tobytes())]
-
-
-def _kernel_sums(blocks, order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
-    """The sums of `kernel_apply` over the (block, kern) pairs that
-    blocks(order, k_max, y, nodes) yields: one matrix-vector product per
-    block, order and coefficient set, all of a block from one stacked
-    `np.matmul`, which hands each to BLAS gemv as `kern[k] @ c` does."""
+def _kernel_sums(blocks, n_out: int, coeffs) -> np.ndarray:
+    """The sums of `kernel_apply` at n_out output nodes over the (block,
+    kern) pairs of `blocks`, kern of shape (k_max+1, rows, n): one
+    matrix-vector product per block, order and coefficient set, all of a
+    block from one stacked `np.matmul`, which hands each to BLAS gemv as
+    `kern[k] @ c` does."""
     coeffs = np.asarray(coeffs, dtype=float)
     # (n,) and (k_max+1, n) hold one set per order
     sets = coeffs if coeffs.ndim == 3 else coeffs.reshape(-1, 1, coeffs.shape[-1])
     sets = np.ascontiguousarray(sets)
-    y = np.atleast_1d(np.asarray(out_nodes, dtype=float))
-    out = np.empty(sets.shape[:2] + (len(y),))
-    for block, kern in blocks(order, len(sets) - 1, y, nodes):
+    out = np.empty(sets.shape[:2] + (n_out,))
+    for block, kern in blocks:
         out[:, :, block] = np.matmul(kern[:, None], sets[..., None])[..., 0]
-    return out.reshape(coeffs.shape[:-1] + (len(y),))
+    return out.reshape(coeffs.shape[:-1] + (n_out,))
 
 
 def kernel_apply(order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
@@ -109,17 +76,9 @@ def kernel_apply(order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
     block from one `eval_j_ladder` call.  A 1-D `coeffs` is the single order
     alpha and gives a 1-D result.  A 3-D `coeffs` of shape (k_max+1, m, n)
     holds m coefficient sets per order and gives shape (k_max+1, m, len(y))."""
-    return _kernel_sums(_kernel_blocks, order, out_nodes, nodes, coeffs)
-
-
-def held_kernel_apply(order: Order, out_nodes, nodes, coeffs) -> np.ndarray:
-    """`kernel_apply` for output nodes that recur from call to call.  A
-    kernel ladder that fits one row block is kept, read-only, in a
-    process-wide cache (`_held`) keyed on the order, the ladder height
-    and the bytes of both node sets, so a repeat evaluates no kernel; a
-    larger one streams block by block, as in `kernel_apply`.  The sums are
-    the same bits either way."""
-    return _kernel_sums(_held_blocks, order, out_nodes, nodes, coeffs)
+    y = np.atleast_1d(np.asarray(out_nodes, dtype=float))
+    k_max = len(coeffs) - 1 if np.ndim(coeffs) > 1 else 0
+    return _kernel_sums(_kernel_blocks(order, k_max, y, nodes), len(y), coeffs)
 
 
 def round_trip(order: Order, nodes, coeffs, out_nodes, out_weights):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
@@ -726,13 +726,13 @@ def test_ls_params_validation():
 # good/bad windows
 
 
-def _window_integrals(pw, x, coeffs):
+def _window_integrals(pw, x, k_max):
     """The integrals of `_piece_integrals` per window, the sum of its two
     pieces, for one center or an array of them."""
     centers = np.asarray(x, dtype=float)
-    per_piece, halves, _ = _piece_integrals(pw, centers.ravel(), coeffs)
+    per_piece, halves, _, _ = _piece_integrals(pw, centers.ravel(), k_max)
     ints = per_piece[halves[0]] + per_piece[halves[1]]
-    return ints.reshape(centers.shape + (len(coeffs),))
+    return ints.reshape(centers.shape + (k_max + 1,))
 
 
 def _left_rows(pw, coeffs, xs):
@@ -744,11 +744,10 @@ def _left_rows(pw, coeffs, xs):
 def test_good_bad_partition_threshold_scaling():
     pw = random_pw(Order(0.0), 1.0, 96, np.random.default_rng(3), kind="smooth")
     xs = np.arange(1.0, 9.0)
-    coeffs = dk_coefficients(pw, 6)
     # huge threshold: nothing can be bad; tiny threshold: something is
-    bad, _, frac, _ = good_bad_partition(pw, 10.0, xs, coeffs)
+    bad, _, frac, _ = good_bad_partition(pw, 10.0, xs, 6)
     assert not np.any(bad)
-    assert np.any(good_bad_partition(pw, 1e-3, xs, coeffs)[0])
+    assert np.any(good_bad_partition(pw, 1e-3, xs, 6)[0])
     assert frac == 0.0
 
 
@@ -757,7 +756,7 @@ def test_bad_mass_fraction_bounds():
     # the captured fraction must still be a fraction
     pw = random_pw(Order(0.5), 1.0, 96, np.random.default_rng(4), kind="smooth")
     xs = np.arange(1.0, 12.0)
-    _, _, frac, _ = good_bad_partition(pw, 0.05, xs, dk_coefficients(pw, 6))
+    _, _, frac, _ = good_bad_partition(pw, 0.05, xs, 6)
     assert 0.0 <= frac <= 1.0 + 1e-9
     assert frac > 0.9  # windows cover nearly the whole support
 
@@ -773,13 +772,12 @@ def test_bad_mass_fraction_from_pieces_matches_its_own_kernel_pass(alpha):
     for trial, ab in enumerate((0.05, 0.1, 0.3)):
         rng = np.random.default_rng((7, trial))
         pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
-        coeffs = dk_coefficients(pw, 8)
-        bad, _, frac, _ = good_bad_partition(pw, ab, xs, coeffs)
+        bad, _, frac, _ = good_bad_partition(pw, ab, xs, 8)
         want = bad_mass_fraction(pw, xs, bad)
         assert frac == pytest.approx(want, rel=1e-13, abs=0.0)
         seen += int(np.any(bad))
         # a threshold product 100 times smaller marks every window bad
-        every, _, frac, _ = good_bad_partition(pw, 0.01 * ab, xs, coeffs)
+        every, _, frac, _ = good_bad_partition(pw, 0.01 * ab, xs, 8)
         assert every.all()
         assert frac == pytest.approx(bad_mass_fraction(pw, xs, every), rel=1e-13)
     assert seen
@@ -787,14 +785,13 @@ def test_bad_mass_fraction_from_pieces_matches_its_own_kernel_pass(alpha):
 
 def test_good_bad_validation():
     pw = random_pw(Order(0.0), 1.0, 32, np.random.default_rng(5))
-    coeffs = dk_coefficients(pw, 4)
     with pytest.raises(DomainError):
-        good_bad_partition(pw, 0.0, np.array([2.0]), coeffs)
+        good_bad_partition(pw, 0.0, np.array([2.0]), 4)
     with pytest.raises(DomainError):
-        good_bad_partition(pw, 0.1, np.array([0.5]), coeffs)
+        good_bad_partition(pw, 0.1, np.array([0.5]), 4)
     # off the integer lattice, pieces of neighbouring windows overlap
     with pytest.raises(DomainError, match="integers"):
-        good_bad_partition(pw, 0.1, np.array([2.0, 2.5]), coeffs)
+        good_bad_partition(pw, 0.1, np.array([2.0, 2.5]), 4)
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 0.3, 1.0])
@@ -809,7 +806,7 @@ def test_window_integrals_match_lommel_closed_form(alpha):
         rng = np.random.default_rng((7, trial))
         pw = random_pw(order, ab, 32, rng, kind="smooth")
         coeffs = dk_coefficients(pw, 8)
-        ints = _window_integrals(pw, xs, coeffs)
+        ints = _window_integrals(pw, xs, 8)
         xi = pw.nodes
         for i, x in enumerate(xs):
             window = IntervalSet.of([(x - 1.0, x + 1.0)])
@@ -832,8 +829,8 @@ def test_witness_point_satisfies_growth_bounds():
     ab, x, k_max = 0.1, 3.0, 8
     pw = random_pw(Order(0.0), ab, 96, np.random.default_rng(6), kind="smooth")
     coeffs = dk_coefficients(pw, k_max)
-    mass = _window_integrals(pw, x, coeffs)[0]
-    (t,) = witness_point(pw, ab, [x], [mass], _left_rows(pw, coeffs, [x]), coeffs)
+    mass = _window_integrals(pw, x, k_max)[0]
+    (t,) = witness_point(pw, ab, [x], [mass], _left_rows(pw, coeffs, [x]))
     lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
     assert lo <= t <= hi
     base = 12.0 * math.pi**2 * ab * ab
@@ -888,10 +885,9 @@ def test_witness_point_matches_full_grid_scan(alpha):
     for trial, ab in enumerate((0.05, 0.1, 0.3)):
         rng = np.random.default_rng((7, trial))
         pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
-        coeffs = dk_coefficients(pw, 8)
-        bad, mass, _, left = good_bad_partition(pw, ab, xs, coeffs)
+        bad, mass, _, left = good_bad_partition(pw, ab, xs, 8)
         assert not np.all(bad)
-        got = witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad], coeffs)
+        got = witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad])
         for x, m, t in zip(xs[~bad], mass[~bad], got):
             want = _first_witness_full_grid(pw, ab, x, m)
             assert want is not None
@@ -919,19 +915,19 @@ def test_witness_point_scans_every_point_in_order():
     idx = [1, 2, 16, 17, 80, 81, 336, 337, 999]
     coeffs = dk_coefficients(pw, 8)
     xs = np.ones(len(idx))
-    got = witness_point(pw, ab, xs, need[idx], _left_rows(pw, coeffs, xs), coeffs)
+    got = witness_point(pw, ab, xs, need[idx], _left_rows(pw, coeffs, xs))
     assert np.array_equal(got, ts[idx])
     pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 0)), kind="smooth")
     ts, need = _witness_need(pw, ab, 1.0, 1000)
     mass = need[0]
     coeffs = dk_coefficients(pw, 8)
-    (t,) = witness_point(pw, ab, [1.0], [mass], _left_rows(pw, coeffs, [1.0]), coeffs)
+    (t,) = witness_point(pw, ab, [1.0], [mass], _left_rows(pw, coeffs, [1.0]))
     assert t == ts[0] == _first_witness_full_grid(pw, ab, 1.0, mass)
 
 
 def _recording_ladders(monkeypatch):
     """The row counts of every kernel ladder built from here on, in a list
-    that the caller may clear; a test that calls it takes `cold_held`, so
+    that the caller may clear; a test that calls it takes `cold_plan`, so
     the count does not depend on what ran before."""
     built = []
     real = transform.eval_j_ladder
@@ -945,16 +941,21 @@ def _recording_ladders(monkeypatch):
 
 
 def _recipe_trial(alpha, trial):
-    """The seed-7 good-bad recipe's function and D^k rows of trial `trial`,
-    and its band product."""
+    """The seed-7 good-bad recipe's function of trial `trial`, and its band
+    product."""
     ab = (0.05, 0.1, 0.3)[trial % 3]
     rng = np.random.default_rng((7, trial))
-    pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
-    return pw, ab, dk_coefficients(pw, 8)
+    return random_pw(Order(alpha), ab, 32, rng, kind="smooth"), ab
+
+
+def _plan_of(pw, xs, k_max=8):
+    """The window plan that good_bad_partition(pw, ab, xs, k_max) reads."""
+    rule = np.array([pw.nodes, pw.weights]).tobytes()
+    return annihilation._window_plan(pw.order, k_max, xs.tobytes(), rule)
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 0.0, 1.0])
-def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, cold_held, alpha):
+def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, cold_plan, alpha):
     # the recipe's trials at seed 7: the partition's ladder over the 16 nodes
     # of each of the 16 pieces and the 16 piece starts is built by the first
     # trial of each band and held for the repeats, and it is the only
@@ -964,12 +965,12 @@ def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, cold_held, alpha):
     xs = np.arange(1.0, 16.0)
     one_pass = 0
     for trial in range(6):
-        pw, ab, coeffs = _recipe_trial(alpha, trial)
+        pw, ab = _recipe_trial(alpha, trial)
         built.clear()
-        bad, mass, _, left = good_bad_partition(pw, ab, xs, coeffs)
+        bad, mass, _, left = good_bad_partition(pw, ab, xs, 8)
         window = [17 * 16] if trial < 3 else []
         assert built == window
-        got = witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad], coeffs)
+        got = witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad])
         if np.array_equal(got, (xs[~bad] - 1.0) ** 2):
             assert built == window
             one_pass += 1
@@ -978,79 +979,87 @@ def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, cold_held, alpha):
     assert one_pass == (0 if alpha < 0 else 6)
 
 
-def test_held_window_kernels_give_the_streamed_bits(monkeypatch, cold_held):
-    # the partition from a cleared cache, from a warm one, and with every
-    # kernel streamed through kernel_apply: the same four results, bit for bit
+def test_planned_window_kernels_give_the_streamed_bits(monkeypatch, cold_plan):
+    # the partition from a cleared cache, from a warm one, and with plans
+    # that hold no kernel, so that every kernel streams through
+    # _kernel_blocks: the same four results, bit for bit
     xs = np.arange(1.0, 16.0)
     for alpha in (-0.3, 0.0, 1.0):
         trials = [_recipe_trial(alpha, t) for t in range(3)]
-        cold_held.cache_clear()
-        cold = [good_bad_partition(pw, ab, xs, c) for pw, ab, c in trials]
-        warm = [good_bad_partition(pw, ab, xs, c) for pw, ab, c in trials]
+        cold_plan.cache_clear()
+        cold = [good_bad_partition(pw, ab, xs, 8) for pw, ab in trials]
+        warm = [good_bad_partition(pw, ab, xs, 8) for pw, ab in trials]
         with monkeypatch.context() as m:
-            m.setattr(annihilation, "held_apply_Dk_all", apply_Dk_all)
-            streamed = [good_bad_partition(pw, ab, xs, c) for pw, ab, c in trials]
+            m.setattr(annihilation, "_block_rows", lambda k_max, width: 0)
+            cold_plan.cache_clear()
+            streamed = [good_bad_partition(pw, ab, xs, 8) for pw, ab in trials]
+            assert all(_plan_of(pw, xs)[4] == () for pw, _ in trials)
+        cold_plan.cache_clear()
         for got in (warm, streamed):
             for want_parts, got_parts in zip(cold, got):
                 for want, part in zip(want_parts, got_parts):
                     assert np.array_equal(want, part)
 
 
-def test_six_trials_at_one_order_build_three_window_ladders(monkeypatch, cold_held):
+def test_six_trials_at_one_order_build_three_window_ladders(monkeypatch, cold_plan):
     built = _recording_ladders(monkeypatch)
     xs = np.arange(1.0, 16.0)
     for trial in range(6):
-        pw, ab, coeffs = _recipe_trial(0.0, trial)
-        good_bad_partition(pw, ab, xs, coeffs)
+        pw, ab = _recipe_trial(0.0, trial)
+        good_bad_partition(pw, ab, xs, 8)
     assert built == [17 * 16] * 3
-    # three ladders and three folded spectral rows, one per band, and the
-    # order's one set of pieces
-    assert cold_held.cache_info().currsize == 3 + 3 + 1
+    # one plan per band, each with its pieces, folded rows and ladder
+    assert cold_plan.cache_info().currsize == 3
 
 
-def test_held_window_kernels_are_read_only(monkeypatch, cold_held):
-    held = []
-    real = transform._held_blocks
+def test_window_plan_arrays_are_read_only(cold_plan):
+    # after one trial the cache holds its plan; asking again hits it, its
+    # folded rows are the bits of dk_coefficients, and every array of it is
+    # read-only
+    xs = np.arange(1.0, 16.0)
+    pw, ab = _recipe_trial(0.0, 0)
+    good_bad_partition(pw, ab, xs, 8)
+    halves, points, rows, folded, held = _plan_of(pw, xs)
+    info = cold_plan.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+    [(block, kern)] = held
+    assert halves.shape == (2, 15) and points.shape == (17 * 16,)
+    assert rows.shape == (9, 16, 16) and folded.shape == (9, 32)
+    assert block == slice(0, 409) and kern.shape == (9, 17 * 16, 32)
+    assert np.array_equal(folded * pw.coeffs, dk_coefficients(pw, 8))
+    for part in (halves, points, rows, folded, kern):
+        with pytest.raises(ValueError):
+            part.flat[0] = 0
 
-    def recording(*args):
-        blocks = real(*args)
-        held.extend(blocks)
-        return blocks
 
-    monkeypatch.setattr(transform, "_held_blocks", recording)
-    pw, ab, coeffs = _recipe_trial(0.0, 0)
-    good_bad_partition(pw, ab, np.arange(1.0, 16.0), coeffs)
-    [(_, kern)] = held
-    assert kern.shape == (9, 17 * 16, 32)
-    with pytest.raises(ValueError):
-        kern[0, 0, 0] = 0.0
-
-
-def test_partition_past_one_block_streams_and_holds_nothing(monkeypatch, cold_held):
+def test_partition_past_one_block_streams_and_holds_nothing(monkeypatch, cold_plan):
     # 30 centers give 31 pieces, 17 x 31 = 527 points: 10 x 527 x 32
     # entries exceed one block of _LADDER_CHUNK (409 rows of 32), so each
-    # call streams its kernel in two blocks and holds no kernel: the cache
-    # gains the 30 centers' pieces alone
+    # call streams its kernel in two blocks and its plan holds no kernel
     built = _recording_ladders(monkeypatch)
-    pw, ab, coeffs = _recipe_trial(0.0, 0)
-    good_bad_partition(pw, ab, np.arange(1.0, 16.0), coeffs)
-    # the folded rows, the 15 centers' pieces and their kernel
-    assert cold_held.cache_info().currsize == 3
+    pw, ab = _recipe_trial(0.0, 0)
+    good_bad_partition(pw, ab, np.arange(1.0, 16.0), 8)
+    assert cold_plan.cache_info().currsize == 1
     built.clear()
     for _ in range(2):
-        good_bad_partition(pw, ab, np.arange(1.0, 31.0), coeffs)
+        good_bad_partition(pw, ab, np.arange(1.0, 31.0), 8)
     assert built == [409, 118] * 2
-    assert cold_held.cache_info().currsize == 4
+    assert cold_plan.cache_info().currsize == 2
+    assert _plan_of(pw, np.arange(1.0, 31.0))[4] == ()
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 0.0, 1.0])
-def test_repeated_trials_rebuild_no_rule_and_no_folded_row(monkeypatch, cold_held, alpha):
-    # per trial of the recipe at seed 7: subnormal spectral coefficients,
-    # `mu_panels` calls (the pieces' rules) and `mu_fold` calls inside
-    # dk_coefficients.  The pieces depend on the order alone and are built
-    # by trial 0; the folded rows depend on the band as well and are built
-    # by trials 0-2; a repeated (alpha, ab), trials 3-5, builds neither
-    calls = {"mu_panels": 0, "mu_fold": 0}
+def test_repeated_trials_build_no_rule_and_fold_once(monkeypatch, cold_plan, alpha):
+    # per whole trial of the recipe at seed 7 (the draw, the partition and
+    # the witness search): subnormal spectral coefficients, `mu_panels` calls
+    # (the pieces' rules), `mu_fold` calls wherever they are made, and grid
+    # scans (the witness search's one dk_coefficients call).  The first
+    # trial of each band builds its plan: the pieces and the nine folded
+    # rows.  A repeated (alpha, ab), trials 3-5, builds no rule and folds
+    # once, for the draw's norm; a grid scan folds its own nine rows, and
+    # at alpha < 0 every trial scans, since the window at x = 1 has no
+    # witness at t = 0
+    calls = {"mu_panels": 0, "mu_fold": 0, "dk_coefficients": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -1062,45 +1071,89 @@ def test_repeated_trials_rebuild_no_rule_and_no_folded_row(monkeypatch, cold_hel
         monkeypatch.setattr(module, name, wrapper)
 
     counting(annihilation, "mu_panels")
-    counting(paley_wiener, "mu_fold")
+    counting(annihilation, "dk_coefficients")
+    for module in (annihilation, paley_wiener):
+        counting(module, "mu_fold")
     xs = np.arange(1.0, 16.0)
-    subnormal, folds, panels = [], [], []
+    subnormal, counts = [], []
     for trial in range(6):
-        ab = (0.05, 0.1, 0.3)[trial % 3]
-        pw = random_pw(Order(alpha), ab, 32, np.random.default_rng((7, trial)), kind="smooth")
+        before = dict(calls)
+        pw, ab = _recipe_trial(alpha, trial)
+        bad, mass, _, left = good_bad_partition(pw, ab, xs, 8)
+        witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad])
+        counts.append(tuple(calls[name] - before[name] for name in calls))
         mags = np.abs(pw.coeffs)
         subnormal.append(int(np.count_nonzero((mags > 0) & (mags < np.finfo(float).tiny))))
-        before = calls["mu_fold"]
-        coeffs = dk_coefficients(pw, 8)
-        folds.append(calls["mu_fold"] - before)
-        before = calls["mu_panels"]
-        good_bad_partition(pw, ab, xs, coeffs)
-        panels.append(calls["mu_panels"] - before)
     assert subnormal == [0] * 6
-    assert panels == [1, 0, 0, 0, 0, 0]
-    assert folds == [9, 9, 9, 0, 0, 0]
+    scans = 1 if alpha < 0 else 0
+    first = (1, 1 + 9 + 9 * scans, scans)
+    repeat = (0, 1 + 9 * scans, scans)
+    assert counts == [first] * 3 + [repeat] * 3
 
 
-def test_held_pieces_and_spectral_rows_are_read_only(cold_held):
-    # after one trial the cache holds its folded rows, pieces and kernel;
-    # asking again for the first two hits them, and every array is read-only
+@pytest.mark.parametrize("ab", [math.nan, math.inf])
+def test_good_bad_partition_refuses_a_non_finite_band_product(ab):
+    pw, _ = _recipe_trial(0.0, 0)
+    with pytest.raises(DomainError, match="positive and finite"):
+        good_bad_partition(pw, ab, np.arange(1.0, 16.0), 8)
+
+
+@pytest.mark.parametrize("ab", [math.nan, math.inf, -0.1, 0.0])
+def test_witness_point_refuses_a_band_product_the_partition_refuses(ab):
+    # the windows of the recipe's trial 0 at alpha = 0; at the parent, NaN
+    # found 0 witnesses of 12, -0.1 those of 0.1 and 0 one of 12
+    pw, good_ab = _recipe_trial(0.0, 0)
     xs = np.arange(1.0, 16.0)
-    pw, ab, coeffs = _recipe_trial(0.0, 0)
-    good_bad_partition(pw, ab, xs, coeffs)
-    halves, points, rows = transform._held(
-        annihilation._window_pieces, pw.order, 8, xs.tobytes()
-    )
-    folded = transform._held(
-        paley_wiener._folded_rows, pw.order, 8, pw.nodes.tobytes(), pw.weights.tobytes()
-    )
-    info = cold_held.cache_info()
-    assert (info.hits, info.currsize) == (2, 3)
-    assert halves.shape == (2, 15) and points.shape == (17 * 16,)
-    assert rows.shape == (9, 16, 16) and folded.shape == (9, 32)
-    assert np.array_equal(folded * pw.coeffs, coeffs)
-    for held in (halves, points, rows, folded):
-        with pytest.raises(ValueError):
-            held.flat[0] = 0
+    bad, mass, _, left = good_bad_partition(pw, good_ab, xs, 8)
+    with pytest.raises(DomainError, match="positive and finite"):
+        witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad])
+
+
+def test_good_bad_partition_refuses_a_ladder_past_the_dk_cap():
+    pw, ab = _recipe_trial(0.0, 0)
+    for k_max in (-1, 31):
+        with pytest.raises(DomainError, match="derivative order"):
+            good_bad_partition(pw, ab, np.arange(1.0, 16.0), k_max)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-0.45, 3.0),
+    ab=st.floats(1e-3, 2.0),
+    centers=st.sets(st.integers(1, 40), min_size=2, max_size=30).filter(
+        lambda s: max(s) - min(s) + 1 > len(s)
+    ),
+)
+# 24 pieces (408 points, one held block) and 25 (425 points, streamed)
+@example(alpha=0.0, ab=0.1, centers=set(range(1, 12)) | set(range(14, 25)))
+@example(alpha=0.0, ab=0.1, centers=set(range(1, 12)) | set(range(14, 26)))
+def test_window_plan_gives_the_bits_of_apply_dk_all(alpha, ab, centers):
+    # cold and warm plans, held kernels (up to 409 points: 24 pieces) and
+    # streamed ones (25 pieces and more), against apply_Dk_all on the rows
+    # of dk_coefficients at the plan's points, and the bad mask against
+    # the loop over k of the threshold test
+    xs = np.array(sorted(centers), dtype=float)
+    pw = random_pw(Order(alpha), ab, 32, np.random.default_rng(len(xs)), kind="smooth")
+    annihilation._window_plan.cache_clear()
+    cold = good_bad_partition(pw, ab, xs, 8)
+    warm = good_bad_partition(pw, ab, xs, 8)
+    halves, points, rows, _, held = _plan_of(pw, xs)
+    assert (len(held) == 1) == (len(points) <= 409)
+    annihilation._window_plan.cache_clear()
+    for want, got in zip(cold, warm):
+        assert np.array_equal(want, got)
+    dk = apply_Dk_all(pw, dk_coefficients(pw, 8), points)
+    n = rows[0].size
+    per_piece = np.sum(rows * dk[:, :n].reshape(rows.shape) ** 2, axis=2).T
+    ints = per_piece[halves[0]] + per_piece[halves[1]]
+    bad, factor = np.zeros(len(xs), dtype=bool), 1.0
+    for k in range(1, 9):
+        factor *= (2.0 * math.pi * ab) ** 2
+        bad |= ints[:, k] >= factor * ints[:, 0]
+    assert np.array_equal(cold[0], bad)
+    assert np.array_equal(cold[1], ints[:, 0])
+    assert np.array_equal(cold[3], dk[:, n:][:, halves[0]])
+    assert 0.0 <= cold[2] <= 1.0
 
 
 def test_good_bad_partition_left_rows_are_dk_at_the_left_ends():
@@ -1108,9 +1161,8 @@ def test_good_bad_partition_left_rows_are_dk_at_the_left_ends():
     xs = np.arange(1.0, 16.0)
     for alpha in (-0.3, 0.0, 1.0):
         pw = random_pw(Order(alpha), 0.1, 32, np.random.default_rng((7, 1)), kind="smooth")
-        coeffs = dk_coefficients(pw, 8)
-        left = good_bad_partition(pw, 0.1, xs, coeffs)[3]
-        want = _left_rows(pw, coeffs, xs)
+        left = good_bad_partition(pw, 0.1, xs, 8)[3]
+        want = _left_rows(pw, dk_coefficients(pw, 8), xs)
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert left.shape == want.shape
         assert np.all(np.abs(left - want) <= 1e-13 * scale)
@@ -1129,8 +1181,8 @@ def _threshold_witnesses(alpha):
     base = 12.0 * math.pi**2 * ab * ab
     need = np.max([lo ** (alpha + k) * dk[k] ** 2 / base**k for k in range(9)], axis=0)
     masses = need * (1 + 1e-9)
-    left = good_bad_partition(pw, ab, xs, coeffs)[3]
-    return pw, xs, masses, witness_point(pw, ab, xs, masses, left, coeffs)
+    left = good_bad_partition(pw, ab, xs, 8)[3]
+    return pw, xs, masses, witness_point(pw, ab, xs, masses, left)
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 1.0])
@@ -1149,11 +1201,11 @@ def test_left_rows_from_the_right_piece_move_the_witness(monkeypatch):
     # fails its probe and the scan moves past it
     real = annihilation._piece_integrals
 
-    def right_piece_starts(pw, centers, coeffs):
-        per_piece, halves, at_starts = real(pw, centers, coeffs)
+    def right_piece_starts(pw, centers, k_max):
+        per_piece, halves, at_starts, total = real(pw, centers, k_max)
         shifted = at_starts.copy()
         shifted[:, halves[0]] = at_starts[:, halves[1]]
-        return per_piece, halves, shifted
+        return per_piece, halves, shifted, total
 
     monkeypatch.setattr(annihilation, "_piece_integrals", right_piece_starts)
     _, xs, _, got = _threshold_witnesses(1.0)
@@ -1170,7 +1222,7 @@ def test_witness_point_refines_the_grid():
     assert need_fine.min() < need_coarse.min() * (1 - 1e-6)
     mass = math.sqrt(need_fine.min() * need_coarse.min())
     coeffs = dk_coefficients(pw, 8)
-    (t,) = witness_point(pw, ab, [x], [mass], _left_rows(pw, coeffs, [x]), coeffs)
+    (t,) = witness_point(pw, ab, [x], [mass], _left_rows(pw, coeffs, [x]))
     assert t == _first_witness_full_grid(pw, ab, x, mass)
     assert t in fine
     assert t not in coarse
@@ -1179,10 +1231,9 @@ def test_witness_point_refines_the_grid():
 def test_witness_point_is_nan_without_witness():
     ab, x = 0.3, 10.0
     pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
-    coeffs = dk_coefficients(pw, 8)
-    mass = 1e-30 * _window_integrals(pw, x, coeffs)[0]
-    left = _left_rows(pw, coeffs, [x])
-    assert np.isnan(witness_point(pw, ab, [x], [mass], left, coeffs)).all()
+    mass = 1e-30 * _window_integrals(pw, x, 8)[0]
+    left = _left_rows(pw, dk_coefficients(pw, 8), [x])
+    assert np.isnan(witness_point(pw, ab, [x], [mass], left)).all()
 
 
 def test_witness_point_scans_windows_in_lockstep():
@@ -1198,10 +1249,10 @@ def test_witness_point_scans_windows_in_lockstep():
     _, need_coarse = _witness_need(pw, ab, 10.0, 1000)
     _, need_fine = _witness_need(pw, ab, 10.0, 10_000)
     xs = np.array([2.0, 10.0, 3.0, 5.0, 10.0])
-    masses = _window_integrals(pw, xs, coeffs)[:, 0]
+    masses = _window_integrals(pw, xs, 8)[:, 0]
     masses[1] = math.sqrt(need_fine.min() * need_coarse.min())
     masses[4] *= 1e-30
-    got = witness_point(pw, ab, xs, masses, _left_rows(pw, coeffs, xs), coeffs)
+    got = witness_point(pw, ab, xs, masses, _left_rows(pw, coeffs, xs))
     for x, m, t in zip(xs[:-1], masses[:-1], got[:-1]):
         assert t == _first_witness_full_grid(pw, ab, x, m)
     assert np.isnan(got[-1])

@@ -262,11 +262,11 @@ def test_kernel_sums_equal_the_per_set_gemv_loop(k_max, sets, rows):
         for k in range(k_max + 1):
             for j in range(sets):
                 want[k, j, block] = kern[k] @ coeffs[k, j]
-    got = transform._kernel_sums(transform._kernel_blocks, order, y, nodes, coeffs)
+    got = transform._kernel_sums(blocks, rows, coeffs)
     assert np.array_equal(got, want)
     if sets == 1:
         # (k_max+1, n): one set per order
-        flat = transform._kernel_sums(transform._kernel_blocks, order, y, nodes, coeffs[:, 0])
+        flat = transform._kernel_sums(blocks, rows, coeffs[:, 0])
         assert np.array_equal(flat, want[:, 0])
 
 
