@@ -59,7 +59,6 @@ from .paley_wiener import (
     _check_dk,
     _dk_signs,
     apply_Dk_all,
-    dk_coefficients,
     extremal_family,
     extremal_norm_sq,
     tail_mass,
@@ -461,8 +460,8 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, k_max: int):
     Returns the integrals of the distinct pieces, one row (k = 0..k_max) per
     piece, each window's left and right piece row, shape (2, len(centers))
     (a window's integrals are the sum of its two rows), D^k f at the piece
-    starts, one column per piece, and the mu_alpha mass of f^2 on [0, inf)
-    from the plan's folded row k = 0."""
+    starts, one column per piece, the mu_alpha mass of f^2 on [0, inf) from
+    the plan's folded row k = 0, and the D^k rows folded * spectrum."""
     rule = np.asarray([pw.nodes, pw.weights], dtype=float).tobytes()
     plan = _window_plan(pw.order, k_max, centers.tobytes(), rule)
     halves, points, rows, folded, held = plan
@@ -470,11 +469,12 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, k_max: int):
     # the 16 per piece fill whole BLAS row groups: the starts after them
     # change no piece value
     blocks = held or _kernel_blocks(pw.order, k_max, points, pw.nodes)
-    dk = _dk_signs(_kernel_sums(blocks, len(points), folded * pw.coeffs))
+    coeffs = folded * pw.coeffs
+    dk = _dk_signs(_kernel_sums(blocks, len(points), coeffs))
     n = rows[0].size
     per_piece = np.sum(rows * dk[:, :n].reshape(rows.shape) ** 2, axis=2).T
     total = float(np.dot(folded[0], pw.coeffs**2))
-    return per_piece, halves, dk[:, n:], total
+    return per_piece, halves, dk[:, n:], total, coeffs
 
 
 def _check_band_product(ab: float) -> None:
@@ -491,21 +491,20 @@ def good_bad_partition(
     (2 pi ab)^(2k) * integral over I_x of |g|^2 s^alpha.
 
     Returns the boolean bad-mask, the window masses (the k = 0 integrals),
-    the bad-mass fraction, and D^k f at each window's left end y = x - 1
-    (s = (x - 1)^2), shape (k_max + 1, len(xs)); witness_point takes the
-    masses and left-end rows of the windows it scans.  The fraction is the
-    share of the squared-variable energy on the union of the bad windows,
-    against the closed-form total (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2.
-    On integer centers that union is the union of the distinct unit pieces
-    of the bad windows, so its mass is the sum of their k = 0 integrals, and
-    all four come from one kernel pass."""
+    the bad-mass fraction (the share of the squared-variable energy on the
+    union of the bad windows, against the closed-form total
+    (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2), and the witness_point of each
+    good window, NaN on the bad ones.  On integer centers that union is the
+    union of the distinct unit pieces of the bad windows, so its mass is the
+    sum of their k = 0 integrals.  One kernel pass gives them, D^k f at the
+    left ends y = x - 1 and the D^k rows that the witness search takes."""
     _check_band_product(ab)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 1.0):
         raise DomainError("window centers must be >= 1")
     if np.any(xs != np.round(xs)):
         raise DomainError("window centers must be integers")
-    per_piece, halves, at_starts, total = _piece_integrals(pw, xs, k_max)
+    per_piece, halves, at_starts, total, coeffs = _piece_integrals(pw, xs, k_max)
     ints = per_piece[halves[0]] + per_piece[halves[1]]
     mass = ints[:, 0]
     factors = np.cumprod(np.full(k_max, (2.0 * math.pi * ab) ** 2))
@@ -518,26 +517,31 @@ def good_bad_partition(
         * (0.5 * mu_density_constant(pw.order))
         / total
     )
-    return bad, mass, frac, at_starts[:, halves[0]]
+    good = ~bad
+    witness = np.full(len(xs), np.nan)
+    left = at_starts[:, halves[0, good]]
+    witness[good] = witness_point(pw, ab, xs[good], mass[good], left, coeffs)
+    return bad, mass, frac, witness
 
 
-def witness_point(pw: PWFunction, ab: float, xs, masses, left) -> np.ndarray:
+def witness_point(pw: PWFunction, ab: float, xs, masses, left, coeffs) -> np.ndarray:
     """For each window center x of `xs`, the first point t of a grid on I_x
     where every derivative order obeys the pointwise growth bound
     t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k * window mass, or NaN
     where no grid holds one.  The grids are 1000 equispaced points on I_x
     and two tenfold refinements, each starting at the left end (x - 1)^2.
-    `masses` (the windows' integrals of |g|^2 s^alpha) and `left` (D^k f at
-    y = x - 1, one column per window, k = 0..k_max) are as
-    good_bad_partition returns them.
+    `masses` (the windows' integrals of |g|^2 s^alpha), `left` (D^k f at
+    y = x - 1, one column per window) and `coeffs` (the D^k coefficient
+    rows of f), k = 0..k_max, are as good_bad_partition forms them in its
+    kernel pass.
 
     The left end is probed first, from `left`, with no kernel pass; in the
     good-bad recipe's trials it is the witness of nearly every window.  The
-    grids, and the rows dk_coefficients(pw, k_max) they are evaluated
-    from, are built only for the windows whose left end fails, and scanned
-    in order from their second point, in chunks of 16, 64, 256, ... points;
-    a window stops at the first chunk that holds a witness, the first of
-    its grid.  The windows scan in lockstep, one `apply_Dk_all` call per
+    grids are built only for the windows whose left end fails, evaluated
+    from the rows `coeffs` with no fold of the measure, and scanned in
+    order from their second point, in chunks of 16, 64, 256, ... points; a
+    window stops at the first chunk that holds a witness, the first of its
+    grid.  The windows scan in lockstep, one `apply_Dk_all` call per
     chunk step over the windows still open; the kernel is evaluated point
     by point, so no window's result depends on the others."""
     _check_band_product(ab)
@@ -559,8 +563,6 @@ def witness_point(pw: PWFunction, ab: float, xs, masses, left) -> np.ndarray:
     at_left = holds(lo[:, None], left[:, :, None], masses[:, None])[:, 0]
     witness = np.where(at_left, lo, np.nan)
     todo = np.flatnonzero(~at_left)  # windows with no witness on the grids so far
-    if len(todo):
-        coeffs = dk_coefficients(pw, n_k - 1)
     for n in (1000, 10_000, 100_000):
         if not len(todo):
             break

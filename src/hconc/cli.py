@@ -125,10 +125,13 @@ def _cmd_transform(args) -> int:
     nodes, weights = (a.ravel() for a in mu_panels(order, edges[:-1], edges[1:]))
     values = np.interp(nodes, xs, vs, left=0.0, right=0.0)
     out_vals = kernel_apply(order, nodes, nodes, weights * values)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(nodes, out_vals):
-            fh.write(f"{_fmt(x)},{_fmt(v)}\n")
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("x,value\n")
+            for x, v in zip(nodes, out_vals):
+                fh.write(f"{_fmt(x)},{_fmt(v)}\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 
@@ -150,6 +153,8 @@ def _cmd_translate(args) -> int:
 def _cmd_pw_bernstein(args) -> int:
     if args.trials < 0:
         raise UsageError("trials must be nonnegative")
+    if args.seed < 0:
+        raise UsageError("seed must be nonnegative")
     order = Order(args.alpha)
     print("trial,lhs,rhs,ratio")
     ok = True

@@ -5,8 +5,8 @@ A PWFunction stores spectral samples of the transform on a rule over (0, b);
 synthesis is the inverse-transform quadrature.  The iterated half-derivative
 D = (1/2x) d/dx maps the model to order alpha+k with an explicit kernel, which
 gives the norm of D^k f as an exact spectral sum (no physical truncation).
-D^k f at points is the kernel sums of the rows of `dk_coefficients`, row k
-times (-pi)^k (`_dk_signs`); nothing here is cached.
+D^k f at points is the kernel sums of the D^k rows, the spectrum times
+mu_fold(alpha + k), times (-pi)^k (`_dk_signs`); nothing here is cached.
 """
 
 from __future__ import annotations
@@ -81,17 +81,9 @@ def _check_dk(k: int) -> None:
         raise DomainError(f"derivative order must be in [0, {_MAX_DK}], got {k}")
 
 
-def dk_coefficients(pw: PWFunction, k_max: int) -> np.ndarray:
-    """Spectral coefficient rows of D^k f for k = 0..k_max: row k is the
-    spectrum with the order-(alpha+k) measure folded in.  A caller that
-    evaluates D^k f at many point sets forms them once."""
-    _check_dk(k_max)
-    return np.stack([pw.mu_hat_weights(shift=k) for k in range(k_max + 1)]) * pw.coeffs
-
-
 def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
     """D^k f at x for every k = 0..k_max, as the rows of a (k_max+1, len(x))
-    array, from the rows `coeffs` = dk_coefficients(pw, k_max):
+    array, from the D^k rows `coeffs`, the spectrum times mu_fold(alpha + k):
     D^k f(x) = (-pi)^k * integral of spectrum * j_{alpha+k}(2 pi x xi)
     against d mu_{alpha+k}.  All rows share one order ladder (two Bessel
     evaluations) per kernel block."""
@@ -99,8 +91,8 @@ def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
 
 
 def _dk_signs(sums: np.ndarray) -> np.ndarray:
-    """Kernel sums of the rows of `dk_coefficients`, one row per order
-    alpha + k, made D^k f in place: row k times (-pi)^k."""
+    """Kernel sums of the D^k rows, one row per order alpha + k, made D^k f
+    in place: row k times (-pi)^k."""
     sums *= np.array([(-math.pi) ** k for k in range(len(sums))])[:, None]
     return sums
 
@@ -168,8 +160,8 @@ def random_pw(
             c = bump
     else:
         raise DomainError(f"unknown random family {kind!r}")
-    pw = PWFunction(order, b, nodes, weights, c)
-    nrm = dk_norm(pw, 0)
+    # the bits of dk_norm(pw, 0), with the one PWFunction built after it
+    nrm = float(np.sqrt(np.dot(mu_fold(order, nodes, weights), c**2)))
     if nrm == 0.0:
         raise DomainError("degenerate random draw")
     return PWFunction(order, b, nodes, weights, c / nrm)

@@ -8,9 +8,9 @@ sums at output nodes, for one order or a whole ladder alpha + k, and
 Both take several coefficient sets at once (one per function on the same
 nodes): every kernel block is evaluated once and applied to each set by its
 own matrix-vector product, so a set's result does not depend on the others.
-`_kernel_sums` is the one loop that forms kernel sums, over the (block,
-kern) pairs that `_kernel_blocks` streams or that a caller holds, as the
-good-bad window plan does; this module holds no cache.
+`_kernel_sums` serves `kernel_apply` and the good-bad window plan, over the
+(block, kern) pairs `_kernel_blocks` streams or the plan holds; `round_trip`
+makes one forward-and-back pass per block itself.  No cache is held here.
 """
 
 from __future__ import annotations

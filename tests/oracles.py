@@ -28,7 +28,7 @@ from hconc.bessel import (
 )
 from hconc.errors import DomainError, InternalError
 from hconc.measure import IntervalSet, _pi_power_over_gamma, mu_density_constant
-from hconc.paley_wiener import _MAX_DK, PWFunction, synthesize
+from hconc.paley_wiener import _MAX_DK, PWFunction, _check_dk, synthesize
 from hconc.quadrature import mu_rule
 from hconc.transform import kernel_apply
 from hconc.translation import translate_batch
@@ -391,6 +391,16 @@ def window_masses_by_interval(
 
 # --------------------------------------------------------------------------
 # D^k of the bandlimited model (hconc.paley_wiener)
+
+
+def dk_coefficients(pw: PWFunction, k_max: int) -> np.ndarray:
+    """Spectral coefficient rows of D^k f for k = 0..k_max: row k is the
+    spectrum with the order-(alpha+k) measure folded in, one
+    `mu_hat_weights` call per row.  The reference for the D^k rows of the
+    good-bad window plan (`annihilation._window_plan`'s folded rows times
+    the spectrum), which `good_bad_partition` hands to `witness_point`."""
+    _check_dk(k_max)
+    return np.stack([pw.mu_hat_weights(shift=k) for k in range(k_max + 1)]) * pw.coeffs
 
 
 def apply_Dk(pw: PWFunction, k: int, x) -> np.ndarray | float:

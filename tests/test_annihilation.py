@@ -26,7 +26,7 @@ from hconc.annihilation import (
 from hconc.bessel import Order
 from hconc.errors import ConvergenceError, DomainError, InternalError
 from hconc.measure import IntervalSet, mu_density_constant
-from hconc.paley_wiener import apply_Dk_all, dk_coefficients, random_pw
+from hconc.paley_wiener import PWFunction, apply_Dk_all, random_pw
 from oracles import (
     ConcentrationMatrix,
     _pair_factor,
@@ -34,6 +34,7 @@ from oracles import (
     apply_Dk,
     bad_mass_fraction,
     concentration_matrix,
+    dk_coefficients,
     lommel_gram_all_ends,
     mode_count,
     pair_gram,
@@ -730,7 +731,7 @@ def _window_integrals(pw, x, k_max):
     """The integrals of `_piece_integrals` per window, the sum of its two
     pieces, for one center or an array of them."""
     centers = np.asarray(x, dtype=float)
-    per_piece, halves, _, _ = _piece_integrals(pw, centers.ravel(), k_max)
+    per_piece, halves, *_ = _piece_integrals(pw, centers.ravel(), k_max)
     ints = per_piece[halves[0]] + per_piece[halves[1]]
     return ints.reshape(centers.shape + (k_max + 1,))
 
@@ -739,6 +740,15 @@ def _left_rows(pw, coeffs, xs):
     """D^k f at the left ends y = x - 1 of the windows at `xs`, one column
     per window, from a kernel pass of their own."""
     return apply_Dk_all(pw, coeffs, np.asarray(xs, dtype=float) - 1.0)
+
+
+def _partition_rows(pw, xs, k_max=8):
+    """The rows good_bad_partition(pw, ab, xs, k_max) hands to witness_point
+    for every window: D^k f at the left ends, the third value of the
+    module's `_piece_integrals` (looked up when called, so a test may patch
+    it) at each window's left piece, and the D^k rows of its pass."""
+    _, halves, at_starts, _, coeffs = annihilation._piece_integrals(pw, xs, k_max)
+    return at_starts[:, halves[0]], coeffs
 
 
 def test_good_bad_partition_threshold_scaling():
@@ -830,7 +840,7 @@ def test_witness_point_satisfies_growth_bounds():
     pw = random_pw(Order(0.0), ab, 96, np.random.default_rng(6), kind="smooth")
     coeffs = dk_coefficients(pw, k_max)
     mass = _window_integrals(pw, x, k_max)[0]
-    (t,) = witness_point(pw, ab, [x], [mass], _left_rows(pw, coeffs, [x]))
+    (t,) = witness_point(pw, ab, [x], [mass], _left_rows(pw, coeffs, [x]), coeffs)
     lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
     assert lo <= t <= hi
     base = 12.0 * math.pi**2 * ab * ab
@@ -885,9 +895,10 @@ def test_witness_point_matches_full_grid_scan(alpha):
     for trial, ab in enumerate((0.05, 0.1, 0.3)):
         rng = np.random.default_rng((7, trial))
         pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
-        bad, mass, _, left = good_bad_partition(pw, ab, xs, 8)
+        bad, mass, _, witness = good_bad_partition(pw, ab, xs, 8)
         assert not np.all(bad)
-        got = witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad])
+        assert np.isnan(witness[bad]).all()
+        got = witness[~bad]
         for x, m, t in zip(xs[~bad], mass[~bad], got):
             want = _first_witness_full_grid(pw, ab, x, m)
             assert want is not None
@@ -915,13 +926,13 @@ def test_witness_point_scans_every_point_in_order():
     idx = [1, 2, 16, 17, 80, 81, 336, 337, 999]
     coeffs = dk_coefficients(pw, 8)
     xs = np.ones(len(idx))
-    got = witness_point(pw, ab, xs, need[idx], _left_rows(pw, coeffs, xs))
+    got = witness_point(pw, ab, xs, need[idx], _left_rows(pw, coeffs, xs), coeffs)
     assert np.array_equal(got, ts[idx])
     pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 0)), kind="smooth")
     ts, need = _witness_need(pw, ab, 1.0, 1000)
     mass = need[0]
     coeffs = dk_coefficients(pw, 8)
-    (t,) = witness_point(pw, ab, [1.0], [mass], _left_rows(pw, coeffs, [1.0]))
+    (t,) = witness_point(pw, ab, [1.0], [mass], _left_rows(pw, coeffs, [1.0]), coeffs)
     assert t == ts[0] == _first_witness_full_grid(pw, ab, 1.0, mass)
 
 
@@ -960,18 +971,19 @@ def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, cold_plan, alpha):
     # of each of the 16 pieces and the 16 piece starts is built by the first
     # trial of each band and held for the repeats, and it is the only
     # ladder of a trial whose left ends are all witnesses; the others add
-    # grid chunks.  At alpha < 0 the window at x = 1 has no witness at t = 0
+    # grid chunks after it.  At alpha < 0 the window at x = 1 has no
+    # witness at t = 0
     built = _recording_ladders(monkeypatch)
     xs = np.arange(1.0, 16.0)
     one_pass = 0
     for trial in range(6):
         pw, ab = _recipe_trial(alpha, trial)
         built.clear()
-        bad, mass, _, left = good_bad_partition(pw, ab, xs, 8)
+        bad, _, _, got = good_bad_partition(pw, ab, xs, 8)
         window = [17 * 16] if trial < 3 else []
-        assert built == window
-        got = witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad])
-        if np.array_equal(got, (xs[~bad] - 1.0) ** 2):
+        assert built[: len(window)] == window
+        assert 17 * 16 not in built[len(window) :]
+        if np.array_equal(got[~bad], (xs[~bad] - 1.0) ** 2):
             assert built == window
             one_pass += 1
         else:
@@ -982,7 +994,8 @@ def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, cold_plan, alpha):
 def test_planned_window_kernels_give_the_streamed_bits(monkeypatch, cold_plan):
     # the partition from a cleared cache, from a warm one, and with plans
     # that hold no kernel, so that every kernel streams through
-    # _kernel_blocks: the same four results, bit for bit
+    # _kernel_blocks: the same four results, bit for bit (the witnesses'
+    # NaN where they are NaN)
     xs = np.arange(1.0, 16.0)
     for alpha in (-0.3, 0.0, 1.0):
         trials = [_recipe_trial(alpha, t) for t in range(3)]
@@ -998,7 +1011,7 @@ def test_planned_window_kernels_give_the_streamed_bits(monkeypatch, cold_plan):
         for got in (warm, streamed):
             for want_parts, got_parts in zip(cold, got):
                 for want, part in zip(want_parts, got_parts):
-                    assert np.array_equal(want, part)
+                    assert np.array_equal(want, part, equal_nan=True)
 
 
 def test_six_trials_at_one_order_build_three_window_ladders(monkeypatch, cold_plan):
@@ -1050,28 +1063,30 @@ def test_partition_past_one_block_streams_and_holds_nothing(monkeypatch, cold_pl
 
 @pytest.mark.parametrize("alpha", [-0.3, 0.0, 1.0])
 def test_repeated_trials_build_no_rule_and_fold_once(monkeypatch, cold_plan, alpha):
-    # per whole trial of the recipe at seed 7 (the draw, the partition and
-    # the witness search): subnormal spectral coefficients, `mu_panels` calls
-    # (the pieces' rules), `mu_fold` calls wherever they are made, and grid
-    # scans (the witness search's one dk_coefficients call).  The first
-    # trial of each band builds its plan: the pieces and the nine folded
-    # rows.  A repeated (alpha, ab), trials 3-5, builds no rule and folds
-    # once, for the draw's norm; a grid scan folds its own nine rows, and
-    # at alpha < 0 every trial scans, since the window at x = 1 has no
-    # witness at t = 0
-    calls = {"mu_panels": 0, "mu_fold": 0, "dk_coefficients": 0}
+    # per whole trial of the recipe at seed 7 (the draw, and the partition
+    # with its witness search): subnormal spectral coefficients, `mu_panels`
+    # calls (the pieces' rules), `mu_fold` calls wherever they are made,
+    # `PWFunction` constructions, and whether a grid scan ran (its chunks'
+    # `apply_Dk_all` calls).  The first trial of each band builds its plan:
+    # the pieces and the nine folded rows.  A repeated (alpha, ab), trials
+    # 3-5, builds no rule and folds once, for the draw's norm, also where
+    # it scans: a scan runs on the plan's rows, and at alpha < 0 every
+    # trial scans, since the window at x = 1 has no witness at t = 0.  Each
+    # draw builds one PWFunction
+    calls = {"mu_panels": 0, "mu_fold": 0, "PWFunction": 0, "apply_Dk_all": 0}
 
-    def counting(module, name):
-        real = getattr(module, name)
+    def counting(owner, name, key=None):
+        real = getattr(owner, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[key or name] += 1
             return real(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     counting(annihilation, "mu_panels")
-    counting(annihilation, "dk_coefficients")
+    counting(annihilation, "apply_Dk_all")
+    counting(PWFunction, "__post_init__", "PWFunction")
     for module in (annihilation, paley_wiener):
         counting(module, "mu_fold")
     xs = np.arange(1.0, 16.0)
@@ -1079,16 +1094,39 @@ def test_repeated_trials_build_no_rule_and_fold_once(monkeypatch, cold_plan, alp
     for trial in range(6):
         before = dict(calls)
         pw, ab = _recipe_trial(alpha, trial)
-        bad, mass, _, left = good_bad_partition(pw, ab, xs, 8)
-        witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad])
+        good_bad_partition(pw, ab, xs, 8)
         counts.append(tuple(calls[name] - before[name] for name in calls))
         mags = np.abs(pw.coeffs)
         subnormal.append(int(np.count_nonzero((mags > 0) & (mags < np.finfo(float).tiny))))
     assert subnormal == [0] * 6
-    scans = 1 if alpha < 0 else 0
-    first = (1, 1 + 9 + 9 * scans, scans)
-    repeat = (0, 1 + 9 * scans, scans)
-    assert counts == [first] * 3 + [repeat] * 3
+    scans = [int(chunks > 0) for *_, chunks in counts]
+    assert scans == [1 if alpha < 0 else 0] * 6
+    first = (1, 1 + 9, 1)
+    repeat = (0, 1, 1)
+    assert [c[:3] for c in counts] == [first] * 3 + [repeat] * 3
+
+
+@pytest.mark.parametrize("alpha", [-0.3, 0.0, 1.0])
+def test_partition_witnesses_are_witness_point_on_the_oracle_rows(alpha):
+    # the seed-7 recipe trials, one per ab: the witnesses the partition
+    # returns are those of witness_point on the good windows, from the
+    # partition's masses and left-end rows and the D^k rows of
+    # dk_coefficients, bit for bit, and NaN on the bad windows
+    xs = np.arange(1.0, 16.0)
+    scanned = False
+    for trial in range(3):
+        pw, ab = _recipe_trial(alpha, trial)
+        bad, mass, _, witness = good_bad_partition(pw, ab, xs, 8)
+        left, _ = _partition_rows(pw, xs)
+        good = ~bad
+        want = witness_point(
+            pw, ab, xs[good], mass[good], left[:, good], dk_coefficients(pw, 8)
+        )
+        assert np.array_equal(witness[good], want)
+        assert np.isnan(witness[bad]).all()
+        scanned |= not np.array_equal(want, (xs[good] - 1.0) ** 2)
+    # at alpha < 0 the window at x = 1 is scanned, so the rows are used
+    assert scanned == (alpha < 0)
 
 
 @pytest.mark.parametrize("ab", [math.nan, math.inf])
@@ -1104,9 +1142,10 @@ def test_witness_point_refuses_a_band_product_the_partition_refuses(ab):
     # found 0 witnesses of 12, -0.1 those of 0.1 and 0 one of 12
     pw, good_ab = _recipe_trial(0.0, 0)
     xs = np.arange(1.0, 16.0)
-    bad, mass, _, left = good_bad_partition(pw, good_ab, xs, 8)
+    bad, mass, _, _ = good_bad_partition(pw, good_ab, xs, 8)
+    left, coeffs = _partition_rows(pw, xs)
     with pytest.raises(DomainError, match="positive and finite"):
-        witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad])
+        witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad], coeffs)
 
 
 def test_good_bad_partition_refuses_a_ladder_past_the_dk_cap():
@@ -1131,7 +1170,8 @@ def test_window_plan_gives_the_bits_of_apply_dk_all(alpha, ab, centers):
     # cold and warm plans, held kernels (up to 409 points: 24 pieces) and
     # streamed ones (25 pieces and more), against apply_Dk_all on the rows
     # of dk_coefficients at the plan's points, and the bad mask against
-    # the loop over k of the threshold test
+    # the loop over k of the threshold test; the witnesses are NaN on the
+    # bad windows
     xs = np.array(sorted(centers), dtype=float)
     pw = random_pw(Order(alpha), ab, 32, np.random.default_rng(len(xs)), kind="smooth")
     annihilation._window_plan.cache_clear()
@@ -1139,9 +1179,11 @@ def test_window_plan_gives_the_bits_of_apply_dk_all(alpha, ab, centers):
     warm = good_bad_partition(pw, ab, xs, 8)
     halves, points, rows, _, held = _plan_of(pw, xs)
     assert (len(held) == 1) == (len(points) <= 409)
+    left, coeffs = _partition_rows(pw, xs)
     annihilation._window_plan.cache_clear()
     for want, got in zip(cold, warm):
-        assert np.array_equal(want, got)
+        assert np.array_equal(want, got, equal_nan=True)
+    assert np.array_equal(coeffs, dk_coefficients(pw, 8))
     dk = apply_Dk_all(pw, dk_coefficients(pw, 8), points)
     n = rows[0].size
     per_piece = np.sum(rows * dk[:, :n].reshape(rows.shape) ** 2, axis=2).T
@@ -1152,7 +1194,8 @@ def test_window_plan_gives_the_bits_of_apply_dk_all(alpha, ab, centers):
         bad |= ints[:, k] >= factor * ints[:, 0]
     assert np.array_equal(cold[0], bad)
     assert np.array_equal(cold[1], ints[:, 0])
-    assert np.array_equal(cold[3], dk[:, n:][:, halves[0]])
+    assert np.array_equal(left, dk[:, n:][:, halves[0]])
+    assert np.isnan(cold[3][bad]).all()
     assert 0.0 <= cold[2] <= 1.0
 
 
@@ -1161,7 +1204,7 @@ def test_good_bad_partition_left_rows_are_dk_at_the_left_ends():
     xs = np.arange(1.0, 16.0)
     for alpha in (-0.3, 0.0, 1.0):
         pw = random_pw(Order(alpha), 0.1, 32, np.random.default_rng((7, 1)), kind="smooth")
-        left = good_bad_partition(pw, 0.1, xs, 8)[3]
+        left, _ = _partition_rows(pw, xs)
         want = _left_rows(pw, dk_coefficients(pw, 8), xs)
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert left.shape == want.shape
@@ -1172,7 +1215,8 @@ def _threshold_witnesses(alpha):
     """The recipe's trial 2 at seed 7 (ab = 0.3), its windows at x = 2..15,
     each window's mass just above the smallest mass at which its left end
     t = (x - 1)^2 obeys every growth bound (from a D^k pass of its own at
-    x - 1), and their witnesses with the left rows of good_bad_partition."""
+    x - 1), and their witnesses with the left and D^k rows of
+    good_bad_partition."""
     ab, xs = 0.3, np.arange(2.0, 16.0)
     pw = random_pw(Order(alpha), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
     coeffs = dk_coefficients(pw, 8)
@@ -1181,8 +1225,8 @@ def _threshold_witnesses(alpha):
     base = 12.0 * math.pi**2 * ab * ab
     need = np.max([lo ** (alpha + k) * dk[k] ** 2 / base**k for k in range(9)], axis=0)
     masses = need * (1 + 1e-9)
-    left = good_bad_partition(pw, ab, xs, 8)[3]
-    return pw, xs, masses, witness_point(pw, ab, xs, masses, left)
+    left, rows = _partition_rows(pw, xs)
+    return pw, xs, masses, witness_point(pw, ab, xs, masses, left, rows)
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 1.0])
@@ -1202,10 +1246,10 @@ def test_left_rows_from_the_right_piece_move_the_witness(monkeypatch):
     real = annihilation._piece_integrals
 
     def right_piece_starts(pw, centers, k_max):
-        per_piece, halves, at_starts, total = real(pw, centers, k_max)
+        per_piece, halves, at_starts, total, coeffs = real(pw, centers, k_max)
         shifted = at_starts.copy()
         shifted[:, halves[0]] = at_starts[:, halves[1]]
-        return per_piece, halves, shifted, total
+        return per_piece, halves, shifted, total, coeffs
 
     monkeypatch.setattr(annihilation, "_piece_integrals", right_piece_starts)
     _, xs, _, got = _threshold_witnesses(1.0)
@@ -1222,7 +1266,7 @@ def test_witness_point_refines_the_grid():
     assert need_fine.min() < need_coarse.min() * (1 - 1e-6)
     mass = math.sqrt(need_fine.min() * need_coarse.min())
     coeffs = dk_coefficients(pw, 8)
-    (t,) = witness_point(pw, ab, [x], [mass], _left_rows(pw, coeffs, [x]))
+    (t,) = witness_point(pw, ab, [x], [mass], _left_rows(pw, coeffs, [x]), coeffs)
     assert t == _first_witness_full_grid(pw, ab, x, mass)
     assert t in fine
     assert t not in coarse
@@ -1232,8 +1276,9 @@ def test_witness_point_is_nan_without_witness():
     ab, x = 0.3, 10.0
     pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
     mass = 1e-30 * _window_integrals(pw, x, 8)[0]
-    left = _left_rows(pw, dk_coefficients(pw, 8), [x])
-    assert np.isnan(witness_point(pw, ab, [x], [mass], left)).all()
+    coeffs = dk_coefficients(pw, 8)
+    left = _left_rows(pw, coeffs, [x])
+    assert np.isnan(witness_point(pw, ab, [x], [mass], left, coeffs)).all()
 
 
 def test_witness_point_scans_windows_in_lockstep():
@@ -1252,7 +1297,7 @@ def test_witness_point_scans_windows_in_lockstep():
     masses = _window_integrals(pw, xs, 8)[:, 0]
     masses[1] = math.sqrt(need_fine.min() * need_coarse.min())
     masses[4] *= 1e-30
-    got = witness_point(pw, ab, xs, masses, _left_rows(pw, coeffs, xs))
+    got = witness_point(pw, ab, xs, masses, _left_rows(pw, coeffs, xs), coeffs)
     for x, m, t in zip(xs[:-1], masses[:-1], got[:-1]):
         assert t == _first_witness_full_grid(pw, ab, x, m)
     assert np.isnan(got[-1])

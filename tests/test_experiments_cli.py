@@ -155,6 +155,17 @@ def test_config_validation(tmp_path):
     assert ExperimentConfig(name="kovrijkine", trials=0).trials == 0
 
 
+@pytest.mark.parametrize(
+    "recipe", sorted(r for r, (_, reads) in _RECIPE_TABLE.items() if "seed" in reads)
+)
+def test_run_refuses_a_negative_seed(tmp_path, capsys, recipe):
+    # numpy's default_rng refused it with a traceback, once a trial drew
+    seed = _write(tmp_path / "seed.cfg", f"name = neg\nrecipe = {recipe}\nseed = -1\n")
+    assert cli.main(["run", "--config", seed]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+    assert not (tmp_path / "neg.csv").exists()
+
+
 def test_recipe_defaults_to_name():
     assert ExperimentConfig(name="bernstein").recipe == "bernstein"
 
@@ -395,6 +406,21 @@ def test_pair_norm_recipe_refuses_an_empty_sigma(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: sigma_file {empty} holds an empty set")
     assert not (tmp_path / "pair.csv").exists()
+
+
+@pytest.mark.parametrize("b", ["0", "inf", "nan", "-1"])
+def test_plancherel_recipe_refuses_a_band_outside_zero_to_infinity(
+    tmp_path, capsys, monkeypatch, b
+):
+    # b = 0 divided by zero in the window's width and b = inf overflowed the
+    # panel count (exit 1); NaN and negative b were refused later, by the
+    # grids.  Now every one is refused before any grid is built
+    monkeypatch.setattr(experiments, "_plancherel_grids", None)
+    cfg = _write(tmp_path / "p.cfg", f"name = p\nrecipe = plancherel\nb = {b}\n")
+    assert cli.main(["run", "--config", cfg]) == 2
+    want = f"error: bandlimit b must be positive and finite, got {float(b)}\n"
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("alpha", [0.3, -0.3, 1.7])
@@ -981,6 +1007,14 @@ def test_cli_pw_bernstein_table_and_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_pw_bernstein_refuses_a_negative_seed(capsys):
+    # the CSV header was printed before numpy's default_rng refused the seed
+    argv = ["pw", "bernstein", "--alpha", "0", "--b", "1", "--k", "1", "--trials", "2"]
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: seed must be nonnegative\n")
+
+
 def test_cli_pw_bernstein_large_order(capsys):
     # Gamma(alpha + k + 1) overflows a double here; the quotient
     # Gamma(201) / Gamma(202) = 1/201 does not
@@ -1244,6 +1278,31 @@ def test_cli_run_executes_config_and_writes_report(tmp_path, capsys):
     assert "name=smoke" in lines[0]
     assert len(lines) == 5
     assert all(line.endswith(",true") for line in lines[2:])
+
+
+def test_cli_run_refuses_an_output_dir_under_a_file(tmp_path, capsys):
+    # makedirs raised NotADirectoryError with a traceback (exit 1)
+    _write(tmp_path / "afile", "")
+    cfg = _write(
+        tmp_path / "w.cfg",
+        "name = w\nrecipe = kovrijkine\ntrials = 1\noutput_dir = afile/sub\n",
+    )
+    assert cli.main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    report = tmp_path / "afile" / "sub" / "w.csv"
+    assert err.startswith(f"error: cannot write {report}: ")
+    assert "Not a directory" in err
+
+
+def test_cli_transform_refuses_an_unwritable_out(tmp_path, capsys):
+    # open() raised NotADirectoryError with a traceback (exit 1)
+    data = _write(tmp_path / "in.csv", "0,1\n1,2\n")
+    _write(tmp_path / "afile", "")
+    out = str(tmp_path / "afile" / "out.csv")
+    argv = ["transform", "--alpha", "0", "--in", data, "--support", "0,1", "--out", out]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Not a directory" in err
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys):

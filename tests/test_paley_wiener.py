@@ -11,7 +11,6 @@ from hconc.paley_wiener import (
     PWFunction,
     apply_Dk_all,
     bernstein_sides,
-    dk_coefficients,
     dk_norm,
     extremal_family,
     extremal_norm_sq,
@@ -22,7 +21,7 @@ from hconc.paley_wiener import (
     theta_constant,
 )
 from hconc.quadrature import build_rule, mu_rule
-from oracles import apply_Dk
+from oracles import apply_Dk, dk_coefficients
 
 
 def test_theta_constant_closed_forms():
@@ -165,6 +164,50 @@ def test_bernstein_sides_ordering_and_equality():
         for k in (1, 2, 5):
             lhs, rhs = bernstein_sides(pw, k)
             assert lhs <= rhs * (1 + 1e-12)
+
+
+def _two_step_draw(order, b, n_spec, rng, kind):
+    # random_pw as one PWFunction for the raw draw and one for its
+    # normalisation by dk_norm
+    nodes, weights = build_rule(0.0, b, n_spec)
+    if kind == "uniform":
+        c = rng.uniform(-1.0, 1.0, size=n_spec)
+    else:
+        u = nodes / b
+        bump = np.exp(4.0 - 1.0 / np.maximum(u * (1.0 - u), 1e-300))
+        bump[bump < np.finfo(float).tiny] = 0.0
+        deg = int(rng.integers(2, 7))
+        c = bump * np.polynomial.polynomial.polyval(2.0 * u - 1.0, rng.uniform(-1, 1, deg + 1))
+    pw = PWFunction(order, b, nodes, weights, c)
+    return PWFunction(order, b, nodes, weights, c / dk_norm(pw, 0))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "smooth"])
+@pytest.mark.parametrize("n_spec", [32, 96])
+@pytest.mark.parametrize("alpha", [-0.5, 0.3, 2.5])
+def test_random_pw_builds_one_function_per_draw(monkeypatch, alpha, n_spec, kind):
+    # the draw's norm comes from one fold of the spectral rule, and the
+    # normalised draw is the one PWFunction built and validated; its bits
+    # are those of the two-step draw
+    built = []
+    real = PWFunction.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    order = Order(alpha)
+    for seed in range(4):
+        with monkeypatch.context() as m:
+            m.setattr(PWFunction, "__post_init__", counting)
+            pw = random_pw(order, 0.3, n_spec, np.random.default_rng((seed, 5)), kind)
+        assert len(built) == 1 and built[0] is pw
+        built.clear()
+        want = _two_step_draw(order, 0.3, n_spec, np.random.default_rng((seed, 5)), kind)
+        assert dk_norm(pw, 0) == dk_norm(want, 0)
+        for part in ("nodes", "weights", "coeffs"):
+            assert np.array_equal(getattr(pw, part), getattr(want, part))
+        assert (pw.order, pw.bandlimit) == (want.order, want.bandlimit)
 
 
 def test_random_pw_determinism_and_kinds():
