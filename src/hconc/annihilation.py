@@ -35,11 +35,12 @@ Three numerical engines live here:
   (`_window_plan`, the only good-bad cache): the window integrals on the
   unit pieces [x - 1, x] and [x, x + 1] of the root variable, each distinct
   piece integrated once (Gauss-Jacobi on the piece at 0), which also give
-  the mass of the bad windows' union, and D^k f at the piece starts, the
-  windows' left ends.  A witness scan of every good window probes its left
-  end from those rows and builds grids, scanned in lockstep, only for the
-  windows whose left end fails.  Also the analytic-growth inequality
-  checker.
+  the mass of the bad windows' union, and D^k f at every node and start of
+  the pieces, from one kernel pass per trial.  A good window's witness is
+  the first of its 34 points of that pass, in increasing s, that obeys
+  every pointwise bound: its left end, probed first, then, only where the
+  left end fails, its left piece's nodes, its centre and its right piece's
+  nodes.  Also the analytic-growth inequality checker.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ from .paley_wiener import (
     PWFunction,
     _check_dk,
     _dk_signs,
-    apply_Dk_all,
     extremal_family,
     extremal_norm_sq,
     tail_mass,
     theta_constant,
 )
-from .quadrature import build_rule, mu_fold, mu_panels, mu_rule, mu_rules, set_rule_size
+from .quadrature import _PANEL, build_rule, mu_fold, mu_panels, mu_rule, mu_rules
+from .quadrature import set_rule_size
 from .transform import _block_rows, _kernel_blocks, _kernel_sums
 
 _STABILITY_TOL = 1e-6
@@ -459,9 +460,10 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, k_max: int):
     every piece start; a window's left end is the start of its left piece.
     Returns the integrals of the distinct pieces, one row (k = 0..k_max) per
     piece, each window's left and right piece row, shape (2, len(centers))
-    (a window's integrals are the sum of its two rows), D^k f at the piece
-    starts, one column per piece, the mu_alpha mass of f^2 on [0, inf) from
-    the plan's folded row k = 0, and the D^k rows folded * spectrum."""
+    (a window's integrals are the sum of its two rows), the pass's points
+    in y (the nodes of each piece, piece after piece, then the piece
+    starts), D^k f there, one row per k, and the mu_alpha mass of f^2 on
+    [0, inf) from the plan's folded row k = 0."""
     rule = np.asarray([pw.nodes, pw.weights], dtype=float).tobytes()
     plan = _window_plan(pw.order, k_max, centers.tobytes(), rule)
     halves, points, rows, folded, held = plan
@@ -469,17 +471,11 @@ def _piece_integrals(pw: PWFunction, centers: np.ndarray, k_max: int):
     # the 16 per piece fill whole BLAS row groups: the starts after them
     # change no piece value
     blocks = held or _kernel_blocks(pw.order, k_max, points, pw.nodes)
-    coeffs = folded * pw.coeffs
-    dk = _dk_signs(_kernel_sums(blocks, len(points), coeffs))
+    dk = _dk_signs(_kernel_sums(blocks, len(points), folded * pw.coeffs))
     n = rows[0].size
     per_piece = np.sum(rows * dk[:, :n].reshape(rows.shape) ** 2, axis=2).T
     total = float(np.dot(folded[0], pw.coeffs**2))
-    return per_piece, halves, dk[:, n:], total, coeffs
-
-
-def _check_band_product(ab: float) -> None:
-    if not (0.0 < ab < math.inf):
-        raise DomainError(f"bandlimit product ab must be positive and finite, got {ab}")
+    return per_piece, halves, points, dk, total
 
 
 def good_bad_partition(
@@ -493,18 +489,19 @@ def good_bad_partition(
     Returns the boolean bad-mask, the window masses (the k = 0 integrals),
     the bad-mass fraction (the share of the squared-variable energy on the
     union of the bad windows, against the closed-form total
-    (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2), and the witness_point of each
-    good window, NaN on the bad ones.  On integer centers that union is the
-    union of the distinct unit pieces of the bad windows, so its mass is the
-    sum of their k = 0 integrals.  One kernel pass gives them, D^k f at the
-    left ends y = x - 1 and the D^k rows that the witness search takes."""
-    _check_band_product(ab)
+    (Gamma(alpha+1)/pi^(alpha+1)) ||f||^2), and the witness of each good
+    window (`_witnesses`), NaN on the bad ones.  On integer centers that
+    union is the union of the distinct unit pieces of the bad windows, so
+    its mass is the sum of their k = 0 integrals.  One kernel pass gives
+    them and D^k f at every point where a witness is sought."""
+    if not (0.0 < ab < math.inf):
+        raise DomainError(f"bandlimit product ab must be positive and finite, got {ab}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 1.0):
         raise DomainError("window centers must be >= 1")
     if np.any(xs != np.round(xs)):
         raise DomainError("window centers must be integers")
-    per_piece, halves, at_starts, total, coeffs = _piece_integrals(pw, xs, k_max)
+    per_piece, halves, points, dk, total = _piece_integrals(pw, xs, k_max)
     ints = per_piece[halves[0]] + per_piece[halves[1]]
     mass = ints[:, 0]
     factors = np.cumprod(np.full(k_max, (2.0 * math.pi * ab) ** 2))
@@ -519,66 +516,44 @@ def good_bad_partition(
     )
     good = ~bad
     witness = np.full(len(xs), np.nan)
-    left = at_starts[:, halves[0, good]]
-    witness[good] = witness_point(pw, ab, xs[good], mass[good], left, coeffs)
+    witness[good] = _witnesses(pw.order, ab, mass[good], halves[:, good], points, dk)
     return bad, mass, frac, witness
 
 
-def witness_point(pw: PWFunction, ab: float, xs, masses, left, coeffs) -> np.ndarray:
-    """For each window center x of `xs`, the first point t of a grid on I_x
-    where every derivative order obeys the pointwise growth bound
-    t^(alpha+k) |d^k g(t)|^2 <= (12 pi^2 (ab)^2)^k * window mass, or NaN
-    where no grid holds one.  The grids are 1000 equispaced points on I_x
-    and two tenfold refinements, each starting at the left end (x - 1)^2.
-    `masses` (the windows' integrals of |g|^2 s^alpha), `left` (D^k f at
-    y = x - 1, one column per window) and `coeffs` (the D^k coefficient
-    rows of f), k = 0..k_max, are as good_bad_partition forms them in its
-    kernel pass.
+def _witnesses(order: Order, ab: float, masses, pieces, points, dk) -> np.ndarray:
+    """The witness of each window (its two pieces a column of `pieces`, its
+    integral of |g|^2 s^alpha in `masses`): the first of its 34 points of
+    the pass (`points` and `dk` as `_piece_integrals` returns them), in
+    increasing t = y^2, where t^(alpha+k) |D^k f|^2 <= (12 pi^2 (ab)^2)^k *
+    mass for every k, NaN where none is.  They are its left end, its left
+    piece's nodes, its centre and its right piece's nodes; the left end is
+    probed for every window, the rest only where it fails."""
+    n = len(points) // (_PANEL + 1) * _PANEL  # the piece starts follow the nodes
+    powers = (order.alpha + np.arange(len(dk)))[:, None, None]
+    bounds = np.full((len(dk), 1, 1), 12.0 * math.pi**2 * ab * ab)
+    bounds[0] = 1.0
+    bounds = np.cumprod(bounds, axis=0)
 
-    The left end is probed first, from `left`, with no kernel pass; in the
-    good-bad recipe's trials it is the witness of nearly every window.  The
-    grids are built only for the windows whose left end fails, evaluated
-    from the rows `coeffs` with no fold of the measure, and scanned in
-    order from their second point, in chunks of 16, 64, 256, ... points; a
-    window stops at the first chunk that holds a witness, the first of its
-    grid.  The windows scan in lockstep, one `apply_Dk_all` call per
-    chunk step over the windows still open; the kernel is evaluated point
-    by point, so no window's result depends on the others."""
-    _check_band_product(ab)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    masses = np.atleast_1d(np.asarray(masses, dtype=float))
-    n_k = len(left)
-    powers = (pw.order.alpha + np.arange(n_k))[:, None, None]
-    base = 12.0 * math.pi**2 * ab * ab
-    bounds = np.cumprod(np.r_[1.0, np.full(n_k - 1, base)])[:, None, None]
-
-    def holds(t, dk, mass):
-        # every bound at every point of t (windows x points); t = 0 (the
-        # window at x = 1) fails the k = 0 bound for alpha < 0
+    def holds(cols, mass):
+        # t at the candidates `cols` (windows x candidates), and where every
+        # bound holds; t = 0 fails the k = 0 bound for alpha < 0
+        t = points[cols] ** 2
         with np.errstate(divide="ignore"):
-            ok = t**powers * dk**2 <= bounds * mass * (1 + 1e-12)
-        return np.all(ok, axis=0)
+            ok = t**powers * dk[:, cols] ** 2 <= bounds * mass[:, None] * (1 + 1e-12)
+        return t, np.all(ok, axis=0)
 
-    lo = (xs - 1.0) ** 2
-    at_left = holds(lo[:, None], left[:, :, None], masses[:, None])[:, 0]
-    witness = np.where(at_left, lo, np.nan)
-    todo = np.flatnonzero(~at_left)  # windows with no witness on the grids so far
-    for n in (1000, 10_000, 100_000):
-        if not len(todo):
-            break
-        ts = np.linspace(lo[todo], (xs[todo] + 1.0) ** 2, n, axis=-1)
-        rows = np.arange(len(todo))  # rows of ts still open on this grid
-        start, size = 1, 16
-        while start < n and len(rows):
-            t = ts[rows, start : start + size]
-            dk = apply_Dk_all(pw, coeffs, np.sqrt(t).ravel())
-            ok = holds(t, dk.reshape((n_k,) + t.shape), masses[todo[rows], None])
-            hit = np.any(ok, axis=1)
-            witness[todo[rows[hit]]] = t[hit, np.argmax(ok[hit], axis=1)]
-            rows = rows[~hit]
-            start += size
-            size *= 4
-        todo = todo[rows]
+    t, ok = holds(n + pieces[0, :, None], masses)
+    witness = np.where(ok[:, 0], t[:, 0], np.nan)
+    fail = np.flatnonzero(~ok[:, 0])
+    if len(fail):
+        left, right = pieces[:, fail, None]
+        nodes = np.arange(_PANEL)
+        t, ok = holds(
+            np.hstack([left * _PANEL + nodes, n + right, right * _PANEL + nodes]),
+            masses[fail],
+        )
+        first = t[np.arange(len(fail)), np.argmax(ok, axis=1)]
+        witness[fail] = np.where(np.any(ok, axis=1), first, np.nan)
     return witness
 
 

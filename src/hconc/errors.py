@@ -25,10 +25,12 @@ class ConvergenceError(HconcError):
     """An iterative solver failed to reach its tolerance.
 
     Carries the last iterate and the residual so callers can report
-    diagnostics instead of a bare failure.
+    diagnostics instead of a bare failure; the message names the residual.
     """
 
     def __init__(self, message, last_iterate=None, residual=None):
+        if residual is not None:
+            message = f"{message} (residual {residual:.3g})"
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual

@@ -6,7 +6,9 @@ synthesis is the inverse-transform quadrature.  The iterated half-derivative
 D = (1/2x) d/dx maps the model to order alpha+k with an explicit kernel, which
 gives the norm of D^k f as an exact spectral sum (no physical truncation).
 D^k f at points is the kernel sums of the D^k rows, the spectrum times
-mu_fold(alpha + k), times (-pi)^k (`_dk_signs`); nothing here is cached.
+mu_fold(alpha + k), times (-pi)^k (`_dk_signs`); its one caller is the
+good-bad window pass, which forms D^k f at every point it needs in one
+kernel pass over the whole ladder.  Nothing here is cached.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .bessel import Order, cached_zero_table, eval_j
 from .errors import DomainError
-from .measure import IntervalSet
+from .measure import IntervalSet, _check_power_range
 from .quadrature import build_rule, mu_fold, mu_rule
 from .transform import kernel_apply
 
@@ -81,15 +83,6 @@ def _check_dk(k: int) -> None:
         raise DomainError(f"derivative order must be in [0, {_MAX_DK}], got {k}")
 
 
-def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
-    """D^k f at x for every k = 0..k_max, as the rows of a (k_max+1, len(x))
-    array, from the D^k rows `coeffs`, the spectrum times mu_fold(alpha + k):
-    D^k f(x) = (-pi)^k * integral of spectrum * j_{alpha+k}(2 pi x xi)
-    against d mu_{alpha+k}.  All rows share one order ladder (two Bessel
-    evaluations) per kernel block."""
-    return _dk_signs(kernel_apply(pw.order, x, pw.nodes, coeffs))
-
-
 def _dk_signs(sums: np.ndarray) -> np.ndarray:
     """Kernel sums of the D^k rows, one row per order alpha + k, made D^k f
     in place: row k times (-pi)^k."""
@@ -101,8 +94,10 @@ def dk_norm(pw: PWFunction, k: int) -> float:
     """L2 norm of D^k f in the order-(alpha+k) measure, via the exact
     spectral identity ||D^k f|| = pi^k * (spectral norm of the coefficients
     in mu_{alpha+k}); at k = 0 it is Plancherel's ||f||.  No physical-domain
-    truncation enters."""
+    truncation enters.  Raises DomainError where b^(2 (alpha + k) + 2), which
+    the fold of mu_{alpha+k} approaches, leaves the range of a double."""
     _check_dk(k)
+    _check_power_range(pw.order, pw.bandlimit, 2.0 * (pw.order.alpha + k) + 2.0)
     return math.pi**k * float(
         np.sqrt(np.dot(pw.mu_hat_weights(shift=k), pw.coeffs**2))
     )
@@ -144,8 +139,11 @@ def random_pw(
     The spectrum is a sum over an n_spec-node rule, not a continuous one, so
     the synthesized function decays to ~1e-13 and then rises again: the
     alias starts near x = 0.47 n_spec / b.  A physical window [0, x_max]
-    needs n_spec >= 3 b x_max or so.
+    needs n_spec >= 3 b x_max or so.  Raises DomainError where
+    b^(2 alpha + 2), which the fold of mu_alpha approaches, leaves the range
+    of a double.
     """
+    _check_power_range(order, b, 2.0 * order.alpha + 2.0)
     nodes, weights = build_rule(0.0, b, n_spec)
     if kind == "uniform":
         c = rng.uniform(-1.0, 1.0, size=n_spec)

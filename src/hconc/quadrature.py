@@ -26,6 +26,9 @@ from .errors import DomainError
 from .measure import IntervalSet, _check_power_range, mu_density_constant
 
 _PANEL = 16  # nodes per panel of the composite rules
+# most nodes of a rule on one interval: 2^24 doubles per array, 128 MB, the
+# cap that `measure` puts on the windows of a density profile
+_MAX_NODES = 2**24
 
 
 @lru_cache(maxsize=256)
@@ -101,11 +104,17 @@ def mu_panels(order: Order, lo, hi):
 
 def _panel_edges(subset: IntervalSet, nodes_per_unit: float):
     """Starts and ends of the panels of `mu_rule` on a non-empty subset:
-    each interval cut into `_panel_count` equal panels."""
-    edges = [
-        np.linspace(a, b, _panel_count(a, b, nodes_per_unit) + 1)
-        for a, b in subset.intervals
-    ]
+    each interval cut into `_panel_count` equal panels.  Raises DomainError
+    where an interval would take more than _MAX_NODES nodes."""
+    edges = []
+    for a, b in subset.intervals:
+        count = _panel_count(a, b, nodes_per_unit)
+        if _PANEL * count > _MAX_NODES:
+            raise DomainError(
+                f"mu_alpha rule of {_PANEL * count:.3g} nodes on [{a:g}, {b:g}] "
+                f"exceeds the cap of {_MAX_NODES} nodes on one interval"
+            )
+        edges.append(np.linspace(a, b, count + 1))
     lo = np.concatenate([e[:-1] for e in edges])
     return lo, np.concatenate([e[1:] for e in edges])
 

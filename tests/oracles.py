@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
 from hconc.annihilation import _concentration_factor, _pair_per_unit, _pair_side
 from hconc.bessel import (
@@ -28,7 +28,7 @@ from hconc.bessel import (
 )
 from hconc.errors import DomainError, InternalError
 from hconc.measure import IntervalSet, _pi_power_over_gamma, mu_density_constant
-from hconc.paley_wiener import _MAX_DK, PWFunction, _check_dk, synthesize
+from hconc.paley_wiener import _MAX_DK, PWFunction, _check_dk, _dk_signs, synthesize
 from hconc.quadrature import mu_rule
 from hconc.transform import kernel_apply
 from hconc.translation import translate_batch
@@ -369,6 +369,33 @@ def bad_mass_fraction(pw: PWFunction, x_list, bad) -> float:
     return mass / total
 
 
+def sinc_pair_deficit(parity: int, S: IntervalSet, b: float, per_unit: int) -> float:
+    """1 - sigma^2 of the pair (S, Sigma = [0, b]) at alpha = -1/2 (parity
+    +1) or alpha = 1/2 (parity -1), with no Bessel function: there the
+    kernel is cos x or sin x / x, so PW_alpha(b) holds the even, or the odd
+    over x, functions of the band-b Paley-Wiener space, and sigma^2 is the
+    top eigenvalue of the operator on L^2(S, dx) with kernel
+    K(x - y) + parity K(x + y), K(u) = sin(2 pi b u) / (pi u).  Nystrom on
+    `per_unit`-node Gauss-Legendre panels of length at most 1, and `eigh`
+    for the top eigenvalue alone.  The reference for `pair_norm` on unions at
+    alpha = +-1/2 (Slepian and Pollak, Bell Syst. Tech. J. 40 (1961)); its
+    own floor is the subtraction 1 - lambda, ~1e-14 absolute."""
+    t, u = np.polynomial.legendre.leggauss(per_unit)
+    x, w = [], []
+    for lo, hi in S.intervals:
+        edges = np.linspace(lo, hi, max(1, math.ceil(hi - lo)) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        x.append((0.5 * (edges[:-1] + edges[1:])[:, None] + half * t).ravel())
+        w.append((half * u).ravel())
+    x, root = np.concatenate(x), np.sqrt(np.concatenate(w))
+    kern = np.sinc(2.0 * b * np.subtract.outer(x, x))
+    kern += parity * np.sinc(2.0 * b * np.add.outer(x, x))
+    kern *= 2.0 * b * np.outer(root, root)
+    n = len(x)
+    [lam] = linalg.eigh(kern, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    return 1.0 - lam
+
+
 # --------------------------------------------------------------------------
 # window masses (hconc.measure)
 
@@ -398,17 +425,48 @@ def dk_coefficients(pw: PWFunction, k_max: int) -> np.ndarray:
     spectrum with the order-(alpha+k) measure folded in, one
     `mu_hat_weights` call per row.  The reference for the D^k rows of the
     good-bad window plan (`annihilation._window_plan`'s folded rows times
-    the spectrum), which `good_bad_partition` hands to `witness_point`."""
+    the spectrum), from which `good_bad_partition` forms D^k f."""
     _check_dk(k_max)
     return np.stack([pw.mu_hat_weights(shift=k) for k in range(k_max + 1)]) * pw.coeffs
+
+
+def apply_Dk_all(pw: PWFunction, coeffs: np.ndarray, x) -> np.ndarray:
+    """D^k f at x for every k = 0..k_max, as the rows of a (k_max+1, len(x))
+    array, from the D^k rows `coeffs` (`dk_coefficients`): one
+    `kernel_apply` call over the order ladder, streamed in kernel blocks.
+    The reference for the good-bad window pass, which sums the ladder held
+    in its window plan at the plan's points."""
+    return _dk_signs(kernel_apply(pw.order, x, pw.nodes, coeffs))
+
+
+def grid_witnesses(pw: PWFunction, ab: float, xs, masses, k_max: int = 8) -> np.ndarray:
+    """The witness search as a scan of 1000 equispaced points t of each
+    window I_x = [(x - 1)^2, (x + 1)^2], from one D^k pass over all of them:
+    the first point where t^(alpha+k) |D^k f(sqrt(t))|^2 <=
+    (12 pi^2 (ab)^2)^k * mass * (1 + 1e-12) for every k = 0..k_max, NaN
+    where none is.  The reference for the existence of the witnesses of
+    `annihilation._witnesses`, which looks only at the points of the
+    good-bad kernel pass."""
+    xs = np.asarray(xs, dtype=float)
+    ts = np.linspace((xs - 1.0) ** 2, (xs + 1.0) ** 2, 1000, axis=-1)
+    dk = apply_Dk_all(pw, dk_coefficients(pw, k_max), np.sqrt(ts).ravel())
+    ok = np.ones(ts.shape, dtype=bool)
+    factor = 1.0
+    with np.errstate(divide="ignore"):
+        for k in range(k_max + 1):
+            need = ts ** (pw.order.alpha + k) * dk[k].reshape(ts.shape) ** 2
+            ok &= need <= factor * np.asarray(masses)[:, None] * (1 + 1e-12)
+            factor *= 12.0 * math.pi**2 * ab * ab
+    first = ts[np.arange(len(ts)), np.argmax(ok, axis=1)]
+    return np.where(np.any(ok, axis=1), first, np.nan)
 
 
 def apply_Dk(pw: PWFunction, k: int, x) -> np.ndarray | float:
     """k-th iterate of D = (1/2x) d/dx applied to the synthesis:
     D^k f(x) = (-pi)^k * integral of spectrum * j_{alpha+k}(2 pi x xi)
     against d mu_{alpha+k}.  It evaluates order alpha+k directly, one order
-    at a time: the reference for `paley_wiener.apply_Dk_all`, whose rows come
-    from one order ladder."""
+    at a time: the reference for `apply_Dk_all`, whose rows come from one
+    order ladder."""
     if not (0 <= k <= _MAX_DK):
         raise DomainError(f"derivative order k must be in [0, {_MAX_DK}]")
     scalar = np.isscalar(x)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,27 +22,31 @@ from hconc.annihilation import (
     ls_empirical_min_ratio,
     pair_norm,
     strong_pair_trials,
-    witness_point,
 )
 from hconc.bessel import Order
 from hconc.errors import ConvergenceError, DomainError, InternalError
-from hconc.measure import IntervalSet, mu_density_constant
-from hconc.paley_wiener import PWFunction, apply_Dk_all, random_pw
+from hconc.measure import IntervalSet, load_interval_set, mu_density_constant
+from hconc.paley_wiener import PWFunction, random_pw
 from oracles import (
     ConcentrationMatrix,
     _pair_factor,
     _short_side_gram,
     apply_Dk,
+    apply_Dk_all,
     bad_mass_fraction,
     concentration_matrix,
     dk_coefficients,
+    grid_witnesses,
     lommel_gram_all_ends,
     mode_count,
     pair_gram,
     pair_nodes,
     pair_rules,
+    sinc_pair_deficit,
     strong_pair_rows_dense,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # value pinned from a converged dense-SVD run of the unit S = Sigma = [0, 1]
 # compression at order 0; the doubling loop must land on the same number
@@ -572,6 +577,35 @@ def test_strong_pair_rows_match_a_dense_factor(alpha, S, Sigma):
     assert np.allclose(rows[:, 1], want[:, 1], rtol=1e-12, atol=0)
 
 
+# 1 - sigma^2 of pair_norm against the sinc-kernel oracle, absolute: the
+# top eigenvalue of an n-node Gram carries rounding of about n eps, and the
+# pass pair_norm returns at b = 1 on [0, 60] has n = 544 (2 x 272 nodes on
+# Sigma), so 544 eps = 1.2e-13.  Seen: at most 3.3e-14, with the oracle's
+# own spread over 16, 24 and 32 nodes per panel at most 9.1e-15
+_SINC_TOL = 544 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    ("omega", "x_max", "alpha"),
+    [
+        ("periodic", 59.0, -0.5),
+        ("periodic", 59.0, 0.5),
+        ("periodic", 60.0, -0.5),
+        ("sparse", 58.0, -0.5),
+        ("sparse", 60.0, 0.5),
+    ],
+)
+def test_pair_deficit_matches_the_sinc_kernel_oracle(omega, x_max, alpha):
+    # S = the gaps of a shipped Omega in [0, X] and Sigma = [0, 1]: X on Omega
+    # (59 periodic, 58 sparse) and inside a gap (60); at alpha = -1/2 the
+    # pair's kernel is cos, at alpha = 1/2 sin x / x
+    omega_set = load_interval_set(str(CONFIGS / f"omega-{omega}.set"))
+    S = omega_set.complement_within(0.0, x_max)
+    sigma = pair_norm(Order(alpha), S, IntervalSet.of([(0.0, 1.0)]))
+    want = sinc_pair_deficit(1 if alpha < 0 else -1, S, 1.0, 24)
+    assert abs((1.0 - sigma * sigma) - want) <= _SINC_TOL
+
+
 # --------------------------------------------------------------------------
 # concentration eigenproblem
 
@@ -742,13 +776,13 @@ def _left_rows(pw, coeffs, xs):
     return apply_Dk_all(pw, coeffs, np.asarray(xs, dtype=float) - 1.0)
 
 
-def _partition_rows(pw, xs, k_max=8):
-    """The rows good_bad_partition(pw, ab, xs, k_max) hands to witness_point
-    for every window: D^k f at the left ends, the third value of the
-    module's `_piece_integrals` (looked up when called, so a test may patch
-    it) at each window's left piece, and the D^k rows of its pass."""
-    _, halves, at_starts, _, coeffs = annihilation._piece_integrals(pw, xs, k_max)
-    return at_starts[:, halves[0]], coeffs
+def _partition_pass(pw, xs, k_max=8):
+    """The pass of good_bad_partition(pw, ab, xs, k_max), from the module's
+    `_piece_integrals` (looked up when called, so a test may patch it):
+    each window's left and right piece, the pass's points and D^k f there,
+    and the count of piece nodes, after which the piece starts follow."""
+    per_piece, halves, points, dk, _ = annihilation._piece_integrals(pw, xs, k_max)
+    return halves, points, dk, 16 * len(per_piece)
 
 
 def test_good_bad_partition_threshold_scaling():
@@ -833,107 +867,87 @@ def test_window_integrals_match_lommel_closed_form(alpha):
                 assert ints[i, k] == pytest.approx(want, rel=1e-9)
 
 
+def _assert_growth_bounds(pw, ab, x, mass, t, k_max=8):
+    """t lies in I_x and obeys every pointwise growth bound of the witness
+    search, with D^k f at sqrt(t) from `apply_Dk`, one order at a time."""
+    assert (x - 1.0) ** 2 <= t <= (x + 1.0) ** 2
+    base = 12.0 * math.pi**2 * ab * ab
+    for k in range(k_max + 1):
+        dk = float(apply_Dk(pw, k, np.sqrt(np.array([t])))[0])
+        assert t ** (pw.order.alpha + k) * dk**2 <= base**k * mass * (1 + 1e-9)
+
+
 def test_witness_point_satisfies_growth_bounds():
     # the pw bandlimit must equal the threshold product for unit half-width
     # windows to be good, mirroring how the recipe pairs them
     ab, x, k_max = 0.1, 3.0, 8
     pw = random_pw(Order(0.0), ab, 96, np.random.default_rng(6), kind="smooth")
-    coeffs = dk_coefficients(pw, k_max)
-    mass = _window_integrals(pw, x, k_max)[0]
-    (t,) = witness_point(pw, ab, [x], [mass], _left_rows(pw, coeffs, [x]), coeffs)
-    lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
-    assert lo <= t <= hi
-    base = 12.0 * math.pi**2 * ab * ab
-    factor = 1.0
-    alpha = pw.order.alpha
-    for k in range(k_max + 1):
-        dk = float(apply_Dk(pw, k, np.sqrt(np.array([t])))[0])
-        assert t ** (alpha + k) * dk**2 <= factor * mass * (1 + 1e-9)
-        factor *= base
+    (bad,), (mass,), _, (t,) = good_bad_partition(pw, ab, [x], k_max)
+    assert not bad
+    _assert_growth_bounds(pw, ab, x, mass, t, k_max)
 
 
-def _witness_need(pw, ab, x, n, k_max=8):
-    """Test oracle: the grid of n points on I_x and, at each point, the
-    smallest window mass for which every growth bound of the witness search
-    holds there, from one evaluation of the whole grid."""
-    ts = np.linspace((x - 1.0) ** 2, (x + 1.0) ** 2, n)
-    dk = apply_Dk_all(pw, dk_coefficients(pw, k_max), np.sqrt(ts))
-    base = 12.0 * math.pi**2 * ab * ab
-    with np.errstate(divide="ignore"):
-        need = [
-            ts ** (pw.order.alpha + k) * dk[k] ** 2 / base**k
-            for k in range(k_max + 1)
-        ]
-    return ts, np.max(need, axis=0)
-
-
-def _first_witness_full_grid(pw, ab, x, mass, k_max=8):
-    """Test oracle: the witness search as a scan of every point of each grid,
-    the first witness of the first grid that holds one, or None."""
-    lo, hi = (x - 1.0) ** 2, (x + 1.0) ** 2
-    alpha = pw.order.alpha
-    base = 12.0 * math.pi**2 * ab * ab
-    for n in (1000, 10_000, 100_000):
-        ts = np.linspace(lo, hi, n)
-        dk = apply_Dk_all(pw, dk_coefficients(pw, k_max), np.sqrt(ts))
-        ok = np.ones(n, dtype=bool)
-        factor = 1.0
-        with np.errstate(divide="ignore"):
-            for k in range(k_max + 1):
-                ok &= ts ** (alpha + k) * dk[k] ** 2 <= factor * mass * (1 + 1e-12)
-                factor *= base
-        if np.any(ok):
-            return float(ts[np.argmax(ok)])
-    return None
-
-
-@pytest.mark.parametrize("alpha", [0.0, -0.3])
-def test_witness_point_matches_full_grid_scan(alpha):
-    # the good windows of three recipe trials (seed 7, one per ab product)
+@pytest.mark.parametrize("alpha", [-0.5, -0.3, 0.0, 1.0, 7.0])
+def test_pass_witnesses_exist_where_the_grid_finds_one(alpha):
+    # the seed-7 recipe trials, two per ab product: a good window has a
+    # witness among the pass's points exactly where the 1000-point grid on
+    # I_x has one, and every witness obeys each bound under an evaluation
+    # of its own
     xs = np.arange(1.0, 16.0)
     first_at_origin = []
-    for trial, ab in enumerate((0.05, 0.1, 0.3)):
-        rng = np.random.default_rng((7, trial))
-        pw = random_pw(Order(alpha), ab, 32, rng, kind="smooth")
+    for trial in range(6):
+        pw, ab = _recipe_trial(alpha, trial)
         bad, mass, _, witness = good_bad_partition(pw, ab, xs, 8)
         assert not np.all(bad)
         assert np.isnan(witness[bad]).all()
-        got = witness[~bad]
-        for x, m, t in zip(xs[~bad], mass[~bad], got):
-            want = _first_witness_full_grid(pw, ab, x, m)
-            assert want is not None
-            assert t == want
-            if x == 1.0:
-                first_at_origin.append(want)
+        good = ~bad
+        grid = grid_witnesses(pw, ab, xs[good], mass[good])
+        assert np.array_equal(np.isfinite(witness[good]), np.isfinite(grid))
+        for x, m, t in zip(xs[good], mass[good], witness[good]):
+            if np.isfinite(t):
+                _assert_growth_bounds(pw, ab, x, m, t)
+        if good[0]:
+            first_at_origin.append(witness[0])
     # at alpha < 0 the window at x = 1 has no witness at its left end t = 0
     assert first_at_origin
     if alpha < 0:
         assert all(t > 0.0 for t in first_at_origin)
 
 
-def test_witness_point_scans_every_point_in_order():
-    # on the window at x = 1 at alpha = -0.3 the smallest mass that admits a
-    # witness falls strictly along the 1000-point grid, so the mass that
-    # admits grid point i makes i the first witness; i runs over the right
-    # side of the chunk edge 1, both sides of the edges 17, 81 and 337, and
-    # the last point.  There the left end t = 0 admits no finite mass; at
-    # alpha = 0 it does, and that mass makes it the first witness, which is
-    # the left side of the edge 1
-    ab = 0.05
-    pw = random_pw(Order(-0.3), ab, 32, np.random.default_rng((7, 0)), kind="smooth")
-    ts, need = _witness_need(pw, ab, 1.0, 1000)
-    assert np.all(np.diff(need[1:]) < 0)
-    idx = [1, 2, 16, 17, 80, 81, 336, 337, 999]
-    coeffs = dk_coefficients(pw, 8)
-    xs = np.ones(len(idx))
-    got = witness_point(pw, ab, xs, need[idx], _left_rows(pw, coeffs, xs), coeffs)
-    assert np.array_equal(got, ts[idx])
-    pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 0)), kind="smooth")
-    ts, need = _witness_need(pw, ab, 1.0, 1000)
-    mass = need[0]
-    coeffs = dk_coefficients(pw, 8)
-    (t,) = witness_point(pw, ab, [1.0], [mass], _left_rows(pw, coeffs, [1.0]), coeffs)
-    assert t == ts[0] == _first_witness_full_grid(pw, ab, 1.0, mass)
+@pytest.mark.parametrize(("alpha", "x"), [(-0.3, 1.0), (0.0, 5.0), (1.0, 11.0)])
+def test_witnesses_take_the_first_candidate_that_holds(alpha, x):
+    # the candidates of I_x in increasing t: the left end, the left piece's
+    # nodes, the centre and the right piece's nodes, squared.  For each,
+    # the mass just above the smallest mass at which it obeys every bound
+    # (from an oracle pass at the plan's points) makes the first candidate
+    # that holds at that mass the witness.  On these windows of the seed-7
+    # trial 0 that smallest mass falls along the candidates, so each
+    # candidate is the witness at its own mass; at x = 1 and alpha < 0 the
+    # left end t = 0 holds at no mass
+    pw, ab = _recipe_trial(alpha, 0)
+    xs = np.arange(1.0, 16.0)
+    halves, points, _, n = _partition_pass(pw, xs)
+    dk = apply_Dk_all(pw, dk_coefficients(pw, 8), points)
+    i = int(x) - 1
+    left, right = halves[:, i]
+    nodes = np.arange(16)
+    cols = np.r_[n + left, 16 * left + nodes, n + right, 16 * right + nodes]
+    t = points[cols] ** 2
+    assert np.all(np.diff(t) > 0)
+    assert t[0] == (x - 1.0) ** 2 and t[17] == x * x
+    base = 12.0 * math.pi**2 * ab * ab
+    with np.errstate(divide="ignore"):
+        need = [t ** (alpha + k) * dk[k, cols] ** 2 / base**k for k in range(9)]
+    need = np.max(need, axis=0)
+    masses = need * (1 + 1e-9)
+    finite = np.isfinite(masses)
+    assert np.count_nonzero(finite) >= 33
+    masses = masses[finite]
+    want = [t[np.argmax(need <= m)] for m in masses]
+    pieces = np.repeat(halves[:, i : i + 1], len(masses), axis=1)
+    got = annihilation._witnesses(pw.order, ab, masses, pieces, points, dk)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, t[finite])
 
 
 def _recording_ladders(monkeypatch):
@@ -970,25 +984,17 @@ def test_good_bad_trial_makes_one_kernel_pass(monkeypatch, cold_plan, alpha):
     # the recipe's trials at seed 7: the partition's ladder over the 16 nodes
     # of each of the 16 pieces and the 16 piece starts is built by the first
     # trial of each band and held for the repeats, and it is the only
-    # ladder of a trial whose left ends are all witnesses; the others add
-    # grid chunks after it.  At alpha < 0 the window at x = 1 has no
-    # witness at t = 0
+    # ladder of a trial, also at alpha < 0, where the window at x = 1 has
+    # no witness at t = 0 and its witness is sought among the pass's points
     built = _recording_ladders(monkeypatch)
     xs = np.arange(1.0, 16.0)
-    one_pass = 0
     for trial in range(6):
         pw, ab = _recipe_trial(alpha, trial)
         built.clear()
         bad, _, _, got = good_bad_partition(pw, ab, xs, 8)
-        window = [17 * 16] if trial < 3 else []
-        assert built[: len(window)] == window
-        assert 17 * 16 not in built[len(window) :]
-        if np.array_equal(got[~bad], (xs[~bad] - 1.0) ** 2):
-            assert built == window
-            one_pass += 1
-        else:
-            assert len(built) > len(window)
-    assert one_pass == (0 if alpha < 0 else 6)
+        assert built == ([17 * 16] if trial < 3 else [])
+        at_left = np.array_equal(got[~bad], (xs[~bad] - 1.0) ** 2)
+        assert at_left or alpha < 0
 
 
 def test_planned_window_kernels_give_the_streamed_bits(monkeypatch, cold_plan):
@@ -1066,14 +1072,13 @@ def test_repeated_trials_build_no_rule_and_fold_once(monkeypatch, cold_plan, alp
     # per whole trial of the recipe at seed 7 (the draw, and the partition
     # with its witness search): subnormal spectral coefficients, `mu_panels`
     # calls (the pieces' rules), `mu_fold` calls wherever they are made,
-    # `PWFunction` constructions, and whether a grid scan ran (its chunks'
-    # `apply_Dk_all` calls).  The first trial of each band builds its plan:
-    # the pieces and the nine folded rows.  A repeated (alpha, ab), trials
-    # 3-5, builds no rule and folds once, for the draw's norm, also where
-    # it scans: a scan runs on the plan's rows, and at alpha < 0 every
-    # trial scans, since the window at x = 1 has no witness at t = 0.  Each
-    # draw builds one PWFunction
-    calls = {"mu_panels": 0, "mu_fold": 0, "PWFunction": 0, "apply_Dk_all": 0}
+    # `PWFunction` constructions, and kernel ladders.  The first trial of
+    # each band builds its plan: the pieces, the nine folded rows and the
+    # one ladder.  A repeated (alpha, ab), trials 3-5, builds no rule and no
+    # ladder and folds once, for the draw's norm, at every order: the
+    # witness search makes no kernel pass of its own.  Each draw builds one
+    # PWFunction
+    calls = {"mu_panels": 0, "mu_fold": 0, "PWFunction": 0, "ladder": 0}
 
     def counting(owner, name, key=None):
         real = getattr(owner, name)
@@ -1085,7 +1090,7 @@ def test_repeated_trials_build_no_rule_and_fold_once(monkeypatch, cold_plan, alp
         monkeypatch.setattr(owner, name, wrapper)
 
     counting(annihilation, "mu_panels")
-    counting(annihilation, "apply_Dk_all")
+    counting(transform, "eval_j_ladder", "ladder")
     counting(PWFunction, "__post_init__", "PWFunction")
     for module in (annihilation, paley_wiener):
         counting(module, "mu_fold")
@@ -1099,34 +1104,33 @@ def test_repeated_trials_build_no_rule_and_fold_once(monkeypatch, cold_plan, alp
         mags = np.abs(pw.coeffs)
         subnormal.append(int(np.count_nonzero((mags > 0) & (mags < np.finfo(float).tiny))))
     assert subnormal == [0] * 6
-    scans = [int(chunks > 0) for *_, chunks in counts]
-    assert scans == [1 if alpha < 0 else 0] * 6
-    first = (1, 1 + 9, 1)
-    repeat = (0, 1, 1)
-    assert [c[:3] for c in counts] == [first] * 3 + [repeat] * 3
+    first = (1, 1 + 9, 1, 1)
+    repeat = (0, 1, 1, 0)
+    assert counts == [first] * 3 + [repeat] * 3
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 0.0, 1.0])
-def test_partition_witnesses_are_witness_point_on_the_oracle_rows(alpha):
+def test_partition_witnesses_come_from_its_own_pass(alpha):
     # the seed-7 recipe trials, one per ab: the witnesses the partition
-    # returns are those of witness_point on the good windows, from the
-    # partition's masses and left-end rows and the D^k rows of
-    # dk_coefficients, bit for bit, and NaN on the bad windows
+    # returns are those of `_witnesses` on the good windows, from the
+    # partition's masses and an oracle pass at the plan's points, bit for
+    # bit, and NaN on the bad windows
     xs = np.arange(1.0, 16.0)
-    scanned = False
+    beyond_left = False
     for trial in range(3):
         pw, ab = _recipe_trial(alpha, trial)
         bad, mass, _, witness = good_bad_partition(pw, ab, xs, 8)
-        left, _ = _partition_rows(pw, xs)
+        halves, points, _, _ = _partition_pass(pw, xs)
+        dk = apply_Dk_all(pw, dk_coefficients(pw, 8), points)
         good = ~bad
-        want = witness_point(
-            pw, ab, xs[good], mass[good], left[:, good], dk_coefficients(pw, 8)
+        want = annihilation._witnesses(
+            pw.order, ab, mass[good], halves[:, good], points, dk
         )
         assert np.array_equal(witness[good], want)
         assert np.isnan(witness[bad]).all()
-        scanned |= not np.array_equal(want, (xs[good] - 1.0) ** 2)
-    # at alpha < 0 the window at x = 1 is scanned, so the rows are used
-    assert scanned == (alpha < 0)
+        beyond_left |= not np.array_equal(want, (xs[good] - 1.0) ** 2)
+    # at alpha < 0 the window at x = 1 takes a candidate past its left end
+    assert beyond_left == (alpha < 0)
 
 
 @pytest.mark.parametrize("ab", [math.nan, math.inf])
@@ -1134,18 +1138,6 @@ def test_good_bad_partition_refuses_a_non_finite_band_product(ab):
     pw, _ = _recipe_trial(0.0, 0)
     with pytest.raises(DomainError, match="positive and finite"):
         good_bad_partition(pw, ab, np.arange(1.0, 16.0), 8)
-
-
-@pytest.mark.parametrize("ab", [math.nan, math.inf, -0.1, 0.0])
-def test_witness_point_refuses_a_band_product_the_partition_refuses(ab):
-    # the windows of the recipe's trial 0 at alpha = 0; at the parent, NaN
-    # found 0 witnesses of 12, -0.1 those of 0.1 and 0 one of 12
-    pw, good_ab = _recipe_trial(0.0, 0)
-    xs = np.arange(1.0, 16.0)
-    bad, mass, _, _ = good_bad_partition(pw, good_ab, xs, 8)
-    left, coeffs = _partition_rows(pw, xs)
-    with pytest.raises(DomainError, match="positive and finite"):
-        witness_point(pw, ab, xs[~bad], mass[~bad], left[:, ~bad], coeffs)
 
 
 def test_good_bad_partition_refuses_a_ladder_past_the_dk_cap():
@@ -1177,14 +1169,15 @@ def test_window_plan_gives_the_bits_of_apply_dk_all(alpha, ab, centers):
     annihilation._window_plan.cache_clear()
     cold = good_bad_partition(pw, ab, xs, 8)
     warm = good_bad_partition(pw, ab, xs, 8)
-    halves, points, rows, _, held = _plan_of(pw, xs)
+    halves, points, rows, folded, held = _plan_of(pw, xs)
     assert (len(held) == 1) == (len(points) <= 409)
-    left, coeffs = _partition_rows(pw, xs)
+    _, _, passed, _ = _partition_pass(pw, xs)
     annihilation._window_plan.cache_clear()
     for want, got in zip(cold, warm):
         assert np.array_equal(want, got, equal_nan=True)
-    assert np.array_equal(coeffs, dk_coefficients(pw, 8))
+    assert np.array_equal(folded * pw.coeffs, dk_coefficients(pw, 8))
     dk = apply_Dk_all(pw, dk_coefficients(pw, 8), points)
+    assert np.array_equal(passed, dk)
     n = rows[0].size
     per_piece = np.sum(rows * dk[:, :n].reshape(rows.shape) ** 2, axis=2).T
     ints = per_piece[halves[0]] + per_piece[halves[1]]
@@ -1194,7 +1187,6 @@ def test_window_plan_gives_the_bits_of_apply_dk_all(alpha, ab, centers):
         bad |= ints[:, k] >= factor * ints[:, 0]
     assert np.array_equal(cold[0], bad)
     assert np.array_equal(cold[1], ints[:, 0])
-    assert np.array_equal(left, dk[:, n:][:, halves[0]])
     assert np.isnan(cold[3][bad]).all()
     assert 0.0 <= cold[2] <= 1.0
 
@@ -1204,7 +1196,8 @@ def test_good_bad_partition_left_rows_are_dk_at_the_left_ends():
     xs = np.arange(1.0, 16.0)
     for alpha in (-0.3, 0.0, 1.0):
         pw = random_pw(Order(alpha), 0.1, 32, np.random.default_rng((7, 1)), kind="smooth")
-        left, _ = _partition_rows(pw, xs)
+        halves, _, dk, n = _partition_pass(pw, xs)
+        left = dk[:, n + halves[0]]
         want = _left_rows(pw, dk_coefficients(pw, 8), xs)
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert left.shape == want.shape
@@ -1215,8 +1208,7 @@ def _threshold_witnesses(alpha):
     """The recipe's trial 2 at seed 7 (ab = 0.3), its windows at x = 2..15,
     each window's mass just above the smallest mass at which its left end
     t = (x - 1)^2 obeys every growth bound (from a D^k pass of its own at
-    x - 1), and their witnesses with the left and D^k rows of
-    good_bad_partition."""
+    x - 1), and their witnesses from the pass of good_bad_partition."""
     ab, xs = 0.3, np.arange(2.0, 16.0)
     pw = random_pw(Order(alpha), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
     coeffs = dk_coefficients(pw, 8)
@@ -1225,8 +1217,9 @@ def _threshold_witnesses(alpha):
     base = 12.0 * math.pi**2 * ab * ab
     need = np.max([lo ** (alpha + k) * dk[k] ** 2 / base**k for k in range(9)], axis=0)
     masses = need * (1 + 1e-9)
-    left, rows = _partition_rows(pw, xs)
-    return pw, xs, masses, witness_point(pw, ab, xs, masses, left, rows)
+    halves, points, passed, _ = _partition_pass(pw, xs)
+    got = annihilation._witnesses(pw.order, ab, masses, halves, points, passed)
+    return pw, xs, masses, got
 
 
 @pytest.mark.parametrize("alpha", [-0.3, 1.0])
@@ -1235,73 +1228,35 @@ def test_witness_point_left_end_probe_at_its_threshold(alpha):
     # decides on the left rows' own values; the full-grid scan agrees
     pw, xs, masses, got = _threshold_witnesses(alpha)
     assert np.array_equal(got, (xs - 1.0) ** 2)
-    for x, m, t in zip(xs, masses, got):
-        assert t == _first_witness_full_grid(pw, 0.3, x, m)
+    assert np.array_equal(got, grid_witnesses(pw, 0.3, xs, masses))
 
 
 def test_left_rows_from_the_right_piece_move_the_witness(monkeypatch):
-    # fault: the left-end rows taken at the start x of each window's right
-    # piece instead of x - 1; at the threshold masses some left end then
-    # fails its probe and the scan moves past it
+    # fault: D^k f at the left end of each window taken at the start x of
+    # its right piece instead of x - 1; at the threshold masses some left
+    # end then fails its probe and the search moves past it
     real = annihilation._piece_integrals
 
     def right_piece_starts(pw, centers, k_max):
-        per_piece, halves, at_starts, total, coeffs = real(pw, centers, k_max)
-        shifted = at_starts.copy()
-        shifted[:, halves[0]] = at_starts[:, halves[1]]
-        return per_piece, halves, shifted, total, coeffs
+        per_piece, halves, points, dk, total = real(pw, centers, k_max)
+        n = 16 * len(per_piece)
+        shifted = dk.copy()
+        shifted[:, n + halves[0]] = dk[:, n + halves[1]]
+        return per_piece, halves, points, shifted, total
 
     monkeypatch.setattr(annihilation, "_piece_integrals", right_piece_starts)
     _, xs, _, got = _threshold_witnesses(1.0)
     assert not np.array_equal(got, (xs - 1.0) ** 2, equal_nan=True)
 
 
-def test_witness_point_refines_the_grid():
-    # a mass between the smallest need on the 1000-point grid and on the
-    # 10^4-point grid has no witness on the first grid and one on the second
-    ab, x = 0.3, 10.0
-    pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
-    coarse, need_coarse = _witness_need(pw, ab, x, 1000)
-    fine, need_fine = _witness_need(pw, ab, x, 10_000)
-    assert need_fine.min() < need_coarse.min() * (1 - 1e-6)
-    mass = math.sqrt(need_fine.min() * need_coarse.min())
-    coeffs = dk_coefficients(pw, 8)
-    (t,) = witness_point(pw, ab, [x], [mass], _left_rows(pw, coeffs, [x]), coeffs)
-    assert t == _first_witness_full_grid(pw, ab, x, mass)
-    assert t in fine
-    assert t not in coarse
-
-
-def test_witness_point_is_nan_without_witness():
-    ab, x = 0.3, 10.0
-    pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
-    mass = 1e-30 * _window_integrals(pw, x, 8)[0]
-    coeffs = dk_coefficients(pw, 8)
-    left = _left_rows(pw, coeffs, [x])
-    assert np.isnan(witness_point(pw, ab, [x], [mass], left, coeffs)).all()
-
-
-def test_witness_point_scans_windows_in_lockstep():
-    # one call over windows that finish at different steps: the second
-    # (x = 10) needs the 10^4-point grid (the mass of the refinement test),
-    # the windows at x = 2, 3, 5 finish in the first chunk, at their left
-    # ends, and the last (x = 10 with a vanishing mass) has no witness; each
-    # result is its window's own, also where a window ahead of it has
-    # finished
-    ab = 0.3
-    pw = random_pw(Order(0.0), ab, 32, np.random.default_rng((7, 2)), kind="smooth")
-    coeffs = dk_coefficients(pw, 8)
-    _, need_coarse = _witness_need(pw, ab, 10.0, 1000)
-    _, need_fine = _witness_need(pw, ab, 10.0, 10_000)
-    xs = np.array([2.0, 10.0, 3.0, 5.0, 10.0])
-    masses = _window_integrals(pw, xs, 8)[:, 0]
-    masses[1] = math.sqrt(need_fine.min() * need_coarse.min())
-    masses[4] *= 1e-30
-    got = witness_point(pw, ab, xs, masses, _left_rows(pw, coeffs, xs), coeffs)
-    for x, m, t in zip(xs[:-1], masses[:-1], got[:-1]):
-        assert t == _first_witness_full_grid(pw, ab, x, m)
-    assert np.isnan(got[-1])
-    assert np.array_equal(got[[0, 2, 3]], (xs[[0, 2, 3]] - 1.0) ** 2)
+def test_witness_is_nan_where_no_candidate_holds():
+    # a vanishing mass admits none of the 34 candidates of any window
+    pw, ab = _recipe_trial(0.0, 2)
+    xs = np.arange(2.0, 16.0)
+    masses = 1e-30 * _window_integrals(pw, xs, 8)[:, 0]
+    halves, points, dk, _ = _partition_pass(pw, xs)
+    got = annihilation._witnesses(pw.order, ab, masses, halves, points, dk)
+    assert np.isnan(got).all()
 
 
 # --------------------------------------------------------------------------

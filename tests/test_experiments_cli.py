@@ -1029,6 +1029,35 @@ def test_cli_pw_bernstein_large_order(capsys):
     assert ratio == pytest.approx(lhs / rhs, rel=1e-15)
 
 
+@pytest.mark.parametrize(("b", "trials"), [("1e300", ""), ("1e150", 6), ("1e60", 6)])
+def test_cli_run_refuses_a_bernstein_band_whose_fold_overflows(
+    tmp_path, capsys, b, trials
+):
+    # b^(2 (alpha + k) + 2) leaves the range of a double: for the draw's
+    # norm at 1e300, for k >= 1 at 1e150 and for k >= 2 at 1e60
+    text = f"name = big\nrecipe = bernstein\nb = {b}\noutput_dir = out\n"
+    if trials:
+        text += f"trials = {trials}\n"
+    cfg = _write(tmp_path / "big.cfg", text)
+    rc, _, err = _main_result(capsys, ["run", "--config", cfg])
+    assert rc == 2
+    assert "mu_alpha measure overflows a double" in err
+
+
+def test_cli_bernstein_keeps_a_band_whose_fold_fits(tmp_path, capsys):
+    # at b = 1e60 the orders k = 0 and 1 fit a double, and k = 2 does not
+    cfg = _write(
+        tmp_path / "fits.cfg",
+        "name = fits\nrecipe = bernstein\nb = 1e60\ntrials = 2\noutput_dir = out\n",
+    )
+    assert _main_result(capsys, ["run", "--config", cfg])[0] == 0
+    argv = ["pw", "bernstein", "--alpha", "0", "--b", "1e60", "--trials", "2"]
+    assert _main_result(capsys, argv + ["--k", "1"])[0] == 0
+    rc, _, err = _main_result(capsys, argv + ["--k", "2"])
+    assert rc == 2
+    assert "mu_alpha measure overflows a double" in err
+
+
 def test_cli_pw_extremal_peak_normalization(capsys):
     rc = cli.main(["pw", "extremal", "--alpha", "0", "--n", "0", "--x-grid", "0,0,1"])
     assert rc == 0
@@ -1365,6 +1394,33 @@ def test_cli_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert rc == 3
     assert "refinement stalled" in capsys.readouterr().err
+
+
+def test_cli_convergence_failure_names_the_residual(tmp_path, capsys, monkeypatch):
+    # translate_batch made to refine its theta rule on a step, which never
+    # settles: the error line names the residual of the last doubling
+    csv = _write(tmp_path / "f.csv", "x,value\n0,1\n1,0\n")
+    real = cli.translate_batch
+    raised = []
+
+    def stalling(order, x, f, ys, theta_nodes=None):
+        step = lambda t: (np.asarray(t) < 1.0).astype(float)
+        try:
+            return real(order, x, step, ys)
+        except ConvergenceError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "translate_batch", stalling)
+    rc = cli.main(
+        ["translate", "--alpha", "1", "--x", "1", "--f", csv, "--y-grid", "0,1,3"]
+    )
+    assert rc == 3
+    [exc] = raised
+    assert exc.residual > 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: theta-quadrature did not stabilize")
+    assert f"(residual {exc.residual:.3g})" in err
 
 
 def test_cli_internal_failure_exits_1(capsys, monkeypatch):

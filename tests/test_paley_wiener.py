@@ -9,7 +9,6 @@ from hconc.errors import DomainError
 from hconc.measure import IntervalSet, mu_measure
 from hconc.paley_wiener import (
     PWFunction,
-    apply_Dk_all,
     bernstein_sides,
     dk_norm,
     extremal_family,
@@ -21,7 +20,7 @@ from hconc.paley_wiener import (
     theta_constant,
 )
 from hconc.quadrature import build_rule, mu_rule
-from oracles import apply_Dk, dk_coefficients
+from oracles import apply_Dk, apply_Dk_all, dk_coefficients
 
 
 def test_theta_constant_closed_forms():
@@ -133,8 +132,8 @@ def test_apply_dk_all_rows_match_single_order(alpha):
 
 
 def test_apply_dk_all_memory_is_chunked():
-    # the finest witness grid: 1e5 points in the window around x = 15; an
-    # unchunked ladder would hold 9 x 1e5 x 32 doubles, about 230 MB.
+    # 1e5 points in the window around x = 15: the kernel ladder streams in
+    # blocks, where one unchunked would hold 9 x 1e5 x 32 doubles, 230 MB.
     pw = random_pw(Order(0.0), 0.05, 32, np.random.default_rng(8), kind="smooth")
     roots = np.sqrt(np.linspace(14.0**2, 16.0**2, 100_000))
     tracemalloc.start()

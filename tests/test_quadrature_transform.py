@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hconc.annihilation import pair_norm
 from hconc.bessel import Order, eval_j
-from hconc import experiments
+from hconc import cli, experiments
 from hconc.errors import DomainError
 from hconc.experiments import ExperimentConfig, run
 from hconc.measure import IntervalSet, mu_density_constant, mu_measure
@@ -124,6 +125,38 @@ def test_set_rule_size_counts_the_rule_without_building_it(intervals, per_unit):
     size = set_rule_size(subset, per_unit)
     assert size == len(mu_rule(HALF, subset, per_unit)[0])
     assert size == len(mu_rule(Order(0.3), subset, per_unit)[0])
+
+
+def test_mu_rule_refuses_more_nodes_than_the_cap_on_one_interval():
+    # 2^24 nodes on one interval are the most a rule takes; the sizing is
+    # free, so an interval past the cap is refused before any array is made
+    order = Order(0.0)
+    top = 2**24 / 64.0
+    assert len(mu_rule(order, IntervalSet.of([(0.0, 100.0)]), 64.0)[0]) == 6400
+    with pytest.raises(DomainError, match="cap of 16777216 nodes"):
+        mu_rule(order, IntervalSet.of([(0.0, top + 1.0)]), 64.0)
+    # the count is per interval, and set_rule_size only sizes
+    assert set_rule_size(IntervalSet.of([(0.0, top + 1.0)]), 64.0) > 2**24
+
+
+@pytest.mark.parametrize("b", [1e300, 1e-300])
+def test_plancherel_at_an_extreme_band_exits_2(tmp_path, capsys, b):
+    # x_max = 40 at b = 1e300 with 1e301 nodes per unit, and x_max = 4e301 at
+    # b = 1e-300 with 10: 4e302 nodes on one interval either way
+    cfg = tmp_path / "pl.cfg"
+    cfg.write_text(
+        f"name = pl\nrecipe = plancherel\nb = {b!r}\ntrials = 1\noutput_dir = out\n"
+    )
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "4e+302 nodes" in capsys.readouterr().err
+
+
+def test_pair_norm_sizes_a_far_side_past_the_cap_without_building_it():
+    # the spectral side takes 112 nodes, the spatial side would take 1.7e7:
+    # only the shorter side's rule is built, so the pair is resolved
+    S, Sigma = IntervalSet.of([(0.0, 2.7e5)]), IntervalSet.of([(0.0, 1e-4)])
+    assert set_rule_size(S, 64.0) > 2**24
+    assert 0.0 <= pair_norm(Order(0.0), S, Sigma) <= 1.0
 
 
 def test_plain_set_rule_matches_per_interval_quadrature():
