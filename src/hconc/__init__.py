@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .bessel import (
     Order,
-    ZeroTable,
     certify_bound,
     eval_j,
     zeros_of_j_prime,
@@ -30,7 +29,6 @@ from .measure import (
 __all__ = [
     "__version__",
     "Order",
-    "ZeroTable",
     "eval_j",
     "zeros_of_j_prime",
     "certify_bound",

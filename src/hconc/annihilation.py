@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import linalg
 
-from .bessel import Order, cached_zero_table, certify_bound, eval_j
+from .bessel import Order, certify_bound, eval_j, zeros_below
 from .errors import ConvergenceError, DomainError, InternalError
 from .measure import IntervalSet, _check_power_range, mu_density_constant, mu_measure
 from .paley_wiener import (
@@ -84,6 +84,13 @@ _FACTOR_ENTRIES = 2**24
 # pair norms
 
 
+def _rate_per_unit(sup: float, pad: int) -> int:
+    """ceil(4 sup) + pad: nodes per unit that resolve oscillation at rate ~ sup."""
+    if math.isinf(4.0 * sup):
+        raise DomainError(f"a set reaching {sup:g} needs more nodes than a rule holds")
+    return math.ceil(4.0 * sup) + pad
+
+
 def _pair_per_unit(S: IntervalSet, Sigma: IntervalSet, scale: int = 1):
     """Nodes per unit of the spectral rule on Sigma and of the spatial rule
     on S.  Each side takes `scale` times max(_PAIR_PER_UNIT, its resolution
@@ -91,8 +98,8 @@ def _pair_per_unit(S: IntervalSet, Sigma: IntervalSet, scale: int = 1):
     the floor rules."""
     # the spectral side must resolve oscillation in xi at rate ~ sup(S), and
     # the spatial side oscillation in x at rate ~ sup(Sigma)
-    per_unit_xi = scale * max(_PAIR_PER_UNIT, math.ceil(4.0 * S.sup()) + 32)
-    per_unit_x = scale * max(_PAIR_PER_UNIT, math.ceil(4.0 * Sigma.sup()) + 32)
+    per_unit_xi = scale * max(_PAIR_PER_UNIT, _rate_per_unit(S.sup(), 32))
+    per_unit_x = scale * max(_PAIR_PER_UNIT, _rate_per_unit(Sigma.sup(), 32))
     return per_unit_xi, per_unit_x
 
 
@@ -267,7 +274,7 @@ def strong_pair_trials(
     """
     big = _TRIAL_BAND * Sigma.sup()
     # spectral nodes resolve the oscillation in xi at rate ~ sup(S)
-    per_unit_xi = math.ceil(4.0 * S.sup()) + 16
+    per_unit_xi = _rate_per_unit(S.sup(), 16)
     parts = (Sigma.intersect_window(0.0, big), Sigma.complement_within(0.0, big))
     (xi_in, u_in), (xi_out, u_out) = mu_rules(order, [(p, per_unit_xi) for p in parts])
     xi, u = np.concatenate([xi_in, xi_out]), np.concatenate([u_in, u_out])
@@ -293,13 +300,7 @@ def mode_frequencies(order: Order, b: float, x_max: float) -> np.ndarray:
     """Frequencies s'_m of the mode basis j_alpha(s'_m x / x_max) of
     PW_alpha(b) on [0, x_max]: 0 (the constant mode) and every positive zero
     of j_alpha' up to 2 pi b x_max, so the count grows with b x_max."""
-    limit = 2.0 * math.pi * b * x_max
-    count = max(8, int(limit / math.pi) + 8)
-    table = cached_zero_table(order.alpha, count)
-    while table.zeros[-1] < limit:
-        count *= 2
-        table = cached_zero_table(order.alpha, count)
-    return np.concatenate([[0.0], table.zeros[table.zeros <= limit]])
+    return np.concatenate([[0.0], zeros_below(order, 2.0 * math.pi * b * x_max)])
 
 
 def _concentration_factor(
@@ -642,14 +643,9 @@ def density_necessity_demo(
         theta * math.gamma(alpha + 2.0)
     )
     a = max(5.0, 4.0 * big_c / c)
-    sup = omega.sup()
-    table = cached_zero_table(alpha, max(8, int(sup / math.pi) + 4))
     rows: list[NecessityRow] = []
     omega_nodes, omega_w = mu_rule(order, omega, 12.0)
-    for n in range(1, len(table) + 1):
-        s = table.s_prime(n)
-        if s > sup:
-            break
+    for n, s in enumerate(zeros_below(order, omega.sup()).tolist(), start=1):
         if s < a:
             continue
         norm_sq = extremal_norm_sq(order, n)

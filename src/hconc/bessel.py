@@ -39,6 +39,9 @@ terms than `_SERIES_TERMS` and loses digits to cancellation.
 three-term recurrence in the order, run downward to alpha.  The seeds come
 from the cached tables while alpha + k_max is below ~29 and from jv past it;
 a ladder whose top order passes 300 is refused like `eval_j`.
+
+Zeros s'_n are read-only arrays: `first_zeros` and `zeros_below` give prefixes
+of cached tables of 64 2^j zeros (at most 1e6), sized here and nowhere else.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ _SUB_BLOCK = 16384
 # the checks of `validate_interlacing`, relative to the largest zero.
 _AIRY_ZEROS = np.array([-2.338107410459767, -4.087949444130970])
 _ZERO_SLACK = 1e-12
+# most zeros of one table (8 MB)
+_ZERO_TABLE_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -394,32 +399,8 @@ def eval_j_ladder(order: Order, k_max: int, x) -> np.ndarray:
     return out.reshape((k_max + 1,) + x.shape)
 
 
-@dataclass(frozen=True)
-class ZeroTable:
-    """Increasing positive zeros s'_1 < s'_2 < ... of j_alpha' (= zeros of
-    j_{alpha+1}), with the convention s'_0 = 0 handled by `s_prime`."""
-
-    order: Order
-    zeros: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        validate_interlacing(self)
-
-    def s_prime(self, n: int) -> float:
-        if n < 0:
-            raise DomainError("zero index must be >= 0")
-        if n == 0:
-            return 0.0
-        if n > len(self.zeros):
-            raise DomainError(f"table holds {len(self.zeros)} zeros, asked for {n}")
-        return float(self.zeros[n - 1])
-
-    def __len__(self) -> int:
-        return len(self.zeros)
-
-
-def validate_interlacing(table: ZeroTable) -> None:
-    """Check the ordering/spacing structure of a zero table.
+def validate_interlacing(order: Order, zeros: np.ndarray) -> None:
+    """Check the ordering/spacing structure of a table of zeros of j_alpha'.
 
     The entries must be the zeros j_{nu,1} < j_{nu,2} < ... of J_nu,
     nu = alpha + 1 >= 1/2, so they obey invariants that hold uniformly in nu:
@@ -437,7 +418,7 @@ def validate_interlacing(table: ZeroTable) -> None:
     fails beyond roundoff, or where the entries are not positive and
     strictly increasing.
     """
-    z = np.asarray(table.zeros, dtype=float)
+    z = np.asarray(zeros, dtype=float)
     if len(z) == 0:
         return
     if z[0] <= 0 or np.any(np.diff(z) <= 0):
@@ -445,7 +426,7 @@ def validate_interlacing(table: ZeroTable) -> None:
             "interlacing invariant violated: zero table entries must be "
             "strictly increasing and positive"
         )
-    nu = table.order.alpha + 1.0
+    nu = order.alpha + 1.0
     tol = _ZERO_SLACK * z[-1]
     a = _AIRY_ZEROS[: len(z)]
     lo = nu - a * (0.5 * nu) ** (1.0 / 3.0)
@@ -516,8 +497,9 @@ def _zeros_by_sign_change(high: Order, count: int, tol: np.ndarray) -> np.ndarra
     return z
 
 
-def zeros_of_j_prime(order: Order, count: int) -> ZeroTable:
-    """First `count` positive zeros of j_alpha' as a validated ZeroTable.
+def zeros_of_j_prime(order: Order, count: int) -> np.ndarray:
+    """First `count` positive zeros of j_alpha', checked by
+    `validate_interlacing`, as a read-only array.
 
     Each zero is a root of j_{alpha+1}, found by `_zeros_by_sign_change`:
     sign changes of j_{alpha+1} on a grid of step pi/2 from alpha + 1, which
@@ -526,20 +508,42 @@ def zeros_of_j_prime(order: Order, count: int) -> ZeroTable:
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    if count > 10**6:
+    if count > _ZERO_TABLE_MAX:
         raise DomainError("count must be <= 1e6")
     tol = 1e-12 * np.maximum(1.0, np.arange(1, count + 1, dtype=float))
     zeros = _zeros_by_sign_change(order.shifted(1), count, tol)
-    return ZeroTable(order=order, zeros=zeros)
+    validate_interlacing(order, zeros)
+    zeros.flags.writeable = False
+    return zeros
 
 
 @lru_cache(maxsize=64)
-def cached_zero_table(alpha: float, count: int) -> ZeroTable:
-    """Memoized zero table; grows in powers of two to limit recomputation."""
-    n = 1
-    while n < count:
-        n *= 2
-    return zeros_of_j_prime(Order(alpha), max(n, 64))
+def cached_zero_table(alpha: float, size: int) -> np.ndarray:
+    """The zero table of order alpha with `size` zeros, one of the sizes
+    `first_zeros` asks for: 64 2^j, capped at 1e6."""
+    return zeros_of_j_prime(Order(alpha), size)
+
+
+def first_zeros(order: Order, count: int) -> np.ndarray:
+    """s'_1, ..., s'_count, a read-only prefix of the smallest cached table
+    that holds them.  The first n zeros of a table do not depend on its size,
+    bit for bit: each zero is bracketed and bisected on its own."""
+    if not 0 <= count <= _ZERO_TABLE_MAX:
+        raise DomainError(f"zero count must be in [0, 1e6], got {count}")
+    size = max(64, 1 << (count - 1).bit_length())
+    return cached_zero_table(order.alpha, min(size, _ZERO_TABLE_MAX))[:count]
+
+
+def zeros_below(order: Order, limit: float) -> np.ndarray:
+    """Every s'_n <= limit, a read-only prefix of one cached table of
+    int(limit / pi) + 2 zeros.  `validate_interlacing` keeps the gaps >= pi,
+    so the last zero of that table exceeds (n - 1) pi > limit."""
+    if not limit <= math.pi * _ZERO_TABLE_MAX:
+        raise DomainError(f"zeros up to {limit:g} exceed the cap of 1e6 zeros")
+    zeros = first_zeros(order, int(max(limit, 0.0) / math.pi) + 2)
+    if zeros[-1] <= limit:
+        raise InternalError(f"zero table ends at {zeros[-1]:g}, below {limit:g}")
+    return zeros[: np.searchsorted(zeros, limit, side="right")]
 
 
 def certify_bound(order: Order, t_max: float) -> float:

@@ -92,8 +92,7 @@ def _cmd_bessel_eval(args) -> int:
 
 
 def _cmd_bessel_zeros(args) -> int:
-    table = zeros_of_j_prime(Order(args.alpha), args.count)
-    for z in table.zeros:
+    for z in zeros_of_j_prime(Order(args.alpha), args.count):
         print(_fmt(z))
     return 0
 

@@ -44,8 +44,8 @@ from .annihilation import (
     pair_norm,
     strong_pair_trials,
 )
-from .bessel import Order, _horner, cached_zero_table, eval_j
-from .bessel import validate_interlacing, zeros_of_j_prime
+from .bessel import Order, _horner, eval_j, first_zeros, validate_interlacing
+from .bessel import zeros_of_j_prime
 from .errors import ConvergenceError, DomainError, InternalError, UsageError
 from .measure import IntervalSet, density_profile, load_interval_set
 from .paley_wiener import (
@@ -425,9 +425,8 @@ def _recipe_translation(config: ExperimentConfig) -> list[ReportRow]:
 
 def _recipe_extremal(config: ExperimentConfig) -> list[ReportRow]:
     order = Order(config.alpha)
-    table = cached_zero_table(order.alpha, config.trials + 8)
     # member n peaks at nodes[n] and vanishes at every other zero
-    nodes = np.r_[0.0, table.zeros[: config.trials]]
+    nodes = np.r_[0.0, first_zeros(order, config.trials)]
 
     def one(n: int) -> list[ReportRow]:
         peak_ref = extremal_peak(order, n)
@@ -590,7 +589,7 @@ def run(config: ExperimentConfig) -> list[ReportRow]:
 
 
 def _check_zero_table():
-    validate_interlacing(zeros_of_j_prime(Order(0.7), 128))
+    validate_interlacing(Order(0.7), zeros_of_j_prime(Order(0.7), 128))
 
 
 # (recipe, trials, other keys) of each recipe check: Plancherel on every

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import Order, cached_zero_table, eval_j
+from .bessel import Order, eval_j, first_zeros
 from .errors import DomainError
 from .measure import IntervalSet, _check_power_range
 from .quadrature import build_rule, mu_fold, mu_rule
@@ -174,7 +174,7 @@ def extremal_peak(order: Order, n: int) -> float:
     """Value at its own node: 1 for n=0, else (alpha+1) j_alpha(s'_n)^2."""
     if n == 0:
         return 1.0
-    s = cached_zero_table(order.alpha, n).s_prime(n)
+    s = float(first_zeros(order, n)[-1])
     return (order.alpha + 1.0) * float(eval_j(order, s)) ** 2
 
 
@@ -199,7 +199,7 @@ def extremal_family(order: Order, n: int, x) -> np.ndarray | float:
     if n == 0:
         vals = eval_j(high, xs)
         return float(vals[0]) if scalar else vals
-    s = cached_zero_table(a, n).s_prime(n)
+    s = float(first_zeros(order, n)[-1])
     js = float(eval_j(order, s))
     vals = np.empty_like(xs)
     near = np.abs(xs - s) <= _SING_WINDOW * s
@@ -229,7 +229,7 @@ def tail_mass(order: Order, n: int, a: float) -> float:
     computed as 1 - (window integral) / (closed-form norm)."""
     if a <= 0:
         raise DomainError("window half-width must be positive")
-    s = 0.0 if n == 0 else cached_zero_table(order.alpha, n).s_prime(n)
+    s = 0.0 if n == 0 else float(first_zeros(order, n)[-1])
     lo, hi = max(0.0, s - a), s + a
     if hi <= lo:
         return 1.0

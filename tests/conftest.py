@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from hconc import annihilation
+from hconc import annihilation, bessel
 
 
 @pytest.fixture
@@ -17,3 +17,13 @@ def cold_plan():
     annihilation._window_plan.cache_clear()
     yield annihilation._window_plan
     annihilation._window_plan.cache_clear()
+
+
+@pytest.fixture
+def cold_zero_tables():
+    """The process-wide zero-table cache (`bessel.cached_zero_table`),
+    emptied before and after the test, so that the tables a test counts or
+    fakes are neither found from nor left to the tests around it."""
+    bessel.cached_zero_table.cache_clear()
+    yield bessel.cached_zero_table
+    bessel.cached_zero_table.cache_clear()

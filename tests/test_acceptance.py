@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from hconc.annihilation import LSParams, annihilation_constant, ls_bound, pair_norm
 from hconc.annihilation import _pass_grams, _sigma_max, strong_pair_trials
-from hconc.bessel import Order, cached_zero_table, eval_j
+from hconc.bessel import Order, eval_j, first_zeros
 from hconc.experiments import ExperimentConfig, parse_config, run
 from hconc.measure import IntervalSet
 from hconc.paley_wiener import (
@@ -210,10 +210,10 @@ def test_criterion_06_extremal_family(tmp_path):
         )
         rows = run(cfg)
         ok = ok and all(r.passed for r in rows) and len(rows) == 42
-        table = cached_zero_table(alpha, 21)
+        s_all = np.r_[0.0, first_zeros(order, 20)]
         theta = theta_constant(order)
         for n in range(21):
-            s_n = 0.0 if n == 0 else table.s_prime(n)
+            s_n = s_all[n]
             peak_ref = extremal_peak(order, n)
             if n >= 1:
                 direct = (alpha + 1.0) * float(eval_j(order, s_n)) ** 2

@@ -42,6 +42,7 @@ from oracles import (
     pair_gram,
     pair_nodes,
     pair_rules,
+    prolate_deficit,
     sinc_pair_deficit,
     strong_pair_rows_dense,
 )
@@ -420,6 +421,19 @@ def test_strong_pair_trials_match_the_all_ends_gram(monkeypatch, alpha):
     assert np.array_equal(rows, want)
 
 
+def test_a_side_whose_rule_size_overflows_is_refused():
+    # 4 sup overflows to inf: ceil raised OverflowError in both places
+    order = Order(0.0)
+    unit, wide = IntervalSet.of([(0.0, 1.0)]), IntervalSet.of([(0.0, 1e308)])
+    for call in (
+        lambda: pair_norm(order, wide, unit),
+        lambda: pair_norm(order, unit, wide),
+        lambda: strong_pair_trials(order, wide, unit, 4.0, trials=2, seed=3),
+    ):
+        with pytest.raises(DomainError, match="needs more nodes than a rule holds"):
+            call()
+
+
 @pytest.mark.parametrize("Sigma", [[(0.0, 1.2)], [(0.3, 0.8), (1.0, 1.4)]])
 def test_strong_pair_trials_build_both_rules_in_one_call(monkeypatch, Sigma):
     # the rules on Sigma and on the rest of [0, 2 sup Sigma] come from one
@@ -604,6 +618,77 @@ def test_pair_deficit_matches_the_sinc_kernel_oracle(omega, x_max, alpha):
     sigma = pair_norm(Order(alpha), S, IntervalSet.of([(0.0, 1.0)]))
     want = sinc_pair_deficit(1 if alpha < 0 else -1, S, 1.0, 24)
     assert abs((1.0 - sigma * sigma) - want) <= _SINC_TOL
+
+
+# 1 - lambda_0 of Slepian's generalized prolates as (alpha, c / (2 pi),
+# value), from a separate 40-digit mpmath computation (ROADMAP item 14),
+# among them two values below pair_norm's floor (c / (2 pi) = 5)
+_PROLATE_PROTOTYPE = [
+    (-0.5, 1.0, 5.72466458953e-5),
+    (0.0, 3.0, 1.92671318207e-14),
+    (0.3, 5.0, 1.87213330766e-24),
+    (1.0, 5.0, 4.8291712478e-23),
+    (7.5, 3.0, 4.65759425874e-5),
+]
+
+
+@pytest.mark.parametrize(("alpha", "width", "want"), _PROLATE_PROTOTYPE)
+def test_prolate_oracle_matches_its_prototype(alpha, width, want):
+    assert prolate_deficit(alpha, 2.0 * math.pi * width) == pytest.approx(
+        want, rel=1e-10
+    )
+
+
+# the absolute floor of pair_norm's 1 - sigma^2 against the prolate oracle,
+# by the route of eval_j at order alpha, on single intervals at b = 1 and
+# T <= 3.  Measured: at most 5.0e-16 on the closed forms (alpha = +-1/2),
+# 9.4e-16 on j0 and j1 (alpha = 0, 1) and 1.1e-14 on the Chebyshev tables
+# (alpha = 0.3 at T = 3; 9.4e-15 at alpha = 2.7)
+_PROLATE_FLOOR = {"closed": 1e-15, "integer": 2e-15, "table": 2e-14}
+
+
+@pytest.mark.parametrize(
+    ("alpha", "width", "route"),
+    [
+        (-0.5, 1.0, "closed"),
+        (-0.5, 2.0, "closed"),
+        (0.5, 2.0, "closed"),
+        (0.0, 1.0, "integer"),
+        (0.0, 3.0, "integer"),
+        (1.0, 3.0, "integer"),
+        (0.3, 1.0, "table"),
+        (0.3, 3.0, "table"),
+        (2.7, 3.0, "table"),
+        (7.5, 3.0, "table"),
+    ],
+)
+def test_pair_deficit_matches_the_prolate_oracle(alpha, width, route):
+    # S = [0, T], Sigma = [0, 1]: c = 2 pi T, every value above the floor
+    sigma = pair_norm(
+        Order(alpha), IntervalSet.of([(0.0, width)]), IntervalSet.of([(0.0, 1.0)])
+    )
+    want = prolate_deficit(alpha, 2.0 * math.pi * width)
+    assert want > 2.0 * _PROLATE_FLOOR[route]
+    assert abs((1.0 - sigma * sigma) - want) <= _PROLATE_FLOOR[route]
+
+
+@pytest.mark.parametrize(
+    ("alpha", "route", "pairs"),
+    [
+        (0.0, "integer", [(1.0, 2.0), (0.5, 4.0)]),
+        (0.3, "table", [(1.0, 2.0), (2.0, 1.0)]),
+        (2.7, "table", [(1.0, 1.5), (1.5, 1.0)]),
+    ],
+)
+def test_pair_deficit_depends_on_c_alone(alpha, route, pairs):
+    # (b, T) with the same c = 2 pi b T give the same 1 - sigma^2
+    (b1, t1), (b2, t2) = pairs
+    want = prolate_deficit(alpha, 2.0 * math.pi * b1 * t1)
+    for b, t in pairs:
+        sigma = pair_norm(
+            Order(alpha), IntervalSet.of([(0.0, t)]), IntervalSet.of([(0.0, b)])
+        )
+        assert abs((1.0 - sigma * sigma) - want) <= _PROLATE_FLOOR[route]
 
 
 # --------------------------------------------------------------------------

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from hconc.bessel import (
     Order,
-    ZeroTable,
     cached_zero_table,
     certify_bound,
     eval_j,
     eval_j_ladder,
+    first_zeros,
+    validate_interlacing,
+    zeros_below,
     zeros_of_j_prime,
 )
 from hconc import bessel
@@ -442,21 +444,19 @@ def test_derivative_matches_finite_differences():
 
 def test_zeros_match_frozen_oracle():
     for alpha, zs in _ZERO_ORACLE.items():
-        table = zeros_of_j_prime(Order(alpha), 3)
-        assert np.allclose(table.zeros, zs, rtol=0, atol=1e-12)
+        assert np.allclose(zeros_of_j_prime(Order(alpha), 3), zs, rtol=0, atol=1e-12)
 
 
 def test_zeros_half_order_are_multiples_of_pi():
-    table = zeros_of_j_prime(Order(-0.5), 50)
+    zs = zeros_of_j_prime(Order(-0.5), 50)
     expected = math.pi * np.arange(1, 51)
-    assert np.max(np.abs(table.zeros - expected)) < 1e-10
+    assert np.max(np.abs(zs - expected)) < 1e-10
 
 
 def test_zero_residuals_small_deep_into_table():
     for alpha in (0.0, 0.7, 5.5):
         order = Order(alpha)
-        table = zeros_of_j_prime(order, 400)
-        res = np.abs(eval_j_derivative(order, table.zeros))
+        res = np.abs(eval_j_derivative(order, zeros_of_j_prime(order, 400)))
         # derivative amplitude decays like z^(-alpha-3/2); compare loosely
         assert np.all(res < 1e-11)
 
@@ -469,7 +469,7 @@ def test_zero_bisection_stops_early_with_the_bits_of_64_passes(monkeypatch, nu):
     calls = []
     real = bessel.eval_j
     monkeypatch.setattr(bessel, "eval_j", lambda o, x: calls.append(1) or real(o, x))
-    got = zeros_of_j_prime(Order(nu - 1.0), 64).zeros
+    got = zeros_of_j_prime(Order(nu - 1.0), 64)
     assert np.array_equal(got, want)
     # one grid pass, the bisection passes and one residual check
     assert len(calls) <= 1 + 51 + 1
@@ -477,11 +477,10 @@ def test_zero_bisection_stops_early_with_the_bits_of_64_passes(monkeypatch, nu):
 
 def test_zero_table_validation_catches_corruption():
     order = Order(0.3)
-    table = zeros_of_j_prime(order, 64)
-    zs = np.array(table.zeros)
+    zs = np.array(zeros_of_j_prime(order, 64))
     zs[5], zs[6] = zs[6], zs[5]
     with pytest.raises(InternalError, match="interlacing"):
-        ZeroTable(order=order, zeros=zs)
+        validate_interlacing(order, zs)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 15.0, 20.0, 25.0])
@@ -493,9 +492,9 @@ def test_zero_table_check_is_centred_on_mcmahon(alpha):
     mpmath = pytest.importorskip("mpmath")
     order = Order(alpha)
     zs = np.array([float(mpmath.besseljzero(alpha + 1.0, k)) for k in range(1, 66)])
-    assert len(ZeroTable(order=order, zeros=zs[:64])) == 64
+    validate_interlacing(order, zs[:64])
     with pytest.raises(InternalError, match="interlacing"):
-        ZeroTable(order=order, zeros=zs[1:])
+        validate_interlacing(order, zs[1:])
 
 
 # mpmath.besseljzero(alpha + 1, k) at 30 digits, frozen: its first call at
@@ -517,13 +516,13 @@ def test_zero_table_check_holds_at_large_orders(alpha):
     # true table, and reject it shifted by one zero or with one left out.
     count, ref = _LARGE_ORDER_ZEROS[alpha]
     order = Order(alpha)
-    zs = zeros_of_j_prime(order, count).zeros
+    zs = zeros_of_j_prime(order, count)
     for k, z in ref.items():
         assert zs[k - 1] == pytest.approx(z, rel=1e-12)
-    assert len(ZeroTable(order=order, zeros=zs)) == count
+    validate_interlacing(order, zs)
     for bad in (zs[1:], np.delete(zs, 1), np.delete(zs, count // 2)):
         with pytest.raises(InternalError, match="interlacing"):
-            ZeroTable(order=order, zeros=bad)
+            validate_interlacing(order, bad)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -546,27 +545,89 @@ def test_zeros_match_mpmath(alpha, count):
     # large ones, where it lies more than pi/2 above the low zeros; the
     # sign-change scan must find every zero either way
     mpmath = pytest.importorskip("mpmath")
-    zs = zeros_of_j_prime(Order(alpha), count).zeros
+    zs = zeros_of_j_prime(Order(alpha), count)
     ks = range(1, count + 1)
     ref = np.array([float(mpmath.besseljzero(alpha + 1.0, k)) for k in ks])
     assert np.max(np.abs(zs - ref) / ref) < 1e-12
 
 
-def test_s_prime_indexing():
-    table = zeros_of_j_prime(Order(0.0), 10)
-    assert table.s_prime(0) == 0.0
-    assert table.s_prime(1) == pytest.approx(3.8317059702075125, abs=1e-12)
-    with pytest.raises(DomainError):
-        table.s_prime(-1)
-    with pytest.raises(DomainError):
-        table.s_prime(11)
+def test_first_zeros_indexing():
+    order = Order(0.0)
+    assert first_zeros(order, 0).shape == (0,)
+    assert first_zeros(order, 1)[0] == pytest.approx(3.8317059702075125, abs=1e-12)
+    assert len(first_zeros(order, 65)) == 65
+    for count in (-1, 10**6 + 1):
+        with pytest.raises(DomainError):
+            first_zeros(order, count)
 
 
-def test_cached_zero_table_growth():
-    t1 = cached_zero_table(1.25, 5)
-    t2 = cached_zero_table(1.25, 40)
-    assert len(t1) >= 5 and len(t2) >= 40
-    assert np.allclose(t2.zeros[: len(t1)], t1.zeros, rtol=0, atol=0)
+def test_first_zeros_are_views_of_one_table_per_size():
+    order = Order(1.25)
+    table = cached_zero_table(1.25, 64)
+    for count in (5, 40, 64):
+        zs = first_zeros(order, count)
+        assert zs.base is table and np.array_equal(zs, table[:count])
+    assert len(first_zeros(order, 65).base) == 128
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(alpha=st.floats(-0.5, 300.0))
+def test_zero_table_prefixes_are_the_bits_of_the_larger_table(alpha):
+    # so the size of the table that the cache builds never changes a value
+    order = Order(alpha)
+    tables = [zeros_of_j_prime(order, size) for size in (64, 128, 256)]
+    for zs in tables:
+        validate_interlacing(order, zs)
+        assert np.array_equal(zs, tables[-1][: len(zs)])
+        with pytest.raises(ValueError):
+            zs[0] = 99.0
+
+
+def test_every_zero_array_handed_out_is_read_only():
+    order = Order(0.0)
+    for zs in (
+        cached_zero_table(0.0, 64),
+        first_zeros(order, 5),
+        zeros_below(order, 20.0),
+    ):
+        with pytest.raises(ValueError):
+            zs[0] = 99.0
+    # a writable cached array handed the 99.0 to every later caller
+    assert first_zeros(order, 1)[0] == pytest.approx(3.8317059702075125)
+
+
+def test_a_count_under_the_cap_builds_a_table_within_it(
+    monkeypatch, cold_zero_tables
+):
+    # 600,000 rounds up to 2^20 zeros, past the 1e6 cap: the table is capped
+    sizes = []
+
+    def builder(order, count):
+        sizes.append(count)
+        zs = 4.0 * np.arange(1.0, count + 1.0)
+        zs.flags.writeable = False
+        return zs
+
+    monkeypatch.setattr(bessel, "zeros_of_j_prime", builder)
+    assert len(first_zeros(Order(0.0), 600_000)) == 600_000
+    assert sizes == [10**6]
+
+
+def test_zeros_below_takes_every_zero_up_to_the_limit():
+    order = Order(0.3)
+    zs = zeros_of_j_prime(order, 256)
+    for limit in (0.0, 1.0, float(zs[0]), 100.0, float(zs[99]), 700.0):
+        got = zeros_below(order, limit)
+        assert np.array_equal(got, zs[zs <= limit])
+    with pytest.raises(DomainError):
+        zeros_below(order, math.inf)
+
+
+def test_zeros_below_refuses_a_table_that_ends_below_the_limit(monkeypatch):
+    order = Order(0.3)
+    monkeypatch.setattr(bessel, "first_zeros", lambda o, n: np.array([1.0, 2.0]))
+    with pytest.raises(InternalError, match="below"):
+        zeros_below(order, 3.0)
 
 
 def test_certified_bound_dominates_dense_grid():

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hconc import __version__, cli, experiments, transform, translation
+from hconc import __version__, bessel, cli, experiments, transform, translation
 from hconc.annihilation import ls_empirical_min_ratio
-from hconc.bessel import Order, ZeroTable
+from hconc.bessel import Order
 from hconc.errors import ConvergenceError, InternalError, UsageError
 from hconc.experiments import (
     DEFAULT_SEED,
@@ -1066,6 +1066,24 @@ def test_cli_pw_extremal_peak_normalization(capsys):
     assert lines[1] == "0,1"
 
 
+def test_extremal_recipe_builds_one_zero_table_per_size(
+    tmp_path, monkeypatch, cold_zero_tables
+):
+    # members 1..150 and the recipe's own 150 nodes read tables of 64, 128
+    # and 256 zeros; a cache keyed on the count asked for built 151
+    calls = []
+    real = bessel.zeros_of_j_prime
+    monkeypatch.setattr(
+        bessel, "zeros_of_j_prime", lambda o, n: calls.append(n) or real(o, n)
+    )
+    cfg = ExperimentConfig(
+        name="extremal", alpha=7.0, trials=150, output_dir=str(tmp_path)
+    )
+    rows = run(cfg)
+    assert len(rows) == 302 and all(r.passed for r in rows)
+    assert sorted(calls) == [64, 128, 256]
+
+
 def test_cli_pair_norm_matches_frozen_value(tmp_path, capsys):
     path = _write(tmp_path / "unit.set", UNIT)
     rc = cli.main(
@@ -1123,6 +1141,26 @@ def test_cli_pair_norm_refuses_a_nan_xmax(tmp_path, capsys, xmax, rc):
         assert err == "error: S must be contained in [0, x_max]\n"
     else:
         assert float(out) == pytest.approx(0.9997619967469777, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "s_sup, message",
+    [
+        ("1e308", "a set reaching 1e+308 needs more nodes than a rule holds"),
+        ("1e200", "exceeds the cap of 16777216 nodes on one interval"),
+    ],
+)
+def test_cli_pair_norm_refuses_a_set_too_wide_for_a_rule(
+    tmp_path, capsys, s_sup, message
+):
+    # 4 sup S overflowed to inf at 1e308, and ceil(inf) exited 1 with an
+    # OverflowError traceback; at 1e200 the rule-size cap refuses it
+    s_path = _write(tmp_path / "s.set", f"0 {s_sup}\n")
+    sigma_path = _write(tmp_path / "sigma.set", "0 100\n")
+    argv = ["pair", "norm", "--alpha", "0", "--s", s_path, "--sigma", sigma_path]
+    assert cli.main(argv + ["--xmax", "inf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 @pytest.mark.parametrize("a, b", [("1", "nan"), ("1", "inf"), ("nan", "1")])
@@ -1437,13 +1475,10 @@ def test_cli_selftest_inject_fault_exits_1(capsys, monkeypatch):
     real_zeros = experiments.zeros_of_j_prime
 
     def swapped(order, count):
-        # a table with two zeros out of order, which ZeroTable would refuse
-        zs = np.array(real_zeros(order, count).zeros)
+        # two zeros out of order, which zeros_of_j_prime itself would refuse
+        zs = np.array(real_zeros(order, count))
         zs[10], zs[11] = zs[11], zs[10]
-        table = object.__new__(ZeroTable)
-        object.__setattr__(table, "order", order)
-        object.__setattr__(table, "zeros", zs)
-        return table
+        return zs
 
     monkeypatch.setattr(experiments, "zeros_of_j_prime", swapped)
     rc = cli.main(["selftest"])

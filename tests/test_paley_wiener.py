@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hconc.bessel import Order, cached_zero_table, eval_j
+from hconc.bessel import Order, eval_j, first_zeros
 from hconc.errors import DomainError
 from hconc.measure import IntervalSet, mu_measure
 from hconc.paley_wiener import (
@@ -291,7 +291,7 @@ def _spectral_route_family(order: Order, n: int, n_spec: int = 256) -> PWFunctio
     # (0, 1/(2 pi)); its synthesis must reproduce the closed-form family
     b = 1.0 / (2.0 * math.pi)
     nodes, weights = build_rule(0.0, b, n_spec)
-    s = cached_zero_table(order.alpha, n).s_prime(n)
+    s = first_zeros(order, n)[-1]
     coeffs = theta_constant(order) * eval_j(order, 2.0 * math.pi * s * nodes)
     return PWFunction(order, b, nodes, weights, coeffs)
 
@@ -317,15 +317,15 @@ def test_extremal_norm_matches_spectral_route(alpha, n):
 
 def test_extremal_family_peak_and_node_zeros():
     order = Order(0.0)
-    table = cached_zero_table(0.0, 8)
+    zeros = first_zeros(order, 8)
     for n in (1, 3):
-        s_n = table.s_prime(n)
+        s_n = zeros[n - 1]
         peak = extremal_peak(order, n)
         assert extremal_family(order, n, s_n) == pytest.approx(peak, rel=1e-12)
         for m in (1, 2, 4):
             if m == n:
                 continue
-            val = extremal_family(order, n, table.s_prime(m))
+            val = extremal_family(order, n, zeros[m - 1])
             assert abs(val) < 1e-12 * peak
     # n=0 member is the shifted kernel with unit peak at the origin
     assert extremal_family(order, 0, 0.0) == pytest.approx(1.0, abs=1e-14)
@@ -336,7 +336,7 @@ def test_extremal_family_patch_is_continuous():
     # values across the series-patch boundary around the node must agree
     order = Order(1.0)
     n = 2
-    s = cached_zero_table(1.0, n).s_prime(n)
+    s = first_zeros(order, n)[-1]
     for edge in (s * (1 - 1e-4), s * (1 + 1e-4)):
         left = extremal_family(order, n, edge * (1 - 1e-9))
         right = extremal_family(order, n, edge * (1 + 1e-9))
@@ -344,8 +344,15 @@ def test_extremal_family_patch_is_continuous():
 
 
 def test_extremal_family_rejects_negative_index():
-    with pytest.raises(DomainError):
-        extremal_family(Order(0.0), -1, 1.0)
+    order = Order(0.0)
+    for call in (
+        lambda: extremal_family(order, -1, 1.0),
+        lambda: extremal_peak(order, -1),
+        lambda: extremal_norm_sq(order, -2),
+        lambda: tail_mass(order, -1, 2.0),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_tail_mass_behavior():

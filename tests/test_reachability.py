@@ -7,9 +7,11 @@ read by package code outside its own class.  And every name a module
 imports is used in it."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hconc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hconc"
 
 # name -> why it may stay without a caller in the package
 ALLOWED = {
@@ -445,6 +447,7 @@ def _unread_fields(package: Path) -> dict[str, str]:
 ALLOWED_FIELDS = {
     f"NecessityRow.{name}": ALLOWED["density_necessity_demo"]
     for name in (
+        "s_prime",
         "concentration",
         "concentrated",
         "tail",
@@ -508,3 +511,80 @@ def test_no_module_starts_threads():
             m for m in imported if m.split(".")[0] in ("concurrent", "threading")
         )
         assert not threaded, f"{path.name} imports {threaded}"
+
+
+def _caches(package: Path) -> dict[str, str]:
+    """The bound of each function of the modules in `package` that
+    `lru_cache` or `functools.cache` memoizes, as {"module.function":
+    "<maxsize> entries"}, or "unbounded" for `cache` and
+    `lru_cache(maxsize=None)`.  A bare `lru_cache` holds 128."""
+    caches = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for dec in fn.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                node = call.func if call else dec
+                kind = getattr(node, "id", getattr(node, "attr", None))
+                if kind not in ("lru_cache", "cache"):
+                    continue
+                size = 128 if kind == "lru_cache" else None
+                if call:
+                    given = call.args + [k.value for k in call.keywords]
+                    size = ast.literal_eval(given[0]) if given else size
+                bound = "unbounded" if size is None else f"{size} entries"
+                caches[f"{path.stem}.{fn.name}"] = bound
+    return caches
+
+
+def _cache_table(readme: str) -> dict[str, str]:
+    """{cache: bound cell} of each row of README's table of process-wide
+    caches, keyed by the first code span of the row's cache cell."""
+    after = readme.split("Every process-wide cache", 1)[1]
+    table = re.search(r"(?:^[ \t]*\|.*\n)+", after, re.M).group(0)
+    rows = {}
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        name = re.match(r"`([\w.]+)`", cells[0])
+        if name:
+            rows[name.group(1)] = cells[2]
+    return rows
+
+
+def test_every_cache_has_a_row_with_its_bound_in_the_readme():
+    caches = _caches(SRC)
+    rows = _cache_table((ROOT / "README.md").read_text(encoding="utf-8"))
+    missing = sorted(set(caches) - set(rows))
+    assert not missing, f"caches with no row in README's cache table: {missing}"
+    stale = sorted(set(rows) - set(caches))
+    assert not stale, f"README's cache table names caches that are gone: {stale}"
+    wrong = {
+        name: (rows[name], bound)
+        for name, bound in caches.items()
+        if not rows[name].startswith(bound)
+    }
+    assert not wrong, f"README bound against the code's (README, code): {wrong}"
+
+
+def test_scan_finds_every_cache_and_its_bound(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@lru_cache(maxsize=16)\ndef keyed(x):\n    return x\n\n"
+        "@functools.lru_cache(4)\ndef positional(x):\n    return x\n\n"
+        "@lru_cache\ndef bare(x):\n    return x\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef unbounded(x):\n    return x\n\n"
+        "@functools.cache\ndef once():\n    return 1\n\n"
+        "@cache\ndef plain(x):\n    return x\n\n"
+        "@staticmethod\ndef other(x):\n    return x\n",
+        encoding="utf-8",
+    )
+    assert _caches(tmp_path) == {
+        "a.keyed": "16 entries",
+        "a.positional": "4 entries",
+        "a.bare": "128 entries",
+        "a.unbounded": "unbounded",
+        "a.once": "unbounded",
+        "a.plain": "unbounded",
+    }
